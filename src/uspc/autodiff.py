@@ -53,9 +53,6 @@ class Tensor:
         """Same values, cut off from the graph (stop-gradient)."""
         return Tensor(self.data)
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.data)))
-
     def zero_grad(self) -> None:
         self.grad = None
 

@@ -11,6 +11,7 @@ tensors; a round trip is bitwise lossless.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,16 +70,24 @@ def save_checkpoint(path, model: JointModel, opt: AdamState | None,
     config_text = config_mod.to_text(train_config)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        encoded = config_text.encode("utf-8")
-        fh.write(struct.pack("<I", len(encoded)))
-        fh.write(encoded)
-        fh.write(struct.pack("<Q", step))
-        fh.write(struct.pack("<Q", len(tensors)))
-        for name in sorted(tensors):
-            _write_tensor(fh, name, tensors[name])
+    # write beside the target, then rename over it: a failed write leaves the
+    # previous checkpoint intact
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            encoded = config_text.encode("utf-8")
+            fh.write(struct.pack("<I", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<Q", step))
+            fh.write(struct.pack("<Q", len(tensors)))
+            for name in sorted(tensors):
+                _write_tensor(fh, name, tensors[name])
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -7,6 +7,7 @@ import dataclasses
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
+from .features import N_MELS, N_PITCH_BINS
 
 
 @dataclass
@@ -21,8 +22,8 @@ class ModelConfig:
     decoder_blocks: int = 6
     kernel_size: int = 3
     dropout: float = 0.5
-    n_mels: int = 80
-    n_pitch_bins: int = 32
+    n_mels: int = N_MELS
+    n_pitch_bins: int = N_PITCH_BINS
     codebook_size: int = 256
     fusion: str = "additive"  # "additive" or "saln"
 
@@ -91,14 +92,18 @@ def to_text(cfg: TrainConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _coerce(raw: str, target_type):
+def _coerce(raw: str, target_type, lineno: int, key: str):
     raw = raw.strip()
     if target_type is bool:
         return raw.lower() in ("true", "1", "yes")
-    if target_type is int:
-        return int(raw)
-    if target_type is float:
-        return float(raw)
+    try:
+        if target_type is int:
+            return int(raw)
+        if target_type is float:
+            return float(raw)
+    except ValueError:
+        raise ConfigError(
+            f"line {lineno}: {key} needs {target_type.__name__}, got {raw!r}") from None
     return raw
 
 
@@ -118,9 +123,10 @@ def from_text(text: str) -> TrainConfig:
             mkey = key[len("model."):]
             if mkey not in model_fields:
                 raise ConfigError(f"line {lineno}: unknown model key {mkey!r}")
-            setattr(cfg.model, mkey, _coerce(raw, type(getattr(cfg.model, mkey))))
+            setattr(cfg.model, mkey,
+                    _coerce(raw, type(getattr(cfg.model, mkey)), lineno, key))
         elif key in train_fields:
-            setattr(cfg, key, _coerce(raw, type(getattr(cfg, key))))
+            setattr(cfg, key, _coerce(raw, type(getattr(cfg, key)), lineno, key))
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
     cfg.validate()

@@ -22,9 +22,7 @@ import numpy as np
 
 from .encoders import quantize_f0_array
 from .errors import ConfigError, DataError, IntegrityError
-
-N_MELS = 80
-N_PITCH_BINS = 32
+from .features import N_MELS, N_PITCH_BINS
 
 
 @dataclass
@@ -245,6 +243,13 @@ def _ints_to_field(values) -> str:
     return ",".join(str(int(v)) for v in values)
 
 
+def _field_to_ints(text: str, where: str) -> np.ndarray:
+    try:
+        return np.array([int(v) for v in text.split(",")], dtype=np.int64)
+    except ValueError:
+        raise IntegrityError(f"{where}: non-integer value in {text!r}") from None
+
+
 def write_corpus(out_dir, records: list[UtteranceRecord], split: str = "train") -> None:
     out_dir = Path(out_dir)
     (out_dir / "mel").mkdir(parents=True, exist_ok=True)
@@ -288,10 +293,8 @@ def load_corpus(corpus_dir, split: str = "train") -> list[UtteranceRecord]:
                 id=uid, speaker_id=speaker, labeled=labeled,
                 mel=read_matrix(mel_path),
                 f0=read_matrix(f0_path).reshape(-1),
-                phonemes=np.array([int(v) for v in ph.split(",")], dtype=np.int64)
-                if labeled else None,
-                durations=np.array([int(v) for v in du.split(",")], dtype=np.int64)
-                if labeled else None)
+                phonemes=_field_to_ints(ph, f"{manifest}:{lineno}") if labeled else None,
+                durations=_field_to_ints(du, f"{manifest}:{lineno}") if labeled else None)
             rec.validate()
             records.append(rec)
     if not records:

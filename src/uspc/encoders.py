@@ -9,13 +9,11 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig
 from .errors import DataError, PairingError
+from .features import F0_MAX, F0_MIN
 from .layers import (Conv1d, ConvPredictorStack, Ctx, Dropout, Embedding,
                      FFTBlock, LayerNorm, Linear, positional_encoding)
 from .optim import ParamStore
 from .rng import NamedRng
-
-F0_MIN = 50.0
-F0_MAX = 600.0
 
 
 class TextEncoder:
@@ -59,6 +57,12 @@ class DurationPredictor:
         return np.maximum(np.rint(raw), 0.0).astype(np.int64)
 
 
+def expansion_map(durations: np.ndarray) -> np.ndarray:
+    """Frame index -> phoneme position, the inverse view of length_regulate."""
+    durations = np.asarray(durations, dtype=np.int64)
+    return np.repeat(np.arange(durations.size), durations)
+
+
 def length_regulate(h: Tensor, durations: np.ndarray) -> Tensor:
     """Repeat row i of `h` durations[i] times, preserving order."""
     durations = np.asarray(durations, dtype=np.int64)
@@ -69,14 +73,7 @@ def length_regulate(h: Tensor, durations: np.ndarray) -> Tensor:
         raise DataError("durations must be non-negative")
     if durations.sum() == 0:
         raise DataError("all durations are zero; nothing to expand")
-    expansion = np.repeat(np.arange(durations.size), durations)
-    return ad.gather_rows(h, expansion)
-
-
-def expansion_map(durations: np.ndarray) -> np.ndarray:
-    """Frame index -> phoneme position, the inverse view of length_regulate."""
-    durations = np.asarray(durations, dtype=np.int64)
-    return np.repeat(np.arange(durations.size), durations)
+    return ad.gather_rows(h, expansion_map(durations))
 
 
 class ContentEncoder:
@@ -133,22 +130,12 @@ class SpeakerEncoder:
         return self.pool(self.frame_features(mel_frames, ctx))
 
 
-def quantize_f0(f0_hz: float) -> int:
-    """Map a frequency to one of 32 bins; bin 0 is reserved for unvoiced.
-
-    Bins 1..31 split [50, 600] Hz uniformly in log-Hz; values outside clamp
-    to the edge bins.
-    """
-    if f0_hz < 0:
-        raise DataError(f"negative f0: {f0_hz}")
-    if f0_hz == 0.0:
-        return 0
-    span = np.log(F0_MAX) - np.log(F0_MIN)
-    r = (np.log(f0_hz) - np.log(F0_MIN)) / span
-    return int(np.clip(1 + np.floor(30.0 * r), 1, 31))
-
-
 def quantize_f0_array(f0_hz: np.ndarray) -> np.ndarray:
+    """Map each frequency to one of 32 bins; bin 0 is reserved for unvoiced.
+
+    Bins 1..30 split [50, 600) Hz uniformly in log-Hz; bin 31 holds 600 Hz
+    and above, and values below 50 Hz clamp to bin 1.
+    """
     f0_hz = np.asarray(f0_hz, dtype=np.float64)
     if np.any(f0_hz < 0):
         raise DataError("negative f0 in contour")

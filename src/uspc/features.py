@@ -28,6 +28,7 @@ LOG_FLOOR = 1e-5
 
 F0_MIN = 50.0
 F0_MAX = 600.0
+N_PITCH_BINS = 32  # pitch classes: 0 unvoiced, then log-Hz bins from F0_MIN
 VOICING_THRESHOLD = 0.5
 ENERGY_GATE_RMS = 1e-4
 
@@ -60,9 +61,6 @@ class PitchContour:
     @property
     def n_frames(self) -> int:
         return self.f0_hz.shape[0]
-
-    def voiced_mask(self) -> np.ndarray:
-        return self.f0_hz > 0.0
 
 
 def hz_to_mel(f):

@@ -19,7 +19,7 @@ from .encoders import (ContentEncoder, DurationPredictor, ProsodyEncoder,
 from .layers import Ctx
 from .optim import ParamStore
 from .rng import NamedRng
-from .synthesis import Decoder, FusedSequence, PitchPredictor, decode_f0, fuse
+from .synthesis import Decoder, PitchPredictor, decode_f0, fuse
 from .vq import Codebook, QuantizedContent, identity_quantize, vq_lookup
 
 
@@ -107,9 +107,6 @@ class JointModel:
         return mel.data, np.asarray(source_f0, dtype=np.float64)
 
     # -- bookkeeping -------------------------------------------------------------
-
-    def parameter_names(self) -> list[str]:
-        return sorted(self.store.keys())
 
     def text_side_parameter_names(self) -> list[str]:
         return [n for n in self.store

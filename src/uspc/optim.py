@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ConfigError
+from .errors import ConfigError, TrainingDiverged
 
 
 class ParamStore(dict):
@@ -23,9 +23,6 @@ class ParamStore(dict):
     def zero_grad(self) -> None:
         for t in self.values():
             t.grad = None
-
-    def total_size(self) -> int:
-        return sum(t.size for t in self.values())
 
 
 @dataclass
@@ -49,24 +46,24 @@ class AdamState:
         return state
 
 
-def adam_step(params: ParamStore, state: AdamState,
-              grads: dict[str, np.ndarray] | None = None) -> None:
-    """One Adam update in place.  Missing/None grads count as zero.
+def adam_step(params: ParamStore, state: AdamState) -> None:
+    """One Adam update in place.  Parameters without a gradient are skipped.
 
     With zero gradient the moments stay zero and the update is exactly zero,
-    so parameters never touched by a loss remain bitwise unchanged.
+    so parameters never touched by a loss remain bitwise unchanged.  All or
+    nothing: a non-finite gradient raises before any parameter, moment or the
+    step counter changes.
     """
     if state.lr < 0:
         raise ConfigError(f"learning rate must be >= 0, got {state.lr}")
+    grads = [(name, p, p.grad) for name, p in params.items() if p.grad is not None]
+    for name, _, g in grads:
+        if not np.all(np.isfinite(g)):
+            raise TrainingDiverged(f"non-finite gradient in parameter {name!r}")
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
-    for name, p in params.items():
-        g = grads.get(name) if grads is not None else p.grad
-        if g is None:
-            continue
-        if not np.all(np.isfinite(g)):
-            raise ConfigError(f"non-finite gradient in parameter {name!r}")
+    for name, p, g in grads:
         m = state.m[name]
         v = state.v[name]
         m *= state.beta1

@@ -82,8 +82,3 @@ def decode_f0(logits: np.ndarray) -> np.ndarray:
     bins = np.argmax(arr, axis=1)
     centers = np.array([bin_center_hz(k) for k in range(arr.shape[1])])
     return centers[bins]
-
-
-def pitch_bins_from_logits(logits) -> np.ndarray:
-    arr = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    return np.argmax(arr, axis=1)

@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
+from . import checkpoint
 from .autodiff import Tensor
 from .config import TrainConfig
 from .corpus import UtteranceRecord
@@ -69,10 +71,6 @@ class LossReport:
         return ",".join(out)
 
 
-def _train_ctx(model: JointModel, rec: UtteranceRecord, step: int, training: bool) -> Ctx:
-    return Ctx(training=training, step=step, uid=rec.id, rng=model.rng)
-
-
 def _mean(tensors: list[Tensor]) -> Tensor:
     total = tensors[0]
     for t in tensors[1:]:
@@ -81,94 +79,83 @@ def _mean(tensors: list[Tensor]) -> Tensor:
 
 
 @dataclass
-class TtsFragment:
-    mel: Tensor
-    pitch_ce: Tensor
-    duration: Tensor
+class Fragment:
+    """One pipeline's batch losses (means over utterances) and quantized
+    content.  Terms the pipeline does not produce stay None."""
+
     aux: list[Tensor]
     quantized: list[QuantizedContent]
-    speakers: list[Tensor]
-    pitch_f0_mse: float
+    mel: Tensor | None = None
+    pitch_ce: Tensor | None = None
+    duration: Tensor | None = None
+    pair: Tensor | None = None
+    pitch_f0_mse: float = 0.0   # tts only
+    code_agreement: float = 0.0  # pair only
+
+
+def _reconstruct(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
+                 step: int, training: bool,
+                 content: Callable[[UtteranceRecord, Ctx], QuantizedContent]
+                 ) -> tuple[Fragment, list[Tensor]]:
+    """The back half both pipelines share, per utterance: speaker, teacher-
+    forced prosody bins, decode, mel MSE, pitch CE and the VQ aux term.
+    `content` is the pipeline's own front half.  Also returns the pitch
+    logits."""
+    mel_losses, ce_losses, aux, quantized, logits = [], [], [], [], []
+    for rec in batch:
+        ctx = Ctx(training=training, step=step, uid=rec.id, rng=model.rng)
+        q = content(rec, ctx)
+        s = model.speaker(rec.mel, ctx)
+        bins = quantize_f0_array(rec.f0)
+        p = model.prosody_encoder.from_bins(bins)
+        mel_pred = model.synthesize(q, s, p, ctx)
+        mel_losses.append(ad.mse(mel_pred, Tensor(rec.mel)))
+        logits.append(model.pitch_predictor(q, s, ctx))
+        ce_losses.append(ad.softmax_cross_entropy(logits[-1], bins))
+        if model.use_vq:
+            aux.append(vq_aux_loss(q, cfg.vq_beta))
+        quantized.append(q)
+    return Fragment(aux=aux, quantized=quantized, mel=_mean(mel_losses),
+                    pitch_ce=_mean(ce_losses)), logits
 
 
 def tts_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
-             step: int, training: bool = True) -> TtsFragment:
+             step: int, training: bool = True) -> Fragment:
     """Text pipeline on paired data, teacher-forced durations and pitch bins."""
     if not batch:
         raise DataError("tts_step needs a non-empty paired batch")
-    mel_losses, ce_losses, dur_losses, aux = [], [], [], []
-    quantized, speakers = [], []
-    f0_sq_err, f0_frames = 0.0, 0
-    for rec in batch:
+    dur_losses = []
+
+    def text_content(rec: UtteranceRecord, ctx: Ctx) -> QuantizedContent:
         if not rec.labeled or rec.durations is None:
             raise DataError(f"{rec.id}: tts_step needs durations (labeled data)")
-        ctx = _train_ctx(model, rec, step, training)
         _, log_dur, expanded = model.text_content(rec.phonemes, rec.durations, ctx)
         dur_losses.append(ad.mse(log_dur, Tensor(np.log(rec.durations + 1.0))))
-        q = model.quantize(expanded, track_usage=training)
-        s = model.speaker(rec.mel, ctx)
-        bins = quantize_f0_array(rec.f0)
-        p = model.prosody_encoder.from_bins(bins)
-        mel_pred = model.synthesize(q, s, p, ctx)
-        mel_losses.append(ad.mse(mel_pred, Tensor(rec.mel)))
-        logits = model.pitch_predictor(q, s, ctx)
-        ce_losses.append(ad.softmax_cross_entropy(logits, bins))
-        if model.use_vq:
-            aux.append(vq_aux_loss(q, cfg.vq_beta))
-        quantized.append(q)
-        speakers.append(s)
-        f0_pred = decode_f0(logits)
-        f0_sq_err += float(((f0_pred - rec.f0) ** 2).sum())
-        f0_frames += rec.f0.size
-    return TtsFragment(
-        mel=_mean(mel_losses), pitch_ce=_mean(ce_losses), duration=_mean(dur_losses),
-        aux=aux, quantized=quantized, speakers=speakers,
-        pitch_f0_mse=f0_sq_err / max(f0_frames, 1))
+        return model.quantize(expanded, track_usage=training)
 
-
-@dataclass
-class VcFragment:
-    mel: Tensor
-    pitch_ce: Tensor
-    aux: list[Tensor]
-    quantized: list[QuantizedContent]
+    frag, logits = _reconstruct(batch, model, cfg, step, training, text_content)
+    frag.duration = _mean(dur_losses)
+    f0_sq_err = sum(float(((decode_f0(lg) - rec.f0) ** 2).sum())
+                    for lg, rec in zip(logits, batch))
+    frag.pitch_f0_mse = f0_sq_err / max(sum(rec.f0.size for rec in batch), 1)
+    return frag
 
 
 def vc_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
-            step: int, training: bool = True) -> VcFragment:
+            step: int, training: bool = True) -> Fragment:
     """Speech-only self-reconstruction; text is never consulted."""
     if not batch:
         raise DataError("vc_step needs a non-empty speech batch")
-    mel_losses, ce_losses, aux, quantized = [], [], [], []
-    for rec in batch:
-        ctx = _train_ctx(model, rec, step, training)
-        c = model.speech_content(rec.mel, ctx)
-        q = model.quantize(c, track_usage=training)
-        s = model.speaker(rec.mel, ctx)
-        bins = quantize_f0_array(rec.f0)
-        p = model.prosody_encoder.from_bins(bins)
-        mel_pred = model.synthesize(q, s, p, ctx)
-        mel_losses.append(ad.mse(mel_pred, Tensor(rec.mel)))
-        logits = model.pitch_predictor(q, s, ctx)
-        ce_losses.append(ad.softmax_cross_entropy(logits, bins))
-        if model.use_vq:
-            aux.append(vq_aux_loss(q, cfg.vq_beta))
-        quantized.append(q)
-    return VcFragment(mel=_mean(mel_losses), pitch_ce=_mean(ce_losses),
-                      aux=aux, quantized=quantized)
 
+    def speech_content(rec: UtteranceRecord, ctx: Ctx) -> QuantizedContent:
+        return model.quantize(model.speech_content(rec.mel, ctx), track_usage=training)
 
-@dataclass
-class PairFragment:
-    pair: Tensor
-    aux: list[Tensor]
-    quantized_speech: list[QuantizedContent]
-    code_agreement: float
+    return _reconstruct(batch, model, cfg, step, training, speech_content)[0]
 
 
 def pair_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
               step: int, training: bool = True,
-              text_quantized: list[QuantizedContent] | None = None) -> PairFragment:
+              text_quantized: list[QuantizedContent] | None = None) -> Fragment:
     """Domain loss between text-derived and speech-derived content of the
     same utterances.  Reuses the TTS path's quantization when supplied;
     recomputation is value-identical because dropout streams are named."""
@@ -177,7 +164,7 @@ def pair_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
     losses, aux, quantized = [], [], []
     agree, frames = 0, 0
     for i, rec in enumerate(batch):
-        ctx = _train_ctx(model, rec, step, training)
+        ctx = Ctx(training=training, step=step, uid=rec.id, rng=model.rng)
         if text_quantized is not None:
             qp = text_quantized[i]
         else:
@@ -193,8 +180,8 @@ def pair_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
         quantized.append(qs)
         agree += int((qp.codes == qs.codes).sum())
         frames += qp.codes.size
-    return PairFragment(pair=_mean(losses), aux=aux, quantized_speech=quantized,
-                        code_agreement=agree / max(frames, 1))
+    return Fragment(aux=aux, quantized=quantized, pair=_mean(losses),
+                    code_agreement=agree / max(frames, 1))
 
 
 def seed_codebook_from_batch(model: JointModel, batch: list[UtteranceRecord],
@@ -213,64 +200,53 @@ def seed_codebook_from_batch(model: JointModel, batch: list[UtteranceRecord],
     model.codebook.seed_from_rows(np.concatenate(rows, axis=0), model.rng, step)
 
 
+def _pipelines(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
+               model: JointModel, cfg: TrainConfig, step: int, training: bool
+               ) -> tuple[Fragment | None, Fragment | None, Fragment | None]:
+    """The (tts, pair, vc) fragments `cfg.mode` trains; None for a skipped one.
+
+    tts-only skips pair and VC; vc-only runs only the speech pipeline; novq
+    runs everything with identity quantization and no codebook loss.
+    """
+    tts = pair = vc = None
+    if cfg.mode in ("full", "tts-only", "novq"):
+        if not paired:
+            raise DataError("this mode needs a paired batch")
+        tts = tts_step(paired, model, cfg, step, training)
+        if cfg.mode in ("full", "novq"):
+            pair = pair_step(paired, model, cfg, step, training, text_quantized=tts.quantized)
+    if cfg.mode in ("full", "vc-only", "novq"):
+        if unpaired:
+            vc = vc_step(unpaired, model, cfg, step, training)
+        elif cfg.mode == "vc-only":
+            raise DataError("vc-only mode needs a speech batch")
+    return tts, pair, vc
+
+
 def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
                model: JointModel, opt: AdamState, cfg: TrainConfig,
                step: int) -> LossReport:
-    """One optimization step over both pipelines.
-
-    Mode handling: tts-only skips pair and VC; vc-only runs only the speech
-    pipeline; novq runs everything with identity quantization and no
-    codebook loss.
-    """
-    mode = cfg.mode
+    """One optimization step over the pipelines `cfg.mode` trains."""
     report = LossReport(step=step, lr=opt.lr)
+    tts, pair, vc = _pipelines(paired, unpaired, model, cfg, step, training=True)
+    frags = [f for f in (tts, pair, vc) if f is not None]
     zero = Tensor(0.0)
-    parts: list[Tensor] = []
-    aux_terms: list[Tensor] = []
-    encoder_rows: list[np.ndarray] = []
-    used_codes: list[np.ndarray] = []
+    tts_rec = vc_rec = pair_t = dur_t = zero
+    if tts is not None:
+        tts_rec = tts.mel * cfg.w_mel + tts.pitch_ce * cfg.w_pitch
+        dur_t = tts.duration
+        report.mel_tts = tts.mel.item()
+        report.pitch_ce_tts = tts.pitch_ce.item()
+        report.pitch_f0_mse = tts.pitch_f0_mse
+    if pair is not None:
+        pair_t = pair.pair
+        report.code_agreement = pair.code_agreement
+    if vc is not None:
+        vc_rec = vc.mel * cfg.w_mel + vc.pitch_ce * cfg.w_pitch
+        report.mel_vc = vc.mel.item()
+        report.pitch_ce_vc = vc.pitch_ce.item()
 
-    tts_rec = zero
-    vc_rec = zero
-    pair_t = zero
-    dur_t = zero
-
-    if mode in ("full", "tts-only", "novq"):
-        if not paired:
-            raise DataError("this mode needs a paired batch")
-        frag = tts_step(paired, model, cfg, step)
-        tts_rec = frag.mel * cfg.w_mel + frag.pitch_ce * cfg.w_pitch
-        dur_t = frag.duration
-        aux_terms.extend(frag.aux)
-        report.mel_tts = frag.mel.item()
-        report.pitch_ce_tts = frag.pitch_ce.item()
-        report.pitch_f0_mse = frag.pitch_f0_mse
-        for q in frag.quantized:
-            used_codes.append(q.codes)
-            encoder_rows.append(q.continuous.data)
-
-        if mode in ("full", "novq"):
-            pair_frag = pair_step(paired, model, cfg, step, text_quantized=frag.quantized)
-            pair_t = pair_frag.pair
-            aux_terms.extend(pair_frag.aux)
-            report.code_agreement = pair_frag.code_agreement
-            for q in pair_frag.quantized_speech:
-                used_codes.append(q.codes)
-                encoder_rows.append(q.continuous.data)
-
-    if mode in ("full", "vc-only", "novq"):
-        if unpaired:
-            frag = vc_step(unpaired, model, cfg, step)
-            vc_rec = frag.mel * cfg.w_mel + frag.pitch_ce * cfg.w_pitch
-            aux_terms.extend(frag.aux)
-            report.mel_vc = frag.mel.item()
-            report.pitch_ce_vc = frag.pitch_ce.item()
-            for q in frag.quantized:
-                used_codes.append(q.codes)
-                encoder_rows.append(q.continuous.data)
-        elif mode == "vc-only":
-            raise DataError("vc-only mode needs a speech batch")
-
+    aux_terms = [a for f in frags for a in f.aux]
     aux_t = _mean(aux_terms) if aux_terms else zero
     total = (tts_rec + vc_rec + pair_t * cfg.w_pair
              + dur_t * cfg.w_duration + aux_t * cfg.w_vq)
@@ -289,10 +265,12 @@ def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
     report.grad_norm = clip_global_norm(model.store, cfg.grad_clip_norm)
     adam_step(model.store, opt)
 
-    if model.use_vq and used_codes:
-        model.codebook.mark_step_usage(np.concatenate(used_codes))
+    quantized = [q for f in frags for q in f.quantized]
+    if model.use_vq and quantized:
+        model.codebook.mark_step_usage(np.concatenate([q.codes for q in quantized]))
         model.codebook.reseed_dead_entries(
-            np.concatenate(encoder_rows, axis=0), model.rng, step, cfg.dead_code_steps)
+            np.concatenate([q.continuous.data for q in quantized], axis=0),
+            model.rng, step, cfg.dead_code_steps)
     return report
 
 
@@ -308,22 +286,17 @@ def _pools(records: list[UtteranceRecord], mode: str
 
 def _validation_loss(model: JointModel, paired: list[UtteranceRecord],
                      unpaired: list[UtteranceRecord], cfg: TrainConfig) -> float:
-    """Eval-mode total over a capped, deterministic subset."""
-    mode = cfg.mode
+    """Eval-mode total over a capped, deterministic subset, without the VQ
+    aux term."""
+    tts, pair, vc = _pipelines(paired[:8], unpaired[:8], model, cfg, step=0, training=False)
     total = 0.0
-    sub_p = paired[:8]
-    sub_u = unpaired[:8]
-    if mode in ("full", "tts-only", "novq") and sub_p:
-        frag = tts_step(sub_p, model, cfg, step=0, training=False)
-        total += cfg.w_mel * frag.mel.item() + cfg.w_pitch * frag.pitch_ce.item()
-        total += cfg.w_duration * frag.duration.item()
-        if mode != "tts-only":
-            pf = pair_step(sub_p, model, cfg, step=0, training=False,
-                           text_quantized=frag.quantized)
-            total += cfg.w_pair * pf.pair.item()
-    if mode in ("full", "vc-only", "novq") and sub_u:
-        frag = vc_step(sub_u, model, cfg, step=0, training=False)
-        total += cfg.w_mel * frag.mel.item() + cfg.w_pitch * frag.pitch_ce.item()
+    if tts is not None:
+        total += cfg.w_mel * tts.mel.item() + cfg.w_pitch * tts.pitch_ce.item()
+        total += cfg.w_duration * tts.duration.item()
+    if pair is not None:
+        total += cfg.w_pair * pair.pair.item()
+    if vc is not None:
+        total += cfg.w_mel * vc.mel.item() + cfg.w_pitch * vc.pitch_ce.item()
     return total
 
 
@@ -406,8 +379,7 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
             epoch += 1
             opt.lr *= cfg.lr_decay_per_epoch
             if checkpoint_path is not None and epoch % cfg.checkpoint_every_epochs == 0:
-                from .checkpoint import save_checkpoint
-                save_checkpoint(checkpoint_path, model, opt, cfg, step)
+                checkpoint.save_checkpoint(checkpoint_path, model, opt, cfg, step)
                 last_checkpoint = checkpoint_path
 
             val = _validation_loss(model, paired, unpaired, cfg)
@@ -423,6 +395,5 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
             trace_fh.close()
 
     if checkpoint_path is not None:
-        from .checkpoint import save_checkpoint
-        save_checkpoint(checkpoint_path, model, opt, cfg, step)
+        checkpoint.save_checkpoint(checkpoint_path, model, opt, cfg, step)
     return model, opt, trace

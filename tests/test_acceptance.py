@@ -22,7 +22,6 @@ from uspc.metrics import (MCD_CONST, f0_corr, f0_rmse, mcd, phoneme_rep_distance
 from uspc.model import JointModel
 from uspc.optim import AdamState
 from uspc.rng import NamedRng
-from uspc.synthesis import pitch_bins_from_logits
 from uspc.training import joint_step, train, tts_step
 from uspc.vq import Codebook, vq_lookup
 from uspc.optim import ParamStore

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from uspc import autodiff as ad
 from uspc.autodiff import Tensor
-from uspc.errors import ConfigError, GraphError, ShapeError
+from uspc.errors import ConfigError, GraphError, ShapeError, TrainingDiverged
 from uspc.optim import AdamState, ParamStore, adam_step, clip_global_norm
 
 
@@ -408,8 +408,29 @@ def test_adam_nan_gradient_names_parameter():
     p = store.param("encoder.w", np.zeros(2))
     state = AdamState.for_params(store)
     p.grad = np.array([np.nan, 0.0])
-    with pytest.raises(ConfigError, match="encoder.w"):
+    with pytest.raises(TrainingDiverged, match="encoder.w"):
         adam_step(store, state)
+
+
+def test_adam_nonfinite_gradient_changes_nothing():
+    # the bad gradient sits in the second parameter, after one that would
+    # update; one good step first so the moments are non-zero
+    store = ParamStore()
+    a = store.param("a", rand((2, 3), 81))
+    b = store.param("b", rand((3,), 82))
+    state = AdamState.for_params(store, lr=0.01)
+    a.grad = rand((2, 3), 83)
+    b.grad = rand((3,), 84)
+    adam_step(store, state)
+    b.grad = np.array([0.0, np.nan, 0.0])
+    before = {n: (p.data.copy(), state.m[n].copy(), state.v[n].copy())
+              for n, p in store.items()}
+    with pytest.raises(TrainingDiverged, match="'b'"):
+        adam_step(store, state)
+    assert state.t == 1
+    for n, p in store.items():
+        for got, want in zip((p.data, state.m[n], state.v[n]), before[n]):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_clip_global_norm():

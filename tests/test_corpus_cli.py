@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from uspc import checkpoint as checkpoint_mod
 from uspc.checkpoint import MAGIC, load_checkpoint, restore_model, save_checkpoint
 from uspc.cli import main
 from uspc.config import TrainConfig
@@ -109,6 +110,20 @@ def test_manifest_integrity_error_on_tampered_line(tmp_path, tiny_corpus):
         load_corpus(tmp_path / "t", "train")
 
 
+@pytest.mark.parametrize("field", [3, 4])  # phonemes, durations
+def test_manifest_non_integer_id_is_integrity_error(tmp_path, tiny_corpus, field):
+    write_corpus(tmp_path / "t", tiny_corpus["train"][:2])
+    manifest = tmp_path / "t" / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    second = lines[1].split("|")
+    second[field] = "x" + second[field]
+    manifest.write_text("\n".join([lines[0], "|".join(second)]) + "\n")
+    with pytest.raises(IntegrityError, match="manifest.txt:2"):
+        load_corpus(tmp_path / "t", "train")
+    assert main(["train", "--corpus", str(tmp_path / "t"),
+                 "--out", str(tmp_path / "m.uspc")]) == 1
+
+
 def test_unlabeled_record_round_trip_and_vc_usable(tmp_path, tiny_corpus):
     rec = tiny_corpus["train"][0]
     unlabeled = dataclasses.replace(rec, labeled=False, phonemes=None, durations=None)
@@ -191,6 +206,27 @@ def test_checkpoint_missing_codebook_listed(trained, tmp_path):
 def test_checkpoint_starts_with_magic(trained):
     path, _, _ = trained
     assert path.read_bytes()[:4] == MAGIC
+
+
+def test_checkpoint_failed_write_keeps_previous_bytes(trained, monkeypatch):
+    path, model, cfg = trained
+    before = path.read_bytes()
+    written = []
+
+    def fail_after_three(fh, name, array):
+        if len(written) == 3:
+            raise OSError("disk full")
+        written.append(name)
+        real_write(fh, name, array)
+
+    real_write = checkpoint_mod._write_tensor
+    monkeypatch.setattr(checkpoint_mod, "_write_tensor", fail_after_three)
+    model.store["decoder.out.w"].data += 1.0
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, model, None, cfg, step=5)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in path.parent.iterdir()
+                  if p.name.startswith(path.name)) == [path.name]
 
 
 # ---------------------------------------------------------------- CLI
@@ -285,6 +321,14 @@ def test_cli_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["gen-data", "--wat", "1", "--out", "x"])
     assert exc.value.code == 2
+
+
+def test_cli_bad_config_value_exits_1(tmp_path, capsys):
+    cfg_path = tmp_path / "t.cfg"
+    cfg_path.write_text("max_steps = ten\n")
+    assert main(["train", "--corpus", str(tmp_path), "--config", str(cfg_path),
+                 "--out", str(tmp_path / "m.uspc")]) == 1
+    assert "line 1" in capsys.readouterr().err
 
 
 def test_cli_runtime_failure_exits_1(tmp_path, capsys):

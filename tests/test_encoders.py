@@ -10,7 +10,7 @@ from uspc import autodiff as ad
 from uspc.autodiff import Tensor
 from uspc.config import ModelConfig
 from uspc.encoders import (DurationPredictor, bin_center_hz, expansion_map,
-                           length_regulate, quantize_f0, quantize_f0_array)
+                           length_regulate, quantize_f0_array)
 from uspc.errors import DataError, PairingError
 from uspc.layers import Ctx
 from uspc.model import JointModel
@@ -161,41 +161,37 @@ def test_mean_pool_is_duplication_invariant(small_model):
 
 
 def test_quantize_f0_unvoiced_reserved():
-    assert quantize_f0(0.0) == 0
+    np.testing.assert_array_equal(quantize_f0_array([0.0]), [0])
 
 
 def test_quantize_f0_endpoints():
-    assert quantize_f0(50.0) == 1
-    assert quantize_f0(600.0) == 31
+    np.testing.assert_array_equal(quantize_f0_array([50.0, 600.0]), [1, 31])
 
 
 def test_quantize_f0_173hz_by_formula():
     # 1 + floor(30 * (ln 173 - ln 50) / (ln 600 - ln 50)) = 15
-    assert quantize_f0(173.0) == 15
+    np.testing.assert_array_equal(quantize_f0_array([173.0]), [15])
 
 
 def test_quantize_f0_clamps_out_of_range():
-    assert quantize_f0(10.0) == 1
-    assert quantize_f0(5000.0) == 31
+    np.testing.assert_array_equal(quantize_f0_array([10.0, 5000.0]), [1, 31])
 
 
 def test_quantize_f0_negative_rejected():
     with pytest.raises(DataError):
-        quantize_f0(-1.0)
+        quantize_f0_array([120.0, -1.0])
 
 
 @given(st.floats(50.0, 600.0))
 @settings(max_examples=60, deadline=None)
 def test_bin_round_trip_containment(freq):
-    k = quantize_f0(freq)
-    assert quantize_f0(bin_center_hz(k)) == k
+    (k,) = quantize_f0_array([freq])
+    np.testing.assert_array_equal(quantize_f0_array([bin_center_hz(k)]), [k])
 
 
-def test_quantize_f0_array_matches_scalar():
+def test_quantize_f0_array_mixed_contour():
     vals = np.array([0.0, 50.0, 173.0, 600.0, 999.0, 42.0])
-    got = quantize_f0_array(vals)
-    expect = np.array([quantize_f0(v) for v in vals])
-    np.testing.assert_array_equal(got, expect)
+    np.testing.assert_array_equal(quantize_f0_array(vals), [0, 1, 15, 31, 31, 1])
 
 
 # ---------------------------------------------------------------- prosody

@@ -7,7 +7,7 @@ import pytest
 from uspc import config as config_mod
 from uspc.autodiff import Tensor
 from uspc.checkpoint import load_checkpoint, restore_model, save_checkpoint
-from uspc.errors import DataError, TrainingDiverged
+from uspc.errors import ConfigError, DataError, TrainingDiverged
 from uspc.layers import Ctx
 from uspc.model import JointModel
 from uspc.optim import AdamState
@@ -261,3 +261,10 @@ def test_config_text_round_trip():
     text = config_mod.to_text(cfg)
     back = config_mod.from_text(text)
     assert back == cfg
+
+
+@pytest.mark.parametrize("line, key", [("max_steps = ten", "max_steps"),
+                                       ("model.dropout = half", "model.dropout")])
+def test_config_bad_value_names_line_and_key(line, key):
+    with pytest.raises(ConfigError, match=f"line 2: {key} needs"):
+        config_mod.from_text("seed = 1\n" + line + "\n")
