@@ -10,6 +10,11 @@ Design notes:
   * Hot-path layers (conv1d, layer_norm, attention, cross-entropy) are
     fused single nodes with hand-written backward rules to keep the node
     count per training step low.
+  * A batch is packed: its sequences are concatenated along the row axis
+    and `offsets` (B+1 row bounds) marks the segments.  Row-wise ops need
+    no layout; the ops that mix rows (conv1d, attention_core, dropout,
+    segment_mean) and the losses take `offsets` and keep every segment to
+    itself.  `offsets=None` is one segment spanning all rows.
 """
 
 from __future__ import annotations
@@ -116,6 +121,36 @@ def _make_node(data: Array, parents: Sequence[Tensor],
     return out
 
 
+def segment_bounds(offsets: np.ndarray | None, n_rows: int) -> np.ndarray:
+    """Row bounds of the segments: `offsets` itself, or [0, n_rows]."""
+    if offsets is None:
+        return np.array([0, n_rows], dtype=np.intp)
+    offsets = np.asarray(offsets, dtype=np.intp)
+    if offsets.ndim != 1 or offsets.size < 2 or offsets[0] != 0 or offsets[-1] != n_rows \
+            or np.any(np.diff(offsets) < 0):
+        raise ShapeError(f"segment offsets {offsets.tolist()} do not split {n_rows} rows")
+    return offsets
+
+
+def _spans(offsets: np.ndarray | None, n_rows: int) -> list[tuple[int, int]]:
+    """(first, end) rows of each segment."""
+    if offsets is None:
+        return [(0, n_rows)]
+    bounds = segment_bounds(offsets, n_rows)
+    return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+
+
+def _join(pieces: list[Array]) -> Array:
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+
+def _scalars_per_row(values, spans: list[tuple[int, int]], ndim: int) -> Array:
+    """One scalar per segment, repeated onto its rows, shaped to broadcast
+    against an array with `ndim` dims."""
+    return np.repeat(np.asarray(values, dtype=np.float64),
+                     [hi - lo for lo, hi in spans]).reshape((-1,) + (1,) * (ndim - 1))
+
+
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     """Reduce a gradient back to the shape it was broadcast from."""
     if g.shape == shape:
@@ -184,14 +219,16 @@ def mean_all(a: Tensor) -> Tensor:
     return _make_node(np.asarray(a.data.mean()), (a,), backward_fn)
 
 
-def mean_axis0(a: Tensor) -> Tensor:
-    """Mean over rows: (T, d) -> (d,).  Used for temporal pooling."""
-    t = a.data.shape[0]
+def segment_mean(a: Tensor, offsets: np.ndarray | None = None) -> Tensor:
+    """Mean over each segment's rows: (T, d) -> (B, d).  Temporal pooling."""
+    spans = _spans(offsets, a.data.shape[0])
+    data = _join([a.data[lo:hi].mean(axis=0, keepdims=True) for lo, hi in spans])
+    lengths = np.array([hi - lo for lo, hi in spans])
 
     def backward_fn(g: Array) -> None:
-        a.accumulate_grad(np.broadcast_to(g / t, a.data.shape))
+        a.accumulate_grad(np.repeat(g / lengths[:, None], lengths, axis=0))
 
-    return _make_node(a.data.mean(axis=0), (a,), backward_fn)
+    return _make_node(data, (a,), backward_fn)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -233,10 +270,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- fused layers --------------------------------------------------------------
 
 
-def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
+def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
+           offsets: np.ndarray | None = None) -> Tensor:
     """Temporal convolution with zero same-padding.
 
-    x: (T, Cin), kernel: (K, Cin, Cout) with K odd.  Output (T, Cout).
+    x: (T, Cin), kernel: (K, Cin, Cout) with K odd.  Output (T, Cout).  Each
+    segment of `offsets` is zero-padded on its own, so no output row sees a
+    neighbouring segment's rows.
     """
     k = kernel.data.shape[0]
     if k % 2 == 0:
@@ -246,23 +286,34 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     t, cin = x.data.shape
     cout = kernel.data.shape[2]
     pad = k // 2
-    xp = np.zeros((t + 2 * pad, cin))
-    xp[pad:pad + t] = x.data
-    data = np.zeros((t, cout))
+    spans = _spans(offsets, t)
+    # in xp, segment b starts after 2*pad*b + pad zero rows, so each segment
+    # has its own padding; the 2*pad windows straddling a boundary are
+    # computed and dropped.  Window i of `full` is centred on xp row i + pad.
+    span = t + 2 * pad * (len(spans) - 1)
+    windows = [(lo, hi, lo + 2 * pad * b) for b, (lo, hi) in enumerate(spans)]
+    xp = np.zeros((span + 2 * pad, cin))
+    for lo, hi, w in windows:
+        xp[w + pad:w + pad + hi - lo] = x.data[lo:hi]
+    full = np.zeros((span, cout))
     for j in range(k):
-        data += xp[j:j + t] @ kernel.data[j]
+        full += xp[j:j + span] @ kernel.data[j]
+    data = _join([full[w:w + hi - lo] for lo, hi, w in windows])
     if bias is not None:
         data += bias.data
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def backward_fn(g: Array) -> None:
+        g_full = np.zeros((span, cout))
+        for lo, hi, w in windows:
+            g_full[w:w + hi - lo] = g[lo:hi]
         dk = np.empty_like(kernel.data)
         dxp = np.zeros_like(xp)
         for j in range(k):
-            dk[j] = xp[j:j + t].T @ g
-            dxp[j:j + t] += g @ kernel.data[j].T
-        x.accumulate_grad(dxp[pad:pad + t])
+            dk[j] = xp[j:j + span].T @ g_full
+            dxp[j:j + span] += g_full @ kernel.data[j].T
+        x.accumulate_grad(_join([dxp[w + pad:w + pad + hi - lo] for lo, hi, w in windows]))
         kernel.accumulate_grad(dk)
         if bias is not None:
             bias.accumulate_grad(g.sum(axis=0))
@@ -320,37 +371,40 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _make_node(p, (x,), backward_fn)
 
 
-def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
-    """Scaled dot-product attention over already-projected q/k/v (T, d)."""
+def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
+                   offsets: np.ndarray | None = None) -> Tensor:
+    """Scaled dot-product attention over already-projected q/k/v (T, d).
+
+    Rows attend only within their own segment of `offsets`.
+    """
     t, d = q.data.shape
     if d % n_heads != 0:
         raise ConfigError(f"model dim {d} not divisible by {n_heads} heads")
     dh = d // n_heads
     scale = 1.0 / np.sqrt(dh)
+    blocks = [(slice(lo, hi), slice(h * dh, (h + 1) * dh))
+              for lo, hi in _spans(offsets, t) for h in range(n_heads)]
     probs = []
     out = np.empty((t, d))
-    for h in range(n_heads):
-        sl = slice(h * dh, (h + 1) * dh)
-        s = (q.data[:, sl] @ k.data[:, sl].T) * scale
+    for seg, sl in blocks:
+        s = (q.data[seg, sl] @ k.data[seg, sl].T) * scale
         s -= s.max(axis=-1, keepdims=True)
         e = np.exp(s)
         p = e / e.sum(axis=-1, keepdims=True)
         probs.append(p)
-        out[:, sl] = p @ v.data[:, sl]
+        out[seg, sl] = p @ v.data[seg, sl]
 
     def backward_fn(g: Array) -> None:
         dq = np.empty_like(q.data)
         dk = np.empty_like(k.data)
         dv = np.empty_like(v.data)
-        for h in range(n_heads):
-            sl = slice(h * dh, (h + 1) * dh)
-            p = probs[h]
-            gh = g[:, sl]
-            dv[:, sl] = p.T @ gh
-            dp = gh @ v.data[:, sl].T
+        for (seg, sl), p in zip(blocks, probs):
+            gh = g[seg, sl]
+            dv[seg, sl] = p.T @ gh
+            dp = gh @ v.data[seg, sl].T
             ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
-            dq[:, sl] = (ds @ k.data[:, sl]) * scale
-            dk[:, sl] = (ds.T @ q.data[:, sl]) * scale
+            dq[seg, sl] = (ds @ k.data[seg, sl]) * scale
+            dk[seg, sl] = (ds.T @ q.data[seg, sl]) * scale
         q.accumulate_grad(dq)
         k.accumulate_grad(dk)
         v.accumulate_grad(dv)
@@ -358,8 +412,16 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     return _make_node(out, (q, k, v), backward_fn)
 
 
-def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean over rows of -log softmax(logits)[target], max-stabilized."""
+def _mean_of_segments(means: list) -> Array:
+    """Mean of per-segment means, summed in segment order."""
+    return np.asarray(sum(means) * (1.0 / len(means)))
+
+
+def softmax_cross_entropy(logits: Tensor, targets: np.ndarray,
+                          offsets: np.ndarray | None = None) -> Tensor:
+    """-log softmax(logits)[target], max-stabilized: the mean over rows of
+    each segment, then the mean over segments (every segment weighs the
+    same whatever its length)."""
     targets = np.asarray(targets, dtype=np.intp)
     t, n_classes = logits.data.shape
     if targets.shape != (t,):
@@ -367,44 +429,66 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     if targets.size and (targets.min() < 0 or targets.max() >= n_classes):
         bad = targets[(targets < 0) | (targets >= n_classes)][0]
         raise IndexError(f"target class {bad} outside [0, {n_classes})")
+    spans = _spans(offsets, t)
     z = logits.data - logits.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1))
     nll = lse - z[np.arange(t), targets]
-    data = np.asarray(nll.mean())
+    data = _mean_of_segments([nll[lo:hi].mean() for lo, hi in spans])
 
     def backward_fn(g: Array) -> None:
         p = np.exp(z - lse[:, None])
         p[np.arange(t), targets] -= 1.0
-        logits.accumulate_grad(p * (g / t))
+        g_seg = g * (1.0 / len(spans))
+        scales = [g_seg / (hi - lo) for lo, hi in spans]
+        logits.accumulate_grad(p * _scalars_per_row(scales, spans, 2))
 
     return _make_node(data, (logits,), backward_fn)
 
 
-def mse(a: Tensor, b: Tensor) -> Tensor:
+def mse(a: Tensor, b: Tensor, offsets: np.ndarray | None = None) -> Tensor:
+    """Mean squared difference; with `offsets`, the mean over segments of
+    each segment's own mean, so every segment weighs the same."""
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mse shape mismatch: {a.data.shape} vs {b.data.shape}")
     diff = a.data - b.data
-    n = max(diff.size, 1)
-    data = np.asarray((diff * diff).sum() / n)
+    spans = None if offsets is None else _spans(offsets, diff.shape[0])
+    parts = [diff] if spans is None else [diff[lo:hi] for lo, hi in spans]
+    sizes = [max(part.size, 1) for part in parts]
+    data = _mean_of_segments([(part * part).sum() / n for part, n in zip(parts, sizes)])
 
     def backward_fn(g: Array) -> None:
-        d = diff * (2.0 * g / n)
+        g_seg = g * (1.0 / len(parts))
+        scales = [2.0 * g_seg / n for n in sizes]
+        d = diff * (scales[0] if spans is None else _scalars_per_row(scales, spans, diff.ndim))
         a.accumulate_grad(d)
         b.accumulate_grad(-d)
 
     return _make_node(data, (a, b), backward_fn)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
-            training: bool) -> Tensor:
-    """Zero elements with probability `rate`, scaling survivors by 1/(1-rate)."""
+def dropout(x: Tensor, rate: float, rng, training: bool,
+            offsets: np.ndarray | None = None) -> Tensor:
+    """Zero elements with probability `rate`, scaling survivors by 1/(1-rate).
+
+    `rng` is one generator; with `offsets` it is a sequence of one generator
+    per segment, and each segment's mask is that segment's draw alone.
+    """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
     if rng is None:
         raise ConfigError("training-mode dropout needs an rng stream")
-    keep = rng.random(x.data.shape) >= rate
+    if offsets is None:
+        draws = rng.random(x.data.shape)
+    else:
+        spans = _spans(offsets, x.data.shape[0])
+        if len(rng) != len(spans):
+            raise ConfigError(f"dropout needs one rng stream per segment: "
+                              f"{len(rng)} streams for {len(spans)} segments")
+        draws = np.concatenate([gen.random((hi - lo,) + x.data.shape[1:])
+                                for gen, (lo, hi) in zip(rng, spans)])
+    keep = draws >= rate
     scale = 1.0 / (1.0 - rate)
     data = x.data * keep * scale
 

@@ -33,7 +33,7 @@ class TextEncoder:
         ids = np.asarray(phoneme_ids, dtype=np.intp)
         if ids.size == 0:
             raise DataError("empty phoneme sequence")
-        h = ad.add(self.embed(ids), positional_encoding(ids.size, self.d_model))
+        h = ad.add(self.embed(ids), positional_encoding(ids.size, self.d_model, ctx.offsets))
         for block in self.blocks:
             h = block(h, ctx)
         return h
@@ -91,7 +91,8 @@ class ContentEncoder:
 
     def __call__(self, mel_frames: np.ndarray, ctx: Ctx) -> Tensor:
         x = mel_frames if isinstance(mel_frames, Tensor) else Tensor(mel_frames)
-        h = ad.add(self.pre(x), positional_encoding(x.data.shape[0], self.d_model))
+        h = ad.add(self.pre(x),
+                   positional_encoding(x.data.shape[0], self.d_model, ctx.offsets))
         for block in self.blocks:
             h = block(h, ctx)
         return h
@@ -101,7 +102,8 @@ class SpeakerEncoder:
     """Two convolutions, temporal mean pooling, and a projection.
 
     The pooled mean makes the embedding invariant to frame order and, up to
-    boundary effects, to utterance length.
+    boundary effects, to utterance length.  A packed batch gives one
+    embedding per segment, (B, d); an unbatched sequence gives (d,).
     """
 
     def __init__(self, store: ParamStore, rng: NamedRng, cfg: ModelConfig):
@@ -117,17 +119,16 @@ class SpeakerEncoder:
 
     def frame_features(self, mel_frames: np.ndarray, ctx: Ctx) -> Tensor:
         x = mel_frames if isinstance(mel_frames, Tensor) else Tensor(mel_frames)
-        h = self.norm1(ad.relu(self.conv1(x)))
-        return self.norm2(ad.relu(self.conv2(h)))
+        h = self.norm1(ad.relu(self.conv1(x, ctx)))
+        return self.norm2(ad.relu(self.conv2(h, ctx)))
 
-    def pool(self, frame_feats: Tensor) -> Tensor:
-        pooled = ad.mean_axis0(frame_feats)
-        row = ad.reshape(pooled, (1, pooled.data.shape[0]))
-        out = ad.add(ad.matmul(row, self.proj.w), self.proj.b)
-        return ad.reshape(out, (out.data.shape[1],))
+    def pool(self, frame_feats: Tensor, offsets: np.ndarray | None = None) -> Tensor:
+        pooled = ad.segment_mean(frame_feats, offsets)
+        out = ad.add(ad.matmul(pooled, self.proj.w), self.proj.b)
+        return ad.reshape(out, (out.data.shape[1],)) if offsets is None else out
 
     def __call__(self, mel_frames: np.ndarray, ctx: Ctx) -> Tensor:
-        return self.pool(self.frame_features(mel_frames, ctx))
+        return self.pool(self.frame_features(mel_frames, ctx), ctx.offsets)
 
 
 def quantize_f0_array(f0_hz: np.ndarray) -> np.ndarray:

@@ -3,11 +3,12 @@
 Layers register their parameters in a shared ParamStore under dotted names
 and are pure functions of (input, parameters) apart from dropout, which
 draws its mask from a named counter-based stream so training is replayable.
+Inputs are packed batches: the segment layout travels in `Ctx`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,11 +20,18 @@ from .rng import NamedRng
 
 @dataclass
 class Ctx:
-    """Per-forward context: training mode plus the dropout stream identity."""
+    """Per-forward context: training mode, the dropout stream identity, and
+    the segment layout of the packed rows.
+
+    `offsets` holds B+1 row bounds, segment b being utterance `uids[b]`;
+    None is one unbatched sequence.  Dropout draws segment b's mask from the
+    stream `dropout/{layer}/{uids[b]}` at `step`, as if it ran alone.
+    """
 
     training: bool = False
     step: int = 0
-    uid: str = ""
+    uids: tuple[str, ...] = ("",)
+    offsets: np.ndarray | None = None
     rng: NamedRng | None = None
 
     @classmethod
@@ -58,8 +66,8 @@ class Conv1d:
                              rng.normal(f"init/{name}", (kernel_size, c_in, c_out), std))
         self.b = store.param(f"{name}.b", np.zeros(c_out))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.conv1d(x, self.w, self.b)
+    def __call__(self, x: Tensor, ctx: Ctx) -> Tensor:
+        return ad.conv1d(x, self.w, self.b, ctx.offsets)
 
 
 class LayerNorm:
@@ -85,16 +93,24 @@ class StyleLayerNorm:
         self.w_bias = store.param(f"{name}.w_bias", np.zeros((style_dim, dim)))
         self.eps = eps
 
-    def __call__(self, x: Tensor, style: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, style: Tensor, ctx: Ctx) -> Tensor:
         xhat = ad.normalize_rows(x, self.eps)
         row = ad.matmul(_as_row(style), self.w_gain)
         gain = ad.add(row, Tensor(np.ones(self.w_gain.data.shape[1])))
         bias = ad.matmul(_as_row(style), self.w_bias)
-        return ad.add(ad.mul(xhat, gain), bias)
+        return ad.add(ad.mul(xhat, per_row(gain, ctx.offsets)), per_row(bias, ctx.offsets))
 
 
 def _as_row(v: Tensor) -> Tensor:
     return ad.reshape(v, (1, v.data.shape[0])) if v.data.ndim == 1 else v
+
+
+def per_row(v: Tensor, offsets: np.ndarray | None) -> Tensor:
+    """Per-segment vectors (B, d) repeated onto their segments' rows.  An
+    unbatched vector (offsets None) is returned as is and broadcasts."""
+    if offsets is None:
+        return v
+    return ad.gather_rows(v, np.repeat(np.arange(len(offsets) - 1), np.diff(offsets)))
 
 
 class Dropout:
@@ -105,8 +121,10 @@ class Dropout:
     def __call__(self, x: Tensor, ctx: Ctx) -> Tensor:
         if not ctx.training or self.rate == 0.0:
             return x
-        gen = ctx.rng.generator(f"dropout/{self.name}/{ctx.uid}", step=ctx.step)
-        return ad.dropout(x, self.rate, gen, training=True)
+        gens = [ctx.rng.generator(f"dropout/{self.name}/{uid}", step=ctx.step)
+                for uid in ctx.uids]
+        bounds = ad.segment_bounds(ctx.offsets, x.data.shape[0])
+        return ad.dropout(x, self.rate, gens, training=True, offsets=bounds)
 
 
 class Embedding:
@@ -127,8 +145,7 @@ class Embedding:
 _PE_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
-def positional_encoding(n_rows: int, dim: int) -> Tensor:
-    """Sinusoidal position table (constant, shared across call sites)."""
+def _position_table(n_rows: int, dim: int) -> np.ndarray:
     key = (n_rows, dim)
     table = _PE_CACHE.get(key)
     if table is None:
@@ -137,7 +154,16 @@ def positional_encoding(n_rows: int, dim: int) -> Tensor:
         angle = pos / np.power(10000.0, (2 * (i // 2)) / dim)
         table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
         _PE_CACHE[key] = table
-    return Tensor(table)
+    return table
+
+
+def positional_encoding(n_rows: int, dim: int, offsets: np.ndarray | None = None) -> Tensor:
+    """Sinusoidal position table (constant, shared across call sites).
+    Positions restart at 0 in every segment of `offsets`."""
+    if offsets is None:
+        return Tensor(_position_table(n_rows, dim))
+    lengths = np.diff(ad.segment_bounds(offsets, n_rows)).tolist()
+    return Tensor(np.concatenate([_position_table(n, dim) for n in lengths]))
 
 
 class MultiHeadAttention:
@@ -149,8 +175,9 @@ class MultiHeadAttention:
         self.wo = Linear(store, rng, f"{name}.out", dim, dim)
         self.n_heads = n_heads
 
-    def __call__(self, x: Tensor) -> Tensor:
-        mixed = ad.attention_core(self.wq(x), self.wk(x), self.wv(x), self.n_heads)
+    def __call__(self, x: Tensor, ctx: Ctx) -> Tensor:
+        mixed = ad.attention_core(self.wq(x), self.wk(x), self.wv(x), self.n_heads,
+                                  ctx.offsets)
         return self.wo(mixed)
 
 
@@ -174,12 +201,12 @@ class FFTBlock:
         self.drop2 = Dropout(f"{name}.drop2", dropout_rate)
 
     def __call__(self, x: Tensor, ctx: Ctx, style: Tensor | None = None) -> Tensor:
-        a = self.drop1(self.attn(x), ctx)
+        a = self.drop1(self.attn(x, ctx), ctx)
         h = ad.add(x, a)
-        h = self.norm1(h, style) if self.styled else self.norm1(h)
-        c = self.conv2(ad.relu(self.conv1(h)))
+        h = self.norm1(h, style, ctx) if self.styled else self.norm1(h)
+        c = self.conv2(ad.relu(self.conv1(h, ctx)), ctx)
         h2 = ad.add(h, self.drop2(c, ctx))
-        return self.norm2(h2, style) if self.styled else self.norm2(h2)
+        return self.norm2(h2, style, ctx) if self.styled else self.norm2(h2)
 
 
 class ConvPredictorStack:
@@ -200,6 +227,6 @@ class ConvPredictorStack:
         self.drop2 = Dropout(f"{name}.drop2", dropout_rate)
 
     def __call__(self, x: Tensor, ctx: Ctx) -> Tensor:
-        h = self.drop1(self.norm1(ad.relu(self.conv1(x))), ctx)
-        h = self.drop2(self.norm2(ad.relu(self.conv2(h))), ctx)
+        h = self.drop1(self.norm1(ad.relu(self.conv1(x, ctx))), ctx)
+        h = self.drop2(self.norm2(ad.relu(self.conv2(h, ctx))), ctx)
         return self.head(h)

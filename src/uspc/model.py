@@ -56,7 +56,11 @@ class JointModel:
 
     def text_content(self, phoneme_ids: np.ndarray, durations: np.ndarray,
                      ctx: Ctx) -> tuple[Tensor, Tensor, Tensor]:
-        """Returns (per-phoneme states, predicted log-durations, expanded content)."""
+        """Returns (per-phoneme states, predicted log-durations, expanded content).
+
+        `ctx.offsets` segments the phonemes; the expanded content keeps the
+        segment order, segment b taking sum(durations of b) frames.
+        """
         h = self.text_encoder(phoneme_ids, ctx)
         log_dur = self.duration_predictor(h, ctx)
         expanded = length_regulate(h, durations)
@@ -67,7 +71,7 @@ class JointModel:
 
     def synthesize(self, q: QuantizedContent, speaker: Tensor, prosody: Tensor,
                    ctx: Ctx) -> Tensor:
-        fused = fuse(q, speaker, prosody, self.cfg.fusion)
+        fused = fuse(q, speaker, prosody, self.cfg.fusion, ctx.offsets)
         return self.decoder(fused, ctx)
 
     # -- inference -------------------------------------------------------------

@@ -12,7 +12,8 @@ from .autodiff import Tensor
 from .config import ModelConfig
 from .encoders import bin_center_hz
 from .errors import ConfigError, ShapeError
-from .layers import ConvPredictorStack, Ctx, FFTBlock, Linear, positional_encoding
+from .features import N_PITCH_BINS
+from .layers import ConvPredictorStack, Ctx, FFTBlock, Linear, per_row, positional_encoding
 from .optim import ParamStore
 from .rng import NamedRng
 from .vq import QuantizedContent
@@ -24,17 +25,19 @@ class FusedSequence:
 
     rows: Tensor            # (T, d)
     mode: str               # "additive" or "saln"
-    style: Tensor | None    # speaker vector, consumed by styled norms in saln mode
+    style: Tensor | None    # speaker vector(s), consumed by styled norms in saln mode
 
 
 def fuse(q: QuantizedContent, speaker: Tensor, prosody: Tensor,
-         mode: str = "additive") -> FusedSequence:
+         mode: str = "additive", offsets: np.ndarray | None = None) -> FusedSequence:
+    """`speaker` is (d,) for an unbatched sequence, or (B, d) with one row
+    per segment of `offsets`."""
     if q.vectors.data.shape[0] != prosody.data.shape[0]:
         raise ShapeError(
             f"content and prosody lengths differ: "
             f"{q.vectors.data.shape[0]} vs {prosody.data.shape[0]}")
     if mode == "additive":
-        rows = ad.add(ad.add(q.vectors, speaker), prosody)
+        rows = ad.add(ad.add(q.vectors, per_row(speaker, offsets)), prosody)
         return FusedSequence(rows=rows, mode=mode, style=None)
     if mode == "saln":
         rows = ad.add(q.vectors, prosody)
@@ -57,7 +60,8 @@ class Decoder:
         self.d_model = d
 
     def __call__(self, fused: FusedSequence, ctx: Ctx) -> Tensor:
-        h = ad.add(fused.rows, positional_encoding(fused.rows.data.shape[0], self.d_model))
+        h = ad.add(fused.rows, positional_encoding(fused.rows.data.shape[0], self.d_model,
+                                                   ctx.offsets))
         for block in self.blocks:
             h = block(h, ctx, style=fused.style) if fused.mode == "saln" else block(h, ctx)
         return self.out(h)
@@ -71,7 +75,10 @@ class PitchPredictor:
                                         cfg.n_pitch_bins, cfg.kernel_size, cfg.dropout)
 
     def __call__(self, q: QuantizedContent, speaker: Tensor, ctx: Ctx) -> Tensor:
-        return self.stack(ad.add(q.vectors, speaker), ctx)
+        return self.stack(ad.add(q.vectors, per_row(speaker, ctx.offsets)), ctx)
+
+
+BIN_CENTERS_HZ = np.array([bin_center_hz(k) for k in range(N_PITCH_BINS)])
 
 
 def decode_f0(logits: np.ndarray) -> np.ndarray:
@@ -79,6 +86,6 @@ def decode_f0(logits: np.ndarray) -> np.ndarray:
     bins decode to the geometric center of their log-Hz interval.  Argmax
     ties resolve to the lowest index."""
     arr = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    bins = np.argmax(arr, axis=1)
-    centers = np.array([bin_center_hz(k) for k in range(arr.shape[1])])
-    return centers[bins]
+    if arr.ndim != 2 or arr.shape[1] > N_PITCH_BINS:
+        raise ShapeError(f"pitch logits must be (T, <= {N_PITCH_BINS}), got {arr.shape}")
+    return BIN_CENTERS_HZ[np.argmax(arr, axis=1)]

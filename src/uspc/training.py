@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .autodiff import Tensor
 from .config import TrainConfig
 from .corpus import UtteranceRecord
 from .encoders import quantize_f0_array
-from .errors import DataError, TrainingDiverged
+from .errors import DataError, PairingError, TrainingDiverged
 from .layers import Ctx
 from .model import JointModel
 from .optim import AdamState, adam_step, clip_global_norm
@@ -71,20 +70,36 @@ class LossReport:
         return ",".join(out)
 
 
-def _mean(tensors: list[Tensor]) -> Tensor:
-    total = tensors[0]
-    for t in tensors[1:]:
-        total = ad.add(total, t)
-    return total * (1.0 / len(tensors))
+def _offsets(lengths) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(lengths)]).astype(np.intp)
+
+
+def _ctx(batch: list[UtteranceRecord], lengths, model: JointModel, step: int,
+         training: bool) -> Ctx:
+    """Context for the batch packed along time, segment b holding
+    lengths[b] rows of utterance batch[b]."""
+    return Ctx(training=training, step=step, uids=tuple(rec.id for rec in batch),
+               offsets=_offsets(lengths), rng=model.rng)
+
+
+def _frames_ctx(batch: list[UtteranceRecord], model: JointModel, step: int,
+                training: bool) -> Ctx:
+    return _ctx(batch, [rec.n_frames for rec in batch], model, step, training)
+
+
+def _mels(batch: list[UtteranceRecord]) -> np.ndarray:
+    return np.concatenate([rec.mel for rec in batch])
 
 
 @dataclass
 class Fragment:
-    """One pipeline's batch losses (means over utterances) and quantized
-    content.  Terms the pipeline does not produce stay None."""
+    """One pipeline's batch losses and its packed quantized content.  Each
+    loss is the mean over utterances of the per-utterance loss; terms the
+    pipeline does not produce stay None."""
 
-    aux: list[Tensor]
-    quantized: list[QuantizedContent]
+    quantized: QuantizedContent
+    n_utts: int
+    aux: Tensor | None = None
     mel: Tensor | None = None
     pitch_ce: Tensor | None = None
     duration: Tensor | None = None
@@ -94,29 +109,41 @@ class Fragment:
 
 
 def _reconstruct(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
-                 step: int, training: bool,
-                 content: Callable[[UtteranceRecord, Ctx], QuantizedContent]
-                 ) -> tuple[Fragment, list[Tensor]]:
-    """The back half both pipelines share, per utterance: speaker, teacher-
-    forced prosody bins, decode, mel MSE, pitch CE and the VQ aux term.
-    `content` is the pipeline's own front half.  Also returns the pitch
-    logits."""
-    mel_losses, ce_losses, aux, quantized, logits = [], [], [], [], []
+                 ctx: Ctx, q: QuantizedContent) -> tuple[Fragment, Tensor]:
+    """The back half both pipelines share, once over the packed batch:
+    speaker, teacher-forced prosody bins, decode, mel MSE, pitch CE and the
+    VQ aux term.  `q` is the pipeline's own packed content, framed like
+    `ctx`.  Also returns the pitch logits."""
+    mel = _mels(batch)
+    bins = quantize_f0_array(np.concatenate([rec.f0 for rec in batch]))
+    s = model.speaker(mel, ctx)
+    p = model.prosody_encoder.from_bins(bins)
+    mel_pred = model.synthesize(q, s, p, ctx)
+    logits = model.pitch_predictor(q, s, ctx)
+    frag = Fragment(quantized=q, n_utts=len(batch),
+                    aux=vq_aux_loss(q, cfg.vq_beta, ctx.offsets) if model.use_vq else None,
+                    mel=ad.mse(mel_pred, Tensor(mel), ctx.offsets),
+                    pitch_ce=ad.softmax_cross_entropy(logits, bins, ctx.offsets))
+    return frag, logits
+
+
+def _text_front(batch: list[UtteranceRecord], model: JointModel, step: int,
+                training: bool, caller: str) -> tuple[Tensor, Tensor, Ctx]:
+    """Text encoder, duration predictor and length regulator over the packed
+    phonemes.  Returns (log-durations, frame-level content, phoneme ctx)."""
     for rec in batch:
-        ctx = Ctx(training=training, step=step, uid=rec.id, rng=model.rng)
-        q = content(rec, ctx)
-        s = model.speaker(rec.mel, ctx)
-        bins = quantize_f0_array(rec.f0)
-        p = model.prosody_encoder.from_bins(bins)
-        mel_pred = model.synthesize(q, s, p, ctx)
-        mel_losses.append(ad.mse(mel_pred, Tensor(rec.mel)))
-        logits.append(model.pitch_predictor(q, s, ctx))
-        ce_losses.append(ad.softmax_cross_entropy(logits[-1], bins))
-        if model.use_vq:
-            aux.append(vq_aux_loss(q, cfg.vq_beta))
-        quantized.append(q)
-    return Fragment(aux=aux, quantized=quantized, mel=_mean(mel_losses),
-                    pitch_ce=_mean(ce_losses)), logits
+        if not rec.labeled or rec.durations is None:
+            raise DataError(f"{rec.id}: {caller} needs durations (labeled data)")
+        if rec.phonemes.size == 0:
+            raise DataError(f"{rec.id}: empty phoneme sequence")
+        if int(rec.durations.sum()) != rec.n_frames:
+            raise PairingError(f"{rec.id}: durations sum to {int(rec.durations.sum())} "
+                               f"but mel has {rec.n_frames} frames")
+    ctx = _ctx(batch, [rec.durations.size for rec in batch], model, step, training)
+    _, log_dur, expanded = model.text_content(
+        np.concatenate([rec.phonemes for rec in batch]),
+        np.concatenate([rec.durations for rec in batch]), ctx)
+    return log_dur, expanded, ctx
 
 
 def tts_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
@@ -124,20 +151,13 @@ def tts_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
     """Text pipeline on paired data, teacher-forced durations and pitch bins."""
     if not batch:
         raise DataError("tts_step needs a non-empty paired batch")
-    dur_losses = []
-
-    def text_content(rec: UtteranceRecord, ctx: Ctx) -> QuantizedContent:
-        if not rec.labeled or rec.durations is None:
-            raise DataError(f"{rec.id}: tts_step needs durations (labeled data)")
-        _, log_dur, expanded = model.text_content(rec.phonemes, rec.durations, ctx)
-        dur_losses.append(ad.mse(log_dur, Tensor(np.log(rec.durations + 1.0))))
-        return model.quantize(expanded, track_usage=training)
-
-    frag, logits = _reconstruct(batch, model, cfg, step, training, text_content)
-    frag.duration = _mean(dur_losses)
-    f0_sq_err = sum(float(((decode_f0(lg) - rec.f0) ** 2).sum())
-                    for lg, rec in zip(logits, batch))
-    frag.pitch_f0_mse = f0_sq_err / max(sum(rec.f0.size for rec in batch), 1)
+    log_dur, expanded, text_ctx = _text_front(batch, model, step, training, "tts_step")
+    q = model.quantize(expanded, track_usage=training)
+    frag, logits = _reconstruct(batch, model, cfg, _frames_ctx(batch, model, step, training), q)
+    durations = np.concatenate([rec.durations for rec in batch])
+    frag.duration = ad.mse(log_dur, Tensor(np.log(durations + 1.0)), text_ctx.offsets)
+    f0 = np.concatenate([rec.f0 for rec in batch])
+    frag.pitch_f0_mse = float(((decode_f0(logits) - f0) ** 2).sum()) / max(f0.size, 1)
     return frag
 
 
@@ -146,42 +166,30 @@ def vc_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
     """Speech-only self-reconstruction; text is never consulted."""
     if not batch:
         raise DataError("vc_step needs a non-empty speech batch")
-
-    def speech_content(rec: UtteranceRecord, ctx: Ctx) -> QuantizedContent:
-        return model.quantize(model.speech_content(rec.mel, ctx), track_usage=training)
-
-    return _reconstruct(batch, model, cfg, step, training, speech_content)[0]
+    ctx = _frames_ctx(batch, model, step, training)
+    q = model.quantize(model.speech_content(_mels(batch), ctx), track_usage=training)
+    return _reconstruct(batch, model, cfg, ctx, q)[0]
 
 
 def pair_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
               step: int, training: bool = True,
-              text_quantized: list[QuantizedContent] | None = None) -> Fragment:
+              text_quantized: QuantizedContent | None = None) -> Fragment:
     """Domain loss between text-derived and speech-derived content of the
-    same utterances.  Reuses the TTS path's quantization when supplied;
-    recomputation is value-identical because dropout streams are named."""
+    same utterances.  Reuses the TTS path's packed quantization when
+    supplied; recomputation is value-identical because dropout streams are
+    named."""
     if not batch:
         raise DataError("pair_step needs a non-empty paired batch")
-    losses, aux, quantized = [], [], []
-    agree, frames = 0, 0
-    for i, rec in enumerate(batch):
-        ctx = Ctx(training=training, step=step, uid=rec.id, rng=model.rng)
-        if text_quantized is not None:
-            qp = text_quantized[i]
-        else:
-            if not rec.labeled:
-                raise DataError(f"{rec.id}: pair_step needs labeled data")
-            _, _, expanded = model.text_content(rec.phonemes, rec.durations, ctx)
-            qp = model.quantize(expanded, track_usage=False)
-        c_s = model.speech_content(rec.mel, ctx)
-        qs = model.quantize(c_s, track_usage=training)
-        losses.append(pair_loss(qp, qs))
-        if model.use_vq:
-            aux.append(vq_aux_loss(qs, cfg.vq_beta))
-        quantized.append(qs)
-        agree += int((qp.codes == qs.codes).sum())
-        frames += qp.codes.size
-    return Fragment(aux=aux, quantized=quantized, pair=_mean(losses),
-                    code_agreement=agree / max(frames, 1))
+    if text_quantized is None:
+        expanded = _text_front(batch, model, step, training, "pair_step")[1]
+        text_quantized = model.quantize(expanded, track_usage=False)
+    ctx = _frames_ctx(batch, model, step, training)
+    qs = model.quantize(model.speech_content(_mels(batch), ctx), track_usage=training)
+    agree = int((text_quantized.codes == qs.codes).sum())
+    return Fragment(quantized=qs, n_utts=len(batch),
+                    aux=vq_aux_loss(qs, cfg.vq_beta, ctx.offsets) if model.use_vq else None,
+                    pair=pair_loss(text_quantized, qs, ctx.offsets),
+                    code_agreement=agree / max(qs.n_frames, 1))
 
 
 def seed_codebook_from_batch(model: JointModel, batch: list[UtteranceRecord],
@@ -193,11 +201,8 @@ def seed_codebook_from_batch(model: JointModel, batch: list[UtteranceRecord],
     """
     if not model.use_vq or not batch:
         return
-    rows = []
-    for rec in batch:
-        c = model.speech_content(rec.mel, Ctx.eval())
-        rows.append(c.data)
-    model.codebook.seed_from_rows(np.concatenate(rows, axis=0), model.rng, step)
+    c = model.speech_content(_mels(batch), _frames_ctx(batch, model, 0, training=False))
+    model.codebook.seed_from_rows(c.data, model.rng, step)
 
 
 def _pipelines(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
@@ -246,8 +251,12 @@ def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
         report.mel_vc = vc.mel.item()
         report.pitch_ce_vc = vc.pitch_ce.item()
 
-    aux_terms = [a for f in frags for a in f.aux]
-    aux_t = _mean(aux_terms) if aux_terms else zero
+    # the aux term is the mean over every utterance that ran through the VQ
+    aux_frags = [f for f in frags if f.aux is not None]
+    n_aux = sum(f.n_utts for f in aux_frags)
+    aux_t = zero
+    for f in aux_frags:
+        aux_t = aux_t + f.aux * (f.n_utts / n_aux)
     total = (tts_rec + vc_rec + pair_t * cfg.w_pair
              + dur_t * cfg.w_duration + aux_t * cfg.w_vq)
 
@@ -265,7 +274,7 @@ def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
     report.grad_norm = clip_global_norm(model.store, cfg.grad_clip_norm)
     adam_step(model.store, opt)
 
-    quantized = [q for f in frags for q in f.quantized]
+    quantized = [f.quantized for f in frags]
     if model.use_vq and quantized:
         model.codebook.mark_step_usage(np.concatenate([q.codes for q in quantized]))
         model.codebook.reseed_dead_entries(
@@ -284,11 +293,24 @@ def _pools(records: list[UtteranceRecord], mode: str
     return labeled, list(records)  # speech pool includes labeled speech too
 
 
+VALIDATION_CAP = 8
+
+
+def _spread(pool: list[UtteranceRecord], cap: int = VALIDATION_CAP) -> list[UtteranceRecord]:
+    """Up to `cap` records at an even stride over `pool`, so a pool ordered
+    by speaker contributes every speaker (when it has at most `cap`), not
+    only its first."""
+    n = min(cap, len(pool))
+    return [pool[i * len(pool) // n] for i in range(n)]
+
+
 def _validation_loss(model: JointModel, paired: list[UtteranceRecord],
                      unpaired: list[UtteranceRecord], cfg: TrainConfig) -> float:
-    """Eval-mode total over a capped, deterministic subset, without the VQ
-    aux term."""
-    tts, pair, vc = _pipelines(paired[:8], unpaired[:8], model, cfg, step=0, training=False)
+    """Eval-mode total, without the VQ aux term, over a capped deterministic
+    subset of the training pools.  It tracks the training loss for the
+    plateau stop; it is not a held-out loss."""
+    tts, pair, vc = _pipelines(_spread(paired), _spread(unpaired), model, cfg,
+                               step=0, training=False)
     total = 0.0
     if tts is not None:
         total += cfg.w_mel * tts.mel.item() + cfg.w_pitch * tts.pitch_ce.item()

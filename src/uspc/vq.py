@@ -80,7 +80,8 @@ class Codebook:
 
 @dataclass
 class QuantizedContent:
-    """Codes plus their straight-through vectors for one sequence."""
+    """Codes plus their straight-through vectors for one sequence or one
+    packed batch of sequences."""
 
     codes: np.ndarray       # (T,) indices into the codebook
     vectors: Tensor         # (T, d) forward values are exact codebook rows
@@ -117,25 +118,29 @@ def identity_quantize(content: Tensor, book: Codebook) -> QuantizedContent:
     return QuantizedContent(codes=codes, vectors=content, continuous=content, book=book)
 
 
-def pair_loss(qp: QuantizedContent, qs: QuantizedContent) -> Tensor:
-    """Mean squared distance between the two domains' quantized sequences.
+def pair_loss(qp: QuantizedContent, qs: QuantizedContent,
+              offsets: np.ndarray | None = None) -> Tensor:
+    """Mean squared distance between the two domains' quantized sequences;
+    for packed batches (both framed by `offsets`) the mean over segments.
 
     Gradients reach both encoders through their straight-through paths.
     """
     if qp.n_frames != qs.n_frames:
         raise PairingError(
             f"paired sequences disagree in length: {qp.n_frames} vs {qs.n_frames}")
-    return ad.mse(qp.vectors, qs.vectors)
+    return ad.mse(qp.vectors, qs.vectors, offsets)
 
 
-def vq_aux_loss(q: QuantizedContent, beta: float = 0.25) -> Tensor:
-    """Codebook + commitment terms.
+def vq_aux_loss(q: QuantizedContent, beta: float = 0.25,
+                offsets: np.ndarray | None = None) -> Tensor:
+    """Codebook + commitment terms; for a packed batch the mean over the
+    segments of `offsets`.
 
     ||sg(c) - e||^2 moves the selected entries toward the encoder output;
     beta * ||c - sg(e)||^2 commits the encoder to its entries.  Stop
     gradients are realized by detached copies.
     """
     chosen = ad.gather_rows(q.book.entries, q.codes)   # differentiable into the book
-    codebook_term = ad.mse(q.continuous.detach(), chosen)
-    commit_term = ad.mse(q.continuous, chosen.detach())
+    codebook_term = ad.mse(q.continuous.detach(), chosen, offsets)
+    commit_term = ad.mse(q.continuous, chosen.detach(), offsets)
     return ad.add(codebook_term, ad.mul(commit_term, ad.Tensor(beta)))

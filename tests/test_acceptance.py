@@ -70,6 +70,30 @@ def random_case(rng, case_index):
     return x, lambda t: ad.sum_all(ad.mul(ad.softmax_rows(t), v))
 
 
+def random_segmented_case(rng, case_index):
+    """One random graph over a packed input of 1-3 non-empty segments."""
+    n_seg = int(rng.integers(1, 4))
+    lengths = rng.integers(1, 4, n_seg)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    rows, cols = int(offsets[-1]), 2 * int(rng.integers(1, 4))
+    x = Tensor(rng.standard_normal((rows, cols)))
+    kind = case_index % 5
+    if kind == 0:
+        k = Tensor(rng.standard_normal((3, cols, int(rng.integers(1, 5)))))
+        return x, lambda t: ad.mean_all(ad.relu(ad.conv1d(t, k, None, offsets)))
+    if kind == 1:
+        return x, lambda t: ad.mean_all(ad.attention_core(t, t, t, 2, offsets))
+    if kind == 2:
+        v = Tensor(rng.standard_normal(cols))
+        return x, lambda t: ad.sum_all(ad.mul(ad.mul(ad.segment_mean(t, offsets), v),
+                                              ad.segment_mean(t, offsets)))
+    if kind == 3:
+        other = Tensor(rng.standard_normal((rows, cols)))
+        return x, lambda t: ad.mse(t, other, offsets)
+    targets = rng.integers(0, cols, rows)
+    return x, lambda t: ad.softmax_cross_entropy(t, targets, offsets)
+
+
 def test_acceptance_gradient_suite():
     rng = np.random.default_rng(2024)
     t0 = time.perf_counter()
@@ -77,9 +101,15 @@ def test_acceptance_gradient_suite():
     for i in range(100):
         x, f = random_case(rng, i)
         worst = max(worst, ad.grad_check(f, x, h=1e-5))
+    # packed inputs draw from their own stream, so the 100 cases above keep theirs
+    seg_rng = np.random.default_rng(2025)
+    for i in range(25):
+        x, f = random_segmented_case(seg_rng, i)
+        worst = max(worst, ad.grad_check(f, x, h=1e-5))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-4 and elapsed < 60
-    report("gradient suite: 100 random graphs, max rel err < 1e-4, < 1 min", ok,
+    report("gradient suite: 100 random graphs + 25 packed ones, max rel err < 1e-4, "
+           "< 1 min", ok,
            f"max_err={worst:.2e} runtime={elapsed:.1f}s")
     assert worst < 1e-4
     assert elapsed < 60

@@ -335,6 +335,86 @@ def test_grad_check_gather_and_pool():
     assert err < 1e-6
 
 
+# ---------------------------------------------------------------- packed segments
+
+OFFSETS = np.array([0, 2, 5, 6])   # three segments of 2, 3 and 1 rows
+
+
+def _segments(a, offsets=OFFSETS):
+    return [a[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+
+
+def test_conv1d_segments_match_separate_calls():
+    x, w, b = rand((6, 3), 80), rand((3, 3, 4), 81), rand(4, 82)
+    packed = ad.conv1d(Tensor(x), Tensor(w), Tensor(b), OFFSETS).data
+    alone = np.concatenate([naive_conv1d(seg, w, b) for seg in _segments(x)])
+    np.testing.assert_allclose(packed, alone, atol=1e-12)
+
+
+def test_attention_segments_match_separate_calls():
+    x = rand((6, 4), 83)
+    packed = ad.attention_core(Tensor(x), Tensor(x), Tensor(x), 2, OFFSETS).data
+    alone = np.concatenate([ad.attention_core(Tensor(seg), Tensor(seg), Tensor(seg), 2).data
+                            for seg in _segments(x)])
+    np.testing.assert_allclose(packed, alone, atol=1e-12)
+
+
+def test_segment_losses_are_means_of_segment_losses():
+    a, b = rand((6, 4), 84), rand((6, 4), 85)
+    targets = np.array([0, 3, 1, 2, 2, 0])
+    seg_mse = [ad.mse(Tensor(x), Tensor(y)).item()
+               for x, y in zip(_segments(a), _segments(b))]
+    seg_ce = [ad.softmax_cross_entropy(Tensor(x), t).item()
+              for x, t in zip(_segments(a), _segments(targets))]
+    assert ad.mse(Tensor(a), Tensor(b), OFFSETS).item() == pytest.approx(
+        np.mean(seg_mse), abs=1e-14)
+    assert ad.softmax_cross_entropy(Tensor(a), targets, OFFSETS).item() == pytest.approx(
+        np.mean(seg_ce), abs=1e-14)
+
+
+def test_segment_mean_rows():
+    x = rand((6, 4), 86)
+    out = ad.segment_mean(Tensor(x), OFFSETS).data
+    np.testing.assert_array_equal(out, np.stack([seg.mean(axis=0) for seg in _segments(x)]))
+    np.testing.assert_array_equal(ad.segment_mean(Tensor(x)).data, x.mean(axis=0)[None])
+
+
+def test_dropout_segment_masks_are_each_streams_own_draw():
+    from uspc.rng import NamedRng
+    rng = NamedRng(7)
+    x = Tensor(np.ones((6, 5)))
+    gens = lambda: [rng.generator(f"dropout/layer/{u}", step=3) for u in "abc"]  # noqa: E731
+    packed = ad.dropout(x, 0.5, gens(), training=True, offsets=OFFSETS).data
+    alone = [ad.dropout(Tensor(np.ones((hi - lo, 5))), 0.5, gen, training=True).data
+             for gen, lo, hi in zip(gens(), OFFSETS[:-1], OFFSETS[1:])]
+    np.testing.assert_array_equal(packed, np.concatenate(alone))
+
+
+def test_segment_offsets_must_split_the_rows():
+    with pytest.raises(ShapeError, match="do not split 6 rows"):
+        ad.conv1d(Tensor(rand((6, 3), 87)), Tensor(rand((3, 3, 2), 88)), None,
+                  np.array([0, 4, 5]))
+
+
+@pytest.mark.parametrize("op", ["conv1d", "attention", "segment_mean", "mse", "cross_entropy"])
+def test_grad_check_segmented_ops(op):
+    w = Tensor(rand((3, 4, 3), 89))
+    b = Tensor(rand(3, 90))
+    other = Tensor(rand((6, 4), 91))
+    targets = np.array([1, 0, 3, 3, 2, 1])
+    v = Tensor(rand(4, 92))
+    fns = {
+        "conv1d": lambda t: ad.mean_all(ad.relu(ad.conv1d(t, w, b, OFFSETS))),
+        "attention": lambda t: ad.mean_all(ad.mul(ad.attention_core(t, t, t, 2, OFFSETS),
+                                                  ad.attention_core(t, t, t, 2, OFFSETS))),
+        "segment_mean": lambda t: ad.sum_all(ad.mul(ad.segment_mean(t, OFFSETS),
+                                                    ad.mul(ad.segment_mean(t, OFFSETS), v))),
+        "mse": lambda t: ad.mse(t, other, OFFSETS),
+        "cross_entropy": lambda t: ad.softmax_cross_entropy(t, targets, OFFSETS),
+    }
+    assert ad.grad_check(fns[op], Tensor(rand((6, 4), 93))) < 1e-4
+
+
 def test_straight_through_excluded_from_grad_check_by_contract():
     # The STE pass-through is checked exactly instead: grad(c) == upstream g.
     c = Tensor(rand((4, 3), 70), requires_grad=True)

@@ -6,11 +6,11 @@ import pytest
 
 from uspc.autodiff import Tensor
 from uspc.config import ModelConfig
-from uspc.encoders import quantize_f0_array
+from uspc.encoders import bin_center_hz, quantize_f0_array
 from uspc.errors import ShapeError
 from uspc.layers import Ctx
 from uspc.model import JointModel
-from uspc.synthesis import decode_f0, fuse
+from uspc.synthesis import BIN_CENTERS_HZ, decode_f0, fuse
 from uspc.vq import vq_lookup
 
 from conftest import rand, small_model_config
@@ -158,6 +158,17 @@ def test_decode_f0_round_trip_all_voiced_bins():
         hz = decode_f0(logits)[0]
         assert hz > 0
         np.testing.assert_array_equal(quantize_f0_array([hz]), [k])
+
+
+def test_bin_center_table_is_bin_center_hz():
+    assert BIN_CENTERS_HZ.shape == (32,)
+    for k in range(32):
+        assert BIN_CENTERS_HZ[k] == bin_center_hz(k), k
+
+
+def test_decode_f0_rejects_more_classes_than_bins():
+    with pytest.raises(ShapeError):
+        decode_f0(np.zeros((2, 33)))
 
 
 def test_decode_f0_voiced_values_in_range():

@@ -11,7 +11,7 @@ from uspc.errors import ConfigError, DataError, TrainingDiverged
 from uspc.layers import Ctx
 from uspc.model import JointModel
 from uspc.optim import AdamState
-from uspc.training import (LossReport, joint_step, pair_step,
+from uspc.training import (LossReport, _spread, joint_step, pair_step,
                            seed_codebook_from_batch, train, tts_step, vc_step)
 
 from conftest import small_model_config, small_train_config
@@ -34,8 +34,11 @@ def test_joint_total_is_sum_of_fragments(setup):
     tts = tts_step(paired, model, cfg, step=0)
     pair = pair_step(paired, model, cfg, step=0, text_quantized=tts.quantized)
     vc = vc_step(unpaired, model, cfg, step=0)
-    aux_all = tts.aux + pair.aux + vc.aux
-    aux = sum(a.item() for a in aux_all) / len(aux_all)
+    # each fragment's aux is its mean over utterances; the step's is the
+    # mean over all of them
+    frags = (tts, pair, vc)
+    aux = (sum(f.aux.item() * f.n_utts for f in frags)
+           / sum(f.n_utts for f in frags))
     expected = (cfg.w_mel * tts.mel.item() + cfg.w_pitch * tts.pitch_ce.item()
                 + cfg.w_mel * vc.mel.item() + cfg.w_pitch * vc.pitch_ce.item()
                 + cfg.w_pair * pair.pair.item()
@@ -83,6 +86,124 @@ def test_batch_loss_is_mean_of_singles(setup):
         (one.pitch_ce.item() + two.pitch_ce.item()) / 2, abs=1e-12)
 
 
+def _packed_ctx(batch, lengths, model, step=5):
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    return Ctx(training=True, step=step, uids=tuple(r.id for r in batch),
+               offsets=offsets, rng=model.rng)
+
+
+def _segment_rows(a, offsets, b):
+    return a[offsets[b]:offsets[b + 1]]
+
+
+@pytest.mark.parametrize("fusion", ["additive", "saln"])
+def test_packed_segments_do_not_see_each_other(tiny_corpus, fusion):
+    # training mode, dropout on: changing one utterance leaves every other
+    # segment's rows bitwise unchanged through both pipelines' modules
+    model = JointModel(small_model_config(fusion=fusion), seed=0)
+    # the speaker projection and style norms start at zero; give them weight
+    # so the per-segment speaker vectors reach the decoder
+    rng = np.random.default_rng(4)
+    for name in model.store:
+        if name.startswith("speaker_encoder.proj") or ".w_gain" in name or ".w_bias" in name:
+            model.store[name].data = 0.3 * rng.standard_normal(model.store[name].data.shape)
+    batch = tiny_corpus["train"][:3]
+    ctx = _packed_ctx(batch, [r.n_frames for r in batch], model)
+    text_ctx = _packed_ctx(batch, [r.phonemes.size for r in batch], model)
+    bins = np.zeros(ctx.offsets[-1], dtype=np.intp)
+
+    def forward(mel, phonemes):
+        h, log_dur, _ = model.text_content(phonemes, np.ones(phonemes.size, np.int64),
+                                           text_ctx)
+        q = model.quantize(model.speech_content(mel, ctx))
+        s = model.speaker(mel, ctx)
+        p = model.prosody_encoder.from_bins(bins)
+        frames = [q.continuous.data, model.synthesize(q, s, p, ctx).data,
+                  model.pitch_predictor(q, s, ctx).data]
+        return frames, [h.data, log_dur.data], s.data
+
+    mel = np.concatenate([r.mel for r in batch])
+    phonemes = np.concatenate([r.phonemes for r in batch])
+    base = forward(mel, phonemes)
+    for j in range(3):
+        mel_j, ph_j = mel.copy(), phonemes.copy()
+        _segment_rows(mel_j, ctx.offsets, j)[:] += 1.0
+        _segment_rows(ph_j, text_ctx.offsets, j)[:] = (
+            _segment_rows(ph_j, text_ctx.offsets, j) + 1) % model.cfg.p_vocab
+        frames, text, speaker = forward(mel_j, ph_j)
+        for b in set(range(3)) - {j}:
+            for new, old in zip(frames, base[0]):
+                assert np.array_equal(_segment_rows(new, ctx.offsets, b),
+                                      _segment_rows(old, ctx.offsets, b)), (j, b)
+            for new, old in zip(text, base[1]):
+                assert np.array_equal(_segment_rows(new, text_ctx.offsets, b),
+                                      _segment_rows(old, text_ctx.offsets, b)), (j, b)
+            assert np.array_equal(speaker[b], base[2][b]), (j, b)
+        assert not np.array_equal(_segment_rows(frames[1], ctx.offsets, j),
+                                  _segment_rows(base[0][1], ctx.offsets, j))
+
+
+def _fragment_total(frag):
+    terms = [t for t in (frag.mel, frag.pitch_ce, frag.duration, frag.pair, frag.aux)
+             if t is not None]
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    return total
+
+
+def _loss_and_grads(step_fn, batch, model, cfg):
+    model.store.zero_grad()
+    total = _fragment_total(step_fn(batch, model, cfg, step=3, training=True))
+    total.backward()
+    grads = {n: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
+             for n, p in model.store.items()}
+    return total.item(), grads
+
+
+@pytest.mark.parametrize("step_fn", [tts_step, vc_step, pair_step])
+def test_training_batch_is_mean_of_singles(setup, step_fn):
+    cfg, model, opt, records = setup
+    seed_codebook_from_batch(model, records[:4])
+    loss_ab, grads_ab = _loss_and_grads(step_fn, records[:2], model, cfg)
+    loss_a, grads_a = _loss_and_grads(step_fn, records[:1], model, cfg)
+    loss_b, grads_b = _loss_and_grads(step_fn, records[1:2], model, cfg)
+    assert loss_ab == pytest.approx((loss_a + loss_b) / 2, abs=1e-12)
+    # same dropout masks per utterance, so the gradients agree to rounding;
+    # a parameter whose true gradient is 0 (attention key biases) is
+    # compared against the largest gradient instead of its own
+    scale = max(np.abs(g).max() for g in grads_ab.values())
+    for name, g in grads_ab.items():
+        mean = (grads_a[name] + grads_b[name]) / 2
+        ref = max(np.linalg.norm(mean), 1e-6 * scale)
+        assert np.linalg.norm(g - mean) <= 1e-10 * ref, name
+
+
+def test_step_graph_size_does_not_grow_with_batch(tiny_corpus, monkeypatch):
+    from uspc import autodiff as ad
+    records = tiny_corpus["train"]
+    counts = []
+    backward = ad.backward
+
+    def counting_backward(loss):
+        seen, stack = set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen and node._backward is not None:
+                seen.add(id(node))
+                stack.extend(node._parents)
+        counts.append(len(seen))
+        backward(loss)
+
+    monkeypatch.setattr(ad, "backward", counting_backward)
+    for n in (2, 4):
+        cfg = small_train_config(batch_paired=n, batch_unpaired=n)
+        model = JointModel(cfg.model, seed=cfg.seed)
+        opt = AdamState.for_params(model.store, lr=cfg.lr_init)
+        joint_step(records[:n], records[-n:], model, opt, cfg, step=0)
+    assert counts[0] == counts[1]
+
+
 def test_tts_step_requires_durations(setup):
     cfg, model, opt, records = setup
     rec = records[0]
@@ -107,7 +228,7 @@ def test_both_paths_share_one_codebook(setup):
     cfg, model, opt, records = setup
     tts = tts_step(records[:2], model, cfg, step=0)
     vc = vc_step(records[2:4], model, cfg, step=0)
-    for q in tts.quantized + vc.quantized:
+    for q in (tts.quantized, vc.quantized):
         assert q.book is model.codebook
 
 
@@ -171,12 +292,13 @@ def test_training_diverged_on_nonfinite(setup):
 
 
 def test_seed_determinism_bitwise_traces(tiny_corpus):
-    def run():
-        cfg = small_train_config(max_steps=8)
+    def run(mode):
+        cfg = small_train_config(max_steps=8, mode=mode)
         _, _, trace = train(cfg, tiny_corpus["train"])
         return [r.csv_row() for r in trace]
 
-    assert run() == run()
+    for mode in ("full", "tts-only", "vc-only", "novq"):
+        assert run(mode) == run(mode), mode
 
 
 def test_different_seed_changes_trace(tiny_corpus):
@@ -193,6 +315,17 @@ def test_loss_decreases_over_training(tiny_corpus):
     early = np.mean([r.total for r in trace[:5]])
     late = np.mean([r.total for r in trace[-5:]])
     assert late < early
+
+
+def test_validation_subset_spans_every_speaker(tiny_corpus):
+    records = tiny_corpus["train"]   # ordered by speaker: 3 of each
+    assert [r.speaker_id for r in records[:2]] == [records[0].speaker_id] * 2
+    for cap in (2, 4, 8):
+        picked = _spread(records, cap)
+        assert len(picked) == min(cap, len(records))
+        assert {r.speaker_id for r in picked} == {r.speaker_id for r in records}
+        assert _spread(records, cap) == picked
+    assert _spread([], 8) == []
 
 
 def test_empty_corpus_rejected():
