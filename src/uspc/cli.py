@@ -135,7 +135,10 @@ def _cmd_synth_tts(args) -> int:
     model, _, _ = restore_model(load_checkpoint(args.ckpt))
     records = _load_all_splits(args.corpus)
     ref = _find_record(records, args.ref_speaker)
-    phonemes = np.array([int(v) for v in args.text.split(",")], dtype=np.int64)
+    try:
+        phonemes = np.array([int(v) for v in args.text.split(",")], dtype=np.int64)
+    except ValueError:
+        raise DataError(f"--text needs comma-separated phoneme ids, got {args.text!r}") from None
     mel, f0, durations = model.synth_tts(phonemes, ref.mel)
     write_matrix(args.out, mel)
     print(f"synthesized {mel.shape[0]} frames from {phonemes.size} phonemes "

@@ -3,11 +3,10 @@ flat `key = value` text format used by the CLI and checkpoints."""
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
-from .features import N_MELS, N_PITCH_BINS
+from .features import N_MELS
 
 
 @dataclass
@@ -23,7 +22,6 @@ class ModelConfig:
     kernel_size: int = 3
     dropout: float = 0.5
     n_mels: int = N_MELS
-    n_pitch_bins: int = N_PITCH_BINS
     codebook_size: int = 256
     fusion: str = "additive"  # "additive" or "saln"
 
@@ -137,9 +135,3 @@ def load_config(path) -> TrainConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return from_text(fh.read())
 
-
-def replace(cfg: TrainConfig, **kw) -> TrainConfig:
-    model_kw = {k[len("model_"):]: v for k, v in kw.items() if k.startswith("model_")}
-    other = {k: v for k, v in kw.items() if not k.startswith("model_")}
-    new_model = dataclasses.replace(cfg.model, **model_kw)
-    return dataclasses.replace(cfg, model=new_model, **other)

@@ -1,5 +1,5 @@
 """Synthetic corpora with known latent factors, plus the manifest and
-feature-file formats shared with real-audio ingestion.
+feature-file formats they are stored in.
 
 The factor model writes every mel frame as
 
@@ -44,6 +44,8 @@ class UtteranceRecord:
     def validate(self) -> None:
         if self.mel.ndim != 2 or self.mel.shape[1] != N_MELS:
             raise IntegrityError(f"{self.id}: mel must be (T, {N_MELS}), got {self.mel.shape}")
+        if self.mel.shape[0] == 0:
+            raise IntegrityError(f"{self.id}: utterance has 0 frames")
         if self.f0.shape != (self.mel.shape[0],):
             raise IntegrityError(
                 f"{self.id}: f0 length {self.f0.shape[0]} != mel frames {self.mel.shape[0]}")

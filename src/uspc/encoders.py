@@ -9,7 +9,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig
 from .errors import DataError, PairingError
-from .features import F0_MAX, F0_MIN
+from .features import F0_MAX, F0_MIN, N_PITCH_BINS
 from .layers import (Conv1d, ConvPredictorStack, Ctx, Dropout, Embedding,
                      FFTBlock, LayerNorm, Linear, positional_encoding)
 from .optim import ParamStore
@@ -161,7 +161,7 @@ class ProsodyEncoder:
 
     def __init__(self, store: ParamStore, rng: NamedRng, cfg: ModelConfig):
         self.embed = Embedding(store, rng, "prosody_encoder.embed",
-                               cfg.n_pitch_bins, cfg.d_model)
+                               N_PITCH_BINS, cfg.d_model)
 
     def __call__(self, f0_hz: np.ndarray, ctx: Ctx) -> Tensor:
         return self.from_bins(quantize_f0_array(f0_hz))

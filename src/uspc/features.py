@@ -1,12 +1,11 @@
-"""Audio feature extraction: log-mel spectrograms, autocorrelation pitch
-tracking, and mel cepstra.
+"""Log-mel feature conventions, mel cepstra, and waveform output.
 
-Fixed parameters (all utterances share them):
-  sample rate 22050 Hz, hop 276 samples (12.5 ms), window = FFT = 1024
-  samples, 80 triangular mel filters spanning 0..8000 Hz, natural-log
-  compression clamped at 1e-5.  Note the window length wins over a nominal
-  50 ms frame: 1102 samples cannot feed a 1024-point FFT, so the window is
-  pinned to the FFT size.
+Every utterance carries 80-channel natural-log mel frames for 22050 Hz
+audio at a 276-sample (12.5 ms) hop, with a 1024-point FFT window and
+triangular mel filters spanning 0..8000 Hz, plus a per-frame F0 contour in
+Hz where 0 marks an unvoiced frame.  The corpora are synthetic and are
+written directly in these units; the filterbank and frame layout here serve
+the Griffin-Lim waveform estimate and the WAV writer.
 """
 
 from __future__ import annotations
@@ -17,20 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .errors import ConfigError, DataError, FormatError
+from .errors import DataError
 
 SAMPLE_RATE = 22050
 HOP = 276
 N_FFT = 1024
 N_MELS = 80
 FMAX = 8000.0
-LOG_FLOOR = 1e-5
 
 F0_MIN = 50.0
 F0_MAX = 600.0
 N_PITCH_BINS = 32  # pitch classes: 0 unvoiced, then log-Hz bins from F0_MIN
-VOICING_THRESHOLD = 0.5
-ENERGY_GATE_RMS = 1e-4
 
 N_CEPSTRA = 13
 
@@ -49,18 +45,6 @@ class MelSpectrogram:
     @property
     def n_frames(self) -> int:
         return self.frames.shape[0]
-
-
-@dataclass
-class PitchContour:
-    f0_hz: np.ndarray  # (T,), 0.0 encodes unvoiced
-
-    def __post_init__(self):
-        self.f0_hz = np.asarray(self.f0_hz, dtype=np.float64).reshape(-1)
-
-    @property
-    def n_frames(self) -> int:
-        return self.f0_hz.shape[0]
 
 
 def hz_to_mel(f):
@@ -86,82 +70,6 @@ def mel_filterbank(n_mels: int = N_MELS, n_fft: int = N_FFT,
     return bank
 
 
-def filterbank_centers_hz(n_mels: int = N_MELS, fmax: float = FMAX) -> np.ndarray:
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(fmax), n_mels + 2))
-    return edges_hz[1:-1]
-
-
-def _frame_signal(audio: np.ndarray) -> np.ndarray:
-    """Reflection-pad by half a window and slice into hop-spaced frames."""
-    audio = np.asarray(audio, dtype=np.float64).reshape(-1)
-    pad = N_FFT // 2
-    if audio.size <= pad:
-        raise DataError(
-            f"audio too short: {audio.size} samples, need more than {pad} "
-            "for reflection padding of half a window")
-    padded = np.pad(audio, pad, mode="reflect")
-    n_frames = (padded.size - N_FFT) // HOP + 1
-    idx = np.arange(N_FFT)[None, :] + HOP * np.arange(n_frames)[:, None]
-    return padded[idx]
-
-
-def mel_spectrogram(audio: np.ndarray, sr: int = SAMPLE_RATE) -> MelSpectrogram:
-    if sr != SAMPLE_RATE:
-        raise ConfigError(f"only {SAMPLE_RATE} Hz audio is supported, got {sr}")
-    frames = _frame_signal(audio)
-    window = np.hanning(N_FFT)
-    spectrum = np.fft.rfft(frames * window, axis=1)
-    power = spectrum.real ** 2 + spectrum.imag ** 2
-    mel = power @ mel_filterbank().T
-    return MelSpectrogram(np.log(np.maximum(mel, LOG_FLOOR)))
-
-
-def extract_f0(audio: np.ndarray, sr: int = SAMPLE_RATE) -> PitchContour:
-    """Per-frame normalized-autocorrelation pitch with parabolic refinement.
-
-    A frame is voiced iff its best normalized correlation exceeds 0.5 and its
-    RMS exceeds 1e-4; the reported lag is the smallest strong local maximum,
-    which keeps harmonics from halving the estimated frequency.
-    """
-    if sr != SAMPLE_RATE:
-        raise ConfigError(f"only {SAMPLE_RATE} Hz audio is supported, got {sr}")
-    frames = _frame_signal(audio)
-    lag_min = int(np.ceil(sr / F0_MAX))
-    lag_max = int(np.floor(sr / F0_MIN))
-    f0 = np.zeros(frames.shape[0])
-    n = N_FFT
-    fft_len = 2 * n
-    for i, frame in enumerate(frames):
-        rms = np.sqrt(np.mean(frame * frame))
-        if rms <= ENERGY_GATE_RMS:
-            continue
-        spec = np.fft.rfft(frame, fft_len)
-        acf = np.fft.irfft(spec * spec.conj(), fft_len)[:n]
-        sq = np.cumsum(frame * frame)
-        total = sq[-1]
-        lags = np.arange(lag_min, min(lag_max, n - 2) + 1)
-        e_head = sq[n - lags - 1]             # energy of x[0 .. n-L-1]
-        e_tail = total - sq[lags - 1]         # energy of x[L .. n-1]
-        denom = np.sqrt(np.maximum(e_head * e_tail, 1e-300))
-        ncc = acf[lags] / denom
-        best = float(ncc.max())
-        if best <= VOICING_THRESHOLD:
-            continue
-        # smallest local max close to the global max avoids period doubling
-        strong = max(VOICING_THRESHOLD, 0.9 * best)
-        interior = np.flatnonzero(
-            (ncc[1:-1] >= ncc[:-2]) & (ncc[1:-1] >= ncc[2:]) & (ncc[1:-1] >= strong)) + 1
-        pick = interior[0] if interior.size else int(np.argmax(ncc))
-        lag = float(lags[pick])
-        if 0 < pick < ncc.size - 1:
-            y0, y1, y2 = ncc[pick - 1], ncc[pick], ncc[pick + 1]
-            denom2 = y0 - 2 * y1 + y2
-            if abs(denom2) > 1e-12:
-                lag += 0.5 * (y0 - y2) / denom2
-        f0[i] = float(np.clip(sr / lag, F0_MIN, F0_MAX))
-    return PitchContour(f0)
-
-
 def mel_cepstra(mel: MelSpectrogram) -> np.ndarray:
     """Orthonormal DCT-II over the 80 mel channels, coefficients 1..13.
 
@@ -172,20 +80,7 @@ def mel_cepstra(mel: MelSpectrogram) -> np.ndarray:
     return coeffs[:, 1:N_CEPSTRA + 1]
 
 
-# -- WAV ingestion --------------------------------------------------------------
-
-
-def read_wav(path) -> np.ndarray:
-    """Mono 16-bit PCM at 22050 Hz -> float64 samples in [-1, 1)."""
-    with wave.open(str(path), "rb") as w:
-        if w.getnchannels() != 1:
-            raise FormatError(f"{path}: expected mono audio, got {w.getnchannels()} channels")
-        if w.getsampwidth() != 2:
-            raise FormatError(f"{path}: expected 16-bit samples, got {8 * w.getsampwidth()}-bit")
-        if w.getframerate() != SAMPLE_RATE:
-            raise FormatError(f"{path}: expected {SAMPLE_RATE} Hz, got {w.getframerate()}")
-        raw = w.readframes(w.getnframes())
-    return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+# -- WAV output ------------------------------------------------------------------
 
 
 def write_wav(path, audio: np.ndarray) -> None:

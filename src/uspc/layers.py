@@ -14,6 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .errors import DataError
 from .optim import ParamStore
 from .rng import NamedRng
 
@@ -138,7 +139,7 @@ class Embedding:
         ids = np.asarray(ids, dtype=np.intp)
         if ids.size and (ids.min() < 0 or ids.max() >= self.n_entries):
             bad = ids[(ids < 0) | (ids >= self.n_entries)][0]
-            raise IndexError(f"id {bad} outside vocabulary of {self.n_entries}")
+            raise DataError(f"id {bad} outside vocabulary of {self.n_entries}")
         return ad.gather_rows(self.table, ids)
 
 

@@ -36,8 +36,6 @@ class AcsReport:
 
 
 def _as_f0(x) -> np.ndarray:
-    if hasattr(x, "f0_hz"):
-        x = x.f0_hz
     return np.asarray(x, dtype=np.float64).reshape(-1)
 
 

@@ -34,6 +34,3 @@ class NamedRng:
 
     def normal(self, name: str, shape, std: float = 1.0, step: int = 0) -> np.ndarray:
         return self.generator(name, step).standard_normal(shape) * std
-
-    def uniform(self, name: str, shape, step: int = 0) -> np.ndarray:
-        return self.generator(name, step).random(shape)

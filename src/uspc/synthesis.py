@@ -72,7 +72,7 @@ class PitchPredictor:
 
     def __init__(self, store: ParamStore, rng: NamedRng, cfg: ModelConfig):
         self.stack = ConvPredictorStack(store, rng, "pitch_predictor", cfg.d_model,
-                                        cfg.n_pitch_bins, cfg.kernel_size, cfg.dropout)
+                                        N_PITCH_BINS, cfg.kernel_size, cfg.dropout)
 
     def __call__(self, q: QuantizedContent, speaker: Tensor, ctx: Ctx) -> Tensor:
         return self.stack(ad.add(q.vectors, per_row(speaker, ctx.offsets)), ctx)

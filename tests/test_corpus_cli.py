@@ -2,6 +2,7 @@
 gates, and the end-to-end command-line surface."""
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -12,11 +13,11 @@ from uspc.cli import main
 from uspc.config import TrainConfig
 from uspc.corpus import (CorpusSpec, UtteranceRecord, gen_corpus, load_corpus,
                          read_matrix, render_frames, write_corpus, write_matrix)
-from uspc.errors import DataError, FormatError, IntegrityError
+from uspc.errors import ConfigError, DataError, FormatError, IntegrityError
 from uspc.model import JointModel
 from uspc.training import train, vc_step
 
-from conftest import small_model_config, small_train_config
+from conftest import read_pcm16, small_model_config, small_train_config
 
 
 # ---------------------------------------------------------------- factor model
@@ -137,6 +138,18 @@ def test_unlabeled_record_round_trip_and_vc_usable(tmp_path, tiny_corpus):
     assert frag.mel.item() > 0.0
 
 
+def test_zero_frame_utterance_rejected_with_id(tmp_path, tiny_corpus):
+    empty = UtteranceRecord(id="silent", speaker_id="spk000", labeled=False,
+                            mel=np.zeros((0, 80)), f0=np.zeros(0))
+    with pytest.raises(IntegrityError, match="silent: utterance has 0 frames"):
+        empty.validate()
+    rec = tiny_corpus["train"][1]
+    write_corpus(tmp_path / "z", tiny_corpus["train"][:2])
+    write_matrix(tmp_path / "z" / "mel" / f"{rec.id}.f64", np.zeros((0, 80)))
+    with pytest.raises(IntegrityError, match=f"{rec.id}: utterance has 0 frames"):
+        load_corpus(tmp_path / "z", "train")
+
+
 def test_missing_feature_file(tmp_path, tiny_corpus):
     write_corpus(tmp_path / "m", tiny_corpus["train"][:1])
     rec_id = tiny_corpus["train"][0].id
@@ -201,6 +214,22 @@ def test_checkpoint_missing_codebook_listed(trained, tmp_path):
     del ckpt.tensors["codebook.entries"]
     with pytest.raises(FormatError, match="codebook.entries"):
         restore_model(ckpt)
+
+
+def test_checkpoint_with_removed_pitch_bins_key_is_config_error(trained, tiny_corpus,
+                                                                tmp_path, capsys):
+    path, _, _ = trained
+    raw = path.read_bytes()
+    (n,) = struct.unpack("<I", raw[8:12])
+    text = raw[12:12 + n].replace(b"model.n_mels = 80\n",
+                                  b"model.n_mels = 80\nmodel.n_pitch_bins = 32\n")
+    old = tmp_path / "old.uspc"
+    old.write_bytes(raw[:8] + struct.pack("<I", len(text)) + text + raw[12 + n:])
+    with pytest.raises(ConfigError, match="n_pitch_bins"):
+        restore_model(load_checkpoint(old))
+    assert main(["eval", "--ckpt", str(old), "--corpus", str(tiny_corpus["dir"]),
+                 "--out", str(tmp_path / "e.csv")]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_checkpoint_starts_with_magic(trained):
@@ -307,8 +336,24 @@ def test_cli_griffin_lim_writes_wav(tmp_path):
     assert main(["convert-vc", "--ckpt", str(ckpt), "--corpus", str(corpus),
                  "--source", recs[0].id, "--ref-speaker", recs[1].id,
                  "--out", str(tmp_path / "o.f64"), "--griffin-lim", str(wav)]) == 0
-    from uspc.features import read_wav
-    assert read_wav(wav).size > 0
+    assert read_pcm16(wav).size > 0
+
+
+@pytest.mark.parametrize("text", ["1,999", "a,b"])
+def test_cli_synth_tts_bad_phoneme_ids_exit_1(trained, tiny_corpus, tmp_path, capsys, text):
+    path, _, _ = trained
+    assert main(["synth-tts", "--ckpt", str(path), "--corpus", str(tiny_corpus["dir"]),
+                 "--text", text, "--ref-speaker", tiny_corpus["train"][0].id,
+                 "--out", str(tmp_path / "o.f64")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_train_phoneme_outside_vocabulary_exits_1(tiny_corpus, tmp_path, capsys):
+    cfg_path = tmp_path / "t.cfg"
+    write_small_config(cfg_path, max_steps=1, model=small_model_config(p_vocab=8))
+    assert main(["train", "--corpus", str(tiny_corpus["dir"]), "--config", str(cfg_path),
+                 "--out", str(tmp_path / "m.uspc")]) == 1
+    assert "outside vocabulary of 8" in capsys.readouterr().err
 
 
 def test_cli_unknown_subcommand_exits_2():

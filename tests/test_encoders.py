@@ -41,7 +41,7 @@ def test_text_encoder_position_sensitivity(small_model):
 
 
 def test_text_encoder_rejects_out_of_vocab(small_model):
-    with pytest.raises(IndexError):
+    with pytest.raises(DataError):
         small_model.text_encoder(np.array([0, 999]), EVAL)
 
 

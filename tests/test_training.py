@@ -1,6 +1,8 @@
 """Loss assembly identities, mode switches, gradient-flow contracts, seed
 determinism, and checkpoint round trips on tiny corpora."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from uspc.training import (LossReport, _spread, joint_step, pair_step,
                            seed_codebook_from_batch, train, tts_step, vc_step)
 
 from conftest import small_model_config, small_train_config
+
+SEEDED_TRACES = Path(__file__).with_name("seeded_traces.csv")
 
 
 @pytest.fixture
@@ -297,8 +301,20 @@ def test_seed_determinism_bitwise_traces(tiny_corpus):
         _, _, trace = train(cfg, tiny_corpus["train"])
         return [r.csv_row() for r in trace]
 
+    def values(rows):
+        return np.array([[float(v) for v in row.split(",")] for row in rows])
+
+    # Reference traces recorded from a known-good build.  A change that moves
+    # any value changes what training computes, and has to say so.
+    lines = SEEDED_TRACES.read_text().splitlines()
+    assert lines[0] == "mode," + LossReport.csv_header()
+    reference = [line.split(",", 1) for line in lines[1:]]
     for mode in ("full", "tts-only", "vc-only", "novq"):
-        assert run(mode) == run(mode), mode
+        rows = run(mode)
+        assert rows == run(mode), mode
+        expected = [row for m, row in reference if m == mode]
+        np.testing.assert_allclose(values(rows), values(expected), rtol=1e-9, atol=0,
+                                   err_msg=mode)
 
 
 def test_different_seed_changes_trace(tiny_corpus):
