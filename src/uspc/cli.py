@@ -16,7 +16,7 @@ import numpy as np
 
 from . import config as config_mod
 from .checkpoint import load_checkpoint, restore_model
-from .corpus import CorpusSpec, gen_corpus, load_corpus, read_matrix, write_matrix
+from .corpus import CorpusSpec, gen_corpus, load_corpus, manifest_name, write_matrix
 from .errors import DataError, UspcError
 from .features import MelSpectrogram, griffin_lim, write_wav
 from .layers import Ctx
@@ -97,12 +97,13 @@ def _find_record(records, utt_id: str):
 
 
 def _load_all_splits(corpus_dir):
-    """Union of train and test splits; test may be absent."""
+    """Union of train and test splits.  A corpus without test utterances has
+    no test manifest, or an empty one (`gen-data --test-speakers 0`); any
+    other failure to load the test split is an error."""
     records = load_corpus(corpus_dir, "train")
-    try:
+    test_manifest = Path(corpus_dir) / manifest_name("test")
+    if test_manifest.exists() and test_manifest.read_text(encoding="utf-8").strip():
         records += load_corpus(corpus_dir, "test")
-    except DataError:
-        pass
     return records
 
 
@@ -178,8 +179,14 @@ def _cmd_eval(args) -> int:
     if result.acs is not None:
         print(f"acs: same={result.acs.s_acs:.4f} diff={result.acs.d_acs:.4f} "
               f"ratio={result.acs.ratio:.3f}")
+    if result.vc_acs is not None:
+        print(f"vc acs: same={result.vc_acs.s_acs:.4f} diff={result.vc_acs.d_acs:.4f} "
+              f"ratio={result.vc_acs.ratio:.3f}")
     if result.phoneme_distance is not None:
         print(f"phoneme representation distance: {result.phoneme_distance:.4f}")
+    print(f"code agreement: same-phoneme cross-speaker="
+          f"{result.same_ph_cross_spk_agreement:.4f} "
+          f"different-phoneme within-speaker={result.diff_ph_within_spk_agreement:.4f}")
     return 0
 
 

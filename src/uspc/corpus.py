@@ -233,7 +233,7 @@ def read_matrix(path) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
 
 
-def _manifest_name(split: str) -> str:
+def manifest_name(split: str) -> str:
     if split == "train":
         return "manifest.txt"
     if split == "test":
@@ -267,13 +267,13 @@ def write_corpus(out_dir, records: list[UtteranceRecord], split: str = "train") 
         du = _ints_to_field(rec.durations) if rec.labeled else ""
         flag = "1" if rec.labeled else "0"
         lines.append(f"{rec.id}|{rec.speaker_id}|{flag}|{ph}|{du}|{mel_rel}|{f0_rel}")
-    with open(out_dir / _manifest_name(split), "w", encoding="utf-8") as fh:
+    with open(out_dir / manifest_name(split), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
 
 
 def load_corpus(corpus_dir, split: str = "train") -> list[UtteranceRecord]:
     corpus_dir = Path(corpus_dir)
-    manifest = corpus_dir / _manifest_name(split)
+    manifest = corpus_dir / manifest_name(split)
     if not manifest.exists():
         raise DataError(f"manifest not found: {manifest}")
     records = []
@@ -289,8 +289,9 @@ def load_corpus(corpus_dir, split: str = "train") -> list[UtteranceRecord]:
             labeled = flag == "1"
             mel_path = corpus_dir / mel_rel
             f0_path = corpus_dir / f0_rel
-            if not mel_path.exists() or not f0_path.exists():
-                raise DataError(f"{uid}: missing feature file")
+            for path in (mel_path, f0_path):
+                if not path.exists():
+                    raise DataError(f"{uid}: missing feature file {path}")
             rec = UtteranceRecord(
                 id=uid, speaker_id=speaker, labeled=labeled,
                 mel=read_matrix(mel_path),

@@ -40,6 +40,11 @@ class Ctx:
         return cls(training=False)
 
 
+def segment_offsets(lengths) -> np.ndarray:
+    """The B+1 row bounds of consecutive segments of the given lengths."""
+    return np.concatenate([[0], np.cumsum(lengths)]).astype(np.intp)
+
+
 def _init_linear(rng: NamedRng, name: str, d_in: int, d_out: int) -> np.ndarray:
     std = np.sqrt(2.0 / (d_in + d_out))
     return rng.normal(f"init/{name}", (d_in, d_out), std)

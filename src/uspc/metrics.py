@@ -4,7 +4,7 @@ phoneme-representation distance."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 
 import numpy as np
@@ -14,8 +14,9 @@ from .corpus import UtteranceRecord
 from .encoders import expansion_map
 from .errors import ShapeError, UndefinedMetricError
 from .features import MelSpectrogram, mel_cepstra
-from .layers import Ctx
+from .layers import Ctx, segment_offsets
 from .model import JointModel
+from .vq import QuantizedContent
 
 MCD_CONST = 10.0 / np.log(10.0)
 
@@ -142,20 +143,41 @@ def phoneme_center_distance(vectors_p: np.ndarray, vectors_s: np.ndarray,
     return float(np.mean(dists))
 
 
-def phoneme_rep_distance(rec: UtteranceRecord, model: JointModel) -> float:
-    """phoneme_center_distance over one utterance's quantized content from
-    the text path versus the speech path."""
-    if not rec.labeled:
-        raise UndefinedMetricError(f"{rec.id}: needs text and durations")
-    ctx = Ctx.eval()
-    _, _, expanded = model.text_content(rec.phonemes, rec.durations, ctx)
-    qp = model.quantize(expanded)
-    qs = model.quantize(model.speech_content(rec.mel, ctx))
-    return phoneme_center_distance(qp.vectors.data, qs.vectors.data, rec.durations)
+def _frame_slices(records: list[UtteranceRecord]) -> list[slice]:
+    """Each record's rows when the records' frames are packed in order."""
+    offsets = segment_offsets([rec.n_frames for rec in records]).tolist()
+    return [slice(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])]
 
 
-def vc_acs_ratio(records: list[UtteranceRecord], model: JointModel,
-                 conversions_per_speaker: int = 4) -> AcsReport:
+def _packed_rows(records: list[UtteranceRecord], picks: list[int]) -> np.ndarray:
+    """Rows of records[i] for each i in `picks`, in that order, within the
+    packing of all `records`."""
+    slices = _frame_slices(records)
+    return np.concatenate([np.arange(slices[i].start, slices[i].stop) for i in picks])
+
+
+def _frames_ctx(records: list[UtteranceRecord]) -> Ctx:
+    return Ctx(offsets=segment_offsets([rec.n_frames for rec in records]))
+
+
+def phoneme_rep_distance(records: list[UtteranceRecord], text_vectors: np.ndarray,
+                         speech_vectors: np.ndarray) -> float:
+    """Mean over labeled utterances of phoneme_center_distance between the
+    quantized content from the text path and from the speech path.  Both
+    arrays hold the records' frames packed in order."""
+    if not records:
+        raise UndefinedMetricError("no utterances")
+    dists = []
+    for rec, rows in zip(records, _frame_slices(records)):
+        if not rec.labeled:
+            raise UndefinedMetricError(f"{rec.id}: needs text and durations")
+        dists.append(phoneme_center_distance(text_vectors[rows], speech_vectors[rows],
+                                             rec.durations))
+    return float(np.mean(dists))
+
+
+def vc_acs_ratio(records: list[UtteranceRecord], model: JointModel, speakers: np.ndarray,
+                 speech: QuantizedContent, conversions_per_speaker: int = 4) -> AcsReport:
     """Zero-shot conversion quality as an ACS ratio over generated speech.
 
     Each target speaker receives several conversions from other speakers'
@@ -163,58 +185,65 @@ def vc_acs_ratio(records: list[UtteranceRecord], model: JointModel,
     encoder and labeled with the TARGET speaker.  A model whose decoder
     ignores the reference voice produces conversions that do not cluster by
     target, driving the ratio toward 1.
+
+    `speakers` holds each record's speaker embedding (B, d) and `speech` the
+    records' quantized speech content, frames packed in order.  All
+    conversions decode as one packed batch and are embedded as another.
     """
-    by_speaker: dict[str, list[UtteranceRecord]] = {}
-    for rec in records:
-        by_speaker.setdefault(rec.speaker_id, []).append(rec)
-    speakers = sorted(by_speaker)
-    if len(speakers) < 2:
+    by_speaker: dict[str, list[int]] = {}
+    for i, rec in enumerate(records):
+        by_speaker.setdefault(rec.speaker_id, []).append(i)
+    targets = sorted(by_speaker)
+    if len(targets) < 2:
         raise UndefinedMetricError("need at least two speakers for conversions")
-    others = {s: [r for r in records if r.speaker_id != s] for s in speakers}
-    ctx = Ctx.eval()
-    embeddings: list[tuple[str, np.ndarray]] = []
-    for si, target in enumerate(speakers):
-        refs = by_speaker[target]
-        pool = others[target]
+    labels, sources, refs = [], [], []
+    for si, target in enumerate(targets):
+        pool = [i for i, rec in enumerate(records) if rec.speaker_id != target]
         for k in range(conversions_per_speaker):
             # a different reference utterance per conversion: same-target
             # outputs share only the voice, never the exact reference input
-            ref = refs[k % len(refs)]
-            source = pool[(si + k * 7) % len(pool)]
-            converted, _ = model.convert_vc(source.mel, source.f0, ref.mel)
-            embeddings.append((target, model.speaker(converted, ctx).data.copy()))
-    return acs_ratio(embeddings)
+            labels.append(target)
+            refs.append(by_speaker[target][k % len(by_speaker[target])])
+            sources.append(pool[(si + k * 7) % len(pool)])
+    ctx = _frames_ctx([records[i] for i in sources])
+    q = speech.take(_packed_rows(records, sources))
+    f0 = np.concatenate([records[i].f0 for i in sources])
+    converted = model.decode_vc(q, Tensor(speakers[refs]), f0, ctx)
+    return acs_ratio(list(zip(labels, model.speaker(converted, ctx).data)))
 
 
-def code_agreement_rates(records: list[UtteranceRecord], model: JointModel
+def code_agreement_rates(records: list[UtteranceRecord], codes: np.ndarray
                          ) -> tuple[float, float]:
     """Disentanglement probe on the speech-side codes.
 
-    Returns (cross-speaker same-phoneme agreement, within-speaker
-    different-phoneme agreement): a content code that tracks phonemes and
-    ignores speakers makes the first high and the second low.
+    `codes` holds the records' frame codes packed in order; the frames of
+    labeled records take part.  Returns (cross-speaker same-phoneme
+    agreement, within-speaker different-phoneme agreement): a content code
+    that tracks phonemes and ignores speakers makes the first high and the
+    second low.
     """
-    ctx = Ctx.eval()
-    frames = []  # (speaker, phoneme, code)
-    for rec in records:
-        if not rec.labeled:
-            continue
-        qs = model.quantize(model.speech_content(rec.mel, ctx))
-        ph = rec.phonemes[expansion_map(rec.durations)]
-        for p, c in zip(ph, qs.codes):
-            frames.append((rec.speaker_id, int(p), int(c)))
+    labeled = [(rec, rows) for rec, rows in zip(records, _frame_slices(records))
+               if rec.labeled]
+    if not labeled:
+        return 0.0, 0.0
+    speaker_index = {spk: i for i, spk in enumerate(sorted({r.speaker_id for r, _ in labeled}))}
+    speaker = np.concatenate([np.full(rec.n_frames, speaker_index[rec.speaker_id])
+                              for rec, _ in labeled])
+    phoneme = np.concatenate([rec.phonemes[expansion_map(rec.durations)]
+                              for rec, _ in labeled])
+    code = np.concatenate([codes[rows] for _, rows in labeled])
     rng = np.random.default_rng(0)
-    if len(frames) > 400:
-        pick = rng.choice(len(frames), 400, replace=False)
-        frames = [frames[i] for i in pick]
-    same_ph_cross_spk, diff_ph_within_spk = [], []
-    for (s1, p1, c1), (s2, p2, c2) in combinations(frames, 2):
-        if p1 == p2 and s1 != s2:
-            same_ph_cross_spk.append(c1 == c2)
-        elif p1 != p2 and s1 == s2:
-            diff_ph_within_spk.append(c1 == c2)
-    a = float(np.mean(same_ph_cross_spk)) if same_ph_cross_spk else 0.0
-    b = float(np.mean(diff_ph_within_spk)) if diff_ph_within_spk else 0.0
+    if code.size > 400:
+        pick = rng.choice(code.size, 400, replace=False)
+        speaker, phoneme, code = speaker[pick], phoneme[pick], code[pick]
+    i, j = np.triu_indices(code.size, k=1)
+    same_ph = phoneme[i] == phoneme[j]
+    same_spk = speaker[i] == speaker[j]
+    agree = code[i] == code[j]
+    same_ph_cross_spk = agree[same_ph & ~same_spk]
+    diff_ph_within_spk = agree[~same_ph & same_spk]
+    a = float(np.mean(same_ph_cross_spk)) if same_ph_cross_spk.size else 0.0
+    b = float(np.mean(diff_ph_within_spk)) if diff_ph_within_spk.size else 0.0
     return a, b
 
 
@@ -234,16 +263,23 @@ class EvalResult:
     diff_ph_within_spk_agreement: float
 
 
-def _reference_map(records: list[UtteranceRecord]) -> dict[str, UtteranceRecord]:
-    """Deterministic reference utterance per record: the speaker's next one."""
-    by_speaker: dict[str, list[UtteranceRecord]] = {}
-    for rec in records:
-        by_speaker.setdefault(rec.speaker_id, []).append(rec)
-    ref = {}
-    for utts in by_speaker.values():
-        for i, rec in enumerate(utts):
-            ref[rec.id] = utts[(i + 1) % len(utts)]
+def _reference_map(records: list[UtteranceRecord]) -> list[int]:
+    """Deterministic reference utterance per record, as an index into
+    `records`: the speaker's next one."""
+    by_speaker: dict[str, list[int]] = {}
+    for i, rec in enumerate(records):
+        by_speaker.setdefault(rec.speaker_id, []).append(i)
+    ref = [0] * len(records)
+    for rows in by_speaker.values():
+        for k, i in enumerate(rows):
+            ref[i] = rows[(k + 1) % len(rows)]
     return ref
+
+
+def _nanmean(values: list[float]) -> float:
+    """Mean of the defined values; NaN, without a warning, when none is."""
+    arr = np.asarray(values, dtype=np.float64)
+    return float(np.nanmean(arr)) if (~np.isnan(arr)).any() else float("nan")
 
 
 def evaluate(records: list[UtteranceRecord], model: JointModel) -> EvalResult:
@@ -252,58 +288,71 @@ def evaluate(records: list[UtteranceRecord], model: JointModel) -> EvalResult:
     Durations are teacher-forced so reference and synthesis stay
     frame-synchronous; pitch is predicted, and the speaker embedding comes
     from a different utterance of the same speaker.
+
+    The split is one packed batch: the speaker encoder, the content encoder
+    and the TTS pipeline each run once over it, and their outputs serve
+    every metric that reads them.
     """
-    refs = _reference_map(records)
+    labeled = [i for i, rec in enumerate(records) if rec.labeled]
+    lab_recs = [records[i] for i in labeled]
     per_utt: dict[str, TtsMetrics] = {}
     mel_mse: dict[str, float] = {}
-    rows = {"f0_rmse_hz": [], "mcd_db": [], "vuv_error_rate": [], "f0_corr": []}
-    embeddings: list[tuple[str, np.ndarray]] = []
-    ph_dists = []
-    ctx = Ctx.eval()
+    acs = vc_acs = phoneme_distance = None
+    same_a, diff_a = 0.0, 0.0
 
-    for rec in records:
-        embeddings.append((rec.speaker_id, model.speaker(rec.mel, ctx).data.copy()))
-        if not rec.labeled:
-            continue
-        mel_pred, f0_pred, _ = model.synth_tts(
-            rec.phonemes, refs[rec.id].mel, durations=rec.durations)
-        mel_mse[rec.id] = float(np.mean((mel_pred - rec.mel) ** 2))
+    if records:
+        ctx = _frames_ctx(records)
+        mels = np.concatenate([rec.mel for rec in records])
+        speakers = model.speaker(mels, ctx).data
+        speech = model.quantize(model.speech_content(mels, ctx))
         try:
-            m = TtsMetrics(
-                f0_rmse_hz=f0_rmse(rec.f0, f0_pred),
-                mcd_db=mcd(rec.mel, mel_pred),
-                vuv_error_rate=vuv_error(rec.f0, f0_pred),
-                f0_corr=f0_corr(rec.f0, f0_pred))
+            acs = acs_ratio(list(zip([rec.speaker_id for rec in records], speakers)))
         except UndefinedMetricError:
-            m = TtsMetrics(f0_rmse_hz=float("nan"), mcd_db=mcd(rec.mel, mel_pred),
-                           vuv_error_rate=vuv_error(rec.f0, f0_pred),
-                           f0_corr=float("nan"))
-        per_utt[rec.id] = m
-        for key in rows:
-            rows[key].append(getattr(m, key))
-        ph_dists.append(phoneme_rep_distance(rec, model))
+            pass
+        try:
+            vc_acs = vc_acs_ratio(records, model, speakers, speech)
+        except UndefinedMetricError:
+            pass
+        same_a, diff_a = code_agreement_rates(records, speech.codes)
 
-    mean = TtsMetrics(**{k: float(np.nanmean(v)) if v else float("nan")
-                         for k, v in rows.items()})
-    try:
-        acs = acs_ratio(embeddings)
-    except UndefinedMetricError:
-        acs = None
-    try:
-        vc_acs = vc_acs_ratio(records, model)
-    except UndefinedMetricError:
-        vc_acs = None
-    same_a, diff_a = code_agreement_rates(records, model)
+    if lab_recs:
+        refs = _reference_map(records)
+        text_ctx = Ctx(offsets=segment_offsets([rec.phonemes.size for rec in lab_recs]))
+        text, _ = model.tts_content(np.concatenate([rec.phonemes for rec in lab_recs]),
+                                    np.concatenate([rec.durations for rec in lab_recs]),
+                                    text_ctx)
+        mel_pred, f0_pred = model.decode_tts(
+            text, Tensor(speakers[[refs[i] for i in labeled]]), _frames_ctx(lab_recs))
+        for rec, span in zip(lab_recs, _frame_slices(lab_recs)):
+            mel_mse[rec.id] = float(np.mean((mel_pred[span] - rec.mel) ** 2))
+            per_utt[rec.id] = _tts_metrics(rec, mel_pred[span], f0_pred[span])
+        speech_vectors = speech.vectors.data[_packed_rows(records, labeled)]
+        phoneme_distance = phoneme_rep_distance(lab_recs, text.vectors.data, speech_vectors)
+
     return EvalResult(
         per_utterance=per_utt,
         mel_mse=mel_mse,
-        mean_metrics=mean,
+        mean_metrics=TtsMetrics(**{f.name: _nanmean([getattr(m, f.name)
+                                                      for m in per_utt.values()])
+                                   for f in fields(TtsMetrics)}),
         mean_mel_mse=float(np.mean(list(mel_mse.values()))) if mel_mse else float("nan"),
         acs=acs,
         vc_acs=vc_acs,
-        phoneme_distance=float(np.mean(ph_dists)) if ph_dists else None,
+        phoneme_distance=phoneme_distance,
         same_ph_cross_spk_agreement=same_a,
         diff_ph_within_spk_agreement=diff_a)
+
+
+def _tts_metrics(rec: UtteranceRecord, mel_pred: np.ndarray, f0_pred: np.ndarray
+                 ) -> TtsMetrics:
+    """One synthesized utterance against its ground truth; the f0 error and
+    correlation are NaN where undefined."""
+    try:
+        rmse, corr = f0_rmse(rec.f0, f0_pred), f0_corr(rec.f0, f0_pred)
+    except UndefinedMetricError:
+        rmse = corr = float("nan")
+    return TtsMetrics(f0_rmse_hz=rmse, mcd_db=mcd(rec.mel, mel_pred),
+                      vuv_error_rate=vuv_error(rec.f0, f0_pred), f0_corr=corr)
 
 
 def eval_result_csv(result: EvalResult) -> str:

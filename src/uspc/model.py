@@ -75,6 +75,35 @@ class JointModel:
         return self.decoder(fused, ctx)
 
     # -- inference -------------------------------------------------------------
+    #
+    # Each pipeline's eval forward is split at the speaker embedding, so a
+    # single-utterance call (offsets None) and a packed batch (speaker rows
+    # (B, d), `ctx.offsets` framing the rows) run the same code.
+
+    def tts_content(self, phoneme_ids: np.ndarray, durations: np.ndarray | None,
+                    ctx: Ctx) -> tuple[QuantizedContent, np.ndarray]:
+        """Quantized frame content from text; `ctx` frames the phonemes.
+        With durations=None the duration predictor supplies frame counts.
+        Returns (content, durations_used)."""
+        h = self.text_encoder(np.asarray(phoneme_ids, dtype=np.intp), ctx)
+        if durations is None:
+            log_dur = self.duration_predictor(h, ctx)
+            durations = DurationPredictor.to_frame_counts(log_dur.data)
+        q = self.quantize(length_regulate(h, durations))
+        return q, np.asarray(durations, dtype=np.int64)
+
+    def decode_tts(self, q: QuantizedContent, speaker: Tensor,
+                   ctx: Ctx) -> tuple[np.ndarray, np.ndarray]:
+        """Predicted pitch and the mel decoded with it; `ctx` frames `q`.
+        Returns (mel, f0_hz)."""
+        f0 = decode_f0(self.pitch_predictor(q, speaker, ctx))
+        p = self.prosody_encoder.from_bins(quantize_f0_array(f0))
+        return self.synthesize(q, speaker, p, ctx).data, f0
+
+    def decode_vc(self, q: QuantizedContent, speaker: Tensor, f0_hz: np.ndarray,
+                  ctx: Ctx) -> np.ndarray:
+        """The mel decoded with the given pitch; `ctx` frames `q`."""
+        return self.synthesize(q, speaker, self.prosody_from_f0(f0_hz, ctx), ctx).data
 
     def synth_tts(self, phoneme_ids: np.ndarray, ref_mel: np.ndarray,
                   durations: np.ndarray | None = None):
@@ -85,30 +114,18 @@ class JointModel:
         Returns (mel, f0_hz, durations_used).
         """
         ctx = Ctx.eval()
-        h = self.text_encoder(np.asarray(phoneme_ids, dtype=np.intp), ctx)
-        if durations is None:
-            log_dur = self.duration_predictor(h, ctx)
-            durations = DurationPredictor.to_frame_counts(log_dur.data)
-        expanded = length_regulate(h, durations)
-        q = self.quantize(expanded)
-        s = self.speaker(ref_mel, ctx)
-        logits = self.pitch_predictor(q, s, ctx)
-        f0 = decode_f0(logits)
-        p = self.prosody_encoder.from_bins(quantize_f0_array(f0))
-        mel = self.synthesize(q, s, p, ctx)
-        return mel.data, f0, np.asarray(durations, dtype=np.int64)
+        q, durations = self.tts_content(phoneme_ids, durations, ctx)
+        mel, f0 = self.decode_tts(q, self.speaker(ref_mel, ctx), ctx)
+        return mel, f0, durations
 
     def convert_vc(self, source_mel: np.ndarray, source_f0: np.ndarray,
                    ref_mel: np.ndarray):
         """Zero-shot VC: content and prosody from the source utterance,
         speaker identity from the reference.  Returns (mel, f0_used)."""
         ctx = Ctx.eval()
-        c = self.speech_content(source_mel, ctx)
-        q = self.quantize(c)
-        s = self.speaker(ref_mel, ctx)
-        p = self.prosody_from_f0(source_f0, ctx)
-        mel = self.synthesize(q, s, p, ctx)
-        return mel.data, np.asarray(source_f0, dtype=np.float64)
+        q = self.quantize(self.speech_content(source_mel, ctx))
+        mel = self.decode_vc(q, self.speaker(ref_mel, ctx), source_f0, ctx)
+        return mel, np.asarray(source_f0, dtype=np.float64)
 
     # -- bookkeeping -------------------------------------------------------------
 

@@ -22,7 +22,7 @@ from .config import TrainConfig
 from .corpus import UtteranceRecord
 from .encoders import quantize_f0_array
 from .errors import DataError, PairingError, TrainingDiverged
-from .layers import Ctx
+from .layers import Ctx, segment_offsets
 from .model import JointModel
 from .optim import AdamState, adam_step, clip_global_norm
 from .synthesis import decode_f0
@@ -70,16 +70,12 @@ class LossReport:
         return ",".join(out)
 
 
-def _offsets(lengths) -> np.ndarray:
-    return np.concatenate([[0], np.cumsum(lengths)]).astype(np.intp)
-
-
 def _ctx(batch: list[UtteranceRecord], lengths, model: JointModel, step: int,
          training: bool) -> Ctx:
     """Context for the batch packed along time, segment b holding
     lengths[b] rows of utterance batch[b]."""
     return Ctx(training=training, step=step, uids=tuple(rec.id for rec in batch),
-               offsets=_offsets(lengths), rng=model.rng)
+               offsets=segment_offsets(lengths), rng=model.rng)
 
 
 def _frames_ctx(batch: list[UtteranceRecord], model: JointModel, step: int,

@@ -92,6 +92,15 @@ class QuantizedContent:
     def n_frames(self) -> int:
         return self.codes.shape[0]
 
+    def take(self, rows: np.ndarray) -> "QuantizedContent":
+        """The given rows in the given order, e.g. some segments of a packed
+        batch packed anew."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return QuantizedContent(codes=self.codes[rows],
+                                vectors=ad.gather_rows(self.vectors, rows),
+                                continuous=ad.gather_rows(self.continuous, rows),
+                                book=self.book)
+
 
 def vq_lookup(content: Tensor, book: Codebook, track_usage: bool = False) -> QuantizedContent:
     """Snap each row to its nearest codebook entry.

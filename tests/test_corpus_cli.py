@@ -283,10 +283,20 @@ def test_cli_pipeline_end_to_end(tmp_path, capsys):
     assert ckpt.exists() and trace.exists()
 
     out_csv = tmp_path / "eval.csv"
+    capsys.readouterr()
     assert main(["eval", "--ckpt", str(ckpt), "--corpus", str(corpus),
                  "--split", "test", "--out", str(out_csv)]) == 0
     text = out_csv.read_text()
     assert "acs_ratio" in text and "phoneme_rep_distance" in text
+    rows = {tuple(line.split(",")[:2]): float(line.split(",")[2])
+            for line in text.splitlines()[1:]}
+    printed = capsys.readouterr().out.splitlines()
+    vc = rows[("vc_s_acs", "all")], rows[("vc_d_acs", "all")], rows[("vc_acs_ratio", "all")]
+    assert f"vc acs: same={vc[0]:.4f} diff={vc[1]:.4f} ratio={vc[2]:.3f}" in printed
+    agree = (rows[("same_phoneme_cross_speaker_agreement", "all")],
+             rows[("diff_phoneme_within_speaker_agreement", "all")])
+    assert (f"code agreement: same-phoneme cross-speaker={agree[0]:.4f} "
+            f"different-phoneme within-speaker={agree[1]:.4f}") in printed
 
     emb_csv = tmp_path / "emb.csv"
     assert main(["dump-embeddings", "--ckpt", str(ckpt), "--corpus", str(corpus),
@@ -337,6 +347,36 @@ def test_cli_griffin_lim_writes_wav(tmp_path):
                  "--source", recs[0].id, "--ref-speaker", recs[1].id,
                  "--out", str(tmp_path / "o.f64"), "--griffin-lim", str(wav)]) == 0
     assert read_pcm16(wav).size > 0
+
+
+def test_cli_missing_test_feature_file_is_named(trained, tiny_corpus, tmp_path, capsys):
+    path, _, _ = trained
+    intact, damaged = tiny_corpus["test"][0], tiny_corpus["test"][1]
+    missing = tiny_corpus["dir"] / "f0" / f"{damaged.id}.f64"
+    missing.unlink()
+    assert main(["synth-tts", "--ckpt", str(path), "--corpus", str(tiny_corpus["dir"]),
+                 "--text", "1,2,3", "--ref-speaker", intact.id,
+                 "--out", str(tmp_path / "o.f64")]) == 1
+    err = capsys.readouterr().err
+    assert str(missing) in err and "not found in corpus split" not in err
+
+
+@pytest.mark.parametrize("manifest", ["absent", "empty"])
+def test_cli_corpus_without_test_split_resolves_train_references(trained, tiny_corpus,
+                                                                 tmp_path, manifest):
+    path, _, _ = trained
+    test_manifest = tiny_corpus["dir"] / "manifest_test.txt"
+    if manifest == "absent":
+        test_manifest.unlink()
+    else:
+        test_manifest.write_text("")
+    train_recs = tiny_corpus["train"]
+    assert main(["synth-tts", "--ckpt", str(path), "--corpus", str(tiny_corpus["dir"]),
+                 "--text", "1,2,3", "--ref-speaker", train_recs[0].id,
+                 "--out", str(tmp_path / "o.f64")]) == 0
+    assert main(["convert-vc", "--ckpt", str(path), "--corpus", str(tiny_corpus["dir"]),
+                 "--source", train_recs[1].id, "--ref-speaker", train_recs[0].id,
+                 "--out", str(tmp_path / "v.f64")]) == 0
 
 
 @pytest.mark.parametrize("text", ["1,999", "a,b"])
