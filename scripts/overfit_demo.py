@@ -47,10 +47,8 @@ def measure(model, records, cfg):
     ctx = Ctx.eval()
     correct = total = 0
     for rec in records:
-        _, _, expanded = model.text_content(rec.phonemes, rec.durations, ctx)
-        q = model.quantize(expanded)
-        s = model.speaker(rec.mel, ctx)
-        logits = model.pitch_predictor(q, s, ctx)
+        q, _, _ = model.tts_content(rec.phonemes, rec.durations, ctx)
+        logits = model.pitch_predictor(q, model.speaker(rec.mel, ctx), ctx)
         bins = quantize_f0_array(rec.f0)
         correct += int((np.argmax(logits.data, axis=1) == bins).sum())
         total += bins.size

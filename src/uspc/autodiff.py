@@ -466,28 +466,23 @@ def mse(a: Tensor, b: Tensor, offsets: np.ndarray | None = None) -> Tensor:
     return _make_node(data, (a, b), backward_fn)
 
 
-def dropout(x: Tensor, rate: float, rng, training: bool,
+def dropout(x: Tensor, rate: float, rngs, training: bool,
             offsets: np.ndarray | None = None) -> Tensor:
     """Zero elements with probability `rate`, scaling survivors by 1/(1-rate).
 
-    `rng` is one generator; with `offsets` it is a sequence of one generator
-    per segment, and each segment's mask is that segment's draw alone.
+    `rngs` holds one generator per segment of `offsets`, and each segment's
+    mask is that segment's draw alone.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
-    if rng is None:
-        raise ConfigError("training-mode dropout needs an rng stream")
-    if offsets is None:
-        draws = rng.random(x.data.shape)
-    else:
-        spans = _spans(offsets, x.data.shape[0])
-        if len(rng) != len(spans):
-            raise ConfigError(f"dropout needs one rng stream per segment: "
-                              f"{len(rng)} streams for {len(spans)} segments")
-        draws = np.concatenate([gen.random((hi - lo,) + x.data.shape[1:])
-                                for gen, (lo, hi) in zip(rng, spans)])
+    spans = _spans(offsets, x.data.shape[0])
+    if len(rngs) != len(spans):
+        raise ConfigError(f"dropout needs one rng stream per segment: "
+                          f"{len(rngs)} streams for {len(spans)} segments")
+    draws = _join([gen.random((hi - lo,) + x.data.shape[1:])
+                   for gen, (lo, hi) in zip(rngs, spans)])
     keep = draws >= rate
     scale = 1.0 / (1.0 - rate)
     data = x.data * keep * scale

@@ -5,8 +5,9 @@ Layout (all little-endian):
     | u64 step counter | u64 tensor count
     | per tensor: u32 name length | name bytes | u32 rank | u64 dims... | f64 data
 
-Parameters, optimizer moments and codebook counters all travel as named
-tensors; a round trip is bitwise lossless.
+Parameters, the optimizer state and the codebook's idle counters all travel
+as named tensors; a round trip is bitwise lossless, and a checkpoint missing
+any of them does not restore.
 """
 
 from __future__ import annotations
@@ -55,17 +56,15 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return buf
 
 
-def save_checkpoint(path, model: JointModel, opt: AdamState | None,
+def save_checkpoint(path, model: JointModel, opt: AdamState,
                     train_config, step: int) -> None:
     tensors: dict[str, np.ndarray] = {name: p.data for name, p in model.store.items()}
-    tensors["codebook.usage"] = model.codebook.usage.astype(np.float64)
     tensors["codebook.steps_since_use"] = model.codebook.steps_since_use.astype(np.float64)
-    if opt is not None:
-        tensors["optim.t"] = np.asarray(float(opt.t))
-        tensors["optim.lr"] = np.asarray(float(opt.lr))
-        for name in model.store:
-            tensors[f"optim.m.{name}"] = opt.m[name]
-            tensors[f"optim.v.{name}"] = opt.v[name]
+    tensors["optim.t"] = np.asarray(float(opt.t))
+    tensors["optim.lr"] = np.asarray(float(opt.lr))
+    for name in model.store:
+        tensors[f"optim.m.{name}"] = opt.m[name]
+        tensors[f"optim.v.{name}"] = opt.v[name]
 
     config_text = config_mod.to_text(train_config)
     path = Path(path)
@@ -121,32 +120,30 @@ def load_checkpoint(path) -> Checkpoint:
 def restore_model(ckpt: Checkpoint) -> tuple[JointModel, AdamState, "config_mod.TrainConfig"]:
     """Rebuild model and optimizer from a loaded checkpoint.
 
-    Raises FormatError listing every expected-but-missing tensor name.
+    Raises FormatError listing every expected-but-missing tensor name, or
+    naming a tensor whose shape does not fit the model.
+    Tensors the model does not read, such as the per-entry lookup counts
+    that older checkpoints carry, are ignored.
     """
     cfg = config_mod.from_text(ckpt.config_text)
     model = JointModel(cfg.model, seed=cfg.seed, use_vq=cfg.mode != "novq")
-    missing = [name for name in model.store if name not in ckpt.tensors]
+    opt = AdamState.for_params(model.store, lr=cfg.lr_init)
+    shapes = {"codebook.steps_since_use": (model.codebook.n_entries,),
+              "optim.t": (), "optim.lr": ()}
+    for name, param in model.store.items():
+        shapes[name] = shapes[f"optim.m.{name}"] = shapes[f"optim.v.{name}"] = param.data.shape
+    missing = [name for name in shapes if name not in ckpt.tensors]
     if missing:
         raise FormatError("checkpoint missing tensors: " + ", ".join(sorted(missing)))
+    for name, shape in shapes.items():
+        if ckpt.tensors[name].shape != shape:
+            raise FormatError(f"checkpoint tensor {name} has shape "
+                              f"{ckpt.tensors[name].shape}, model expects {shape}")
     for name, param in model.store.items():
-        stored = ckpt.tensors[name]
-        if stored.shape != param.data.shape:
-            raise FormatError(
-                f"checkpoint tensor {name} has shape {stored.shape}, "
-                f"model expects {param.data.shape}")
-        param.data = stored.copy()
-    if "codebook.usage" in ckpt.tensors:
-        model.codebook.usage = ckpt.tensors["codebook.usage"].astype(np.int64).reshape(-1)
-    if "codebook.steps_since_use" in ckpt.tensors:
-        model.codebook.steps_since_use = (
-            ckpt.tensors["codebook.steps_since_use"].astype(np.int64).reshape(-1))
-
-    opt = AdamState.for_params(model.store, lr=cfg.lr_init)
-    if "optim.t" in ckpt.tensors:
-        opt.t = int(ckpt.tensors["optim.t"].ravel()[0])
-        opt.lr = float(ckpt.tensors.get("optim.lr", np.asarray(cfg.lr_init)).ravel()[0])
-        for name in model.store:
-            if f"optim.m.{name}" in ckpt.tensors:
-                opt.m[name] = ckpt.tensors[f"optim.m.{name}"].copy()
-                opt.v[name] = ckpt.tensors[f"optim.v.{name}"].copy()
+        param.data = ckpt.tensors[name].copy()
+        opt.m[name] = ckpt.tensors[f"optim.m.{name}"].copy()
+        opt.v[name] = ckpt.tensors[f"optim.v.{name}"].copy()
+    model.codebook.steps_since_use = ckpt.tensors["codebook.steps_since_use"].astype(np.int64)
+    opt.t = int(ckpt.tensors["optim.t"])
+    opt.lr = float(ckpt.tensors["optim.lr"])
     return model, opt, cfg

@@ -19,7 +19,7 @@ from .checkpoint import load_checkpoint, restore_model
 from .corpus import CorpusSpec, gen_corpus, load_corpus, manifest_name, write_matrix
 from .errors import DataError, UspcError
 from .features import MelSpectrogram, griffin_lim, write_wav
-from .layers import Ctx
+from .layers import Ctx, segment_offsets
 from .metrics import eval_result_csv, evaluate
 from .training import train
 
@@ -193,10 +193,10 @@ def _cmd_eval(args) -> int:
 def _cmd_dump_embeddings(args) -> int:
     model, _, _ = restore_model(load_checkpoint(args.ckpt))
     records = load_corpus(args.corpus, args.split)
-    ctx = Ctx.eval()
+    ctx = Ctx(offsets=segment_offsets([rec.n_frames for rec in records]))
+    embeddings = model.speaker(np.concatenate([rec.mel for rec in records]), ctx).data
     lines = []
-    for rec in records:
-        emb = model.speaker(rec.mel, ctx).data
+    for rec, emb in zip(records, embeddings):
         values = ",".join(repr(float(v)) for v in emb)
         lines.append(f"{rec.id},{rec.speaker_id},{values}")
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)

@@ -72,28 +72,20 @@ class TrainConfig:
         self.model.validate()
 
 
-def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return str(v)
-
-
 def to_text(cfg: TrainConfig) -> str:
     lines = []
     for f in fields(cfg):
         v = getattr(cfg, f.name)
         if f.name == "model":
             for mf in fields(v):
-                lines.append(f"model.{mf.name} = {_format_value(getattr(v, mf.name))}")
+                lines.append(f"model.{mf.name} = {getattr(v, mf.name)}")
         else:
-            lines.append(f"{f.name} = {_format_value(v)}")
+            lines.append(f"{f.name} = {v}")
     return "\n".join(lines) + "\n"
 
 
 def _coerce(raw: str, target_type, lineno: int, key: str):
     raw = raw.strip()
-    if target_type is bool:
-        return raw.lower() in ("true", "1", "yes")
     try:
         if target_type is int:
             return int(raw)

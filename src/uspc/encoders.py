@@ -102,8 +102,8 @@ class SpeakerEncoder:
     """Two convolutions, temporal mean pooling, and a projection.
 
     The pooled mean makes the embedding invariant to frame order and, up to
-    boundary effects, to utterance length.  A packed batch gives one
-    embedding per segment, (B, d); an unbatched sequence gives (d,).
+    boundary effects, to utterance length.  It gives one embedding row per
+    segment, (B, d); an unbatched sequence gives (1, d).
     """
 
     def __init__(self, store: ParamStore, rng: NamedRng, cfg: ModelConfig):
@@ -123,9 +123,7 @@ class SpeakerEncoder:
         return self.norm2(ad.relu(self.conv2(h, ctx)))
 
     def pool(self, frame_feats: Tensor, offsets: np.ndarray | None = None) -> Tensor:
-        pooled = ad.segment_mean(frame_feats, offsets)
-        out = ad.add(ad.matmul(pooled, self.proj.w), self.proj.b)
-        return ad.reshape(out, (out.data.shape[1],)) if offsets is None else out
+        return self.proj(ad.segment_mean(frame_feats, offsets))
 
     def __call__(self, mel_frames: np.ndarray, ctx: Ctx) -> Tensor:
         return self.pool(self.frame_features(mel_frames, ctx), ctx.offsets)

@@ -87,7 +87,8 @@ class LayerNorm:
 
 
 class StyleLayerNorm:
-    """Layer norm whose gain/bias come from a style vector.
+    """Layer norm whose gain/bias come from a style row per segment, (B, d)
+    or (1, d).
 
     The projections start at zero so an untrained style path reduces to a
     plain normalization (gain 1, bias 0).
@@ -101,19 +102,16 @@ class StyleLayerNorm:
 
     def __call__(self, x: Tensor, style: Tensor, ctx: Ctx) -> Tensor:
         xhat = ad.normalize_rows(x, self.eps)
-        row = ad.matmul(_as_row(style), self.w_gain)
+        row = ad.matmul(style, self.w_gain)
         gain = ad.add(row, Tensor(np.ones(self.w_gain.data.shape[1])))
-        bias = ad.matmul(_as_row(style), self.w_bias)
+        bias = ad.matmul(style, self.w_bias)
         return ad.add(ad.mul(xhat, per_row(gain, ctx.offsets)), per_row(bias, ctx.offsets))
 
 
-def _as_row(v: Tensor) -> Tensor:
-    return ad.reshape(v, (1, v.data.shape[0])) if v.data.ndim == 1 else v
-
-
 def per_row(v: Tensor, offsets: np.ndarray | None) -> Tensor:
-    """Per-segment vectors (B, d) repeated onto their segments' rows.  An
-    unbatched vector (offsets None) is returned as is and broadcasts."""
+    """Per-segment rows (B, d) repeated onto their segments' rows.  The one
+    row of an unbatched sequence (offsets None) is returned as is and
+    broadcasts."""
     if offsets is None:
         return v
     return ad.gather_rows(v, np.repeat(np.arange(len(offsets) - 1), np.diff(offsets)))
@@ -129,8 +127,7 @@ class Dropout:
             return x
         gens = [ctx.rng.generator(f"dropout/{self.name}/{uid}", step=ctx.step)
                 for uid in ctx.uids]
-        bounds = ad.segment_bounds(ctx.offsets, x.data.shape[0])
-        return ad.dropout(x, self.rate, gens, training=True, offsets=bounds)
+        return ad.dropout(x, self.rate, gens, training=True, offsets=ctx.offsets)
 
 
 class Embedding:

@@ -318,9 +318,9 @@ def evaluate(records: list[UtteranceRecord], model: JointModel) -> EvalResult:
     if lab_recs:
         refs = _reference_map(records)
         text_ctx = Ctx(offsets=segment_offsets([rec.phonemes.size for rec in lab_recs]))
-        text, _ = model.tts_content(np.concatenate([rec.phonemes for rec in lab_recs]),
-                                    np.concatenate([rec.durations for rec in lab_recs]),
-                                    text_ctx)
+        text, _, _ = model.tts_content(np.concatenate([rec.phonemes for rec in lab_recs]),
+                                       np.concatenate([rec.durations for rec in lab_recs]),
+                                       text_ctx)
         mel_pred, f0_pred = model.decode_tts(
             text, Tensor(speakers[[refs[i] for i in labeled]]), _frames_ctx(lab_recs))
         for rec, span in zip(lab_recs, _frame_slices(lab_recs)):

@@ -19,7 +19,7 @@ from .encoders import (ContentEncoder, DurationPredictor, ProsodyEncoder,
 from .layers import Ctx
 from .optim import ParamStore
 from .rng import NamedRng
-from .synthesis import Decoder, PitchPredictor, decode_f0, fuse
+from .synthesis import Decoder, PitchPredictor, decode_f0
 from .vq import Codebook, QuantizedContent, identity_quantize, vq_lookup
 
 
@@ -41,56 +41,42 @@ class JointModel:
 
     # -- shared pieces ---------------------------------------------------------
 
-    def quantize(self, content: Tensor, track_usage: bool = False) -> QuantizedContent:
+    def quantize(self, content: Tensor) -> QuantizedContent:
         if self.use_vq:
-            return vq_lookup(content, self.codebook, track_usage=track_usage)
+            return vq_lookup(content, self.codebook)
         return identity_quantize(content, self.codebook)
 
     def speaker(self, mel_frames: np.ndarray, ctx: Ctx) -> Tensor:
+        """One embedding row per segment of `ctx`: (B, d), or (1, d)."""
         return self.speaker_encoder(mel_frames, ctx)
-
-    def prosody_from_f0(self, f0_hz: np.ndarray, ctx: Ctx) -> Tensor:
-        return self.prosody_encoder(f0_hz, ctx)
-
-    # -- per-pipeline content --------------------------------------------------
-
-    def text_content(self, phoneme_ids: np.ndarray, durations: np.ndarray,
-                     ctx: Ctx) -> tuple[Tensor, Tensor, Tensor]:
-        """Returns (per-phoneme states, predicted log-durations, expanded content).
-
-        `ctx.offsets` segments the phonemes; the expanded content keeps the
-        segment order, segment b taking sum(durations of b) frames.
-        """
-        h = self.text_encoder(phoneme_ids, ctx)
-        log_dur = self.duration_predictor(h, ctx)
-        expanded = length_regulate(h, durations)
-        return h, log_dur, expanded
 
     def speech_content(self, mel_frames: np.ndarray, ctx: Ctx) -> Tensor:
         return self.content_encoder(mel_frames, ctx)
 
     def synthesize(self, q: QuantizedContent, speaker: Tensor, prosody: Tensor,
                    ctx: Ctx) -> Tensor:
-        fused = fuse(q, speaker, prosody, self.cfg.fusion, ctx.offsets)
-        return self.decoder(fused, ctx)
+        return self.decoder(q, speaker, prosody, ctx)
 
-    # -- inference -------------------------------------------------------------
+    # -- per-pipeline forward ----------------------------------------------------
     #
-    # Each pipeline's eval forward is split at the speaker embedding, so a
+    # Training, validation, evaluation and single-utterance inference all
+    # run these.  Each pipeline is split at the speaker embedding, so a
     # single-utterance call (offsets None) and a packed batch (speaker rows
     # (B, d), `ctx.offsets` framing the rows) run the same code.
 
     def tts_content(self, phoneme_ids: np.ndarray, durations: np.ndarray | None,
-                    ctx: Ctx) -> tuple[QuantizedContent, np.ndarray]:
-        """Quantized frame content from text; `ctx` frames the phonemes.
-        With durations=None the duration predictor supplies frame counts.
-        Returns (content, durations_used)."""
+                    ctx: Ctx) -> tuple[QuantizedContent, np.ndarray, Tensor]:
+        """Quantized frame content from text; `ctx` frames the phonemes, and
+        the content keeps their segment order, segment b taking the sum of
+        its durations in frames.  With durations=None the duration predictor
+        supplies frame counts.  Returns (content, durations_used,
+        per-phoneme states)."""
         h = self.text_encoder(np.asarray(phoneme_ids, dtype=np.intp), ctx)
         if durations is None:
             log_dur = self.duration_predictor(h, ctx)
             durations = DurationPredictor.to_frame_counts(log_dur.data)
         q = self.quantize(length_regulate(h, durations))
-        return q, np.asarray(durations, dtype=np.int64)
+        return q, np.asarray(durations, dtype=np.int64), h
 
     def decode_tts(self, q: QuantizedContent, speaker: Tensor,
                    ctx: Ctx) -> tuple[np.ndarray, np.ndarray]:
@@ -103,7 +89,7 @@ class JointModel:
     def decode_vc(self, q: QuantizedContent, speaker: Tensor, f0_hz: np.ndarray,
                   ctx: Ctx) -> np.ndarray:
         """The mel decoded with the given pitch; `ctx` frames `q`."""
-        return self.synthesize(q, speaker, self.prosody_from_f0(f0_hz, ctx), ctx).data
+        return self.synthesize(q, speaker, self.prosody_encoder(f0_hz, ctx), ctx).data
 
     def synth_tts(self, phoneme_ids: np.ndarray, ref_mel: np.ndarray,
                   durations: np.ndarray | None = None):
@@ -114,7 +100,7 @@ class JointModel:
         Returns (mel, f0_hz, durations_used).
         """
         ctx = Ctx.eval()
-        q, durations = self.tts_content(phoneme_ids, durations, ctx)
+        q, durations, _ = self.tts_content(phoneme_ids, durations, ctx)
         mel, f0 = self.decode_tts(q, self.speaker(ref_mel, ctx), ctx)
         return mel, f0, durations
 
@@ -127,8 +113,3 @@ class JointModel:
         mel = self.decode_vc(q, self.speaker(ref_mel, ctx), source_f0, ctx)
         return mel, np.asarray(source_f0, dtype=np.float64)
 
-    # -- bookkeeping -------------------------------------------------------------
-
-    def text_side_parameter_names(self) -> list[str]:
-        return [n for n in self.store
-                if n.startswith(("text_encoder.", "duration_predictor."))]

@@ -1,9 +1,7 @@
-"""Shared back half of both pipelines: feature fusion, the mel decoder, and
-the 32-way pitch classifier."""
+"""Shared back half of both pipelines: the mel decoder, which fuses content,
+speaker and prosody, and the 32-way pitch classifier."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,7 +9,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig
 from .encoders import bin_center_hz
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .features import N_PITCH_BINS
 from .layers import ConvPredictorStack, Ctx, FFTBlock, Linear, per_row, positional_encoding
 from .optim import ParamStore
@@ -19,38 +17,19 @@ from .rng import NamedRng
 from .vq import QuantizedContent
 
 
-@dataclass
-class FusedSequence:
-    """Content + speaker + prosody, combined per the configured mode."""
-
-    rows: Tensor            # (T, d)
-    mode: str               # "additive" or "saln"
-    style: Tensor | None    # speaker vector(s), consumed by styled norms in saln mode
-
-
-def fuse(q: QuantizedContent, speaker: Tensor, prosody: Tensor,
-         mode: str = "additive", offsets: np.ndarray | None = None) -> FusedSequence:
-    """`speaker` is (d,) for an unbatched sequence, or (B, d) with one row
-    per segment of `offsets`."""
-    if q.vectors.data.shape[0] != prosody.data.shape[0]:
-        raise ShapeError(
-            f"content and prosody lengths differ: "
-            f"{q.vectors.data.shape[0]} vs {prosody.data.shape[0]}")
-    if mode == "additive":
-        rows = ad.add(ad.add(q.vectors, per_row(speaker, offsets)), prosody)
-        return FusedSequence(rows=rows, mode=mode, style=None)
-    if mode == "saln":
-        rows = ad.add(q.vectors, prosody)
-        return FusedSequence(rows=rows, mode=mode, style=speaker)
-    raise ConfigError(f"unknown fusion mode {mode!r}")
-
-
 class Decoder:
-    """Position encoding + FFT blocks + linear projection to mel frames."""
+    """Fusion + position encoding + FFT blocks + linear projection to mel
+    frames.
+
+    Additive fusion adds each segment's speaker row to its content and
+    prosody rows; "saln" fusion adds only the prosody and feeds the speaker
+    to the blocks' styled norms instead.
+    """
 
     def __init__(self, store: ParamStore, rng: NamedRng, cfg: ModelConfig):
         d = cfg.d_model
-        style_dim = d if cfg.fusion == "saln" else None
+        self.styled = cfg.fusion == "saln"
+        style_dim = d if self.styled else None
         self.blocks = [
             FFTBlock(store, rng, f"decoder.block{i}", d, cfg.n_heads,
                      cfg.kernel_size, cfg.dropout, style_dim=style_dim)
@@ -59,11 +38,20 @@ class Decoder:
         self.out = Linear(store, rng, "decoder.out", d, cfg.n_mels)
         self.d_model = d
 
-    def __call__(self, fused: FusedSequence, ctx: Ctx) -> Tensor:
-        h = ad.add(fused.rows, positional_encoding(fused.rows.data.shape[0], self.d_model,
-                                                   ctx.offsets))
+    def __call__(self, q: QuantizedContent, speaker: Tensor, prosody: Tensor,
+                 ctx: Ctx) -> Tensor:
+        """`speaker` holds one row per segment of `ctx`, (B, d) or (1, d)."""
+        n_rows = q.vectors.data.shape[0]
+        if n_rows != prosody.data.shape[0]:
+            raise ShapeError(f"content and prosody lengths differ: "
+                             f"{n_rows} vs {prosody.data.shape[0]}")
+        if self.styled:
+            h = ad.add(q.vectors, prosody)
+        else:
+            h = ad.add(ad.add(q.vectors, per_row(speaker, ctx.offsets)), prosody)
+        h = ad.add(h, positional_encoding(n_rows, self.d_model, ctx.offsets))
         for block in self.blocks:
-            h = block(h, ctx, style=fused.style) if fused.mode == "saln" else block(h, ctx)
+            h = block(h, ctx, style=speaker)
         return self.out(h)
 
 

@@ -50,14 +50,6 @@ class LossReport:
     grad_norm: float = 0.0
     lr: float = 0.0
 
-    @property
-    def l_tts_total(self) -> float:
-        return self.l_tts_rec + self.l_pair
-
-    @property
-    def l_vc_total(self) -> float:
-        return self.l_vc_rec
-
     @classmethod
     def csv_header(cls) -> str:
         return ",".join(f.name for f in fields(cls))
@@ -123,34 +115,25 @@ def _reconstruct(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConf
     return frag, logits
 
 
-def _text_front(batch: list[UtteranceRecord], model: JointModel, step: int,
-                training: bool, caller: str) -> tuple[Tensor, Tensor, Ctx]:
-    """Text encoder, duration predictor and length regulator over the packed
-    phonemes.  Returns (log-durations, frame-level content, phoneme ctx)."""
-    for rec in batch:
-        if not rec.labeled or rec.durations is None:
-            raise DataError(f"{rec.id}: {caller} needs durations (labeled data)")
-        if rec.phonemes.size == 0:
-            raise DataError(f"{rec.id}: empty phoneme sequence")
-        if int(rec.durations.sum()) != rec.n_frames:
-            raise PairingError(f"{rec.id}: durations sum to {int(rec.durations.sum())} "
-                               f"but mel has {rec.n_frames} frames")
-    ctx = _ctx(batch, [rec.durations.size for rec in batch], model, step, training)
-    _, log_dur, expanded = model.text_content(
-        np.concatenate([rec.phonemes for rec in batch]),
-        np.concatenate([rec.durations for rec in batch]), ctx)
-    return log_dur, expanded, ctx
-
-
 def tts_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
              step: int, training: bool = True) -> Fragment:
     """Text pipeline on paired data, teacher-forced durations and pitch bins."""
     if not batch:
         raise DataError("tts_step needs a non-empty paired batch")
-    log_dur, expanded, text_ctx = _text_front(batch, model, step, training, "tts_step")
-    q = model.quantize(expanded, track_usage=training)
-    frag, logits = _reconstruct(batch, model, cfg, _frames_ctx(batch, model, step, training), q)
+    for rec in batch:
+        if not rec.labeled or rec.durations is None:
+            raise DataError(f"{rec.id}: tts_step needs durations (labeled data)")
+        if rec.phonemes.size == 0:
+            raise DataError(f"{rec.id}: empty phoneme sequence")
+        if int(rec.durations.sum()) != rec.n_frames:
+            raise PairingError(f"{rec.id}: durations sum to {int(rec.durations.sum())} "
+                               f"but mel has {rec.n_frames} frames")
+    text_ctx = _ctx(batch, [rec.durations.size for rec in batch], model, step, training)
     durations = np.concatenate([rec.durations for rec in batch])
+    q, _, h = model.tts_content(np.concatenate([rec.phonemes for rec in batch]),
+                                durations, text_ctx)
+    log_dur = model.duration_predictor(h, text_ctx)
+    frag, logits = _reconstruct(batch, model, cfg, _frames_ctx(batch, model, step, training), q)
     frag.duration = ad.mse(log_dur, Tensor(np.log(durations + 1.0)), text_ctx.offsets)
     f0 = np.concatenate([rec.f0 for rec in batch])
     frag.pitch_f0_mse = float(((decode_f0(logits) - f0) ** 2).sum()) / max(f0.size, 1)
@@ -163,24 +146,20 @@ def vc_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
     if not batch:
         raise DataError("vc_step needs a non-empty speech batch")
     ctx = _frames_ctx(batch, model, step, training)
-    q = model.quantize(model.speech_content(_mels(batch), ctx), track_usage=training)
+    q = model.quantize(model.speech_content(_mels(batch), ctx))
     return _reconstruct(batch, model, cfg, ctx, q)[0]
 
 
 def pair_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
-              step: int, training: bool = True,
-              text_quantized: QuantizedContent | None = None) -> Fragment:
+              step: int, text_quantized: QuantizedContent,
+              training: bool = True) -> Fragment:
     """Domain loss between text-derived and speech-derived content of the
-    same utterances.  Reuses the TTS path's packed quantization when
-    supplied; recomputation is value-identical because dropout streams are
-    named."""
+    same utterances.  `text_quantized` is the TTS pipeline's packed content
+    of `batch` (`tts_step(batch, ...).quantized`)."""
     if not batch:
         raise DataError("pair_step needs a non-empty paired batch")
-    if text_quantized is None:
-        expanded = _text_front(batch, model, step, training, "pair_step")[1]
-        text_quantized = model.quantize(expanded, track_usage=False)
     ctx = _frames_ctx(batch, model, step, training)
-    qs = model.quantize(model.speech_content(_mels(batch), ctx), track_usage=training)
+    qs = model.quantize(model.speech_content(_mels(batch), ctx))
     agree = int((text_quantized.codes == qs.codes).sum())
     return Fragment(quantized=qs, n_utts=len(batch),
                     aux=vq_aux_loss(qs, cfg.vq_beta, ctx.offsets) if model.use_vq else None,
@@ -215,7 +194,7 @@ def _pipelines(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
             raise DataError("this mode needs a paired batch")
         tts = tts_step(paired, model, cfg, step, training)
         if cfg.mode in ("full", "novq"):
-            pair = pair_step(paired, model, cfg, step, training, text_quantized=tts.quantized)
+            pair = pair_step(paired, model, cfg, step, tts.quantized, training)
     if cfg.mode in ("full", "vc-only", "novq"):
         if unpaired:
             vc = vc_step(unpaired, model, cfg, step, training)
@@ -339,7 +318,6 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
 
     primary = paired if cfg.mode != "vc-only" else unpaired
     batch_primary = cfg.batch_paired if cfg.mode != "vc-only" else max(cfg.batch_unpaired, 1)
-    steps_per_epoch = max(1, math.ceil(len(primary) / batch_primary))
 
     seed_batch = (unpaired or paired)[:max(cfg.batch_paired + cfg.batch_unpaired, 8)]
     seed_codebook_from_batch(model, seed_batch)

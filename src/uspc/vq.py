@@ -21,11 +21,11 @@ from .rng import NamedRng
 
 
 class Codebook:
-    """V embedding vectors plus usage bookkeeping.
+    """V embedding vectors plus idle bookkeeping.
 
     entries is a learnable tensor (trained only through the auxiliary
-    codebook loss, never through the straight-through path).  usage counts
-    lookups per entry; steps_since_use drives dead-entry re-seeding.
+    codebook loss, never through the straight-through path).
+    steps_since_use drives dead-entry re-seeding.
     """
 
     def __init__(self, store: ParamStore, rng: NamedRng, n_entries: int, dim: int,
@@ -34,7 +34,6 @@ class Codebook:
             raise ConfigError("codebook must have at least one entry")
         self.entries = store.param(
             "codebook.entries", rng.normal("init/codebook", (n_entries, dim), init_std))
-        self.usage = np.zeros(n_entries, dtype=np.int64)
         self.steps_since_use = np.zeros(n_entries, dtype=np.int64)
 
     @property
@@ -102,7 +101,7 @@ class QuantizedContent:
                                 book=self.book)
 
 
-def vq_lookup(content: Tensor, book: Codebook, track_usage: bool = False) -> QuantizedContent:
+def vq_lookup(content: Tensor, book: Codebook) -> QuantizedContent:
     """Snap each row to its nearest codebook entry.
 
     Forward values are bitwise copies of the chosen entries; the backward
@@ -115,8 +114,6 @@ def vq_lookup(content: Tensor, book: Codebook, track_usage: bool = False) -> Qua
         raise ConfigError(
             f"content dim {content.data.shape[1]} != codebook dim {book.dim}")
     codes = book.nearest(content.data)
-    if track_usage:
-        np.add.at(book.usage, codes, 1)
     vectors = ad.straight_through(content, book.entries.data[codes])
     return QuantizedContent(codes=codes, vectors=vectors, continuous=content, book=book)
 

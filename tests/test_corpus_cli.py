@@ -14,7 +14,9 @@ from uspc.config import TrainConfig
 from uspc.corpus import (CorpusSpec, UtteranceRecord, gen_corpus, load_corpus,
                          read_matrix, render_frames, write_corpus, write_matrix)
 from uspc.errors import ConfigError, DataError, FormatError, IntegrityError
+from uspc.layers import Ctx
 from uspc.model import JointModel
+from uspc.optim import AdamState
 from uspc.training import train, vc_step
 
 from conftest import read_pcm16, small_model_config, small_train_config
@@ -216,6 +218,49 @@ def test_checkpoint_missing_codebook_listed(trained, tmp_path):
         restore_model(ckpt)
 
 
+def test_checkpoint_missing_moment_listed(trained):
+    path, _, _ = trained
+    ckpt = load_checkpoint(path)
+    del ckpt.tensors["optim.m.decoder.out.w"]
+    with pytest.raises(FormatError, match="optim.m.decoder.out.w"):
+        restore_model(ckpt)
+
+
+def test_checkpoint_lists_every_missing_tensor(trained):
+    path, _, _ = trained
+    ckpt = load_checkpoint(path)
+    gone = ["codebook.steps_since_use", "optim.t", "optim.v.text_encoder.embed.table"]
+    for name in gone:
+        del ckpt.tensors[name]
+    with pytest.raises(FormatError) as err:
+        restore_model(ckpt)
+    assert all(name in str(err.value) for name in gone)
+
+
+def test_checkpoint_wrong_shape_named(trained):
+    path, _, _ = trained
+    for name in ("codebook.steps_since_use", "optim.v.decoder.out.w"):
+        ckpt = load_checkpoint(path)
+        ckpt.tensors[name] = np.zeros(3)
+        with pytest.raises(FormatError, match=f"{name} has shape"):
+            restore_model(ckpt)
+
+
+def test_older_checkpoint_with_usage_counter_restores_the_same(trained):
+    path, _, _ = trained
+    model, opt, _ = restore_model(load_checkpoint(path))
+    old = load_checkpoint(path)
+    old.tensors["codebook.usage"] = np.arange(model.codebook.n_entries, dtype=np.float64)
+    old_model, old_opt, _ = restore_model(old)
+    for name, param in model.store.items():
+        assert old_model.store[name].data.tobytes() == param.data.tobytes(), name
+        assert old_opt.m[name].tobytes() == opt.m[name].tobytes(), name
+        assert old_opt.v[name].tobytes() == opt.v[name].tobytes(), name
+    assert (old_opt.t, old_opt.lr) == (opt.t, opt.lr) and opt.t > 0
+    np.testing.assert_array_equal(old_model.codebook.steps_since_use,
+                                  model.codebook.steps_since_use)
+
+
 def test_checkpoint_with_removed_pitch_bins_key_is_config_error(trained, tiny_corpus,
                                                                 tmp_path, capsys):
     path, _, _ = trained
@@ -252,7 +297,7 @@ def test_checkpoint_failed_write_keeps_previous_bytes(trained, monkeypatch):
     monkeypatch.setattr(checkpoint_mod, "_write_tensor", fail_after_three)
     model.store["decoder.out.w"].data += 1.0
     with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(path, model, None, cfg, step=5)
+        save_checkpoint(path, model, AdamState.for_params(model.store), cfg, step=5)
     assert path.read_bytes() == before
     assert sorted(p.name for p in path.parent.iterdir()
                   if p.name.startswith(path.name)) == [path.name]
@@ -303,6 +348,24 @@ def test_cli_pipeline_end_to_end(tmp_path, capsys):
                  "--out", str(emb_csv)]) == 0
     first = emb_csv.read_text().splitlines()[0].split(",")
     assert len(first) == 2 + 32  # id, speaker, embedding dims
+
+
+def test_dump_embeddings_rows_are_per_record_speaker_rows(trained, tiny_corpus, tmp_path):
+    path, _, _ = trained
+    out = tmp_path / "emb.csv"
+    assert main(["dump-embeddings", "--ckpt", str(path), "--corpus", str(tiny_corpus["dir"]),
+                 "--out", str(out)]) == 0
+    model, _, _ = restore_model(load_checkpoint(path))
+    records = load_corpus(tiny_corpus["dir"], "train")
+    lines = out.read_text().splitlines()
+    assert len(lines) == len(records)
+    for line, rec in zip(lines, records):
+        uid, speaker, *values = line.split(",")
+        assert (uid, speaker) == (rec.id, rec.speaker_id)
+        alone = model.speaker(rec.mel, Ctx.eval()).data
+        assert alone.shape == (1, 32) and np.abs(alone).max() > 0.0
+        np.testing.assert_allclose(np.array(values, dtype=np.float64), alone[0],
+                                   rtol=0, atol=1e-12)
 
 
 def test_cli_synth_tts_with_unseen_reference(tmp_path):

@@ -60,7 +60,7 @@ def _oracle(records, model):
             for utts in by_speaker.values() for i, rec in enumerate(utts)}
 
     per_utt, mel_mse, ph_dists, text_codes, speech_codes = {}, {}, [], [], []
-    embeddings = [(rec.speaker_id, model.speaker(rec.mel, ctx).data.copy())
+    embeddings = [(rec.speaker_id, model.speaker(rec.mel, ctx).data[0])
                   for rec in records]
     for rec in records:
         speech_codes.append(model.quantize(model.speech_content(rec.mel, ctx)).codes)
@@ -74,8 +74,7 @@ def _oracle(records, model):
             rmse, corr = math.nan, math.nan
         per_utt[rec.id] = metrics.TtsMetrics(rmse, mcd(rec.mel, mel), vuv_error(rec.f0, f0),
                                              corr)
-        _, _, expanded = model.text_content(rec.phonemes, rec.durations, ctx)
-        qp = model.quantize(expanded)
+        qp, _, _ = model.tts_content(rec.phonemes, rec.durations, ctx)
         qs = model.quantize(model.speech_content(rec.mel, ctx))
         text_codes.append(qp.codes)
         ph_dists.append(phoneme_center_distance(qp.vectors.data, qs.vectors.data,
@@ -98,7 +97,7 @@ def _oracle(records, model):
                 ref = by_speaker[target][k % len(by_speaker[target])]
                 source = pool[(si + k * 7) % len(pool)]
                 converted, _ = model.convert_vc(source.mel, source.f0, ref.mel)
-                out.append((target, model.speaker(converted, ctx).data.copy()))
+                out.append((target, model.speaker(converted, ctx).data[0]))
         return acs_ratio(out)
 
     frames = [(rec.speaker_id, int(p), int(c))
@@ -146,9 +145,9 @@ def _packed_codes(model, monkeypatch):
     tts_content, agreement = model.tts_content, metrics.code_agreement_rates
 
     def spy_tts(*args):
-        q, durations = tts_content(*args)
-        seen["text"] = q.codes.copy()
-        return q, durations
+        out = tts_content(*args)
+        seen["text"] = out[0].codes.copy()
+        return out
 
     def spy_agreement(records, codes):
         seen["speech"] = codes.copy()

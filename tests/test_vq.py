@@ -67,17 +67,6 @@ def test_quantization_is_idempotent_on_values():
     np.testing.assert_array_equal(q1.vectors.data, q2.vectors.data)
 
 
-def test_usage_counters_increment_only_when_tracked():
-    book = make_book(rand((8, 4), 5))
-    rows = Tensor(rand((10, 4), 6))
-    vq_lookup(rows, book, track_usage=False)
-    assert book.usage.sum() == 0
-    q = vq_lookup(rows, book, track_usage=True)
-    assert book.usage.sum() == 10
-    counts = np.bincount(q.codes, minlength=8)
-    np.testing.assert_array_equal(book.usage, counts)
-
-
 # ---------------------------------------------------------------- STE
 
 
@@ -110,7 +99,7 @@ def test_ste_never_alters_entries():
     entries = rand((8, 4), 14)
     book = make_book(entries)
     before = book.entries.data.copy()
-    vq_lookup(Tensor(rand((30, 4), 15)), book, track_usage=True)
+    vq_lookup(Tensor(rand((30, 4), 15)), book)
     np.testing.assert_array_equal(book.entries.data, before)
 
 
