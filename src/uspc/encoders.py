@@ -73,7 +73,7 @@ def length_regulate(h: Tensor, durations: np.ndarray) -> Tensor:
         raise DataError("durations must be non-negative")
     if durations.sum() == 0:
         raise DataError("all durations are zero; nothing to expand")
-    return ad.gather_rows(h, expansion_map(durations))
+    return ad.repeat_rows(h, durations)
 
 
 class ContentEncoder:

@@ -58,8 +58,7 @@ class Linear:
         self.b = store.param(f"{name}.b", np.zeros(d_out)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = ad.matmul(x, self.w)
-        return out if self.b is None else ad.add(out, self.b)
+        return ad.linear(x, self.w, self.b)
 
 
 class Conv1d:
@@ -114,7 +113,7 @@ def per_row(v: Tensor, offsets: np.ndarray | None) -> Tensor:
     broadcasts."""
     if offsets is None:
         return v
-    return ad.gather_rows(v, np.repeat(np.arange(len(offsets) - 1), np.diff(offsets)))
+    return ad.repeat_rows(v, np.diff(offsets))
 
 
 class Dropout:
@@ -125,8 +124,10 @@ class Dropout:
     def __call__(self, x: Tensor, ctx: Ctx) -> Tensor:
         if not ctx.training or self.rate == 0.0:
             return x
-        gens = [ctx.rng.generator(f"dropout/{self.name}/{uid}", step=ctx.step)
-                for uid in ctx.uids]
+        # lazy: each segment draws before the next stream is asked for, so a
+        # uid that repeats in the batch gets its stream afresh
+        gens = (ctx.rng.generator(f"dropout/{self.name}/{uid}", step=ctx.step)
+                for uid in ctx.uids)
         return ad.dropout(x, self.rate, gens, training=True, offsets=ctx.offsets)
 
 

@@ -9,6 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import UtteranceRecord
 from .encoders import expansion_map
@@ -93,27 +94,40 @@ def mcd(ref_mel, hyp_mel) -> float:
     return float(per_frame.mean())
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] per row: a (n, 1, d) @ (n, d, 1) matmul makes the BLAS dot
+    call `a[i] @ b[i]` and np.linalg.norm make, so the values are theirs."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def acs_ratio(embeddings: list[tuple[str, np.ndarray]]) -> AcsReport:
     """Mean cosine similarity among same-speaker pairs over cross-speaker pairs."""
     if len(embeddings) < 2:
         raise UndefinedMetricError("need at least two embeddings")
-    speakers = sorted({spk for spk, _ in embeddings})
-    per_spk = {spk: [e for s, e in embeddings if s == spk] for spk in speakers}
-    if len(speakers) < 2 or any(len(v) < 2 for v in per_spk.values()):
+    labels = np.array([spk for spk, _ in embeddings])
+    speakers = sorted(set(labels.tolist()))
+    per_spk = [np.flatnonzero(labels == spk) for spk in speakers]
+    if len(speakers) < 2 or any(len(v) < 2 for v in per_spk):
         raise UndefinedMetricError("need >= 2 speakers with >= 2 embeddings each")
+    emb = np.array([e for _, e in embeddings], dtype=np.float64)
+    norms = np.sqrt(_row_dots(emb, emb))
+    if np.any(norms == 0.0):
+        raise UndefinedMetricError("zero-norm speaker embedding")
 
-    def cos(a, b):
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
-        if na == 0.0 or nb == 0.0:
-            raise UndefinedMetricError("zero-norm speaker embedding")
-        return float(a @ b / (na * nb))
+    def cos(pairs: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+        i = np.concatenate([p[0] for p in pairs])
+        j = np.concatenate([p[1] for p in pairs])
+        return _row_dots(emb[i], emb[j]) / (norms[i] * norms[j])
 
-    same = [cos(a, b) for spk in speakers for a, b in combinations(per_spk[spk], 2)]
-    diff = [cos(a, b)
-            for s1, s2 in combinations(speakers, 2)
-            for a in per_spk[s1] for b in per_spk[s2]]
-    s_acs = float(np.mean(same))
-    d_acs = float(np.mean(diff))
+    # pairs in the order of itertools.combinations: within each speaker,
+    # then across each pair of speakers
+    same = []
+    for ix in per_spk:
+        i, j = np.triu_indices(len(ix), 1)
+        same.append((ix[i], ix[j]))
+    diff = [(np.repeat(a, len(b)), np.tile(b, len(a))) for a, b in combinations(per_spk, 2)]
+    s_acs = float(np.mean(cos(same)))
+    d_acs = float(np.mean(cos(diff)))
     if d_acs == 0.0:
         raise UndefinedMetricError("different-speaker similarity is exactly zero")
     return AcsReport(s_acs=s_acs, d_acs=d_acs, ratio=s_acs / d_acs)
@@ -127,20 +141,16 @@ def phoneme_center_distance(vectors_p: np.ndarray, vectors_s: np.ndarray,
     Frames are grouped per phoneme occurrence via the duration expansion
     map; zero-duration phonemes contribute no frames and are skipped.
     """
-    frame_ph = expansion_map(durations)
-    if vectors_p.shape != vectors_s.shape or vectors_p.shape[0] != frame_ph.size:
+    durations = np.asarray(durations, dtype=np.int64)
+    if vectors_p.shape != vectors_s.shape or vectors_p.shape[0] != durations.sum():
         raise ShapeError("representation sequences must be frame-aligned")
-    dists = []
-    for pos in range(np.asarray(durations).size):
-        mask = frame_ph == pos
-        if not mask.any():
-            continue
-        center_p = vectors_p[mask].mean(axis=0)
-        center_s = vectors_s[mask].mean(axis=0)
-        dists.append(float(np.linalg.norm(center_p - center_s)))
-    if not dists:
+    present = durations > 0
+    if not present.any():
         raise UndefinedMetricError("all phonemes had zero duration")
-    return float(np.mean(dists))
+    counts = durations[present][:, None]
+    diff = (ad.run_sums(vectors_p, durations)[present] / counts
+            - ad.run_sums(vectors_s, durations)[present] / counts)
+    return float(np.mean(np.sqrt(_row_dots(diff, diff))))
 
 
 def _frame_slices(records: list[UtteranceRecord]) -> list[slice]:

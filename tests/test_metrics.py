@@ -191,6 +191,27 @@ def test_acs_matches_bruteforce_oracle():
     assert report.d_acs == pytest.approx(np.mean(diff), abs=1e-12)
 
 
+def test_acs_equals_per_pair_loop_bitwise():
+    # labels interleaved, so the pairs must be regrouped by speaker in the
+    # order of itertools.combinations for the means to sum alike
+    from itertools import combinations
+    rng = np.random.default_rng(18)
+    labels = ["b", "a", "c", "a", "b", "c", "a", "c", "b", "a"]
+    embs = [(spk, rng.standard_normal(16)) for spk in labels]
+    speakers = sorted(set(labels))
+    per_spk = {spk: [e for s, e in embs if s == spk] for spk in speakers}
+
+    def cos(x, y):
+        return float(x @ y / (np.linalg.norm(x) * np.linalg.norm(y)))
+
+    same = [cos(x, y) for spk in speakers for x, y in combinations(per_spk[spk], 2)]
+    diff = [cos(x, y) for s1, s2 in combinations(speakers, 2)
+            for x in per_spk[s1] for y in per_spk[s2]]
+    report = acs_ratio(embs)
+    assert report.s_acs == float(np.mean(same))
+    assert report.d_acs == float(np.mean(diff))
+
+
 def test_acs_scale_invariance():
     rng = np.random.default_rng(9)
     embs = [(s, rng.standard_normal(5)) for s in ("a", "a", "b", "b")]
@@ -243,6 +264,25 @@ def test_phoneme_center_distance_frame_order_invariant_within_phoneme():
     base = phoneme_center_distance(vp, vs, d)
     perm = np.array([2, 0, 1, 4, 3])  # permutes within each phoneme span
     assert phoneme_center_distance(vp[perm], vs[perm], d) == pytest.approx(base)
+
+
+def masked_mean_distance(vp, vs, d):
+    """The per-phoneme loop: masked means, then np.linalg.norm per phoneme."""
+    frame_ph = np.repeat(np.arange(d.size), d)
+    dists = [float(np.linalg.norm(vp[frame_ph == i].mean(axis=0) - vs[frame_ph == i].mean(axis=0)))
+             for i in range(d.size) if (frame_ph == i).any()]
+    return float(np.mean(dists))
+
+
+def test_phoneme_center_distance_equals_masked_mean_loop_bitwise():
+    # runs longer than 8 frames, zero durations and 1-frame phonemes; one
+    # phoneme at a time too, where the mean is the distance itself
+    rng = np.random.default_rng(16)
+    cases = [rng.integers(0, 20, size=40)] + [rng.integers(1, 20, size=1) for _ in range(30)]
+    for i, d in enumerate(cases):
+        vp = rand((int(d.sum()), 256), 2 * i) * 5.0
+        vs = rand((int(d.sum()), 256), 2 * i + 1) - 2.0
+        assert phoneme_center_distance(vp, vs, d) == masked_mean_distance(vp, vs, d)
 
 
 @given(st.integers(0, 300))
