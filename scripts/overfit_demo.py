@@ -48,7 +48,7 @@ def measure(model, records, cfg):
     correct = total = 0
     for rec in records:
         q, _, _ = model.tts_content(rec.phonemes, rec.durations, ctx)
-        logits = model.pitch_predictor(q, model.speaker(rec.mel, ctx), ctx)
+        logits = model.pitch_predictor(q, model.speaker_encoder(rec.mel, ctx), ctx)
         bins = quantize_f0_array(rec.f0)
         correct += int((np.argmax(logits.data, axis=1) == bins).sum())
         total += bins.size

@@ -501,29 +501,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     return _make_node(data, (x, gain, bias), backward_fn)
 
 
-def normalize_rows(x: Tensor, eps: float = 1e-6) -> Tensor:
-    """layer_norm without learned affine (used under style-conditioned norms)."""
-    xhat, inv = _row_stats(x.data, eps)
-    xhat *= inv
-
-    def backward_fn(g: Array) -> None:
-        _own(x, _row_norm_grad(g, xhat, inv))
-
-    return _make_node(xhat, (x,), backward_fn)
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
-
-    def backward_fn(g: Array) -> None:
-        inner = (g * p).sum(axis=-1, keepdims=True)
-        _own(x, p * (g - inner))
-
-    return _make_node(p, (x,), backward_fn)
-
-
 def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                    offsets: np.ndarray | None = None) -> Tensor:
     """Scaled dot-product attention over already-projected q/k/v (T, d).

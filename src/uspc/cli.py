@@ -194,7 +194,7 @@ def _cmd_dump_embeddings(args) -> int:
     model, _, _ = restore_model(load_checkpoint(args.ckpt))
     records = load_corpus(args.corpus, args.split)
     ctx = Ctx(offsets=segment_offsets([rec.n_frames for rec in records]))
-    embeddings = model.speaker(np.concatenate([rec.mel for rec in records]), ctx).data
+    embeddings = model.speaker_encoder(np.concatenate([rec.mel for rec in records]), ctx).data
     lines = []
     for rec, emb in zip(records, embeddings):
         values = ",".join(repr(float(v)) for v in emb)

@@ -23,13 +23,18 @@ class ModelConfig:
     dropout: float = 0.5
     n_mels: int = N_MELS
     codebook_size: int = 256
-    fusion: str = "additive"  # "additive" or "saln"
 
     def validate(self) -> None:
+        for key in ("p_vocab", "d_model", "n_heads"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"model.{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("text_blocks", "content_blocks", "decoder_blocks"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"model.{key} must be >= 0, got {getattr(self, key)}")
+        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
+            raise ConfigError(f"model.kernel_size must be odd and >= 1, got {self.kernel_size}")
         if self.d_model % self.n_heads:
             raise ConfigError(f"d_model {self.d_model} not divisible by heads {self.n_heads}")
-        if self.fusion not in ("additive", "saln"):
-            raise ConfigError(f"unknown fusion mode {self.fusion!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.codebook_size < 1:
@@ -57,7 +62,6 @@ class TrainConfig:
     dead_code_steps: int = 500
     plateau_epochs: int = 5
     plateau_delta: float = 1e-4
-    checkpoint_every_epochs: int = 1
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def validate(self) -> None:

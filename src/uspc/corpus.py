@@ -179,6 +179,8 @@ def gen_corpus(out_dir, seed: int, spec: CorpusSpec | None = None
     are always labeled (they exist for zero-shot evaluation).
     """
     spec = spec or CorpusSpec()
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if spec.n_speakers < 2 or spec.utts_per_speaker < 2:
         raise ConfigError("need at least 2 speakers with 2 utterances each")
     if not 0.0 <= spec.labeled_fraction <= 1.0:

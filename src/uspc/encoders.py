@@ -161,7 +161,7 @@ class ProsodyEncoder:
         self.embed = Embedding(store, rng, "prosody_encoder.embed",
                                N_PITCH_BINS, cfg.d_model)
 
-    def __call__(self, f0_hz: np.ndarray, ctx: Ctx) -> Tensor:
+    def __call__(self, f0_hz: np.ndarray) -> Tensor:
         return self.from_bins(quantize_f0_array(f0_hz))
 
     def from_bins(self, bins: np.ndarray) -> Tensor:

@@ -85,28 +85,6 @@ class LayerNorm:
         return ad.layer_norm(x, self.gain, self.bias, self.eps)
 
 
-class StyleLayerNorm:
-    """Layer norm whose gain/bias come from a style row per segment, (B, d)
-    or (1, d).
-
-    The projections start at zero so an untrained style path reduces to a
-    plain normalization (gain 1, bias 0).
-    """
-
-    def __init__(self, store: ParamStore, rng: NamedRng, name: str,
-                 dim: int, style_dim: int, eps: float = 1e-6):
-        self.w_gain = store.param(f"{name}.w_gain", np.zeros((style_dim, dim)))
-        self.w_bias = store.param(f"{name}.w_bias", np.zeros((style_dim, dim)))
-        self.eps = eps
-
-    def __call__(self, x: Tensor, style: Tensor, ctx: Ctx) -> Tensor:
-        xhat = ad.normalize_rows(x, self.eps)
-        row = ad.matmul(style, self.w_gain)
-        gain = ad.add(row, Tensor(np.ones(self.w_gain.data.shape[1])))
-        bias = ad.matmul(style, self.w_bias)
-        return ad.add(ad.mul(xhat, per_row(gain, ctx.offsets)), per_row(bias, ctx.offsets))
-
-
 def per_row(v: Tensor, offsets: np.ndarray | None) -> Tensor:
     """Per-segment rows (B, d) repeated onto their segments' rows.  The one
     row of an unbatched sequence (offsets None) is returned as is and
@@ -186,31 +164,26 @@ class MultiHeadAttention:
 
 
 class FFTBlock:
-    """Self-attention + two temporal convolutions, each with residual + norm."""
+    """Self-attention + two temporal convolutions, each with residual + layer
+    norm.  A block takes no speaker input; the decoder adds the speaker rows
+    before its first block."""
 
     def __init__(self, store: ParamStore, rng: NamedRng, name: str, dim: int,
-                 n_heads: int, kernel_size: int, dropout_rate: float,
-                 style_dim: int | None = None):
+                 n_heads: int, kernel_size: int, dropout_rate: float):
         self.attn = MultiHeadAttention(store, rng, f"{name}.attn", dim, n_heads)
         self.conv1 = Conv1d(store, rng, f"{name}.conv1", dim, dim, kernel_size)
         self.conv2 = Conv1d(store, rng, f"{name}.conv2", dim, dim, kernel_size)
-        self.styled = style_dim is not None
-        if self.styled:
-            self.norm1 = StyleLayerNorm(store, rng, f"{name}.norm1", dim, style_dim)
-            self.norm2 = StyleLayerNorm(store, rng, f"{name}.norm2", dim, style_dim)
-        else:
-            self.norm1 = LayerNorm(store, f"{name}.norm1", dim)
-            self.norm2 = LayerNorm(store, f"{name}.norm2", dim)
+        self.norm1 = LayerNorm(store, f"{name}.norm1", dim)
+        self.norm2 = LayerNorm(store, f"{name}.norm2", dim)
         self.drop1 = Dropout(f"{name}.drop1", dropout_rate)
         self.drop2 = Dropout(f"{name}.drop2", dropout_rate)
 
-    def __call__(self, x: Tensor, ctx: Ctx, style: Tensor | None = None) -> Tensor:
+    def __call__(self, x: Tensor, ctx: Ctx) -> Tensor:
         a = self.drop1(self.attn(x, ctx), ctx)
-        h = ad.add(x, a)
-        h = self.norm1(h, style, ctx) if self.styled else self.norm1(h)
+        h = self.norm1(ad.add(x, a))
         c = self.conv2(ad.relu(self.conv1(h, ctx)), ctx)
         h2 = ad.add(h, self.drop2(c, ctx))
-        return self.norm2(h2, style, ctx) if self.styled else self.norm2(h2)
+        return self.norm2(h2)
 
 
 class ConvPredictorStack:

@@ -219,7 +219,7 @@ def vc_acs_ratio(records: list[UtteranceRecord], model: JointModel, speakers: np
     q = speech.take(_packed_rows(records, sources))
     f0 = np.concatenate([records[i].f0 for i in sources])
     converted = model.decode_vc(q, Tensor(speakers[refs]), f0, ctx)
-    return acs_ratio(list(zip(labels, model.speaker(converted, ctx).data)))
+    return acs_ratio(list(zip(labels, model.speaker_encoder(converted, ctx).data)))
 
 
 def code_agreement_rates(records: list[UtteranceRecord], codes: np.ndarray
@@ -313,8 +313,8 @@ def evaluate(records: list[UtteranceRecord], model: JointModel) -> EvalResult:
     if records:
         ctx = _frames_ctx(records)
         mels = np.concatenate([rec.mel for rec in records])
-        speakers = model.speaker(mels, ctx).data
-        speech = model.quantize(model.speech_content(mels, ctx))
+        speakers = model.speaker_encoder(mels, ctx).data
+        speech = model.quantize(model.content_encoder(mels, ctx))
         try:
             acs = acs_ratio(list(zip([rec.speaker_id for rec in records], speakers)))
         except UndefinedMetricError:

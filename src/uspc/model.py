@@ -46,13 +46,6 @@ class JointModel:
             return vq_lookup(content, self.codebook)
         return identity_quantize(content, self.codebook)
 
-    def speaker(self, mel_frames: np.ndarray, ctx: Ctx) -> Tensor:
-        """One embedding row per segment of `ctx`: (B, d), or (1, d)."""
-        return self.speaker_encoder(mel_frames, ctx)
-
-    def speech_content(self, mel_frames: np.ndarray, ctx: Ctx) -> Tensor:
-        return self.content_encoder(mel_frames, ctx)
-
     def synthesize(self, q: QuantizedContent, speaker: Tensor, prosody: Tensor,
                    ctx: Ctx) -> Tensor:
         return self.decoder(q, speaker, prosody, ctx)
@@ -89,7 +82,7 @@ class JointModel:
     def decode_vc(self, q: QuantizedContent, speaker: Tensor, f0_hz: np.ndarray,
                   ctx: Ctx) -> np.ndarray:
         """The mel decoded with the given pitch; `ctx` frames `q`."""
-        return self.synthesize(q, speaker, self.prosody_encoder(f0_hz, ctx), ctx).data
+        return self.synthesize(q, speaker, self.prosody_encoder(f0_hz), ctx).data
 
     def synth_tts(self, phoneme_ids: np.ndarray, ref_mel: np.ndarray,
                   durations: np.ndarray | None = None):
@@ -101,7 +94,7 @@ class JointModel:
         """
         ctx = Ctx.eval()
         q, durations, _ = self.tts_content(phoneme_ids, durations, ctx)
-        mel, f0 = self.decode_tts(q, self.speaker(ref_mel, ctx), ctx)
+        mel, f0 = self.decode_tts(q, self.speaker_encoder(ref_mel, ctx), ctx)
         return mel, f0, durations
 
     def convert_vc(self, source_mel: np.ndarray, source_f0: np.ndarray,
@@ -109,7 +102,7 @@ class JointModel:
         """Zero-shot VC: content and prosody from the source utterance,
         speaker identity from the reference.  Returns (mel, f0_used)."""
         ctx = Ctx.eval()
-        q = self.quantize(self.speech_content(source_mel, ctx))
-        mel = self.decode_vc(q, self.speaker(ref_mel, ctx), source_f0, ctx)
+        q = self.quantize(self.content_encoder(source_mel, ctx))
+        mel = self.decode_vc(q, self.speaker_encoder(ref_mel, ctx), source_f0, ctx)
         return mel, np.asarray(source_f0, dtype=np.float64)
 

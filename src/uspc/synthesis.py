@@ -19,20 +19,14 @@ from .vq import QuantizedContent
 
 class Decoder:
     """Fusion + position encoding + FFT blocks + linear projection to mel
-    frames.
-
-    Additive fusion adds each segment's speaker row to its content and
-    prosody rows; "saln" fusion adds only the prosody and feeds the speaker
-    to the blocks' styled norms instead.
-    """
+    frames.  Fusion is additive: each segment's speaker row is added to its
+    content and prosody rows."""
 
     def __init__(self, store: ParamStore, rng: NamedRng, cfg: ModelConfig):
         d = cfg.d_model
-        self.styled = cfg.fusion == "saln"
-        style_dim = d if self.styled else None
         self.blocks = [
             FFTBlock(store, rng, f"decoder.block{i}", d, cfg.n_heads,
-                     cfg.kernel_size, cfg.dropout, style_dim=style_dim)
+                     cfg.kernel_size, cfg.dropout)
             for i in range(cfg.decoder_blocks)
         ]
         self.out = Linear(store, rng, "decoder.out", d, cfg.n_mels)
@@ -45,13 +39,10 @@ class Decoder:
         if n_rows != prosody.data.shape[0]:
             raise ShapeError(f"content and prosody lengths differ: "
                              f"{n_rows} vs {prosody.data.shape[0]}")
-        if self.styled:
-            h = ad.add(q.vectors, prosody)
-        else:
-            h = ad.add(ad.add(q.vectors, per_row(speaker, ctx.offsets)), prosody)
+        h = ad.add(ad.add(q.vectors, per_row(speaker, ctx.offsets)), prosody)
         h = ad.add(h, positional_encoding(n_rows, self.d_model, ctx.offsets))
         for block in self.blocks:
-            h = block(h, ctx, style=speaker)
+            h = block(h, ctx)
         return self.out(h)
 
 

@@ -104,7 +104,7 @@ def _reconstruct(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConf
     `ctx`.  Also returns the pitch logits."""
     mel = _mels(batch)
     bins = quantize_f0_array(np.concatenate([rec.f0 for rec in batch]))
-    s = model.speaker(mel, ctx)
+    s = model.speaker_encoder(mel, ctx)
     p = model.prosody_encoder.from_bins(bins)
     mel_pred = model.synthesize(q, s, p, ctx)
     logits = model.pitch_predictor(q, s, ctx)
@@ -146,7 +146,7 @@ def vc_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
     if not batch:
         raise DataError("vc_step needs a non-empty speech batch")
     ctx = _frames_ctx(batch, model, step, training)
-    q = model.quantize(model.speech_content(_mels(batch), ctx))
+    q = model.quantize(model.content_encoder(_mels(batch), ctx))
     return _reconstruct(batch, model, cfg, ctx, q)[0]
 
 
@@ -159,7 +159,7 @@ def pair_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
     if not batch:
         raise DataError("pair_step needs a non-empty paired batch")
     ctx = _frames_ctx(batch, model, step, training)
-    qs = model.quantize(model.speech_content(_mels(batch), ctx))
+    qs = model.quantize(model.content_encoder(_mels(batch), ctx))
     agree = int((text_quantized.codes == qs.codes).sum())
     return Fragment(quantized=qs, n_utts=len(batch),
                     aux=vq_aux_loss(qs, cfg.vq_beta, ctx.offsets) if model.use_vq else None,
@@ -176,7 +176,7 @@ def seed_codebook_from_batch(model: JointModel, batch: list[UtteranceRecord],
     """
     if not model.use_vq or not batch:
         return
-    c = model.speech_content(_mels(batch), _frames_ctx(batch, model, 0, training=False))
+    c = model.content_encoder(_mels(batch), _frames_ctx(batch, model, 0, training=False))
     model.codebook.seed_from_rows(c.data, model.rng, step)
 
 
@@ -374,7 +374,7 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
 
             epoch += 1
             opt.lr *= cfg.lr_decay_per_epoch
-            if checkpoint_path is not None and epoch % cfg.checkpoint_every_epochs == 0:
+            if checkpoint_path is not None:
                 checkpoint.save_checkpoint(checkpoint_path, model, opt, cfg, step)
                 last_checkpoint = checkpoint_path
 

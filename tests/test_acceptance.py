@@ -67,7 +67,8 @@ def random_case(rng, case_index):
         return x, lambda t: ad.mean_all(ad.mul(ad.gather_rows(t, idx),
                                                ad.gather_rows(t, idx)))
     v = Tensor(rng.standard_normal(cols))
-    return x, lambda t: ad.sum_all(ad.mul(ad.softmax_rows(t), v))
+    w = Tensor(np.outer(v.data, v.data))
+    return x, lambda t: ad.mean_all(ad.mul(ad.linear(t, w, v), ad.linear(t, w, v)))
 
 
 def random_segmented_case(rng, case_index):

@@ -75,6 +75,8 @@ def test_gen_corpus_validates_args(tmp_path):
         gen_corpus(tmp_path / "x", seed=0, spec=CorpusSpec(n_speakers=1))
     with pytest.raises(ConfigError):
         gen_corpus(tmp_path / "y", seed=0, spec=CorpusSpec(labeled_fraction=1.5))
+    with pytest.raises(ConfigError, match="seed"):
+        gen_corpus(tmp_path / "z", seed=-1)
 
 
 # ---------------------------------------------------------------- corpus io
@@ -266,15 +268,18 @@ def test_checkpoint_with_removed_pitch_bins_key_is_config_error(trained, tiny_co
     path, _, _ = trained
     raw = path.read_bytes()
     (n,) = struct.unpack("<I", raw[8:12])
-    text = raw[12:12 + n].replace(b"model.n_mels = 80\n",
-                                  b"model.n_mels = 80\nmodel.n_pitch_bins = 32\n")
-    old = tmp_path / "old.uspc"
-    old.write_bytes(raw[:8] + struct.pack("<I", len(text)) + text + raw[12 + n:])
-    with pytest.raises(ConfigError, match="n_pitch_bins"):
-        restore_model(load_checkpoint(old))
-    assert main(["eval", "--ckpt", str(old), "--corpus", str(tiny_corpus["dir"]),
-                 "--out", str(tmp_path / "e.csv")]) == 1
-    assert "error:" in capsys.readouterr().err
+    # keys older checkpoints carry; each is refused, none silently ignored
+    for key, line in [("n_pitch_bins", b"model.n_pitch_bins = 32\n"),
+                      ("fusion", b"model.fusion = additive\n"),
+                      ("checkpoint_every_epochs", b"checkpoint_every_epochs = 1\n")]:
+        text = raw[12:12 + n].replace(b"model.n_mels = 80\n", b"model.n_mels = 80\n" + line)
+        old = tmp_path / "old.uspc"
+        old.write_bytes(raw[:8] + struct.pack("<I", len(text)) + text + raw[12 + n:])
+        with pytest.raises(ConfigError, match=key):
+            restore_model(load_checkpoint(old))
+        assert main(["eval", "--ckpt", str(old), "--corpus", str(tiny_corpus["dir"]),
+                     "--out", str(tmp_path / "e.csv")]) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 def test_checkpoint_starts_with_magic(trained):
@@ -362,7 +367,7 @@ def test_dump_embeddings_rows_are_per_record_speaker_rows(trained, tiny_corpus, 
     for line, rec in zip(lines, records):
         uid, speaker, *values = line.split(",")
         assert (uid, speaker) == (rec.id, rec.speaker_id)
-        alone = model.speaker(rec.mel, Ctx.eval()).data
+        alone = model.speaker_encoder(rec.mel, Ctx.eval()).data
         assert alone.shape == (1, 32) and np.abs(alone).max() > 0.0
         np.testing.assert_allclose(np.array(values, dtype=np.float64), alone[0],
                                    rtol=0, atol=1e-12)
@@ -473,10 +478,21 @@ def test_cli_unknown_flag_exits_2():
 
 def test_cli_bad_config_value_exits_1(tmp_path, capsys):
     cfg_path = tmp_path / "t.cfg"
-    cfg_path.write_text("max_steps = ten\n")
-    assert main(["train", "--corpus", str(tmp_path), "--config", str(cfg_path),
-                 "--out", str(tmp_path / "m.uspc")]) == 1
-    assert "line 1" in capsys.readouterr().err
+    # each line fails as a ConfigError naming its key, before any division
+    for line, want in [("max_steps = ten", "line 1: max_steps"),
+                       ("model.n_heads = 0", "model.n_heads"),
+                       ("model.d_model = 0", "model.d_model"),
+                       ("model.p_vocab = 0", "model.p_vocab"),
+                       ("model.kernel_size = -1", "model.kernel_size"),
+                       ("model.kernel_size = 2", "model.kernel_size"),
+                       ("model.text_blocks = -1", "model.text_blocks")]:
+        cfg_path.write_text(line + "\n")
+        assert main(["train", "--corpus", str(tmp_path), "--config", str(cfg_path),
+                     "--out", str(tmp_path / "m.uspc")]) == 1, line
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and want in err, (line, err)
+    assert main(["gen-data", "--seed", "-1", "--out", str(tmp_path / "c")]) == 1
+    assert capsys.readouterr().err.startswith("error: seed")
 
 
 def test_cli_runtime_failure_exits_1(tmp_path, capsys):

@@ -116,16 +116,16 @@ def test_corpus_durations_sum_to_frames(tiny_corpus):
 
 def test_content_encoder_shape_and_determinism(small_model):
     mel = rand((40, 80), 4)
-    a = small_model.speech_content(mel, EVAL)
-    b = small_model.speech_content(mel, EVAL)
+    a = small_model.content_encoder(mel, EVAL)
+    b = small_model.content_encoder(mel, EVAL)
     assert a.shape == (40, 32)
     assert np.array_equal(a.data, b.data)
 
 
 def test_content_encoder_attention_is_global(small_model):
     mel = rand((20, 80), 5)
-    full = small_model.speech_content(mel, EVAL)
-    cropped = small_model.speech_content(mel[:10], EVAL)
+    full = small_model.content_encoder(mel, EVAL)
+    cropped = small_model.content_encoder(mel[:10], EVAL)
     assert not np.allclose(full.data[:10], cropped.data)
 
 
@@ -134,16 +134,17 @@ def test_content_encoder_attention_is_global(small_model):
 
 def test_speaker_embedding_shape_any_length(small_model):
     for t in (10, 100):
-        emb = small_model.speaker(rand((t, 80), t), EVAL)
+        emb = small_model.speaker_encoder(rand((t, 80), t), EVAL)
         assert emb.shape == (1, 32)
 
 
 def test_single_utterance_speaker_embedding_is_one_row_of_a_batch(small_model):
     small_model.speaker_encoder.proj.w.data = rand((32, 32), 98)
     mels = [rand((t, 80), 50 + t) for t in (9, 4, 12)]
-    single = [small_model.speaker(mel, EVAL).data for mel in mels]
+    single = [small_model.speaker_encoder(mel, EVAL).data for mel in mels]
     assert all(emb.shape == (1, 32) for emb in single)
-    packed = small_model.speaker(np.concatenate(mels), Ctx(offsets=segment_offsets([9, 4, 12])))
+    packed = small_model.speaker_encoder(np.concatenate(mels),
+                                         Ctx(offsets=segment_offsets([9, 4, 12])))
     assert packed.shape == (3, 32)
     np.testing.assert_allclose(packed.data, np.concatenate(single), rtol=0, atol=1e-12)
 
@@ -208,26 +209,26 @@ def test_quantize_f0_array_mixed_contour():
 
 
 def test_prosody_all_unvoiced_is_row_zero(small_model):
-    out = small_model.prosody_encoder(np.zeros(5), EVAL)
+    out = small_model.prosody_encoder(np.zeros(5))
     table = small_model.prosody_encoder.embed.table.data
     for row in out.data:
         np.testing.assert_array_equal(row, table[0])
 
 
 def test_prosody_equal_f0_equal_rows(small_model):
-    out = small_model.prosody_encoder(np.array([120.0, 120.0]), EVAL)
+    out = small_model.prosody_encoder(np.array([120.0, 120.0]))
     np.testing.assert_array_equal(out.data[0], out.data[1])
 
 
 def test_prosody_three_distinct_bins(small_model):
     f0 = np.array([0.0, 173.0, 600.0])  # bins 0, 15, 31
-    out = small_model.prosody_encoder(f0, EVAL)
+    out = small_model.prosody_encoder(f0)
     assert len({row.tobytes() for row in out.data}) == 3
 
 
 def test_prosody_rows_are_exact_table_rows(small_model):
     f0 = np.array([0.0, 90.0, 200.0, 600.0, 90.0])
-    out = small_model.prosody_encoder(f0, EVAL)
+    out = small_model.prosody_encoder(f0)
     table = small_model.prosody_encoder.embed.table.data
     bins = quantize_f0_array(f0)
     for row, b in zip(out.data, bins):

@@ -60,10 +60,10 @@ def _oracle(records, model):
             for utts in by_speaker.values() for i, rec in enumerate(utts)}
 
     per_utt, mel_mse, ph_dists, text_codes, speech_codes = {}, {}, [], [], []
-    embeddings = [(rec.speaker_id, model.speaker(rec.mel, ctx).data[0])
+    embeddings = [(rec.speaker_id, model.speaker_encoder(rec.mel, ctx).data[0])
                   for rec in records]
     for rec in records:
-        speech_codes.append(model.quantize(model.speech_content(rec.mel, ctx)).codes)
+        speech_codes.append(model.quantize(model.content_encoder(rec.mel, ctx)).codes)
         if not rec.labeled:
             continue
         mel, f0, _ = model.synth_tts(rec.phonemes, refs[rec.id].mel, durations=rec.durations)
@@ -75,7 +75,7 @@ def _oracle(records, model):
         per_utt[rec.id] = metrics.TtsMetrics(rmse, mcd(rec.mel, mel), vuv_error(rec.f0, f0),
                                              corr)
         qp, _, _ = model.tts_content(rec.phonemes, rec.durations, ctx)
-        qs = model.quantize(model.speech_content(rec.mel, ctx))
+        qs = model.quantize(model.content_encoder(rec.mel, ctx))
         text_codes.append(qp.codes)
         ph_dists.append(phoneme_center_distance(qp.vectors.data, qs.vectors.data,
                                                 rec.durations))
@@ -97,7 +97,7 @@ def _oracle(records, model):
                 ref = by_speaker[target][k % len(by_speaker[target])]
                 source = pool[(si + k * 7) % len(pool)]
                 converted, _ = model.convert_vc(source.mel, source.f0, ref.mel)
-                out.append((target, model.speaker(converted, ctx).data[0]))
+                out.append((target, model.speaker_encoder(converted, ctx).data[0]))
         return acs_ratio(out)
 
     frames = [(rec.speaker_id, int(p), int(c))
@@ -167,11 +167,10 @@ def _subsets(records):
             "no-labeled": unlabeled, "empty": []}
 
 
-@pytest.mark.parametrize("variant", ["additive-vq", "saln-novq"])
+@pytest.mark.parametrize("variant", ["additive-vq", "additive-novq"])
 @pytest.mark.parametrize("subset", ["mixed", "one-speaker", "no-labeled", "empty"])
 def test_packed_evaluate_matches_per_utterance_oracle(split, subset, variant, monkeypatch):
-    model = (perturbed_model() if variant == "additive-vq"
-             else perturbed_model(use_vq=False, fusion="saln"))
+    model = perturbed_model(use_vq=variant == "additive-vq")
     records = _subsets(split)[subset]
     expected, text_codes, speech_codes = _oracle(records, model)
     seen = _packed_codes(model, monkeypatch)

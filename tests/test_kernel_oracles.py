@@ -238,16 +238,6 @@ def test_layer_norm_matches_mean_reference(seed, x_grad):
     assert same_bytes(x.grad, dx) if x_grad else x.grad is None
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_normalize_rows_matches_mean_reference(seed):
-    x = Tensor(rand((5, 12), seed) - 2.0, requires_grad=True)
-    g = rand((5, 12), seed + 1)
-    out = ad.normalize_rows(x, 1e-6)
-    grads_through(out, g)
-    want, dx = ref_normalize(x.data, 1e-6, g)
-    assert same_bytes(out.data, want) and same_bytes(x.grad, dx)
-
-
 # ---------------------------------------------------------------- linear
 
 

@@ -14,17 +14,13 @@ from uspc.model import JointModel
 from uspc.synthesis import BIN_CENTERS_HZ, decode_f0
 from uspc.vq import QuantizedContent
 
-from conftest import rand, small_model_config
+from conftest import rand
 
 EVAL = Ctx.eval()
 
 
 def quantized(model, t, seed):
     return model.quantize(Tensor(rand((t, model.cfg.d_model), seed)))
-
-
-def q_from_content(model, mel, ctx=EVAL):
-    return model.quantize(model.speech_content(mel, ctx))
 
 
 def decode_rows(model, rows, ctx=EVAL):
@@ -64,12 +60,10 @@ def test_fuse_additive_linearity(small_model):
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
-def test_fuse_length_mismatch():
-    for fusion in ("additive", "saln"):
-        model = JointModel(small_model_config(fusion=fusion), seed=0)
-        q = quantized(model, 6, 4)
-        with pytest.raises(ShapeError, match="content and prosody lengths differ"):
-            model.synthesize(q, Tensor(np.zeros((1, 32))), Tensor(np.zeros((5, 32))), EVAL)
+def test_fuse_length_mismatch(small_model):
+    q = quantized(small_model, 6, 4)
+    with pytest.raises(ShapeError, match="content and prosody lengths differ"):
+        small_model.synthesize(q, Tensor(np.zeros((1, 32))), Tensor(np.zeros((5, 32))), EVAL)
 
 
 def test_fuse_commutes_with_joint_frame_permutation(small_model):
@@ -81,40 +75,6 @@ def test_fuse_commutes_with_joint_frame_permutation(small_model):
     q_perm = small_model.quantize(Tensor(q.continuous.data[perm]))
     out_perm = small_model.synthesize(q_perm, Tensor(s), Tensor(p[perm]), EVAL).data
     np.testing.assert_array_equal(out_perm, decode_rows(small_model, rows[perm]))
-
-
-def test_saln_zero_style_equals_unstyled_norm():
-    cfg = small_model_config(fusion="saln")
-    model = JointModel(cfg, seed=3)
-    # give the style projections real weight, then feed a zero style vector:
-    # gain collapses to 1 and bias to 0, i.e. the unconditioned decoder
-    for block in model.decoder.blocks:
-        for norm in (block.norm1, block.norm2):
-            norm.w_gain.data = rand(norm.w_gain.data.shape, 9) * 0.3
-            norm.w_bias.data = rand(norm.w_bias.data.shape, 10) * 0.3
-    q = q_from_content(model, rand((7, 80), 11))
-    p = Tensor(rand((7, 32), 12))
-    out_zero_style = model.synthesize(q, Tensor(np.zeros((1, 32))), p, EVAL)
-
-    for block in model.decoder.blocks:
-        for norm in (block.norm1, block.norm2):
-            norm.w_gain.data = np.zeros_like(norm.w_gain.data)
-            norm.w_bias.data = np.zeros_like(norm.w_bias.data)
-    out_unconditioned = model.synthesize(q, Tensor(rand((1, 32), 13)), p, EVAL)
-    np.testing.assert_allclose(out_zero_style.data, out_unconditioned.data, atol=1e-12)
-
-
-def test_saln_style_changes_output():
-    cfg = small_model_config(fusion="saln")
-    model = JointModel(cfg, seed=4)
-    for block in model.decoder.blocks:
-        for norm in (block.norm1, block.norm2):
-            norm.w_gain.data = rand(norm.w_gain.data.shape, 14) * 0.3
-    q = q_from_content(model, rand((7, 80), 15))
-    p = Tensor(rand((7, 32), 16))
-    a = model.synthesize(q, Tensor(rand((1, 32), 17)), p, EVAL)
-    b = model.synthesize(q, Tensor(rand((1, 32), 18)), p, EVAL)
-    assert not np.allclose(a.data, b.data)
 
 
 # ---------------------------------------------------------------- decoder

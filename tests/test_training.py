@@ -102,16 +102,15 @@ def _segment_rows(a, offsets, b):
     return a[offsets[b]:offsets[b + 1]]
 
 
-@pytest.mark.parametrize("fusion", ["additive", "saln"])
-def test_packed_segments_do_not_see_each_other(tiny_corpus, fusion):
+def test_packed_segments_do_not_see_each_other(tiny_corpus):
     # training mode, dropout on: changing one utterance leaves every other
     # segment's rows bitwise unchanged through both pipelines' modules
-    model = JointModel(small_model_config(fusion=fusion), seed=0)
-    # the speaker projection and style norms start at zero; give them weight
-    # so the per-segment speaker vectors reach the decoder
+    model = JointModel(small_model_config(), seed=0)
+    # the speaker projection starts at zero; give it weight so the
+    # per-segment speaker vectors reach the decoder
     rng = np.random.default_rng(4)
     for name in model.store:
-        if name.startswith("speaker_encoder.proj") or ".w_gain" in name or ".w_bias" in name:
+        if name.startswith("speaker_encoder.proj"):
             model.store[name].data = 0.3 * rng.standard_normal(model.store[name].data.shape)
     batch = tiny_corpus["train"][:3]
     ctx = _packed_ctx(batch, [r.n_frames for r in batch], model)
@@ -121,8 +120,8 @@ def test_packed_segments_do_not_see_each_other(tiny_corpus, fusion):
     def forward(mel, phonemes):
         _, _, h = model.tts_content(phonemes, np.ones(phonemes.size, np.int64), text_ctx)
         log_dur = model.duration_predictor(h, text_ctx)
-        q = model.quantize(model.speech_content(mel, ctx))
-        s = model.speaker(mel, ctx)
+        q = model.quantize(model.content_encoder(mel, ctx))
+        s = model.speaker_encoder(mel, ctx)
         p = model.prosody_encoder.from_bins(bins)
         frames = [q.continuous.data, model.synthesize(q, s, p, ctx).data,
                   model.pitch_predictor(q, s, ctx).data]
@@ -290,7 +289,7 @@ def test_novq_matches_full_when_codebook_holds_batch_rows(tiny_corpus):
     # quantization becomes the identity on this example
     ctx = Ctx.eval()
     q_text, _, _ = full.tts_content(rec.phonemes, rec.durations, ctx)
-    c_s = full.speech_content(rec.mel, ctx)
+    c_s = full.content_encoder(rec.mel, ctx)
     rows = np.concatenate([q_text.continuous.data, c_s.data], axis=0)
     assert rows.shape[0] <= full.codebook.n_entries
     full.codebook.entries.data[:rows.shape[0]] = rows
