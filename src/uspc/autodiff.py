@@ -14,6 +14,13 @@ Design notes:
     receives it: the first one is stored without a copy.  A gradient that
     is (a view of) the upstream gradient is copied first.  Stored
     gradients are never changed in place during backward.
+  * A graph is single-use.  Once a node's backward rule has run, backward
+    drops the node's gradient and swaps its closure for one that raises
+    GraphError, so interior gradients and every array a closure saved
+    (normalized rows, attention probabilities, masks, differences) are
+    freed during the pass.  Each node keeps its `.data` and `_parents`.
+    Leaves have no closure: they keep their gradients, which accumulate
+    over backward calls.
   * Everything is float64.  The model is desk-scale; precision is cheaper
     than debugging 32-bit gradient noise.
   * Hot-path layers (linear, conv1d, layer_norm, attention, cross-entropy)
@@ -641,13 +648,16 @@ def dropout(x: Tensor, rate: float, rngs, training: bool,
     if next(streams, None) is not None:
         raise ConfigError(f"dropout needs one rng stream per segment: "
                           f"more streams than its {len(spans)} segments")
-    # keep * scale: x * (keep * scale) is bitwise (x * keep) * scale
-    np.greater_equal(mask, rate, out=mask)
-    mask *= 1.0 / (1.0 - rate)
-    data = x.data * mask
+    # a 1-byte mask: (x * keep) * scale is bitwise x * (keep * scale)
+    keep = mask >= rate
+    scale = 1.0 / (1.0 - rate)
+    data = x.data * keep
+    data *= scale
 
     def backward_fn(g: Array) -> None:
-        _own(x, g * mask)
+        d = g * keep
+        d *= scale
+        _own(x, d)
 
     return _make_node(data, (x,), backward_fn)
 
@@ -673,11 +683,18 @@ def straight_through(c: Tensor, quantized_values: np.ndarray) -> Tensor:
 # -- graph traversal -----------------------------------------------------------
 
 
+def _consumed(g: Array) -> None:
+    raise GraphError("backward already ran through this node; detach() its output to reuse it")
+
+
 def backward(loss: Tensor) -> None:
     """Reverse-topological gradient accumulation from a scalar loss.
 
-    Grads accumulate; call zero_grad on leaves between backward passes if
-    accumulation is not wanted.
+    The graph is single-use: once a node's rule has run, its gradient and
+    closure (with every array the closure saved) are released, and a second
+    backward through the node raises GraphError.  Leaves keep their
+    gradients, which accumulate; call zero_grad on leaves between backward
+    passes if accumulation is not wanted.
     """
     if loss.data.shape not in ((), (1,)):
         raise GraphError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -698,9 +715,13 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
     loss.accumulate_grad(np.ones_like(loss.data))
     for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
+        if node._backward is None:
+            continue
+        if node.grad is not None:
             node._backward(node.grad if node.grad.shape == node.data.shape
                            else node.grad.reshape(node.data.shape))
+        node.grad = None
+        node._backward = _consumed
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:

@@ -3,6 +3,7 @@ flat `key = value` text format used by the CLI and checkpoints."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
@@ -39,6 +40,9 @@ class ModelConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.codebook_size < 1:
             raise ConfigError("codebook must have at least one entry")
+        if self.n_mels != N_MELS:
+            raise ConfigError(f"model.n_mels must be {N_MELS}, the corpus's mel bins, "
+                              f"got {self.n_mels}")
 
 
 @dataclass
@@ -65,6 +69,10 @@ class TrainConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def validate(self) -> None:
+        for key in ("lr_init", "grad_clip_norm", "w_mel", "w_pitch", "w_duration", "w_pair",
+                    "w_vq", "vq_beta", "plateau_delta"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         if self.lr_init <= 0:
             raise ConfigError(f"lr_init must be > 0, got {self.lr_init}")
         if not 0.0 < self.lr_decay_per_epoch <= 1.0:

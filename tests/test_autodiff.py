@@ -1,6 +1,8 @@
 """Unit tests for the autodiff core: forward values against independent
 oracles, backward passes against central finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -263,6 +265,60 @@ def test_backward_accumulates_without_reset():
     first = x.grad.copy()
     ad.backward(ad.sum_all(x))
     np.testing.assert_array_equal(x.grad, 2 * first)
+
+
+def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
+    x = Tensor(rand((3, 4), 55), requires_grad=True)
+    w = Tensor(rand((4, 2), 56), requires_grad=True)
+    h = ad.relu(ad.linear(x, w))
+    loss = ad.sum_all(h)
+    ad.backward(loss)
+    assert x.grad.shape == (3, 4) and w.grad.shape == (4, 2)
+    assert h.grad is None and loss.grad is None
+    # values and graph structure stay readable after the pass
+    assert h.data.shape == (3, 2) and h._parents
+
+
+def test_backward_on_leaf_loss_leaves_its_gradient_at_one():
+    x = Tensor(2.0, requires_grad=True)
+    ad.backward(x)
+    assert x.grad == 1.0
+
+
+def test_backward_twice_through_a_consumed_graph_raises():
+    x = Tensor(rand((3, 2), 57), requires_grad=True)
+    shared = ad.relu(x)
+    loss = ad.sum_all(shared)
+    ad.backward(loss)
+    with pytest.raises(GraphError, match="detach"):
+        ad.backward(loss)
+    with pytest.raises(GraphError, match="detach"):
+        ad.backward(ad.mean_all(ad.mul(shared, shared)))
+    y = Tensor(rand((3, 2), 58), requires_grad=True)
+    ad.backward(ad.sum_all(ad.mul(shared.detach(), y)))
+    np.testing.assert_array_equal(y.grad, shared.data)
+
+
+def test_backward_memory_does_not_grow_with_depth():
+    # each rule's gradient is freed once it has run, so backward's peak
+    # above its starting level is a few activations, not one per node
+    x = Tensor(rand((256, 64), 59), requires_grad=True)
+    activation = x.data.nbytes
+    ws = [Tensor(rand((64, 64), 60 + i) / 8.0) for i in range(20)]
+    tracemalloc.start()
+    try:
+        h = x
+        for w in ws:
+            h = ad.relu(ad.linear(h, w))
+        loss = ad.sum_all(h)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        ad.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.grad is not None
+    assert peak - start < 5 * activation, (peak - start) / activation
 
 
 def test_backward_rejects_nonscalar():

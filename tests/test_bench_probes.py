@@ -11,7 +11,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import probes  # noqa: E402
 from tracer import NAME, Tracer  # noqa: E402
 
-from uspc import training  # noqa: E402
+from uspc import autodiff, training  # noqa: E402
 from uspc.model import JointModel  # noqa: E402
 from uspc.optim import AdamState  # noqa: E402
 
@@ -55,3 +55,29 @@ def test_probes_cover_training_and_inference_layers(tiny_corpus):
     assert tracer._patches == []
     for owner, attr, original in patched:
         assert vars(owner)[attr] is original, attr
+
+
+def test_backward_node_count_is_the_graph_before_the_pass(tiny_corpus, monkeypatch):
+    # the probe walks the graph after backward returns; backward keeps each
+    # node's `_parents` and leaves a (raising) closure in place of the one it
+    # ran, so the walk still counts every node the pass went through
+    records = tiny_corpus["train"]
+    cfg = small_train_config(mode="full")
+    model = JointModel(cfg.model, seed=cfg.seed)
+    opt = AdamState.for_params(model.store, lr=cfg.lr_init)
+    before = []
+    original = autodiff.backward
+
+    def counting(loss):
+        before.append(len(probes._closures([loss])))
+        original(loss)
+
+    monkeypatch.setattr(autodiff, "backward", counting)
+    tracer = Tracer()
+    probes.instrument(tracer)
+    try:
+        training.joint_step(records[:2], records[2:4], model, opt, cfg, step=0)
+    finally:
+        tracer.uninstall()
+    assert before and before[0] > 0
+    assert [e.value for e in tracer.events if e.name == "autodiff.nodes"] == before

@@ -485,7 +485,15 @@ def test_cli_bad_config_value_exits_1(tmp_path, capsys):
                        ("model.p_vocab = 0", "model.p_vocab"),
                        ("model.kernel_size = -1", "model.kernel_size"),
                        ("model.kernel_size = 2", "model.kernel_size"),
-                       ("model.text_blocks = -1", "model.text_blocks")]:
+                       ("model.text_blocks = -1", "model.text_blocks"),
+                       ("model.n_mels = 40", "model.n_mels"),
+                       ("lr_init = nan", "lr_init"),
+                       ("lr_init = inf", "lr_init"),
+                       ("w_mel = nan", "w_mel"),
+                       ("w_vq = -inf", "w_vq"),
+                       ("vq_beta = nan", "vq_beta"),
+                       ("grad_clip_norm = nan", "grad_clip_norm"),
+                       ("plateau_delta = nan", "plateau_delta")]:
         cfg_path.write_text(line + "\n")
         assert main(["train", "--corpus", str(tmp_path), "--config", str(cfg_path),
                      "--out", str(tmp_path / "m.uspc")]) == 1, line
