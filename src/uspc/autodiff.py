@@ -692,9 +692,10 @@ def backward(loss: Tensor) -> None:
 
     The graph is single-use: once a node's rule has run, its gradient and
     closure (with every array the closure saved) are released, and a second
-    backward through the node raises GraphError.  Leaves keep their
-    gradients, which accumulate; call zero_grad on leaves between backward
-    passes if accumulation is not wanted.
+    backward that reaches the node raises GraphError before any rule runs,
+    so no gradient changes.  Leaves keep their gradients, which accumulate;
+    call zero_grad on leaves between backward passes if accumulation is not
+    wanted.
     """
     if loss.data.shape not in ((), (1,)):
         raise GraphError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -708,6 +709,8 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in visited:
             continue
+        if node._backward is _consumed:  # raise before any rule adds to a gradient
+            _consumed(None)
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:

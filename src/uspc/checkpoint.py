@@ -12,6 +12,7 @@ any of them does not restore.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -91,6 +92,7 @@ def save_checkpoint(path, model: JointModel, opt: AdamState,
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
         if _read_exact(fh, 4, "magic") != MAGIC:
             raise FormatError(f"{path}: bad magic bytes (not a checkpoint)")
         (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
@@ -106,9 +108,19 @@ def load_checkpoint(path) -> Checkpoint:
             name = _read_exact(fh, name_len, "name").decode("utf-8")
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
             dims = [struct.unpack("<Q", _read_exact(fh, 8, "dim"))[0] for _ in range(rank)]
-            n_values = int(np.prod(dims)) if dims else 1
-            raw = _read_exact(fh, n_values * 8, f"tensor {name}")
-            tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+            # sized with Python ints against the bytes left, so no declared
+            # shape overflows or allocates before it is known to fit the file
+            n_bytes = math.prod(dims) * 8
+            left = file_size - fh.tell()
+            if n_bytes > left:
+                raise FormatError(f"{path}: truncated checkpoint: tensor {name} of shape "
+                                  f"{tuple(dims)} needs {n_bytes} bytes, {left} remain")
+            raw = _read_exact(fh, n_bytes, f"tensor {name}")
+            try:
+                tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+            except ValueError as exc:  # an empty tensor with an oversized dimension
+                raise FormatError(f"{path}: tensor {name} has unusable shape "
+                                  f"{tuple(dims)}") from exc
         trailing = fh.read(1)
     if trailing:
         raise FormatError(f"{path}: trailing bytes after {count} tensors")

@@ -305,6 +305,14 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
     Convergence rule: stop early when the eval-mode validation loss has not
     improved by more than plateau_delta for plateau_epochs consecutive
     epochs.  `stop_when(report)` may end training once a target is met.
+
+    Every epoch boundary decays the learning rate and writes the checkpoint.
+    The validation loss is computed only where the rule could still end the
+    run early: never at the last boundary, and never in a run of at most
+    plateau_epochs boundaries (ceil(max_steps / steps per epoch)), since
+    the stale-epoch count cannot exceed the boundaries seen.  The closing
+    checkpoint is the last boundary's; only a run of no steps writes one
+    after the loop.
     """
     cfg.validate()
     if not records:
@@ -319,6 +327,8 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
     primary = paired if cfg.mode != "vc-only" else unpaired
     batch_primary = cfg.batch_paired if cfg.mode != "vc-only" else max(cfg.batch_unpaired, 1)
 
+    # epoch boundaries of a run that no rule stops early
+    n_boundaries = math.ceil(cfg.max_steps / math.ceil(max(len(primary), 1) / batch_primary))
     seed_batch = (unpaired or paired)[:max(cfg.batch_paired + cfg.batch_unpaired, 8)]
     seed_codebook_from_batch(model, seed_batch)
 
@@ -378,6 +388,8 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
                 checkpoint.save_checkpoint(checkpoint_path, model, opt, cfg, step)
                 last_checkpoint = checkpoint_path
 
+            if step >= cfg.max_steps or n_boundaries <= cfg.plateau_epochs:
+                continue  # the plateau rule cannot stop this run before its last boundary
             val = _validation_loss(model, paired, unpaired, cfg)
             if val < best_val - cfg.plateau_delta:
                 best_val = val
@@ -390,6 +402,6 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
         if trace_fh is not None:
             trace_fh.close()
 
-    if checkpoint_path is not None:
+    if checkpoint_path is not None and last_checkpoint is None:
         checkpoint.save_checkpoint(checkpoint_path, model, opt, cfg, step)
     return model, opt, trace

@@ -299,6 +299,20 @@ def test_backward_twice_through_a_consumed_graph_raises():
     np.testing.assert_array_equal(y.grad, shared.data)
 
 
+def test_backward_reaching_a_consumed_node_changes_no_gradient():
+    # the fresh nodes' rules would run before the consumed one's; backward
+    # must raise before any of them adds to a leaf gradient
+    x = Tensor(rand((3,), 61), requires_grad=True)
+    relu_out = ad.relu(x)
+    ad.backward(ad.sum_all(relu_out))
+    x_grad = x.grad.copy()
+    w = Tensor(rand((3,), 62), requires_grad=True)
+    with pytest.raises(GraphError, match="detach"):
+        ad.backward(ad.sum_all(ad.mul(relu_out, w)))
+    assert w.grad is None
+    np.testing.assert_array_equal(x.grad, x_grad)
+
+
 def test_backward_memory_does_not_grow_with_depth():
     # each rule's gradient is freed once it has run, so backward's peak
     # above its starting level is a few activations, not one per node

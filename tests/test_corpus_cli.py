@@ -282,6 +282,27 @@ def test_checkpoint_with_removed_pitch_bins_key_is_config_error(trained, tiny_co
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dims", [(1 << 40,), (1 << 33, 1 << 33), (1 << 62, 4),
+                                  (0, 1 << 62)])
+def test_checkpoint_oversized_dims_are_format_error(trained, tiny_corpus, tmp_path,
+                                                    dims, capsys):
+    path, _, _ = trained
+    raw = path.read_bytes()
+    (n,) = struct.unpack("<I", raw[8:12])
+    # header of the real checkpoint, then one tensor declaring `dims` and
+    # holding 16 bytes
+    head = raw[:12 + n] + struct.pack("<QQ", 4, 1)
+    tensor = (struct.pack("<I", 1) + b"x" + struct.pack("<I", len(dims))
+              + b"".join(struct.pack("<Q", d) for d in dims) + bytes(16))
+    bad = tmp_path / "huge.uspc"
+    bad.write_bytes(head + tensor)
+    with pytest.raises(FormatError, match="tensor x"):
+        load_checkpoint(bad)
+    assert main(["eval", "--ckpt", str(bad), "--corpus", str(tiny_corpus["dir"]),
+                 "--out", str(tmp_path / "e.csv")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_checkpoint_starts_with_magic(trained):
     path, _, _ = trained
     assert path.read_bytes()[:4] == MAGIC

@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from uspc import checkpoint as checkpoint_mod
 from uspc import config as config_mod
+from uspc import training as training_mod
 from uspc.autodiff import Tensor
 from uspc.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from uspc.errors import ConfigError, DataError, TrainingDiverged
@@ -373,6 +375,75 @@ def test_lr_decays_per_epoch(tiny_corpus):
     assert lrs[0] == pytest.approx(cfg.lr_init)
     assert lrs[3] == pytest.approx(cfg.lr_init * cfg.lr_decay_per_epoch)
     assert lrs[6] == pytest.approx(cfg.lr_init * cfg.lr_decay_per_epoch ** 2)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name so each call is recorded (by its arguments) and
+    still runs."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_plateau_stop_ends_the_run_with_the_trace_of_a_shorter_run(tiny_corpus,
+                                                                   monkeypatch):
+    # 6 paired records, batch 2 -> 3 steps per epoch and 7 boundaries in 20
+    # steps.  With plateau_delta far above any loss the first validation is
+    # the best one, so the 2nd and 3rd boundaries are stale and the run
+    # stops at the 3rd, after 9 steps.
+    calls = _count_calls(monkeypatch, training_mod, "_validation_loss")
+    cfg = small_train_config(max_steps=20, plateau_epochs=2, plateau_delta=1e3)
+    model, opt, trace = train(cfg, tiny_corpus["train"])
+    assert len(trace) == 9
+    assert len(calls) == 3
+
+    # validation is pure: a 9-step run without it computes the same bits
+    calls.clear()
+    ref_model, ref_opt, ref_trace = train(
+        small_train_config(max_steps=9, plateau_epochs=10 ** 6), tiny_corpus["train"])
+    assert calls == []
+    assert [r.csv_row() for r in trace] == [r.csv_row() for r in ref_trace]
+    for name, param in model.store.items():
+        assert param.data.tobytes() == ref_model.store[name].data.tobytes(), name
+        assert opt.m[name].tobytes() == ref_opt.m[name].tobytes(), name
+        assert opt.v[name].tobytes() == ref_opt.v[name].tobytes(), name
+    assert (opt.t, opt.lr) == (ref_opt.t, ref_opt.lr)
+
+
+@pytest.mark.parametrize("mode,max_steps,plateau_epochs,validations", [
+    ("full", 9, 3, 0),         # 3 boundaries: the rule cannot fire before the last
+    ("full", 9, 10 ** 6, 0),   # the rule switched off
+    ("full", 9, 2, 2),         # every boundary but the last
+    ("full", 10, 3, 3),        # 4 boundaries, the last after a 1-step epoch
+    ("vc-only", 8, 2, 2),      # 6 speech records, batch 2: 3 boundaries
+])
+def test_validation_runs_only_where_the_plateau_rule_can_end_the_run(
+        tiny_corpus, monkeypatch, mode, max_steps, plateau_epochs, validations):
+    calls = _count_calls(monkeypatch, training_mod, "_validation_loss")
+    cfg = small_train_config(mode=mode, max_steps=max_steps, plateau_epochs=plateau_epochs)
+    _, _, trace = train(cfg, tiny_corpus["train"])
+    assert len(trace) == max_steps
+    assert len(calls) == validations
+
+
+@pytest.mark.parametrize("max_steps,written_steps", [(7, [3, 6, 7]), (0, [0])])
+def test_checkpoint_written_once_per_epoch_boundary(tiny_corpus, tmp_path, monkeypatch,
+                                                    max_steps, written_steps):
+    calls = _count_calls(monkeypatch, checkpoint_mod, "save_checkpoint")
+    cfg = small_train_config(max_steps=max_steps)
+    path = tmp_path / "run.uspc"
+    model, opt, trace = train(cfg, tiny_corpus["train"], checkpoint_path=path)
+    assert [args[4] for args in calls] == written_steps
+    # the file the run leaves is the checkpoint of what it returns
+    again = tmp_path / "again.uspc"
+    save_checkpoint(again, model, opt, cfg, step=len(trace))
+    assert path.read_bytes() == again.read_bytes()
 
 
 def test_trace_csv_written(tiny_corpus, tmp_path):
