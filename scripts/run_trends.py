@@ -14,8 +14,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import numpy as np
-
 from uspc.config import ModelConfig, TrainConfig
 from uspc.corpus import CorpusSpec, gen_corpus
 from uspc.metrics import evaluate

@@ -18,7 +18,6 @@ from . import config as config_mod
 from .checkpoint import load_checkpoint, restore_model
 from .corpus import CorpusSpec, gen_corpus, load_corpus, manifest_name, write_matrix
 from .errors import DataError, UspcError
-from .features import MelSpectrogram, griffin_lim, write_wav
 from .layers import Ctx, segment_offsets
 from .metrics import eval_result_csv, evaluate
 from .training import train
@@ -48,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train a model on a corpus directory")
     t.add_argument("--corpus", required=True)
     t.add_argument("--config", default=None, help="key = value config file")
-    t.add_argument("--mode", choices=["full", "tts-only", "vc-only", "novq"],
+    t.add_argument("--mode", choices=config_mod.MODES,
                    default=None, help="override the config's training mode")
     t.add_argument("--max-steps", type=int, default=None)
     t.add_argument("--out", required=True, help="checkpoint output path")
@@ -63,8 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ref-speaker", required=True, metavar="UTT_ID",
                    help="reference utterance id supplying the voice")
     s.add_argument("--out", required=True, help="output mel file")
-    s.add_argument("--griffin-lim", default=None, metavar="WAV",
-                   help="also render a rough waveform to this path")
 
     c = sub.add_parser("convert-vc", help="zero-shot voice conversion")
     c.add_argument("--ckpt", required=True)
@@ -73,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--source", required=True, metavar="UTT_ID")
     c.add_argument("--ref-speaker", required=True, metavar="UTT_ID")
     c.add_argument("--out", required=True, help="output mel file")
-    c.add_argument("--griffin-lim", default=None, metavar="WAV")
 
     e = sub.add_parser("eval", help="objective metrics over a corpus split")
     e.add_argument("--ckpt", required=True)
@@ -144,9 +140,6 @@ def _cmd_synth_tts(args) -> int:
     write_matrix(args.out, mel)
     print(f"synthesized {mel.shape[0]} frames from {phonemes.size} phonemes "
           f"(voice: {ref.speaker_id}) -> {args.out}")
-    if args.griffin_lim:
-        write_wav(args.griffin_lim, griffin_lim(MelSpectrogram(mel)))
-        print(f"waveform estimate -> {args.griffin_lim}")
     return 0
 
 
@@ -158,9 +151,6 @@ def _cmd_convert_vc(args) -> int:
     mel, _ = model.convert_vc(source.mel, source.f0, ref.mel)
     write_matrix(args.out, mel)
     print(f"converted {source.id} to the voice of {ref.speaker_id} -> {args.out}")
-    if args.griffin_lim:
-        write_wav(args.griffin_lim, griffin_lim(MelSpectrogram(mel)))
-        print(f"waveform estimate -> {args.griffin_lim}")
     return 0
 
 

@@ -9,6 +9,9 @@ from dataclasses import dataclass, field, fields
 from .errors import ConfigError
 from .features import N_MELS
 
+# training modes: both pipelines, one of them, or both without quantization
+MODES = ("full", "tts-only", "vc-only", "novq")
+
 
 @dataclass
 class ModelConfig:
@@ -50,7 +53,7 @@ class TrainConfig:
     """Optimization schedule, batch layout and loss weights."""
 
     seed: int = 0
-    mode: str = "full"  # full | tts-only | vc-only | novq
+    mode: str = "full"  # one of MODES
     lr_init: float = 1e-3
     lr_decay_per_epoch: float = 0.95
     batch_paired: int = 8
@@ -79,7 +82,7 @@ class TrainConfig:
             raise ConfigError(f"lr decay must be in (0, 1], got {self.lr_decay_per_epoch}")
         if self.batch_paired < 1 or self.batch_unpaired < 0:
             raise ConfigError("batch sizes must be positive (unpaired may be 0)")
-        if self.mode not in ("full", "tts-only", "vc-only", "novq"):
+        if self.mode not in MODES:
             raise ConfigError(f"unknown training mode {self.mode!r}")
         self.model.validate()
 

@@ -129,6 +129,10 @@ class SpeakerEncoder:
         return self.pool(self.frame_features(mel_frames, ctx), ctx.offsets)
 
 
+N_LOG_BINS = N_PITCH_BINS - 2  # voiced bins split uniformly in log-Hz
+TOP_BIN = N_PITCH_BINS - 1     # the clamp bin at and above F0_MAX
+
+
 def quantize_f0_array(f0_hz: np.ndarray) -> np.ndarray:
     """Map each frequency to one of 32 bins; bin 0 is reserved for unvoiced.
 
@@ -141,7 +145,7 @@ def quantize_f0_array(f0_hz: np.ndarray) -> np.ndarray:
     span = np.log(F0_MAX) - np.log(F0_MIN)
     with np.errstate(divide="ignore"):
         r = (np.log(np.maximum(f0_hz, 1e-300)) - np.log(F0_MIN)) / span
-    bins = np.clip(1 + np.floor(30.0 * r), 1, 31).astype(np.int64)
+    bins = np.clip(1 + np.floor(N_LOG_BINS * r), 1, TOP_BIN).astype(np.int64)
     bins[f0_hz == 0.0] = 0
     return bins
 
@@ -150,7 +154,7 @@ def bin_center_hz(bin_index: int) -> float:
     """Geometric center of a voiced bin's log-Hz interval; bin 0 -> 0 Hz."""
     if bin_index == 0:
         return 0.0
-    width = (np.log(F0_MAX) - np.log(F0_MIN)) / 30.0
+    width = (np.log(F0_MAX) - np.log(F0_MIN)) / N_LOG_BINS
     return float(np.exp(np.log(F0_MIN) + (bin_index - 0.5) * width))
 
 

@@ -203,6 +203,24 @@ def _pipelines(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
     return tts, pair, vc
 
 
+def _weighted_terms(tts: Fragment | None, pair: Fragment | None, vc: Fragment | None,
+                    cfg: TrainConfig) -> tuple[Tensor, Tensor, Tensor, Tensor, Tensor]:
+    """The weighted objective without the VQ aux term, and its parts:
+    (tts_rec, vc_rec, raw pair, raw duration, total).  A skipped
+    pipeline's terms are zero."""
+    zero = Tensor(0.0)
+    tts_rec = vc_rec = pair_t = dur_t = zero
+    if tts is not None:
+        tts_rec = tts.mel * cfg.w_mel + tts.pitch_ce * cfg.w_pitch
+        dur_t = tts.duration
+    if pair is not None:
+        pair_t = pair.pair
+    if vc is not None:
+        vc_rec = vc.mel * cfg.w_mel + vc.pitch_ce * cfg.w_pitch
+    total = tts_rec + vc_rec + pair_t * cfg.w_pair + dur_t * cfg.w_duration
+    return tts_rec, vc_rec, pair_t, dur_t, total
+
+
 def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
                model: JointModel, opt: AdamState, cfg: TrainConfig,
                step: int) -> LossReport:
@@ -210,30 +228,24 @@ def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
     report = LossReport(step=step, lr=opt.lr)
     tts, pair, vc = _pipelines(paired, unpaired, model, cfg, step, training=True)
     frags = [f for f in (tts, pair, vc) if f is not None]
-    zero = Tensor(0.0)
-    tts_rec = vc_rec = pair_t = dur_t = zero
+    tts_rec, vc_rec, pair_t, dur_t, total = _weighted_terms(tts, pair, vc, cfg)
     if tts is not None:
-        tts_rec = tts.mel * cfg.w_mel + tts.pitch_ce * cfg.w_pitch
-        dur_t = tts.duration
         report.mel_tts = tts.mel.item()
         report.pitch_ce_tts = tts.pitch_ce.item()
         report.pitch_f0_mse = tts.pitch_f0_mse
     if pair is not None:
-        pair_t = pair.pair
         report.code_agreement = pair.code_agreement
     if vc is not None:
-        vc_rec = vc.mel * cfg.w_mel + vc.pitch_ce * cfg.w_pitch
         report.mel_vc = vc.mel.item()
         report.pitch_ce_vc = vc.pitch_ce.item()
 
     # the aux term is the mean over every utterance that ran through the VQ
     aux_frags = [f for f in frags if f.aux is not None]
     n_aux = sum(f.n_utts for f in aux_frags)
-    aux_t = zero
+    aux_t = Tensor(0.0)
     for f in aux_frags:
         aux_t = aux_t + f.aux * (f.n_utts / n_aux)
-    total = (tts_rec + vc_rec + pair_t * cfg.w_pair
-             + dur_t * cfg.w_duration + aux_t * cfg.w_vq)
+    total = total + aux_t * cfg.w_vq
 
     report.l_tts_rec = tts_rec.item()
     report.l_vc_rec = vc_rec.item()
@@ -286,15 +298,7 @@ def _validation_loss(model: JointModel, paired: list[UtteranceRecord],
     plateau stop; it is not a held-out loss."""
     tts, pair, vc = _pipelines(_spread(paired), _spread(unpaired), model, cfg,
                                step=0, training=False)
-    total = 0.0
-    if tts is not None:
-        total += cfg.w_mel * tts.mel.item() + cfg.w_pitch * tts.pitch_ce.item()
-        total += cfg.w_duration * tts.duration.item()
-    if pair is not None:
-        total += cfg.w_pair * pair.pair.item()
-    if vc is not None:
-        total += cfg.w_mel * vc.mel.item() + cfg.w_pitch * vc.pitch_ce.item()
-    return total
+    return _weighted_terms(tts, pair, vc, cfg)[-1].item()
 
 
 def train(cfg: TrainConfig, records: list[UtteranceRecord],
@@ -306,13 +310,15 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
     improved by more than plateau_delta for plateau_epochs consecutive
     epochs.  `stop_when(report)` may end training once a target is met.
 
-    Every epoch boundary decays the learning rate and writes the checkpoint.
-    The validation loss is computed only where the rule could still end the
-    run early: never at the last boundary, and never in a run of at most
-    plateau_epochs boundaries (ceil(max_steps / steps per epoch)), since
-    the stale-epoch count cannot exceed the boundaries seen.  The closing
-    checkpoint is the last boundary's; only a run of no steps writes one
-    after the loop.
+    Every epoch boundary decays the learning rate and writes the checkpoint
+    with the steps run so far.  The run's last boundary follows when
+    max_steps or stop_when ends it, also mid-epoch, and the same rule holds
+    there: one decay, one checkpoint.  The validation loss is computed only
+    where the rule could still end the run early: never at the last
+    boundary, and never in a run of at most plateau_epochs boundaries
+    (ceil(max_steps / steps per epoch)), since the stale-epoch count cannot
+    exceed the boundaries seen.  The closing checkpoint is the last
+    boundary's; only a run of no steps writes one after the loop.
     """
     cfg.validate()
     if not records:
@@ -343,11 +349,12 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
     best_val = math.inf
     stale_epochs = 0
     step = 0
+    stopped = False
     try:
         epoch = 0
         unpaired_order: list[int] = []
         unpaired_cursor = 0
-        while step < cfg.max_steps:
+        while step < cfg.max_steps and not stopped:
             order = model.rng.generator("data/shuffle_primary", epoch).permutation(
                 len(primary)) if primary else np.array([], dtype=int)
             for chunk_start in range(0, max(len(order), 1), batch_primary):
@@ -379,7 +386,7 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
                     trace_fh.write(report.csv_row() + "\n")
                 step += 1
                 if stop_when is not None and stop_when(report):
-                    step = cfg.max_steps
+                    stopped = True
                     break
 
             epoch += 1
@@ -388,7 +395,7 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
                 checkpoint.save_checkpoint(checkpoint_path, model, opt, cfg, step)
                 last_checkpoint = checkpoint_path
 
-            if step >= cfg.max_steps or n_boundaries <= cfg.plateau_epochs:
+            if stopped or step >= cfg.max_steps or n_boundaries <= cfg.plateau_epochs:
                 continue  # the plateau rule cannot stop this run before its last boundary
             val = _validation_loss(model, paired, unpaired, cfg)
             if val < best_val - cfg.plateau_delta:

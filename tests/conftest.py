@@ -1,5 +1,3 @@
-import wave
-
 import numpy as np
 import pytest
 
@@ -42,11 +40,3 @@ def tiny_corpus(tmp_path):
 def rand(shape, seed):
     return np.random.default_rng(seed).standard_normal(shape)
 
-
-def read_pcm16(path) -> np.ndarray:
-    """Samples of a non-empty mono 16-bit 22050 Hz WAV file, scaled to [-1, 1)."""
-    with wave.open(str(path), "rb") as w:
-        assert (w.getnchannels(), w.getsampwidth(), w.getframerate()) == (1, 2, 22050)
-        assert w.getnframes() > 0
-        raw = w.readframes(w.getnframes())
-    return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0

@@ -19,7 +19,7 @@ from uspc.model import JointModel
 from uspc.optim import AdamState
 from uspc.training import train, vc_step
 
-from conftest import read_pcm16, small_model_config, small_train_config
+from conftest import small_model_config, small_train_config
 
 
 # ---------------------------------------------------------------- factor model
@@ -419,23 +419,6 @@ def test_cli_synth_tts_with_unseen_reference(tmp_path):
                  "--source", train_recs[0].id, "--ref-speaker", unseen_ref,
                  "--out", str(out_vc)]) == 0
     assert read_matrix(out_vc).shape == (train_recs[0].n_frames, 80)
-
-
-def test_cli_griffin_lim_writes_wav(tmp_path):
-    corpus = tmp_path / "corpus"
-    main(["gen-data", "--seed", "5", "--speakers", "2", "--utts", "2",
-          "--test-speakers", "0", "--out", str(corpus)])
-    cfg_path = tmp_path / "t.cfg"
-    write_small_config(cfg_path, max_steps=2)
-    ckpt = tmp_path / "m.uspc"
-    main(["train", "--corpus", str(corpus), "--config", str(cfg_path),
-          "--out", str(ckpt)])
-    recs = load_corpus(corpus, "train")
-    wav = tmp_path / "o.wav"
-    assert main(["convert-vc", "--ckpt", str(ckpt), "--corpus", str(corpus),
-                 "--source", recs[0].id, "--ref-speaker", recs[1].id,
-                 "--out", str(tmp_path / "o.f64"), "--griffin-lim", str(wav)]) == 0
-    assert read_pcm16(wav).size > 0
 
 
 def test_cli_missing_test_feature_file_is_named(trained, tiny_corpus, tmp_path, capsys):

@@ -1,32 +1,11 @@
-"""Feature tests: filterbank placement, cepstra against a naive DCT oracle,
-WAV output, and the Griffin-Lim waveform estimate."""
+"""Feature tests: the mel frame shape check and cepstra against a naive DCT
+oracle."""
 
 import numpy as np
+import pytest
 
-from uspc import features
-from uspc.features import MelSpectrogram, mel_cepstra, write_wav
-
-from conftest import read_pcm16
-
-
-def sine(freq, seconds=1.0, amp=1.0, sr=22050):
-    t = np.arange(int(seconds * sr)) / sr
-    return amp * np.sin(2 * np.pi * freq * t)
-
-
-# ---------------------------------------------------------------- filterbank
-
-
-def test_filterbank_1khz_bin_peaks_in_nearest_channel():
-    bank = features.mel_filterbank()
-    assert bank.shape == (80, 513)
-    edges_mel = np.linspace(features.hz_to_mel(0.0), features.hz_to_mel(8000.0), 82)
-    centers = features.mel_to_hz(edges_mel)[1:-1]
-    k = round(1000.0 * 1024 / 22050)  # FFT bin of a 1 kHz tone
-    assert np.argmax(bank[:, k]) == np.argmin(np.abs(centers - k * 22050 / 1024))
-
-
-# ---------------------------------------------------------------- cepstra
+from uspc.errors import DataError
+from uspc.features import MelSpectrogram, mel_cepstra
 
 
 def naive_dct_row(row):
@@ -63,20 +42,8 @@ def test_cepstra_shape():
     assert mel_cepstra(mel).shape == (7, 13)
 
 
-# ---------------------------------------------------------------- wav io
 
-
-def test_wav_round_trip(tmp_path):
-    audio = sine(440.0, seconds=0.2, amp=0.5)
-    path = tmp_path / "tone.wav"
-    write_wav(path, audio)
-    back = read_pcm16(path)
-    assert back.size == audio.size
-    assert np.max(np.abs(back - audio)) < 1.0 / 32768.0
-
-
-def test_griffin_lim_produces_audio():
-    frames = np.random.default_rng(5).standard_normal((24, 80)) - 4.0
-    audio = features.griffin_lim(MelSpectrogram(frames), n_iter=5)
-    assert audio.size > 0
-    assert np.all(np.isfinite(audio))
+@pytest.mark.parametrize("shape", [(7,), (7, 79), (2, 7, 80)])
+def test_mel_spectrogram_rejects_frames_not_t_by_80(shape):
+    with pytest.raises(DataError):
+        MelSpectrogram(np.zeros(shape))

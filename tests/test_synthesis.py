@@ -145,8 +145,12 @@ def test_decode_f0_round_trip_all_voiced_bins():
 
 def test_bin_center_table_is_bin_center_hz():
     assert BIN_CENTERS_HZ.shape == (32,)
+    width = (np.log(600.0) - np.log(50.0)) / 30.0  # 30 log-Hz bins over [50, 600)
+    assert BIN_CENTERS_HZ[0] == 0.0
     for k in range(32):
         assert BIN_CENTERS_HZ[k] == bin_center_hz(k), k
+        if k:
+            assert BIN_CENTERS_HZ[k] == np.exp(np.log(50.0) + (k - 0.5) * width), k
 
 
 def test_decode_f0_rejects_more_classes_than_bins():

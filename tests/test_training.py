@@ -446,6 +446,28 @@ def test_checkpoint_written_once_per_epoch_boundary(tiny_corpus, tmp_path, monke
     assert path.read_bytes() == again.read_bytes()
 
 
+def test_stop_when_ends_the_run_like_max_steps(tiny_corpus, tmp_path, monkeypatch):
+    # 3 steps per epoch: stopping at step 3 ends the run one step into the
+    # second epoch, after the first boundary's validation and checkpoint
+    calls = _count_calls(monkeypatch, training_mod, "_validation_loss")
+    path = tmp_path / "stopped.uspc"
+    _, opt, trace = train(small_train_config(max_steps=20, plateau_epochs=2),
+                          tiny_corpus["train"], checkpoint_path=path,
+                          stop_when=lambda report: report.step == 3)
+    stopped = load_checkpoint(path)
+    assert stopped.step == len(trace) == opt.t == 4
+    assert len(calls) == 1  # no validation at or after the stop
+
+    # the stop's boundary is a 4-step run's last one: one more lr decay
+    ref_path = tmp_path / "ref.uspc"
+    train(small_train_config(max_steps=4), tiny_corpus["train"], checkpoint_path=ref_path)
+    ref = load_checkpoint(ref_path)
+    assert stopped.step == ref.step
+    assert stopped.tensors.keys() == ref.tensors.keys()
+    for name, array in ref.tensors.items():
+        assert stopped.tensors[name].tobytes() == array.tobytes(), name
+
+
 def test_trace_csv_written(tiny_corpus, tmp_path):
     cfg = small_train_config(max_steps=3)
     trace_path = tmp_path / "trace.csv"
