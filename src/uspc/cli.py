@@ -1,14 +1,12 @@
 """Command-line surface.
 
 Subcommands: gen-data, train, synth-tts, convert-vc, eval, dump-embeddings.
-Every command is deterministic given its inputs and seed; the USPC_SEED
-environment variable, when set, overrides any seed from flags or config.
+Every command is deterministic given its inputs and seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -21,11 +19,6 @@ from .errors import DataError, UspcError
 from .layers import Ctx, segment_offsets
 from .metrics import eval_result_csv, evaluate
 from .training import train
-
-
-def _env_seed(seed: int) -> int:
-    override = os.environ.get("USPC_SEED")
-    return int(override) if override else seed
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,7 +101,7 @@ def _cmd_gen_data(args) -> int:
                       labeled_fraction=args.labeled_frac,
                       n_test_speakers=args.test_speakers,
                       test_utts_per_speaker=args.test_utts, noise=args.noise)
-    train_recs, test_recs, _ = gen_corpus(args.out, _env_seed(args.seed), spec)
+    train_recs, test_recs, _ = gen_corpus(args.out, args.seed, spec)
     print(f"wrote {len(train_recs)} train + {len(test_recs)} test utterances to {args.out}")
     return 0
 
@@ -119,7 +112,6 @@ def _cmd_train(args) -> int:
         cfg.mode = args.mode
     if args.max_steps is not None:
         cfg.max_steps = args.max_steps
-    cfg.seed = _env_seed(cfg.seed)
     records = load_corpus(args.corpus, "train")
     _, _, trace = train(cfg, records, checkpoint_path=args.out, trace_path=args.trace)
     final = trace[-1].total if trace else float("nan")

@@ -15,7 +15,7 @@ from the training speakers.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +89,11 @@ class SyntheticFactors:
             raise IntegrityError("speaker offsets must be pairwise distinct")
 
 
+OFFSET_RANK = 8      # rank of the basis speaker offsets are drawn from
+PITCH_SCALE = 0.3    # scale of the per-bin pitch map
+PITCH_JITTER = 0.25  # log-scale per-utterance drift of the base pitch
+
+
 @dataclass
 class CorpusSpec:
     """Knobs for gen_corpus; defaults give a well-separated desk-scale corpus."""
@@ -101,9 +106,6 @@ class CorpusSpec:
     p_vocab: int = 64
     noise: float = 0.05
     offset_scale: float = 4.0
-    offset_rank: int = 8
-    pitch_scale: float = 0.3
-    pitch_jitter: float = 0.25   # log-scale per-utterance drift of the base pitch
     base_level: float = 0.0
     min_phonemes: int = 5
     max_phonemes: int = 15
@@ -114,11 +116,11 @@ class CorpusSpec:
 def _draw_factors(rng: np.random.Generator, spec: CorpusSpec,
                   n_total_speakers: int) -> SyntheticFactors:
     templates = rng.standard_normal((spec.p_vocab, N_MELS))
-    basis = rng.standard_normal((spec.offset_rank, N_MELS))
+    basis = rng.standard_normal((OFFSET_RANK, N_MELS))
     basis /= np.linalg.norm(basis, axis=1, keepdims=True)
-    weights = rng.standard_normal((n_total_speakers, spec.offset_rank))
-    offsets = weights @ basis * (spec.offset_scale / np.sqrt(spec.offset_rank))
-    pitch_map = rng.standard_normal((N_PITCH_BINS, N_MELS)) * spec.pitch_scale
+    weights = rng.standard_normal((n_total_speakers, OFFSET_RANK))
+    offsets = weights @ basis * (spec.offset_scale / np.sqrt(OFFSET_RANK))
+    pitch_map = rng.standard_normal((N_PITCH_BINS, N_MELS)) * PITCH_SCALE
     base_pitch = rng.uniform(90.0, 250.0, n_total_speakers)
     return SyntheticFactors(templates=templates, offset_basis=basis,
                             speaker_offsets=offsets, pitch_map=pitch_map,
@@ -151,7 +153,7 @@ def _synth_utterance(rng: np.random.Generator, factors: SyntheticFactors,
     # per-utterance drift keeps pitch "speaker-flavored" without letting it
     # identify the speaker outright (prosody must not replace the voice)
     base = factors.base_pitch_hz[speaker_index] * np.exp(
-        rng.uniform(-spec.pitch_jitter, spec.pitch_jitter))
+        rng.uniform(-PITCH_JITTER, PITCH_JITTER))
     period = rng.uniform(30.0, 70.0)
     phase = rng.uniform(0.0, 2 * np.pi)
     f0 = base * (1.0 + 0.12 * np.sin(2 * np.pi * np.arange(t_total) / period + phase))

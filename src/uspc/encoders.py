@@ -10,8 +10,8 @@ from .autodiff import Tensor
 from .config import ModelConfig
 from .errors import DataError, PairingError
 from .features import F0_MAX, F0_MIN, N_PITCH_BINS
-from .layers import (Conv1d, ConvPredictorStack, Ctx, Dropout, Embedding,
-                     FFTBlock, LayerNorm, Linear, positional_encoding)
+from .layers import (Conv1d, ConvPredictorStack, Ctx, Embedding, FFTBlock, LayerNorm,
+                     Linear, positional_encoding)
 from .optim import ParamStore
 from .rng import NamedRng
 

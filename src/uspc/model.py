@@ -52,10 +52,10 @@ class JointModel:
 
     # -- per-pipeline forward ----------------------------------------------------
     #
-    # Training, validation, evaluation and single-utterance inference all
-    # run these.  Each pipeline is split at the speaker embedding, so a
-    # single-utterance call (offsets None) and a packed batch (speaker rows
-    # (B, d), `ctx.offsets` framing the rows) run the same code.
+    # Training, evaluation and single-utterance inference all run these.
+    # Each pipeline is split at the speaker embedding, so a single-utterance
+    # call (offsets None) and a packed batch (speaker rows (B, d),
+    # `ctx.offsets` framing the rows) run the same code.
 
     def tts_content(self, phoneme_ids: np.ndarray, durations: np.ndarray | None,
                     ctx: Ctx) -> tuple[QuantizedContent, np.ndarray, Tensor]:

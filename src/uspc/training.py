@@ -181,7 +181,7 @@ def seed_codebook_from_batch(model: JointModel, batch: list[UtteranceRecord],
 
 
 def _pipelines(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
-               model: JointModel, cfg: TrainConfig, step: int, training: bool
+               model: JointModel, cfg: TrainConfig, step: int
                ) -> tuple[Fragment | None, Fragment | None, Fragment | None]:
     """The (tts, pair, vc) fragments `cfg.mode` trains; None for a skipped one.
 
@@ -192,33 +192,15 @@ def _pipelines(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
     if cfg.mode in ("full", "tts-only", "novq"):
         if not paired:
             raise DataError("this mode needs a paired batch")
-        tts = tts_step(paired, model, cfg, step, training)
+        tts = tts_step(paired, model, cfg, step)
         if cfg.mode in ("full", "novq"):
-            pair = pair_step(paired, model, cfg, step, tts.quantized, training)
+            pair = pair_step(paired, model, cfg, step, tts.quantized)
     if cfg.mode in ("full", "vc-only", "novq"):
         if unpaired:
-            vc = vc_step(unpaired, model, cfg, step, training)
+            vc = vc_step(unpaired, model, cfg, step)
         elif cfg.mode == "vc-only":
             raise DataError("vc-only mode needs a speech batch")
     return tts, pair, vc
-
-
-def _weighted_terms(tts: Fragment | None, pair: Fragment | None, vc: Fragment | None,
-                    cfg: TrainConfig) -> tuple[Tensor, Tensor, Tensor, Tensor, Tensor]:
-    """The weighted objective without the VQ aux term, and its parts:
-    (tts_rec, vc_rec, raw pair, raw duration, total).  A skipped
-    pipeline's terms are zero."""
-    zero = Tensor(0.0)
-    tts_rec = vc_rec = pair_t = dur_t = zero
-    if tts is not None:
-        tts_rec = tts.mel * cfg.w_mel + tts.pitch_ce * cfg.w_pitch
-        dur_t = tts.duration
-    if pair is not None:
-        pair_t = pair.pair
-    if vc is not None:
-        vc_rec = vc.mel * cfg.w_mel + vc.pitch_ce * cfg.w_pitch
-    total = tts_rec + vc_rec + pair_t * cfg.w_pair + dur_t * cfg.w_duration
-    return tts_rec, vc_rec, pair_t, dur_t, total
 
 
 def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
@@ -226,16 +208,20 @@ def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
                step: int) -> LossReport:
     """One optimization step over the pipelines `cfg.mode` trains."""
     report = LossReport(step=step, lr=opt.lr)
-    tts, pair, vc = _pipelines(paired, unpaired, model, cfg, step, training=True)
+    tts, pair, vc = _pipelines(paired, unpaired, model, cfg, step)
     frags = [f for f in (tts, pair, vc) if f is not None]
-    tts_rec, vc_rec, pair_t, dur_t, total = _weighted_terms(tts, pair, vc, cfg)
+    tts_rec = vc_rec = pair_t = dur_t = Tensor(0.0)
     if tts is not None:
+        tts_rec = tts.mel * cfg.w_mel + tts.pitch_ce * cfg.w_pitch
+        dur_t = tts.duration
         report.mel_tts = tts.mel.item()
         report.pitch_ce_tts = tts.pitch_ce.item()
         report.pitch_f0_mse = tts.pitch_f0_mse
     if pair is not None:
+        pair_t = pair.pair
         report.code_agreement = pair.code_agreement
     if vc is not None:
+        vc_rec = vc.mel * cfg.w_mel + vc.pitch_ce * cfg.w_pitch
         report.mel_vc = vc.mel.item()
         report.pitch_ce_vc = vc.pitch_ce.item()
 
@@ -245,7 +231,8 @@ def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
     aux_t = Tensor(0.0)
     for f in aux_frags:
         aux_t = aux_t + f.aux * (f.n_utts / n_aux)
-    total = total + aux_t * cfg.w_vq
+    total = (tts_rec + vc_rec + pair_t * cfg.w_pair + dur_t * cfg.w_duration
+             + aux_t * cfg.w_vq)
 
     report.l_tts_rec = tts_rec.item()
     report.l_vc_rec = vc_rec.item()
@@ -280,44 +267,20 @@ def _pools(records: list[UtteranceRecord], mode: str
     return labeled, list(records)  # speech pool includes labeled speech too
 
 
-VALIDATION_CAP = 8
-
-
-def _spread(pool: list[UtteranceRecord], cap: int = VALIDATION_CAP) -> list[UtteranceRecord]:
-    """Up to `cap` records at an even stride over `pool`, so a pool ordered
-    by speaker contributes every speaker (when it has at most `cap`), not
-    only its first."""
-    n = min(cap, len(pool))
-    return [pool[i * len(pool) // n] for i in range(n)]
-
-
-def _validation_loss(model: JointModel, paired: list[UtteranceRecord],
-                     unpaired: list[UtteranceRecord], cfg: TrainConfig) -> float:
-    """Eval-mode total, without the VQ aux term, over a capped deterministic
-    subset of the training pools.  It tracks the training loss for the
-    plateau stop; it is not a held-out loss."""
-    tts, pair, vc = _pipelines(_spread(paired), _spread(unpaired), model, cfg,
-                               step=0, training=False)
-    return _weighted_terms(tts, pair, vc, cfg)[-1].item()
-
-
 def train(cfg: TrainConfig, records: list[UtteranceRecord],
           checkpoint_path=None, trace_path=None,
           stop_when=None) -> tuple[JointModel, AdamState, list[LossReport]]:
-    """Run joint training until max_steps or a validation plateau.
+    """Run joint training until max_steps or a training-loss plateau.
 
-    Convergence rule: stop early when the eval-mode validation loss has not
-    improved by more than plateau_delta for plateau_epochs consecutive
-    epochs.  `stop_when(report)` may end training once a target is met.
+    Convergence rule: stop early when the epoch's mean `LossReport.total`
+    has not improved on the best epoch's by more than plateau_delta for
+    plateau_epochs consecutive epochs.  `stop_when(report)` may end
+    training once a target is met.
 
     Every epoch boundary decays the learning rate and writes the checkpoint
     with the steps run so far.  The run's last boundary follows when
     max_steps or stop_when ends it, also mid-epoch, and the same rule holds
-    there: one decay, one checkpoint.  The validation loss is computed only
-    where the rule could still end the run early: never at the last
-    boundary, and never in a run of at most plateau_epochs boundaries
-    (ceil(max_steps / steps per epoch)), since the stale-epoch count cannot
-    exceed the boundaries seen.  The closing checkpoint is the last
+    there: one decay, one checkpoint.  The closing checkpoint is the last
     boundary's; only a run of no steps writes one after the loop.
     """
     cfg.validate()
@@ -333,8 +296,6 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
     primary = paired if cfg.mode != "vc-only" else unpaired
     batch_primary = cfg.batch_paired if cfg.mode != "vc-only" else max(cfg.batch_unpaired, 1)
 
-    # epoch boundaries of a run that no rule stops early
-    n_boundaries = math.ceil(cfg.max_steps / math.ceil(max(len(primary), 1) / batch_primary))
     seed_batch = (unpaired or paired)[:max(cfg.batch_paired + cfg.batch_unpaired, 8)]
     seed_codebook_from_batch(model, seed_batch)
 
@@ -346,7 +307,7 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
         trace_fh.write(LossReport.csv_header() + "\n")
 
     last_checkpoint = None
-    best_val = math.inf
+    best_loss = math.inf
     stale_epochs = 0
     step = 0
     stopped = False
@@ -357,6 +318,8 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
         while step < cfg.max_steps and not stopped:
             order = model.rng.generator("data/shuffle_primary", epoch).permutation(
                 len(primary)) if primary else np.array([], dtype=int)
+            epoch_first_step = step
+            epoch_total = 0.0
             for chunk_start in range(0, max(len(order), 1), batch_primary):
                 if step >= cfg.max_steps:
                     break
@@ -364,7 +327,7 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
                 batch_u: list[UtteranceRecord] = []
                 if cfg.mode != "vc-only":
                     batch_p = [primary[i] for i in order[chunk_start:chunk_start + batch_primary]]
-                    if cfg.mode != "tts-only" and unpaired and cfg.batch_unpaired > 0:
+                    if unpaired and cfg.batch_unpaired > 0:
                         for _ in range(cfg.batch_unpaired):
                             if unpaired_cursor >= len(unpaired_order):
                                 unpaired_order = list(model.rng.generator(
@@ -382,6 +345,7 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
                         else "; no checkpoint written yet"
                     raise TrainingDiverged(str(exc) + hint) from exc
                 trace.append(report)
+                epoch_total += report.total
                 if trace_fh is not None:
                     trace_fh.write(report.csv_row() + "\n")
                 step += 1
@@ -395,11 +359,9 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
                 checkpoint.save_checkpoint(checkpoint_path, model, opt, cfg, step)
                 last_checkpoint = checkpoint_path
 
-            if stopped or step >= cfg.max_steps or n_boundaries <= cfg.plateau_epochs:
-                continue  # the plateau rule cannot stop this run before its last boundary
-            val = _validation_loss(model, paired, unpaired, cfg)
-            if val < best_val - cfg.plateau_delta:
-                best_val = val
+            epoch_loss = epoch_total / (step - epoch_first_step)
+            if epoch_loss < best_loss - cfg.plateau_delta:
+                best_loss = epoch_loss
                 stale_epochs = 0
             else:
                 stale_epochs += 1

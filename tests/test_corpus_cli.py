@@ -10,7 +10,6 @@ import pytest
 from uspc import checkpoint as checkpoint_mod
 from uspc.checkpoint import MAGIC, load_checkpoint, restore_model, save_checkpoint
 from uspc.cli import main
-from uspc.config import TrainConfig
 from uspc.corpus import (CorpusSpec, UtteranceRecord, gen_corpus, load_corpus,
                          read_matrix, render_frames, write_corpus, write_matrix)
 from uspc.errors import ConfigError, DataError, FormatError, IntegrityError
@@ -508,30 +507,28 @@ def test_cli_bad_config_value_exits_1(tmp_path, capsys):
 
 
 def test_cli_runtime_failure_exits_1(tmp_path, capsys):
-    assert main(["eval", "--ckpt", str(tmp_path / "nope.uspc"),
-                 "--corpus", str(tmp_path), "--out", str(tmp_path / "o.csv")]) in (1,)
-    # note: missing checkpoint file raises an OS error wrapped as exit 1
-    # only if it surfaces as a package error; check message on stderr
+    missing = tmp_path / "nope.uspc"
+    assert main(["eval", "--ckpt", str(missing),
+                 "--corpus", str(tmp_path), "--out", str(tmp_path / "o.csv")]) == 1
     err = capsys.readouterr().err
-    assert err == "" or "error" in err.lower()
+    assert err.startswith("error: ")
+    assert str(missing) in err
 
 
-def test_cli_uspc_seed_env_override(tmp_path, monkeypatch):
+def test_cli_seed_flag_alone_picks_the_corpus(tmp_path, monkeypatch):
+    def gen_data(seed, out):
+        assert main(["gen-data", "--seed", str(seed), "--speakers", "2", "--utts", "2",
+                     "--test-speakers", "0", "--out", str(out)]) == 0
+
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-    main(["gen-data", "--seed", "1", "--speakers", "2", "--utts", "2",
-          "--test-speakers", "0", "--out", str(a)])
+    gen_data(1, a)
+    gen_data(999, b)
     monkeypatch.setenv("USPC_SEED", "1")
-    main(["gen-data", "--seed", "999", "--speakers", "2", "--utts", "2",
-          "--test-speakers", "0", "--out", str(b)])
-    monkeypatch.delenv("USPC_SEED")
-    main(["gen-data", "--seed", "999", "--speakers", "2", "--utts", "2",
-          "--test-speakers", "0", "--out", str(c)])
-    assert (a / "manifest.txt").read_bytes() == (b / "manifest.txt").read_bytes()
-    ra = load_corpus(a, "train")
-    rb = load_corpus(b, "train")
-    rc = load_corpus(c, "train")
-    assert np.array_equal(ra[0].mel, rb[0].mel)
-    assert not np.array_equal(ra[0].mel, rc[0].mel)
+    gen_data(999, c)
+    assert (b / "manifest.txt").read_bytes() == (c / "manifest.txt").read_bytes()
+    ra, rb, rc = (load_corpus(d, "train") for d in (a, b, c))
+    assert np.array_equal(rb[0].mel, rc[0].mel)
+    assert not np.array_equal(ra[0].mel, rb[0].mel)
 
 
 def test_cli_repeat_invocation_bitwise_outputs(tmp_path):

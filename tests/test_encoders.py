@@ -15,7 +15,7 @@ from uspc.errors import DataError, PairingError
 from uspc.layers import Ctx, segment_offsets
 from uspc.model import JointModel
 
-from conftest import rand, small_model_config
+from conftest import rand
 
 
 EVAL = Ctx.eval()
