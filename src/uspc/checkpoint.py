@@ -38,7 +38,9 @@ class Checkpoint:
 
 
 def _write_tensor(fh, name: str, array: np.ndarray) -> None:
-    data = np.asarray(array, dtype=np.float64)
+    # written from the tensor's own buffer: no copy of a little-endian
+    # float64 array that is already contiguous
+    data = np.asarray(array, dtype="<f8")
     if not data.flags["C_CONTIGUOUS"]:
         data = np.ascontiguousarray(data)  # keeps 0-d tensors rank 0
     encoded = name.encode("utf-8")
@@ -47,7 +49,7 @@ def _write_tensor(fh, name: str, array: np.ndarray) -> None:
     fh.write(struct.pack("<I", data.ndim))
     for dim in data.shape:
         fh.write(struct.pack("<Q", dim))
-    fh.write(data.astype("<f8").tobytes())
+    fh.write(memoryview(data))
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import mmap
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +26,42 @@ class ParamStore(dict):
     def zero_grad(self) -> None:
         for t in self.values():
             t.grad = None
+
+    @contextmanager
+    def frozen(self):
+        """Parameters act as constants inside the block: a forward pass
+        builds no graph, so each array it makes is freed once nothing reads
+        it, not when the whole graph is dropped.  Values are unchanged."""
+        for t in self.values():
+            t.requires_grad = False
+        try:
+            yield
+        finally:
+            for t in self.values():
+                t.requires_grad = True
+
+    def share(self) -> None:
+        """Move every parameter into one anonymous shared mapping, bytes
+        unchanged.  In-place updates (Adam, codebook seeding and reseeding)
+        then reach a process forked afterwards, which maps the same memory."""
+        views = shared_arrays({name: t.data.shape for name, t in self.items()})
+        for name, t in self.items():
+            views[name][...] = t.data
+            t.data = views[name]
+
+
+def shared_arrays(shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Zeroed float64 arrays of the given shapes, all views of one anonymous
+    shared mapping, each starting on a 64-byte boundary.  A forked process
+    keeps the mapping, so a write on either side is seen by the other."""
+    offsets: dict[str, int] = {}
+    end = 0
+    for name, shape in shapes.items():
+        offsets[name] = end
+        end += -(-math.prod(shape) // 8) * 8
+    block = np.frombuffer(mmap.mmap(-1, max(end, 1) * 8), dtype=np.float64)
+    return {name: block[offsets[name]:offsets[name] + math.prod(shape)].reshape(shape)
+            for name, shape in shapes.items()}
 
 
 @dataclass

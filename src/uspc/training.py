@@ -2,14 +2,23 @@
 
 One training step runs the text-to-speech pipeline on a paired batch, the
 domain (pair) loss on the same paired examples, and the voice-conversion
-pipeline on a speech-only batch, then combines everything into a single
-scalar, backpropagates once, clips, and applies one Adam update.  Ablation
-modes switch parts of this off without touching the rest.
+pipeline on a speech-only batch, then sums the weighted losses, clips the
+summed gradients and applies one Adam update.  Ablation modes switch parts
+of this off without touching the rest.
+
+The VC half shares no graph node with the TTS + pair half, only
+parameters, so each half takes a backward pass of its own and each
+parameter's gradient is their sum.  That is bitwise the gradient one
+backward pass over the joint loss gives, and it lets `train()` run the VC
+half in a forked worker while the main process runs the rest.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import signal
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -21,10 +30,10 @@ from .autodiff import Tensor
 from .config import TrainConfig
 from .corpus import UtteranceRecord
 from .encoders import quantize_f0_array
-from .errors import DataError, PairingError, TrainingDiverged
+from .errors import DataError, PairingError, TrainingDiverged, UspcError
 from .layers import Ctx, segment_offsets
 from .model import JointModel
-from .optim import AdamState, adam_step, clip_global_norm
+from .optim import AdamState, adam_step, clip_global_norm, shared_arrays
 from .synthesis import decode_f0
 from .vq import QuantizedContent, pair_loss, vq_aux_loss
 
@@ -180,81 +189,224 @@ def seed_codebook_from_batch(model: JointModel, batch: list[UtteranceRecord],
     model.codebook.seed_from_rows(c.data, model.rng, step)
 
 
-def _pipelines(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
-               model: JointModel, cfg: TrainConfig, step: int
-               ) -> tuple[Fragment | None, Fragment | None, Fragment | None]:
-    """The (tts, pair, vc) fragments `cfg.mode` trains; None for a skipped one.
+@dataclass
+class VcSide:
+    """The VC half of a joint step: its loss scalars, its codes and
+    pre-quantization rows for the codebook bookkeeping, and its parameter
+    gradients by name."""
 
-    tts-only skips pair and VC; vc-only runs only the speech pipeline; novq
-    runs everything with identity quantization and no codebook loss.
+    mel: float
+    pitch_ce: float
+    rec: float   # w_mel * mel + w_pitch * pitch_ce
+    aux: float   # its share of the VQ aux term, 0.0 without VQ
+    codes: np.ndarray
+    continuous: np.ndarray
+    grads: dict[str, np.ndarray]
+
+
+def _grads_of(loss: Tensor, model: JointModel) -> dict[str, np.ndarray]:
+    """Parameter gradients of `loss` from a backward pass of its own."""
+    model.store.zero_grad()
+    if loss.requires_grad:
+        ad.backward(loss)
+    grads = {name: p.grad for name, p in model.store.items() if p.grad is not None}
+    model.store.zero_grad()
+    return grads
+
+
+def vc_side(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
+            step: int, aux_share: float) -> VcSide:
+    """`vc_step` on the speech batch and its own backward pass from
+    vc_rec + (aux * aux_share) * w_vq, `aux_share` being the batch's share
+    of the utterances that ran through the VQ this step.  Inline and in the
+    worker the same function runs, so both give the same bytes."""
+    vc = vc_step(batch, model, cfg, step)
+    rec = vc.mel * cfg.w_mel + vc.pitch_ce * cfg.w_pitch
+    aux = vc.aux * aux_share if vc.aux is not None else Tensor(0.0)
+    return VcSide(mel=vc.mel.item(), pitch_ce=vc.pitch_ce.item(), rec=rec.item(),
+                  aux=aux.item(), codes=vc.quantized.codes,
+                  continuous=vc.quantized.continuous.data,
+                  grads=_grads_of(rec + aux * cfg.w_vq, model))
+
+
+def _serve(conn, parent_end, model: JointModel, cfg: TrainConfig,
+           pool: list[UtteranceRecord], grads: dict[str, np.ndarray]) -> None:
+    """The worker's loop: one `vc_side` per request, until the main process
+    closes its end of the pipe.  Gradients go into the shared `grads`; the
+    reply names them, or carries the exception the step raised."""
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process handles interrupts
+    while True:
+        try:
+            step, indices, aux_share = conn.recv()
+        except EOFError:
+            return
+        try:
+            side = vc_side([pool[i] for i in indices], model, cfg, step, aux_share)
+            for name, g in side.grads.items():
+                grads[name][...] = g
+            reply = (side, list(side.grads))
+            side.grads = {}
+        except Exception as exc:  # noqa: BLE001 - the main process raises it
+            reply = exc
+        try:
+            conn.send(reply)
+        except BrokenPipeError:
+            return
+
+
+class VcWorker:
+    """Runs the VC half of each joint step in a forked process.
+
+    The process shares the model's parameters (`ParamStore.share` must have
+    run) and reads them only between a request and its reply, so the pipe
+    orders every write the main process makes.  It writes its gradients
+    into a second shared block laid out like the parameters.  The start
+    method is fork, named explicitly since Python 3.14 no longer defaults
+    to it: the worker inherits the model, the speech pool and both shared
+    mappings instead of receiving pickled copies.
     """
-    tts = pair = vc = None
-    if cfg.mode in ("full", "tts-only", "novq"):
-        if not paired:
-            raise DataError("this mode needs a paired batch")
-        tts = tts_step(paired, model, cfg, step)
-        if cfg.mode in ("full", "novq"):
-            pair = pair_step(paired, model, cfg, step, tts.quantized)
-    if cfg.mode in ("full", "vc-only", "novq"):
-        if unpaired:
-            vc = vc_step(unpaired, model, cfg, step)
-        elif cfg.mode == "vc-only":
-            raise DataError("vc-only mode needs a speech batch")
-    return tts, pair, vc
+
+    def __init__(self, model: JointModel, cfg: TrainConfig, pool: list[UtteranceRecord]):
+        self._index = {id(rec): i for i, rec in enumerate(pool)}
+        self._grads = shared_arrays({name: p.data.shape for name, p in model.store.items()})
+        ctx = multiprocessing.get_context("fork")
+        self._conn, child_end = ctx.Pipe()
+        self._proc = ctx.Process(target=_serve, daemon=True, args=(
+            child_end, self._conn, model, cfg, pool, self._grads))
+        self._proc.start()
+        child_end.close()
+        self._pending = False
+
+    def submit(self, batch: list[UtteranceRecord], step: int, aux_share: float) -> None:
+        """Start `vc_side` on `batch`, which must come from the worker's pool."""
+        try:
+            self._conn.send((step, [self._index[id(rec)] for rec in batch], aux_share))
+        except OSError:
+            self._died()
+        self._pending = True
+
+    def result(self) -> VcSide:
+        """The submitted step's VcSide, its gradients viewing the shared
+        block until the next submit."""
+        try:
+            reply = self._conn.recv()
+        except EOFError:
+            self._died()
+        self._pending = False
+        if isinstance(reply, BaseException):
+            raise reply
+        side, names = reply
+        side.grads = {name: self._grads[name] for name in names}
+        return side
+
+    def _died(self) -> None:
+        self._pending = False
+        self._proc.join()
+        raise UspcError(f"VC worker exited with code {self._proc.exitcode}") from None
+
+    def close(self) -> None:
+        self._conn.close()
+        if self._pending:  # mid-step: nothing will read its reply
+            self._proc.terminate()
+        self._proc.join()
 
 
 def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
                model: JointModel, opt: AdamState, cfg: TrainConfig,
-               step: int) -> LossReport:
-    """One optimization step over the pipelines `cfg.mode` trains."""
+               step: int, vc_worker: VcWorker | None = None) -> LossReport:
+    """One optimization step over the pipelines `cfg.mode` trains.
+
+    tts-only skips pair and VC; vc-only runs only the speech pipeline; novq
+    runs everything with identity quantization and no codebook loss.  The
+    TTS + pair half and the VC half each take a backward pass of their
+    own, and each parameter's gradient is their sum, main half first.  With
+    `vc_worker` the VC half runs in that process meanwhile; without, inline.
+    """
+    text = cfg.mode != "vc-only"
+    both = cfg.mode in ("full", "novq")
+    speech = cfg.mode != "tts-only" and bool(unpaired)
+    if text and not paired:
+        raise DataError("this mode needs a paired batch")
+    if cfg.mode == "vc-only" and not unpaired:
+        raise DataError("vc-only mode needs a speech batch")
+    # the aux term is the mean over every utterance that ran through the VQ:
+    # the paired batch once per text-side fragment, the speech batch once
+    n_aux = len(paired) * (int(text) + int(both)) + (len(unpaired) if speech else 0)
+    vc_share = len(unpaired) / n_aux if speech else 0.0
+    if speech and vc_worker is not None:
+        vc_worker.submit(unpaired, step, vc_share)
+
     report = LossReport(step=step, lr=opt.lr)
-    tts, pair, vc = _pipelines(paired, unpaired, model, cfg, step)
-    frags = [f for f in (tts, pair, vc) if f is not None]
-    tts_rec = vc_rec = pair_t = dur_t = Tensor(0.0)
-    if tts is not None:
+    tts = pair = None
+    tts_rec = pair_t = dur_t = aux_t = Tensor(0.0)
+    if text:
+        tts = tts_step(paired, model, cfg, step)
         tts_rec = tts.mel * cfg.w_mel + tts.pitch_ce * cfg.w_pitch
         dur_t = tts.duration
         report.mel_tts = tts.mel.item()
         report.pitch_ce_tts = tts.pitch_ce.item()
         report.pitch_f0_mse = tts.pitch_f0_mse
-    if pair is not None:
-        pair_t = pair.pair
-        report.code_agreement = pair.code_agreement
-    if vc is not None:
-        vc_rec = vc.mel * cfg.w_mel + vc.pitch_ce * cfg.w_pitch
-        report.mel_vc = vc.mel.item()
-        report.pitch_ce_vc = vc.pitch_ce.item()
-
-    # the aux term is the mean over every utterance that ran through the VQ
-    aux_frags = [f for f in frags if f.aux is not None]
-    n_aux = sum(f.n_utts for f in aux_frags)
-    aux_t = Tensor(0.0)
-    for f in aux_frags:
-        aux_t = aux_t + f.aux * (f.n_utts / n_aux)
-    total = (tts_rec + vc_rec + pair_t * cfg.w_pair + dur_t * cfg.w_duration
-             + aux_t * cfg.w_vq)
+        if both:
+            pair = pair_step(paired, model, cfg, step, tts.quantized)
+            pair_t = pair.pair
+            report.code_agreement = pair.code_agreement
+    frags = [f for f in (tts, pair) if f is not None]
+    for f in frags:
+        if f.aux is not None:
+            aux_t = aux_t + f.aux * (f.n_utts / n_aux)
+    grads = _grads_of(tts_rec + pair_t * cfg.w_pair + dur_t * cfg.w_duration
+                      + aux_t * cfg.w_vq, model)
 
     report.l_tts_rec = tts_rec.item()
-    report.l_vc_rec = vc_rec.item()
     report.l_pair = pair_t.item()
     report.l_duration = dur_t.item()
     report.l_vq_aux = aux_t.item()
-    report.total = total.item()
+    codes = [f.quantized.codes for f in frags]
+    rows = [f.quantized.continuous.data for f in frags]
+    if speech:
+        vc = vc_worker.result() if vc_worker is not None else vc_side(
+            unpaired, model, cfg, step, vc_share)
+        report.mel_vc = vc.mel
+        report.pitch_ce_vc = vc.pitch_ce
+        report.l_vc_rec = vc.rec
+        report.l_vq_aux += vc.aux
+        codes.append(vc.codes)
+        rows.append(vc.continuous)
+        for name, g in vc.grads.items():
+            grads[name] = grads[name] + g if name in grads else g.copy()
+    # summed in the order of the objective's terms, as one graph over the
+    # joint loss would sum them
+    report.total = (report.l_tts_rec + report.l_vc_rec + report.l_pair * cfg.w_pair
+                    + report.l_duration * cfg.w_duration + report.l_vq_aux * cfg.w_vq)
     if not math.isfinite(report.total):
         raise TrainingDiverged(f"non-finite loss at step {step}")
 
-    model.store.zero_grad()
-    ad.backward(total)
+    for name, g in grads.items():
+        model.store[name].grad = g
     report.grad_norm = clip_global_norm(model.store, cfg.grad_clip_norm)
     adam_step(model.store, opt)
 
-    quantized = [f.quantized for f in frags]
-    if model.use_vq and quantized:
-        model.codebook.mark_step_usage(np.concatenate([q.codes for q in quantized]))
-        model.codebook.reseed_dead_entries(
-            np.concatenate([q.continuous.data for q in quantized], axis=0),
-            model.rng, step, cfg.dead_code_steps)
+    if model.use_vq and codes:
+        model.codebook.mark_step_usage(np.concatenate(codes))
+        model.codebook.reseed_dead_entries(np.concatenate(rows, axis=0),
+                                           model.rng, step, cfg.dead_code_steps)
     return report
+
+
+# where OpenBLAS, numpy's BLAS, reads its thread count, in its order
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _two_processes_fit() -> bool:
+    """Whether the usable CPUs hold two processes' BLAS threads.  OpenBLAS
+    runs as many threads as the first of BLAS_THREAD_VARS says, or one per
+    usable CPU when none is set; two processes of such threads on too few
+    cores spin against each other (a desk step took 2.3x as long)."""
+    cpus = len(os.sched_getaffinity(0))
+    values = [os.environ.get(var, "").strip() for var in BLAS_THREAD_VARS]
+    threads = next((int(v) for v in values if v.isdigit()), cpus)
+    return 2 * max(threads, 1) <= cpus
 
 
 def _pools(records: list[UtteranceRecord], mode: str
@@ -282,6 +434,11 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
     max_steps or stop_when ends it, also mid-epoch, and the same rule holds
     there: one decay, one checkpoint.  The closing checkpoint is the last
     boundary's; only a run of no steps writes one after the loop.
+
+    When both pipelines train on a speech pool and the usable CPUs hold two
+    processes' BLAS threads (`_two_processes_fit`), the VC half of every
+    step runs in a `VcWorker`, forked before anything else is set up and
+    stopped when training ends, also on an error.
     """
     cfg.validate()
     if not records:
@@ -291,27 +448,32 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
         raise DataError("no labeled examples for a mode that trains the text pipeline")
 
     model = JointModel(cfg.model, seed=cfg.seed, use_vq=cfg.mode != "novq")
-    opt = AdamState.for_params(model.store, lr=cfg.lr_init)
-
-    primary = paired if cfg.mode != "vc-only" else unpaired
-    batch_primary = cfg.batch_paired if cfg.mode != "vc-only" else max(cfg.batch_unpaired, 1)
-
-    seed_batch = (unpaired or paired)[:max(cfg.batch_paired + cfg.batch_unpaired, 8)]
-    seed_codebook_from_batch(model, seed_batch)
-
-    trace: list[LossReport] = []
+    vc_worker = None
+    if cfg.mode in ("full", "novq") and unpaired and cfg.batch_unpaired > 0 \
+            and _two_processes_fit():
+        model.store.share()
+        vc_worker = VcWorker(model, cfg, unpaired)
     trace_fh = None
-    if trace_path is not None:
-        Path(trace_path).parent.mkdir(parents=True, exist_ok=True)
-        trace_fh = open(trace_path, "w", encoding="utf-8")
-        trace_fh.write(LossReport.csv_header() + "\n")
-
-    last_checkpoint = None
-    best_loss = math.inf
-    stale_epochs = 0
-    step = 0
-    stopped = False
     try:
+        opt = AdamState.for_params(model.store, lr=cfg.lr_init)
+
+        primary = paired if cfg.mode != "vc-only" else unpaired
+        batch_primary = cfg.batch_paired if cfg.mode != "vc-only" else max(cfg.batch_unpaired, 1)
+
+        seed_batch = (unpaired or paired)[:max(cfg.batch_paired + cfg.batch_unpaired, 8)]
+        seed_codebook_from_batch(model, seed_batch)
+
+        trace: list[LossReport] = []
+        if trace_path is not None:
+            Path(trace_path).parent.mkdir(parents=True, exist_ok=True)
+            trace_fh = open(trace_path, "w", encoding="utf-8")
+            trace_fh.write(LossReport.csv_header() + "\n")
+
+        last_checkpoint = None
+        best_loss = math.inf
+        stale_epochs = 0
+        step = 0
+        stopped = False
         epoch = 0
         unpaired_order: list[int] = []
         unpaired_cursor = 0
@@ -339,7 +501,8 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
                     batch_u = [primary[i] for i in order[chunk_start:chunk_start + batch_primary]]
 
                 try:
-                    report = joint_step(batch_p, batch_u, model, opt, cfg, step)
+                    report = joint_step(batch_p, batch_u, model, opt, cfg, step,
+                                        vc_worker=vc_worker)
                 except TrainingDiverged as exc:
                     hint = f"; last good checkpoint: {last_checkpoint}" if last_checkpoint \
                         else "; no checkpoint written yet"
@@ -370,6 +533,8 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
     finally:
         if trace_fh is not None:
             trace_fh.close()
+        if vc_worker is not None:
+            vc_worker.close()
 
     if checkpoint_path is not None and last_checkpoint is None:
         checkpoint.save_checkpoint(checkpoint_path, model, opt, cfg, step)

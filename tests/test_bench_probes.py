@@ -3,6 +3,8 @@ their callers look them up.  These checks pin that contract: every probed
 layer still runs through its wrapped name, and uninstalling the probes
 restores the original attributes."""
 
+import multiprocessing
+import os
 import sys
 from pathlib import Path
 
@@ -81,3 +83,30 @@ def test_backward_node_count_is_the_graph_before_the_pass(tiny_corpus, monkeypat
         tracer.uninstall()
     assert before and before[0] > 0
     assert [e.value for e in tracer.events if e.name == "autodiff.nodes"] == before
+
+
+def test_probes_leave_the_trace_of_a_worker_run_unchanged(tiny_corpus, monkeypatch):
+    # perfbench's `--trace 1` check compares a traced run's loss trace with
+    # an untraced one; the probes are installed when train() forks the VC
+    # worker, so the worker runs wrapped entry points too
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    cfg = small_train_config(max_steps=5)
+    children = []
+
+    def rows():
+        trace = training.train(cfg, tiny_corpus["train"], stop_when=lambda report: children.append(
+            len(multiprocessing.active_children())))[2]
+        return [report.csv_row() for report in trace]
+
+    plain = rows()
+    tracer = Tracer()
+    probes.instrument(tracer)
+    try:
+        traced = rows()
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    assert children == [1] * 10
+    assert multiprocessing.active_children() == []
+    assert "training.joint_step" in {s[NAME] for s in tracer.spans}

@@ -206,6 +206,32 @@ def test_evaluate_runs_each_encoder_once(split, monkeypatch):
     assert counts == {"TextEncoder": 1, "ContentEncoder": 1, "SpeakerEncoder": 2}
 
 
+def test_evaluate_builds_no_graph_and_leaves_parameters_trainable(split, monkeypatch):
+    from uspc import autodiff
+    closures = []
+    real_make_node = autodiff._make_node
+
+    def counted(data, parents, backward_fn):
+        out = real_make_node(data, parents, backward_fn)
+        closures.append(out._backward is not None)
+        return out
+
+    monkeypatch.setattr(autodiff, "_make_node", counted)
+    model = perturbed_model()
+    evaluate(split, model)
+    assert closures and not any(closures)
+    assert all(p.requires_grad for p in model.store.values())
+
+    # also when the pass raises
+    def failing(*args, **kw):
+        raise RuntimeError("decoder failed")
+
+    monkeypatch.setattr(model, "decode_tts", failing)
+    with pytest.raises(RuntimeError, match="decoder failed"):
+        evaluate(split, model)
+    assert all(p.requires_grad for p in model.store.values())
+
+
 def test_evaluate_all_f0_undefined_is_nan_without_warning(split):
     model = perturbed_model()
     model.pitch_predictor.stack.head.b.data[0] = 1e6   # every frame unvoiced

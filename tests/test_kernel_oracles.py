@@ -343,9 +343,9 @@ def test_repeated_utterance_in_a_packed_batch_gets_its_own_fresh_mask(tmp_path):
     batches = []
     real_step = training.joint_step
 
-    def spy(paired, unpaired, model, opt, cfg, step):
+    def spy(paired, unpaired, model, opt, cfg, step, **kw):
         batches.append((step, [rec.id for rec in unpaired]))
-        return real_step(paired, unpaired, model, opt, cfg, step)
+        return real_step(paired, unpaired, model, opt, cfg, step, **kw)
 
     training.joint_step = spy
     try:

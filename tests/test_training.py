@@ -1,7 +1,11 @@
 """Loss assembly identities, mode switches, gradient-flow contracts, seed
 determinism, and checkpoint round trips on tiny corpora."""
 
+import hashlib
 import math
+import multiprocessing
+import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +13,13 @@ import pytest
 
 from uspc import checkpoint as checkpoint_mod
 from uspc import config as config_mod
+from uspc import training as training_mod
 from uspc.checkpoint import load_checkpoint, restore_model, save_checkpoint
-from uspc.errors import ConfigError, DataError, TrainingDiverged
+from uspc.errors import ConfigError, DataError, TrainingDiverged, UspcError
 from uspc.layers import Ctx
 from uspc.model import JointModel
 from uspc.optim import AdamState
+from uspc.vq import Codebook
 from uspc.training import (LossReport, joint_step, pair_step,
                            seed_codebook_from_batch, train, tts_step, vc_step)
 
@@ -215,7 +221,8 @@ def test_step_graph_size_does_not_grow_with_batch(tiny_corpus, monkeypatch):
         model = JointModel(cfg.model, seed=cfg.seed)
         opt = AdamState.for_params(model.store, lr=cfg.lr_init)
         joint_step(records[:n], records[-n:], model, opt, cfg, step=0)
-    assert counts[0] == counts[1]
+    # one backward pass per half, TTS + pair then VC, each the same size
+    assert len(counts) == 4 and counts[:2] == counts[2:]
 
 
 def test_tts_step_requires_durations(setup):
@@ -498,6 +505,186 @@ def test_novq_mode_reports_no_aux(tiny_corpus):
     _, _, trace = train(cfg, tiny_corpus["train"])
     assert all(r.l_vq_aux == 0.0 for r in trace)
     assert all(r.l_pair > 0.0 for r in trace)  # pair loss on continuous content
+
+
+# ------------------------------------------------------------- the VC worker
+
+
+def _cpus(monkeypatch, n):
+    """Make `train()` see n usable CPUs and one BLAS thread per process:
+    2 starts the VC worker, 1 keeps the VC half inline."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
+@pytest.mark.parametrize("cpus,env,fits", [
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, True),
+    (1, {"OPENBLAS_NUM_THREADS": "1"}, False),
+    (2, {}, False),                                  # one BLAS thread per CPU
+    (4, {}, False),
+    (4, {"OMP_NUM_THREADS": "2"}, True),
+    (4, {"OMP_NUM_THREADS": "3"}, False),
+    (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    (2, {"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, True),
+])
+def test_vc_worker_starts_only_where_both_processes_blas_threads_fit(monkeypatch, cpus,
+                                                                     env, fits):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    for var in training_mod.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert training_mod._two_processes_fit() is fits
+
+
+def _state_digest(model, opt) -> str:
+    h = hashlib.sha256()
+    for name, param in model.store.items():
+        for array in (param.data, opt.m[name], opt.v[name]):
+            h.update(array.tobytes())
+    h.update(model.codebook.steps_since_use.tobytes())
+    h.update(repr((opt.t, opt.lr)).encode())
+    return h.hexdigest()
+
+
+def _run_digests(cfg, records, out):
+    """sha256 of a seeded run's trace CSV, checkpoint bytes and final state,
+    plus the number of live child processes at each step."""
+    children = []
+
+    def stop_when(report):
+        children.append(len(multiprocessing.active_children()))
+        return False
+
+    out.mkdir()
+    model, opt, _ = train(cfg, records, checkpoint_path=out / "run.uspc",
+                          trace_path=out / "trace.csv", stop_when=stop_when)
+    return ({part: hashlib.sha256((out / part).read_bytes()).hexdigest()
+             for part in ("run.uspc", "trace.csv")} | {"state": _state_digest(model, opt)},
+            children)
+
+
+@pytest.mark.parametrize("mode", ["full", "novq"])
+def test_vc_worker_steps_are_bitwise_the_inline_steps(tiny_corpus, tmp_path, monkeypatch,
+                                                      mode):
+    # dead entries are reseeded by the main process every 2 idle steps: the
+    # worker must see those writes, and Adam's, before its next step
+    reseeded = []
+    real_reseed = Codebook.reseed_dead_entries
+
+    def counted(self, *args):
+        reseeded.append(real_reseed(self, *args))
+        return reseeded[-1]
+
+    monkeypatch.setattr(Codebook, "reseed_dead_entries", counted)
+    cfg = small_train_config(max_steps=7, mode=mode, dead_code_steps=2)
+    _cpus(monkeypatch, 2)
+    worker, children = _run_digests(cfg, tiny_corpus["train"], tmp_path / "worker")
+    assert children == [1] * 7
+    _cpus(monkeypatch, 1)
+    inline, children = _run_digests(cfg, tiny_corpus["train"], tmp_path / "inline")
+    assert children == [0] * 7
+    assert worker == inline
+    assert multiprocessing.active_children() == []
+    if mode == "full":
+        assert sum(reseeded) > 0
+
+
+@pytest.mark.parametrize("mode", ["tts-only", "vc-only"])
+def test_single_pipeline_modes_start_no_process(tiny_corpus, monkeypatch, mode):
+    _cpus(monkeypatch, 2)
+    children = []
+    train(small_train_config(max_steps=3, mode=mode), tiny_corpus["train"],
+          stop_when=lambda report: children.append(len(multiprocessing.active_children())))
+    assert children == [0, 0, 0]
+
+
+def test_vc_worker_is_gone_after_train_returns_stops_or_raises(tiny_corpus, monkeypatch):
+    _cpus(monkeypatch, 2)
+    records = tiny_corpus["train"]
+    train(small_train_config(max_steps=3), records)
+    assert multiprocessing.active_children() == []
+    train(small_train_config(max_steps=9), records, stop_when=lambda report: report.step == 1)
+    assert multiprocessing.active_children() == []
+
+    # the main half fails while the worker runs its half of the same step
+    real_tts_step = training_mod.tts_step
+
+    def failing(batch, model, cfg, step, training=True):
+        if step == 2:
+            raise DataError("text batch rejected")
+        return real_tts_step(batch, model, cfg, step, training)
+
+    monkeypatch.setattr(training_mod, "tts_step", failing)
+    with pytest.raises(DataError, match="text batch rejected"):
+        train(small_train_config(max_steps=5), records)
+    assert multiprocessing.active_children() == []
+
+
+def test_vc_worker_error_reaches_the_caller_as_inline(tiny_corpus, monkeypatch):
+    real_vc_step = training_mod.vc_step
+
+    def failing(batch, model, cfg, step, training=True):
+        if step == 2:
+            raise DataError(f"speech batch rejected at step {step}: {batch[0].id}")
+        return real_vc_step(batch, model, cfg, step, training)
+
+    monkeypatch.setattr(training_mod, "vc_step", failing)
+    raised = []
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        with pytest.raises(DataError) as info:
+            train(small_train_config(max_steps=5), tiny_corpus["train"])
+        raised.append((type(info.value), str(info.value)))
+        assert multiprocessing.active_children() == []
+    assert raised[0] == raised[1]
+    assert raised[0][1].startswith("speech batch rejected at step 2: ")
+
+
+def test_nonfinite_vc_loss_in_the_worker_changes_nothing(tiny_corpus, tmp_path, monkeypatch):
+    real_vc_step = training_mod.vc_step
+
+    def poisoned(batch, model, cfg, step, training=True):
+        frag = real_vc_step(batch, model, cfg, step, training)
+        if step == 4:
+            frag.mel = frag.mel * np.inf
+        return frag
+
+    # the state after each completed step, from the model train() builds
+    seen = {}
+    real_joint_step = training_mod.joint_step
+
+    def spy(paired, unpaired, model, opt, cfg, step, **kw):
+        seen["model"], seen["opt"] = model, opt
+        report = real_joint_step(paired, unpaired, model, opt, cfg, step, **kw)
+        seen["after"] = _state_digest(model, opt)
+        return report
+
+    monkeypatch.setattr(training_mod, "vc_step", poisoned)
+    monkeypatch.setattr(training_mod, "joint_step", spy)
+    _cpus(monkeypatch, 2)
+    path = tmp_path / "run.uspc"
+    hint = re.escape(f"non-finite loss at step 4; last good checkpoint: {path}")
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match=hint):
+        train(small_train_config(max_steps=9), tiny_corpus["train"], checkpoint_path=path)
+    assert _state_digest(seen["model"], seen["opt"]) == seen["after"]
+    assert multiprocessing.active_children() == []
+
+
+def test_vc_worker_death_raises_uspc_error_naming_its_exit_code(tiny_corpus, monkeypatch):
+    main_pid = os.getpid()
+    real_vc_step = training_mod.vc_step
+
+    def dying(batch, model, cfg, step, training=True):
+        if step == 2 and os.getpid() != main_pid:
+            os._exit(7)
+        return real_vc_step(batch, model, cfg, step, training)
+
+    monkeypatch.setattr(training_mod, "vc_step", dying)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(UspcError, match="exited with code 7"):
+        train(small_train_config(max_steps=5), tiny_corpus["train"])
+    assert multiprocessing.active_children() == []
 
 
 def test_config_text_round_trip():
