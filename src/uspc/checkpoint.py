@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as config_mod
-from .errors import FormatError
+from .errors import FormatError, decode_utf8
 from .model import JointModel
 from .optim import AdamState
 
@@ -101,13 +101,15 @@ def load_checkpoint(path) -> Checkpoint:
         if version != VERSION:
             raise FormatError(f"{path}: unsupported version {version}, expected {VERSION}")
         (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
-        config_text = _read_exact(fh, cfg_len, "config").decode("utf-8")
+        config_text = decode_utf8(_read_exact(fh, cfg_len, "config"), f"{path}: config",
+                                  FormatError)
         (step,) = struct.unpack("<Q", _read_exact(fh, 8, "step"))
         (count,) = struct.unpack("<Q", _read_exact(fh, 8, "tensor count"))
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name length"))
-            name = _read_exact(fh, name_len, "name").decode("utf-8")
+            name = decode_utf8(_read_exact(fh, name_len, "name"), f"{path}: tensor name",
+                               FormatError)
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
             dims = [struct.unpack("<Q", _read_exact(fh, 8, "dim"))[0] for _ in range(rank)]
             # sized with Python ints against the bytes left, so no declared

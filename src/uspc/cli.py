@@ -91,7 +91,7 @@ def _load_all_splits(corpus_dir):
     other failure to load the test split is an error."""
     records = load_corpus(corpus_dir, "train")
     test_manifest = Path(corpus_dir) / manifest_name("test")
-    if test_manifest.exists() and test_manifest.read_text(encoding="utf-8").strip():
+    if test_manifest.exists() and test_manifest.read_bytes().strip():
         records += load_corpus(corpus_dir, "test")
     return records
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, decode_utf8
 from .features import N_MELS
 
 # training modes: both pipelines, one of them, or both without quantization
@@ -114,7 +114,8 @@ def _coerce(raw: str, target_type, lineno: int, key: str):
 
 def from_text(text: str) -> TrainConfig:
     cfg = TrainConfig()
-    train_fields = {f.name: f for f in fields(TrainConfig)}
+    # `model` is set field by field, as model.<key> lines
+    train_fields = {f.name: f for f in fields(TrainConfig) if f.name != "model"}
     model_fields = {f.name: f for f in fields(ModelConfig)}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -139,6 +140,6 @@ def from_text(text: str) -> TrainConfig:
 
 
 def load_config(path) -> TrainConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_text(fh.read())
+    with open(path, "rb") as fh:
+        return from_text(decode_utf8(fh.read(), str(path), ConfigError))
 

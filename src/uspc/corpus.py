@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoders import quantize_f0_array
-from .errors import ConfigError, DataError, IntegrityError
+from .errors import ConfigError, DataError, IntegrityError, decode_utf8
 from .features import N_MELS, N_PITCH_BINS
 
 
@@ -281,29 +281,28 @@ def load_corpus(corpus_dir, split: str = "train") -> list[UtteranceRecord]:
     if not manifest.exists():
         raise DataError(f"manifest not found: {manifest}")
     records = []
-    with open(manifest, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("|")
-            if len(parts) != 7:
-                raise IntegrityError(f"{manifest}:{lineno}: expected 7 fields, got {len(parts)}")
-            uid, speaker, flag, ph, du, mel_rel, f0_rel = parts
-            labeled = flag == "1"
-            mel_path = corpus_dir / mel_rel
-            f0_path = corpus_dir / f0_rel
-            for path in (mel_path, f0_path):
-                if not path.exists():
-                    raise DataError(f"{uid}: missing feature file {path}")
-            rec = UtteranceRecord(
-                id=uid, speaker_id=speaker, labeled=labeled,
-                mel=read_matrix(mel_path),
-                f0=read_matrix(f0_path).reshape(-1),
-                phonemes=_field_to_ints(ph, f"{manifest}:{lineno}") if labeled else None,
-                durations=_field_to_ints(du, f"{manifest}:{lineno}") if labeled else None)
-            rec.validate()
-            records.append(rec)
+    text = decode_utf8(manifest.read_bytes(), str(manifest), IntegrityError)
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line:
+            continue
+        parts = line.split("|")
+        if len(parts) != 7:
+            raise IntegrityError(f"{manifest}:{lineno}: expected 7 fields, got {len(parts)}")
+        uid, speaker, flag, ph, du, mel_rel, f0_rel = parts
+        labeled = flag == "1"
+        mel_path = corpus_dir / mel_rel
+        f0_path = corpus_dir / f0_rel
+        for path in (mel_path, f0_path):
+            if not path.exists():
+                raise DataError(f"{uid}: missing feature file {path}")
+        rec = UtteranceRecord(
+            id=uid, speaker_id=speaker, labeled=labeled,
+            mel=read_matrix(mel_path),
+            f0=read_matrix(f0_path).reshape(-1),
+            phonemes=_field_to_ints(ph, f"{manifest}:{lineno}") if labeled else None,
+            durations=_field_to_ints(du, f"{manifest}:{lineno}") if labeled else None)
+        rec.validate()
+        records.append(rec)
     if not records:
         raise DataError(f"{manifest}: corpus is empty")
     return records

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the UTF-8 decoding that raises them."""
 
 
 class UspcError(Exception):
@@ -39,3 +39,11 @@ class UndefinedMetricError(UspcError, ValueError):
 
 class TrainingDiverged(UspcError, RuntimeError):
     """Training aborted on a non-finite loss."""
+
+
+def decode_utf8(raw: bytes, where: str, error: type[UspcError]) -> str:
+    """`raw` as text; bytes that are not UTF-8 raise `error` naming `where`."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{where}: not UTF-8 ({exc.reason} at byte {exc.start})") from None

@@ -6,11 +6,13 @@ pipeline on a speech-only batch, then sums the weighted losses, clips the
 summed gradients and applies one Adam update.  Ablation modes switch parts
 of this off without touching the rest.
 
-The VC half shares no graph node with the TTS + pair half, only
-parameters, so each half takes a backward pass of its own and each
-parameter's gradient is their sum.  That is bitwise the gradient one
-backward pass over the joint loss gives, and it lets `train()` run the VC
-half in a forked worker while the main process runs the rest.
+A step has two halves that share parameters but no graph node: the text
+half (TTS and pair) and the speech half (VC).  `half_step` builds either
+one with a backward pass of its own, and each parameter's gradient is the
+sum of the halves'.  That is bitwise the gradient one backward pass over
+the joint loss gives, and it lets `train()` run the speech half in a forked
+worker while the main process runs the text half.  A step's batches are a
+function of the seed and the step alone, so the loop carries no batch order.
 """
 
 from __future__ import annotations
@@ -190,63 +192,69 @@ def seed_codebook_from_batch(model: JointModel, batch: list[UtteranceRecord],
 
 
 @dataclass
-class VcSide:
-    """The VC half of a joint step: its loss scalars, its codes and
-    pre-quantization rows for the codebook bookkeeping, and its parameter
-    gradients by name."""
+class Half:
+    """One half of a joint step after its backward pass: its `LossReport`
+    values by field name, its fragments' codes and pre-quantization rows
+    for the codebook bookkeeping, and its parameter gradients by name."""
 
-    mel: float
-    pitch_ce: float
-    rec: float   # w_mel * mel + w_pitch * pitch_ce
-    aux: float   # its share of the VQ aux term, 0.0 without VQ
-    codes: np.ndarray
-    continuous: np.ndarray
+    values: dict[str, float]
+    codes: list[np.ndarray]
+    rows: list[np.ndarray]
     grads: dict[str, np.ndarray]
 
 
-def _grads_of(loss: Tensor, model: JointModel) -> dict[str, np.ndarray]:
-    """Parameter gradients of `loss` from a backward pass of its own."""
+def half_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
+              step: int, n_aux: int, speech: bool = False) -> Half:
+    """The text half of a step (`tts_step`, plus `pair_step` when both
+    pipelines train) or with `speech` its speech half (`vc_step`), and a
+    backward pass from rec + pair * w_pair + duration * w_duration +
+    aux * w_vq, each fragment's aux weighted by its share n_utts / n_aux of
+    the utterances that ran through the VQ this step.  Inline and in the
+    worker the same function runs, so both give the same bytes."""
+    side = "vc" if speech else "tts"
+    first = (vc_step if speech else tts_step)(batch, model, cfg, step)
+    frags = [first]
+    if not speech and cfg.mode in ("full", "novq"):
+        frags.append(pair_step(batch, model, cfg, step, first.quantized))
+    rec = first.mel * cfg.w_mel + first.pitch_ce * cfg.w_pitch
+    pair = frags[-1].pair if frags[-1].pair is not None else Tensor(0.0)
+    duration = first.duration if first.duration is not None else Tensor(0.0)
+    aux = Tensor(0.0)
+    for f in frags:
+        if f.aux is not None:
+            aux = aux + f.aux * (f.n_utts / n_aux)
+
     model.store.zero_grad()
-    if loss.requires_grad:
-        ad.backward(loss)
+    ad.backward(rec + pair * cfg.w_pair + duration * cfg.w_duration + aux * cfg.w_vq)
     grads = {name: p.grad for name, p in model.store.items() if p.grad is not None}
     model.store.zero_grad()
-    return grads
-
-
-def vc_side(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
-            step: int, aux_share: float) -> VcSide:
-    """`vc_step` on the speech batch and its own backward pass from
-    vc_rec + (aux * aux_share) * w_vq, `aux_share` being the batch's share
-    of the utterances that ran through the VQ this step.  Inline and in the
-    worker the same function runs, so both give the same bytes."""
-    vc = vc_step(batch, model, cfg, step)
-    rec = vc.mel * cfg.w_mel + vc.pitch_ce * cfg.w_pitch
-    aux = vc.aux * aux_share if vc.aux is not None else Tensor(0.0)
-    return VcSide(mel=vc.mel.item(), pitch_ce=vc.pitch_ce.item(), rec=rec.item(),
-                  aux=aux.item(), codes=vc.quantized.codes,
-                  continuous=vc.quantized.continuous.data,
-                  grads=_grads_of(rec + aux * cfg.w_vq, model))
+    values = {f"l_{side}_rec": rec.item(), f"mel_{side}": first.mel.item(),
+              f"pitch_ce_{side}": first.pitch_ce.item(), "l_pair": pair.item(),
+              "l_duration": duration.item(), "l_vq_aux": aux.item(),
+              "pitch_f0_mse": first.pitch_f0_mse, "code_agreement": frags[-1].code_agreement}
+    return Half(values=values, codes=[f.quantized.codes for f in frags],
+                rows=[f.quantized.continuous.data for f in frags], grads=grads)
 
 
 def _serve(conn, parent_end, model: JointModel, cfg: TrainConfig,
            pool: list[UtteranceRecord], grads: dict[str, np.ndarray]) -> None:
-    """The worker's loop: one `vc_side` per request, until the main process
-    closes its end of the pipe.  Gradients go into the shared `grads`; the
-    reply names them, or carries the exception the step raised."""
+    """The worker's loop: the speech `half_step` of each request (step, pool
+    indices, n_aux) until the main process closes its end of the pipe.
+    Gradients go into the shared `grads`; the reply is the `Half` naming
+    them, or the exception the step raised."""
     parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process handles interrupts
     while True:
         try:
-            step, indices, aux_share = conn.recv()
+            step, indices, n_aux = conn.recv()
         except EOFError:
             return
         try:
-            side = vc_side([pool[i] for i in indices], model, cfg, step, aux_share)
-            for name, g in side.grads.items():
+            half = half_step([pool[i] for i in indices], model, cfg, step, n_aux, speech=True)
+            for name, g in half.grads.items():
                 grads[name][...] = g
-            reply = (side, list(side.grads))
-            side.grads = {}
+            half.grads = dict.fromkeys(half.grads)  # the reply names them only
+            reply = half
         except Exception as exc:  # noqa: BLE001 - the main process raises it
             reply = exc
         try:
@@ -256,7 +264,7 @@ def _serve(conn, parent_end, model: JointModel, cfg: TrainConfig,
 
 
 class VcWorker:
-    """Runs the VC half of each joint step in a forked process.
+    """Runs the speech half of each joint step in a forked process.
 
     The process shares the model's parameters (`ParamStore.share` must have
     run) and reads them only between a request and its reply, so the pipe
@@ -278,17 +286,18 @@ class VcWorker:
         child_end.close()
         self._pending = False
 
-    def submit(self, batch: list[UtteranceRecord], step: int, aux_share: float) -> None:
-        """Start `vc_side` on `batch`, which must come from the worker's pool."""
+    def submit(self, batch: list[UtteranceRecord], step: int, n_aux: int) -> None:
+        """Start the speech half on `batch`, which must come from the
+        worker's pool."""
         try:
-            self._conn.send((step, [self._index[id(rec)] for rec in batch], aux_share))
+            self._conn.send((step, [self._index[id(rec)] for rec in batch], n_aux))
         except OSError:
             self._died()
         self._pending = True
 
-    def result(self) -> VcSide:
-        """The submitted step's VcSide, its gradients viewing the shared
-        block until the next submit."""
+    def result(self) -> Half:
+        """The submitted step's speech half, its gradients viewing the
+        shared block until the next submit."""
         try:
             reply = self._conn.recv()
         except EOFError:
@@ -296,9 +305,8 @@ class VcWorker:
         self._pending = False
         if isinstance(reply, BaseException):
             raise reply
-        side, names = reply
-        side.grads = {name: self._grads[name] for name in names}
-        return side
+        reply.grads = {name: self._grads[name] for name in reply.grads}
+        return reply
 
     def _died(self) -> None:
         self._pending = False
@@ -318,63 +326,29 @@ def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
     """One optimization step over the pipelines `cfg.mode` trains.
 
     tts-only skips pair and VC; vc-only runs only the speech pipeline; novq
-    runs everything with identity quantization and no codebook loss.  The
-    TTS + pair half and the VC half each take a backward pass of their
-    own, and each parameter's gradient is their sum, main half first.  With
-    `vc_worker` the VC half runs in that process meanwhile; without, inline.
+    runs everything with identity quantization and no codebook loss.  Each
+    parameter's gradient is the sum of the text and speech `half_step`s',
+    text half first.  With `vc_worker` the speech half runs in that process
+    meanwhile; without, inline.
     """
     text = cfg.mode != "vc-only"
-    both = cfg.mode in ("full", "novq")
-    speech = cfg.mode != "tts-only" and bool(unpaired)
-    if text and not paired:
-        raise DataError("this mode needs a paired batch")
-    if cfg.mode == "vc-only" and not unpaired:
-        raise DataError("vc-only mode needs a speech batch")
+    # an empty batch a half needs is a DataError from its tts_step or vc_step
+    speech = not text or (cfg.mode != "tts-only" and bool(unpaired))
     # the aux term is the mean over every utterance that ran through the VQ:
     # the paired batch once per text-side fragment, the speech batch once
-    n_aux = len(paired) * (int(text) + int(both)) + (len(unpaired) if speech else 0)
-    vc_share = len(unpaired) / n_aux if speech else 0.0
+    n_aux = len(paired) * (int(text) + int(cfg.mode in ("full", "novq"))) \
+        + (len(unpaired) if speech else 0)
     if speech and vc_worker is not None:
-        vc_worker.submit(unpaired, step, vc_share)
+        vc_worker.submit(unpaired, step, n_aux)
+    halves = [half_step(paired, model, cfg, step, n_aux)] if text else []
+    if speech:
+        halves.append(vc_worker.result() if vc_worker is not None
+                      else half_step(unpaired, model, cfg, step, n_aux, speech=True))
 
     report = LossReport(step=step, lr=opt.lr)
-    tts = pair = None
-    tts_rec = pair_t = dur_t = aux_t = Tensor(0.0)
-    if text:
-        tts = tts_step(paired, model, cfg, step)
-        tts_rec = tts.mel * cfg.w_mel + tts.pitch_ce * cfg.w_pitch
-        dur_t = tts.duration
-        report.mel_tts = tts.mel.item()
-        report.pitch_ce_tts = tts.pitch_ce.item()
-        report.pitch_f0_mse = tts.pitch_f0_mse
-        if both:
-            pair = pair_step(paired, model, cfg, step, tts.quantized)
-            pair_t = pair.pair
-            report.code_agreement = pair.code_agreement
-    frags = [f for f in (tts, pair) if f is not None]
-    for f in frags:
-        if f.aux is not None:
-            aux_t = aux_t + f.aux * (f.n_utts / n_aux)
-    grads = _grads_of(tts_rec + pair_t * cfg.w_pair + dur_t * cfg.w_duration
-                      + aux_t * cfg.w_vq, model)
-
-    report.l_tts_rec = tts_rec.item()
-    report.l_pair = pair_t.item()
-    report.l_duration = dur_t.item()
-    report.l_vq_aux = aux_t.item()
-    codes = [f.quantized.codes for f in frags]
-    rows = [f.quantized.continuous.data for f in frags]
-    if speech:
-        vc = vc_worker.result() if vc_worker is not None else vc_side(
-            unpaired, model, cfg, step, vc_share)
-        report.mel_vc = vc.mel
-        report.pitch_ce_vc = vc.pitch_ce
-        report.l_vc_rec = vc.rec
-        report.l_vq_aux += vc.aux
-        codes.append(vc.codes)
-        rows.append(vc.continuous)
-        for name, g in vc.grads.items():
-            grads[name] = grads[name] + g if name in grads else g.copy()
+    for half in halves:
+        for name, value in half.values.items():
+            setattr(report, name, getattr(report, name) + value)
     # summed in the order of the objective's terms, as one graph over the
     # joint loss would sum them
     report.total = (report.l_tts_rec + report.l_vc_rec + report.l_pair * cfg.w_pair
@@ -382,15 +356,22 @@ def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
     if not math.isfinite(report.total):
         raise TrainingDiverged(f"non-finite loss at step {step}")
 
+    # the first half's gradients are its own arrays; the second's may view
+    # the worker's shared block, which its next step overwrites
+    grads = halves[0].grads
+    for half in halves[1:]:
+        for name, g in half.grads.items():
+            grads[name] = grads[name] + g if name in grads else g.copy()
     for name, g in grads.items():
         model.store[name].grad = g
     report.grad_norm = clip_global_norm(model.store, cfg.grad_clip_norm)
     adam_step(model.store, opt)
 
-    if model.use_vq and codes:
-        model.codebook.mark_step_usage(np.concatenate(codes))
-        model.codebook.reseed_dead_entries(np.concatenate(rows, axis=0),
-                                           model.rng, step, cfg.dead_code_steps)
+    if model.use_vq:
+        model.codebook.mark_step_usage(np.concatenate([c for half in halves for c in half.codes]))
+        model.codebook.reseed_dead_entries(
+            np.concatenate([r for half in halves for r in half.rows], axis=0),
+            model.rng, step, cfg.dead_code_steps)
     return report
 
 
@@ -400,13 +381,12 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS
 
 def _two_processes_fit() -> bool:
     """Whether the usable CPUs hold two processes' BLAS threads.  OpenBLAS
-    runs as many threads as the first of BLAS_THREAD_VARS says, or one per
-    usable CPU when none is set; two processes of such threads on too few
-    cores spin against each other (a desk step took 2.3x as long)."""
+    runs as many as the first positive value of BLAS_THREAD_VARS says, or
+    one per usable CPU when none is set; two processes of such threads on
+    too few cores spin against each other (a desk step took 2.3x as long)."""
     cpus = len(os.sched_getaffinity(0))
     values = [os.environ.get(var, "").strip() for var in BLAS_THREAD_VARS]
-    threads = next((int(v) for v in values if v.isdigit()), cpus)
-    return 2 * max(threads, 1) <= cpus
+    return 2 * next((int(v) for v in values if v.isdigit() and int(v) > 0), cpus) <= cpus
 
 
 def _pools(records: list[UtteranceRecord], mode: str
@@ -419,10 +399,26 @@ def _pools(records: list[UtteranceRecord], mode: str
     return labeled, list(records)  # speech pool includes labeled speech too
 
 
+def _speech_batch(pool: list[UtteranceRecord], rng, step: int,
+                  size: int) -> list[UtteranceRecord]:
+    """Draws step * size .. (step + 1) * size - 1 of one endless walk over
+    the speech pool in a fresh order each pass, none from an empty pool:
+    pass k is the `data/shuffle_speech` permutation at the step of its
+    first draw, k * len(pool) // size."""
+    n, draws = len(pool), range(step * size, (step + 1) * size) if pool else ()
+    orders = {k: rng.generator("data/shuffle_speech", k * n // size).permutation(n)
+              for k in {i // n for i in draws}}
+    return [pool[orders[i // n][i % n]] for i in draws]
+
+
 def train(cfg: TrainConfig, records: list[UtteranceRecord],
           checkpoint_path=None, trace_path=None,
           stop_when=None) -> tuple[JointModel, AdamState, list[LossReport]]:
     """Run joint training until max_steps or a training-loss plateau.
+
+    Step s trains on chunk s % E of epoch s // E's `data/shuffle_primary`
+    permutation of the paired pool (the speech pool in vc-only mode), E
+    steps to an epoch, and in a text mode on `_speech_batch` of step s.
 
     Convergence rule: stop early when the epoch's mean `LossReport.total`
     has not improved on the best epoch's by more than plateau_delta for
@@ -436,9 +432,9 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
     boundary's; only a run of no steps writes one after the loop.
 
     When both pipelines train on a speech pool and the usable CPUs hold two
-    processes' BLAS threads (`_two_processes_fit`), the VC half of every
-    step runs in a `VcWorker`, forked before anything else is set up and
-    stopped when training ends, also on an error.
+    processes' BLAS threads (`_two_processes_fit`), the speech half of
+    every step runs in a `VcWorker`, forked before anything else is set up
+    and stopped when training ends, also on an error.
     """
     cfg.validate()
     if not records:
@@ -459,9 +455,10 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
 
         primary = paired if cfg.mode != "vc-only" else unpaired
         batch_primary = cfg.batch_paired if cfg.mode != "vc-only" else max(cfg.batch_unpaired, 1)
+        steps_per_epoch = math.ceil(len(primary) / batch_primary)
 
-        seed_batch = (unpaired or paired)[:max(cfg.batch_paired + cfg.batch_unpaired, 8)]
-        seed_codebook_from_batch(model, seed_batch)
+        seed_codebook_from_batch(
+            model, (unpaired or paired)[:max(cfg.batch_paired + cfg.batch_unpaired, 8)])
 
         trace: list[LossReport] = []
         if trace_path is not None:
@@ -470,66 +467,44 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
             trace_fh.write(LossReport.csv_header() + "\n")
 
         last_checkpoint = None
-        best_loss = math.inf
-        stale_epochs = 0
-        step = 0
-        stopped = False
-        epoch = 0
-        unpaired_order: list[int] = []
-        unpaired_cursor = 0
-        while step < cfg.max_steps and not stopped:
-            order = model.rng.generator("data/shuffle_primary", epoch).permutation(
-                len(primary)) if primary else np.array([], dtype=int)
-            epoch_first_step = step
-            epoch_total = 0.0
-            for chunk_start in range(0, max(len(order), 1), batch_primary):
-                if step >= cfg.max_steps:
-                    break
-                batch_p: list[UtteranceRecord] = []
-                batch_u: list[UtteranceRecord] = []
-                if cfg.mode != "vc-only":
-                    batch_p = [primary[i] for i in order[chunk_start:chunk_start + batch_primary]]
-                    if unpaired and cfg.batch_unpaired > 0:
-                        for _ in range(cfg.batch_unpaired):
-                            if unpaired_cursor >= len(unpaired_order):
-                                unpaired_order = list(model.rng.generator(
-                                    "data/shuffle_speech", step).permutation(len(unpaired)))
-                                unpaired_cursor = 0
-                            batch_u.append(unpaired[unpaired_order[unpaired_cursor]])
-                            unpaired_cursor += 1
-                else:
-                    batch_u = [primary[i] for i in order[chunk_start:chunk_start + batch_primary]]
+        best_loss, stale_epochs, epoch_total = math.inf, 0, 0.0
+        for step in range(cfg.max_steps):
+            epoch, chunk = divmod(step, steps_per_epoch)
+            order = model.rng.generator("data/shuffle_primary", epoch).permutation(len(primary))
+            batch = [primary[i] for i in order[chunk * batch_primary:(chunk + 1) * batch_primary]]
+            if cfg.mode == "vc-only":
+                batch_p, batch_u = [], batch
+            else:
+                batch_p, batch_u = batch, _speech_batch(unpaired, model.rng, step, cfg.batch_unpaired)
 
-                try:
-                    report = joint_step(batch_p, batch_u, model, opt, cfg, step,
-                                        vc_worker=vc_worker)
-                except TrainingDiverged as exc:
-                    hint = f"; last good checkpoint: {last_checkpoint}" if last_checkpoint \
-                        else "; no checkpoint written yet"
-                    raise TrainingDiverged(str(exc) + hint) from exc
-                trace.append(report)
-                epoch_total += report.total
-                if trace_fh is not None:
-                    trace_fh.write(report.csv_row() + "\n")
-                step += 1
-                if stop_when is not None and stop_when(report):
-                    stopped = True
-                    break
+            try:
+                report = joint_step(batch_p, batch_u, model, opt, cfg, step, vc_worker=vc_worker)
+            except TrainingDiverged as exc:
+                hint = f"; last good checkpoint: {last_checkpoint}" if last_checkpoint \
+                    else "; no checkpoint written yet"
+                raise TrainingDiverged(str(exc) + hint) from exc
+            trace.append(report)
+            epoch_total += report.total
+            if trace_fh is not None:
+                trace_fh.write(report.csv_row() + "\n")
+            stop = stop_when is not None and stop_when(report)
+            if chunk + 1 < steps_per_epoch and step + 1 < cfg.max_steps and not stop:
+                continue
 
-            epoch += 1
             opt.lr *= cfg.lr_decay_per_epoch
             if checkpoint_path is not None:
-                checkpoint.save_checkpoint(checkpoint_path, model, opt, cfg, step)
+                checkpoint.save_checkpoint(checkpoint_path, model, opt, cfg, len(trace))
                 last_checkpoint = checkpoint_path
-
-            epoch_loss = epoch_total / (step - epoch_first_step)
+            epoch_loss = epoch_total / (chunk + 1)
+            epoch_total = 0.0
             if epoch_loss < best_loss - cfg.plateau_delta:
-                best_loss = epoch_loss
-                stale_epochs = 0
+                best_loss, stale_epochs = epoch_loss, 0
             else:
                 stale_epochs += 1
                 if stale_epochs >= cfg.plateau_epochs:
                     break
+            if stop:
+                break
     finally:
         if trace_fh is not None:
             trace_fh.close()
@@ -537,5 +512,5 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
             vc_worker.close()
 
     if checkpoint_path is not None and last_checkpoint is None:
-        checkpoint.save_checkpoint(checkpoint_path, model, opt, cfg, step)
+        checkpoint.save_checkpoint(checkpoint_path, model, opt, cfg, 0)
     return model, opt, trace

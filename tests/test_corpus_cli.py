@@ -9,6 +9,8 @@ import pytest
 
 from uspc import checkpoint as checkpoint_mod
 from uspc.checkpoint import MAGIC, load_checkpoint, restore_model, save_checkpoint
+from uspc import cli as cli_mod
+from uspc import config as config_mod
 from uspc.cli import main
 from uspc.corpus import (CorpusSpec, UtteranceRecord, gen_corpus, load_corpus,
                          read_matrix, render_frames, write_corpus, write_matrix)
@@ -333,7 +335,6 @@ def test_checkpoint_failed_write_keeps_previous_bytes(trained, monkeypatch):
 
 def write_small_config(path, **kw):
     cfg = small_train_config(**kw)
-    from uspc import config as config_mod
     path.write_text(config_mod.to_text(cfg))
     return cfg
 
@@ -496,7 +497,8 @@ def test_cli_bad_config_value_exits_1(tmp_path, capsys):
                        ("w_vq = -inf", "w_vq"),
                        ("vq_beta = nan", "vq_beta"),
                        ("grad_clip_norm = nan", "grad_clip_norm"),
-                       ("plateau_delta = nan", "plateau_delta")]:
+                       ("plateau_delta = nan", "plateau_delta"),
+                       ("model = x", "model")]:
         cfg_path.write_text(line + "\n")
         assert main(["train", "--corpus", str(tmp_path), "--config", str(cfg_path),
                      "--out", str(tmp_path / "m.uspc")]) == 1, line
@@ -504,6 +506,46 @@ def test_cli_bad_config_value_exits_1(tmp_path, capsys):
         assert err.startswith("error:") and want in err, (line, err)
     assert main(["gen-data", "--seed", "-1", "--out", str(tmp_path / "c")]) == 1
     assert capsys.readouterr().err.startswith("error: seed")
+
+
+@pytest.mark.parametrize("target, error", [("config file", ConfigError),
+                                           ("checkpoint config", FormatError),
+                                           ("checkpoint tensor name", FormatError),
+                                           ("manifest", IntegrityError),
+                                           ("test manifest", IntegrityError)])
+def test_cli_non_utf8_input_exits_1(trained, tiny_corpus, tmp_path, capsys, target, error):
+    path, _, _ = trained
+    corpus = str(tiny_corpus["dir"])
+    cfg_path = tmp_path / "t.cfg"
+    write_small_config(cfg_path, max_steps=1)
+    (cfg_len,) = struct.unpack("<I", path.read_bytes()[8:12])
+    eval_argv = ["eval", "--ckpt", str(path), "--corpus", corpus, "--split", "train",
+                 "--out", str(tmp_path / "o.csv")]
+    # the file, the offset of the byte made 0xFF (never valid UTF-8), the
+    # command that reads it and the loader that raises `error`
+    file, offset, argv, load = {
+        "config file": (cfg_path, 0, ["train", "--corpus", corpus, "--config", str(cfg_path),
+                                      "--out", str(tmp_path / "m.uspc")],
+                        lambda: config_mod.load_config(cfg_path)),
+        "checkpoint config": (path, 12, eval_argv, lambda: load_checkpoint(path)),
+        "checkpoint tensor name": (path, 12 + cfg_len + 8 + 8 + 4, eval_argv,
+                                   lambda: load_checkpoint(path)),
+        "manifest": (tiny_corpus["dir"] / "manifest.txt", 0, eval_argv,
+                     lambda: load_corpus(corpus, "train")),
+        "test manifest": (tiny_corpus["dir"] / "manifest_test.txt", 0,
+                          ["synth-tts", "--ckpt", str(path), "--corpus", corpus,
+                           "--text", "1,2,3", "--ref-speaker", tiny_corpus["train"][0].id,
+                           "--out", str(tmp_path / "o.f64")],
+                          lambda: cli_mod._load_all_splits(corpus)),
+    }[target]
+    raw = bytearray(file.read_bytes())
+    raw[offset] = 0xFF
+    file.write_bytes(bytes(raw))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not UTF-8" in err and "Traceback" not in err, err
+    with pytest.raises(error, match="not UTF-8"):
+        load()
 
 
 def test_cli_runtime_failure_exits_1(tmp_path, capsys):

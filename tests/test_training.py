@@ -19,6 +19,7 @@ from uspc.errors import ConfigError, DataError, TrainingDiverged, UspcError
 from uspc.layers import Ctx
 from uspc.model import JointModel
 from uspc.optim import AdamState
+from uspc.rng import NamedRng
 from uspc.vq import Codebook
 from uspc.training import (LossReport, joint_step, pair_step,
                            seed_codebook_from_batch, train, tts_step, vc_step)
@@ -507,6 +508,75 @@ def test_novq_mode_reports_no_aux(tiny_corpus):
     assert all(r.l_pair > 0.0 for r in trace)  # pair loss on continuous content
 
 
+def _cursor_walk(rng, n, size, n_steps):
+    """Reference: the speech-pool indices of each step's batch, drawn with
+    a cursor that reshuffles the pool (`data/shuffle_speech` at the current
+    step) each time it runs out."""
+    batches, order, cursor = [], [], 0
+    for step in range(n_steps):
+        batch = []
+        for _ in range(size):
+            if cursor >= len(order):
+                order, cursor = rng.generator("data/shuffle_speech", step).permutation(n), 0
+            batch.append(int(order[cursor]))
+            cursor += 1
+        batches.append(batch)
+    return batches
+
+
+def _epoch_loop_batches(cfg, records, n_steps):
+    """Reference: the (paired, speech) batches of an epoch loop over the
+    chunks of each epoch's primary permutation, its speech batches from
+    `_cursor_walk`."""
+    rng = NamedRng(cfg.seed)
+    paired, unpaired = training_mod._pools(records, cfg.mode)
+    primary = paired if cfg.mode != "vc-only" else unpaired
+    size = cfg.batch_paired if cfg.mode != "vc-only" else max(cfg.batch_unpaired, 1)
+    speech = _cursor_walk(rng, len(unpaired), cfg.batch_unpaired if unpaired else 0, n_steps)
+    out, epoch = [], 0
+    while len(out) < n_steps:
+        order = rng.generator("data/shuffle_primary", epoch).permutation(len(primary))
+        for start in range(0, len(order), size):
+            if len(out) < n_steps:
+                chunk = [primary[i].id for i in order[start:start + size]]
+                out.append(([], chunk) if cfg.mode == "vc-only"
+                           else (chunk, [unpaired[i].id for i in speech[len(out)]]))
+        epoch += 1
+    return out
+
+
+def test_speech_batch_is_the_cursor_walk_for_every_pool_and_batch_size():
+    rng = NamedRng(5)
+    for n in (1, 2, 3, 5, 6, 12):
+        for size in (1, 2, 4, 5, 7, 13):  # some larger than the pool, most not dividing it
+            expected = _cursor_walk(rng, n, size, 25)
+            got = [training_mod._speech_batch(list(range(n)), rng, step, size)
+                   for step in range(25)]
+            assert got == expected, (n, size)
+
+
+@pytest.mark.parametrize("mode,batch_paired,batch_unpaired", [
+    ("full", 4, 7),     # a speech batch larger than its pool of 6; epochs of 4 + 2
+    ("novq", 2, 4),     # a speech batch that does not divide the pool
+    ("vc-only", 2, 4),  # epochs of 4 + 2 speech utterances
+    ("tts-only", 4, 2),
+])
+def test_train_batches_are_the_epoch_loop_batches(tiny_corpus, monkeypatch, mode,
+                                                  batch_paired, batch_unpaired):
+    seen = []
+
+    def record(paired, unpaired, model, opt, cfg, step, **kw):
+        seen.append(([r.id for r in paired], [r.id for r in unpaired]))
+        return LossReport(step=step, total=1.0, lr=opt.lr)
+
+    monkeypatch.setattr(training_mod, "joint_step", record)
+    _cpus(monkeypatch, 1)
+    cfg = small_train_config(max_steps=13, mode=mode, batch_paired=batch_paired,
+                             batch_unpaired=batch_unpaired, plateau_epochs=10 ** 6)
+    train(cfg, tiny_corpus["train"])
+    assert seen == _epoch_loop_batches(cfg, tiny_corpus["train"], 13)
+
+
 # ------------------------------------------------------------- the VC worker
 
 
@@ -526,6 +596,8 @@ def _cpus(monkeypatch, n):
     (4, {"OMP_NUM_THREADS": "3"}, False),
     (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
     (2, {"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, True),
+    (2, {"OPENBLAS_NUM_THREADS": "0"}, False),      # OpenBLAS skips a 0
+    (2, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
 ])
 def test_vc_worker_starts_only_where_both_processes_blas_threads_fit(monkeypatch, cpus,
                                                                      env, fits):
