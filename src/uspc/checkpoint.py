@@ -137,7 +137,10 @@ def restore_model(ckpt: Checkpoint) -> tuple[JointModel, AdamState, "config_mod.
     """Rebuild model and optimizer from a loaded checkpoint.
 
     Raises FormatError listing every expected-but-missing tensor name, or
-    naming a tensor whose shape does not fit the model.
+    naming a tensor whose shape does not fit the model, a step counter or
+    idle counter that is not a whole number >= 0, or a learning rate that
+    is not finite and >= 0.  Values are written into the views of the
+    optimizer's packed block.
     Tensors the model does not read, such as the per-entry lookup counts
     that older checkpoints carry, are ignored.
     """
@@ -155,10 +158,17 @@ def restore_model(ckpt: Checkpoint) -> tuple[JointModel, AdamState, "config_mod.
         if ckpt.tensors[name].shape != shape:
             raise FormatError(f"checkpoint tensor {name} has shape "
                               f"{ckpt.tensors[name].shape}, model expects {shape}")
-    for name, param in model.store.items():
-        param.data = ckpt.tensors[name].copy()
-        opt.m[name] = ckpt.tensors[f"optim.m.{name}"].copy()
-        opt.v[name] = ckpt.tensors[f"optim.v.{name}"].copy()
+    for name in ("codebook.steps_since_use", "optim.t"):
+        counts = ckpt.tensors[name]
+        if not np.all((counts >= 0) & (counts < 2.0 ** 53) & (counts == np.floor(counts))):
+            raise FormatError(f"checkpoint tensor {name} holds a value that is not a count")
+    if not 0.0 <= float(ckpt.tensors["optim.lr"]) < math.inf:
+        raise FormatError(f"checkpoint learning rate {float(ckpt.tensors['optim.lr'])} "
+                          "is not finite and >= 0")
+    for name, param in model.store.items():  # into the packed block's views
+        param.data[...] = ckpt.tensors[name]
+        opt.m[name][...] = ckpt.tensors[f"optim.m.{name}"]
+        opt.v[name][...] = ckpt.tensors[f"optim.v.{name}"]
     model.codebook.steps_since_use = ckpt.tensors["codebook.steps_since_use"].astype(np.int64)
     opt.t = int(ckpt.tensors["optim.t"])
     opt.lr = float(ckpt.tensors["optim.lr"])

@@ -1,7 +1,14 @@
-"""Parameter registry and Adam optimizer with bias correction."""
+"""Parameter registry and Adam optimizer with bias correction.
+
+The optimizer state packs the parameters: they, both moments and a gradient
+block are four shared mappings of one layout.  Adam is elementwise, so it
+runs over runs of consecutive parameters as flat arrays, and any range of
+them can be updated by another process with the same bytes.
+"""
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 from contextlib import contextmanager
@@ -10,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ConfigError, TrainingDiverged
+from .errors import ConfigError, TrainingDiverged, UspcError
 
 
 class ParamStore(dict):
@@ -40,33 +47,38 @@ class ParamStore(dict):
             for t in self.values():
                 t.requires_grad = True
 
-    def share(self) -> None:
-        """Move every parameter into one anonymous shared mapping, bytes
-        unchanged.  In-place updates (Adam, codebook seeding and reseeding)
-        then reach a process forked afterwards, which maps the same memory."""
-        views = shared_arrays({name: t.data.shape for name, t in self.items()})
-        for name, t in self.items():
-            views[name][...] = t.data
-            t.data = views[name]
+
+# values per slice of the flat Adam pass: its scratch and the block slices
+# it meets stay in cache (4,096 and 65,536 were slower)
+CHUNK = 16_384
 
 
-def shared_arrays(shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
-    """Zeroed float64 arrays of the given shapes, all views of one anonymous
-    shared mapping, each starting on a 64-byte boundary.  A forked process
-    keeps the mapping, so a write on either side is seen by the other."""
+def shared_arrays(shapes: dict[str, tuple[int, ...]]
+                  ) -> tuple[np.ndarray, dict[str, np.ndarray], dict[str, int]]:
+    """One zeroed anonymous shared mapping as a flat float64 array, views of
+    it of the given shapes, and each view's offset in it.  Each view starts
+    on a 64-byte boundary, in the order of `shapes`, so the same shapes give
+    the same layout.  A forked process keeps the mapping, so a write on
+    either side is seen by the other."""
     offsets: dict[str, int] = {}
     end = 0
     for name, shape in shapes.items():
         offsets[name] = end
         end += -(-math.prod(shape) // 8) * 8
     block = np.frombuffer(mmap.mmap(-1, max(end, 1) * 8), dtype=np.float64)
-    return {name: block[offsets[name]:offsets[name] + math.prod(shape)].reshape(shape)
-            for name, shape in shapes.items()}
+    return block, {name: block[offsets[name]:offsets[name] + math.prod(shape)].reshape(shape)
+                   for name, shape in shapes.items()}, offsets
 
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments plus the shared step counter."""
+    """Per-parameter first/second moments plus the shared step counter.
+
+    `p`, `m`, `v` and `g` (parameters, moments, gradients) view four flat
+    `blocks` of one layout: a parameter's values sit at the same offsets
+    `spans[name]` in each.  `cut` is the offset of the parameter boundary
+    nearest half the values; a VC worker updates the parameters from there.
+    """
 
     lr: float = 1e-3
     beta1: float = 0.9
@@ -75,83 +87,169 @@ class AdamState:
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    g: dict[str, np.ndarray] = field(default_factory=dict)
+    p: dict[str, np.ndarray] = field(default_factory=dict)
+    blocks: tuple[np.ndarray, ...] = ()
+    spans: dict[str, tuple[int, int]] = field(default_factory=dict)
+    cut: int = 0
 
     @classmethod
     def for_params(cls, params: ParamStore, lr: float = 1e-3, **kw) -> "AdamState":
-        state = cls(lr=lr, **kw)
-        for name, p in params.items():
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        return state
+        """Zero moments for `params`, which move into the parameter block,
+        bytes unchanged.  In-place writes (Adam, codebook seeding and
+        reseeding) then reach a process forked afterwards; a parameter whose
+        `data` is replaced instead is off the block, and `check_packed`
+        raises."""
+        shapes = {name: t.data.shape for name, t in params.items()}
+        (flat_p, p, offsets), (flat_m, m, _), (flat_v, v, _), (flat_g, g, _) = (
+            shared_arrays(shapes) for _ in range(4))
+        for name, t in params.items():
+            p[name][...] = t.data
+            t.data = p[name]
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        # the boundary before parameter k, k chosen so that the values
+        # before it are nearest one half
+        before = list(itertools.accumulate(sizes, initial=0))
+        k = min(range(len(before)), key=lambda k: abs(2 * before[k] - before[-1]))
+        return cls(lr=lr, m=m, v=v, g=g, p=p, blocks=(flat_p, flat_m, flat_v, flat_g),
+                   cut=(list(offsets.values()) + [flat_p.size])[k],
+                   spans={name: (offsets[name], offsets[name] + size)
+                          for name, size in zip(shapes, sizes)}, **kw)
+
+    def check_packed(self, params: ParamStore) -> None:
+        """Raise unless every parameter's data is still its view of the block."""
+        for name, t in params.items():
+            if t.data is not self.p.get(name):
+                raise UspcError(f"parameter {name!r} is not in the optimizer's block: "
+                                "write into its data in place instead of replacing it")
+
+    def split(self, names: list[str]) -> tuple[list[str], list[str]]:
+        """`names` before `cut` and from it on, each in the order given."""
+        return ([name for name in names if self.spans[name][0] < self.cut],
+                [name for name in names if self.spans[name][0] >= self.cut])
 
 
-def adam_step(params: ParamStore, state: AdamState) -> None:
+def sums_of_squares(grads: list[tuple[str, np.ndarray]]) -> tuple[list[float], str | None]:
+    """Each named gradient's sum of squares, and the name of the first one
+    holding an inf or NaN (None if none does).  Such a value makes the sum
+    non-finite, so only those gradients are checked value by value; a sum
+    that overflowed on finite values is no error."""
+    sums, bad = [], None
+    for name, g in grads:
+        sums.append(float(np.add.reduce(g * g, axis=None)))
+        if bad is None and not math.isfinite(sums[-1]) and not np.isfinite(g).all():
+            bad = name
+    return sums, bad
+
+
+def clip_scale(norm: float, max_norm: float) -> float:
+    """The factor `clip_global_norm` scales the gradients by."""
+    return max_norm / norm if norm > max_norm > 0 else 1.0
+
+
+def clip_global_norm(params: ParamStore, max_norm: float, rest=None) -> float:
+    """Scale all grads so their joint L2 norm is at most max_norm; return the
+    norm before scaling.
+
+    The norm adds each gradient's sum of squares in store order.  A
+    gradient holding an inf or NaN raises TrainingDiverged naming the first
+    such parameter, before anything is scaled.  Scales in place; an array
+    that several parameters share as their gradient is scaled once.
+
+    With `rest`, `params` are the first parameters of a packed store with a
+    gradient, and `rest()` returns `sums_of_squares` of the others, taken
+    by the process that updates them.  Nothing is scaled then:
+    `adam_step(..., scale)` applies `clip_scale` of the norm on its pass.
+    """
+    named = [(name, p.grad) for name, p in params.items() if p.grad is not None]
+    sums, bad = sums_of_squares(named)
+    if rest is not None:
+        more, more_bad = rest()
+        sums, bad = sums + more, bad or more_bad
+    if bad is not None:
+        raise TrainingDiverged(f"non-finite gradient in parameter {bad!r}")
+    total = 0.0
+    for s in sums:
+        total += s
+    norm = float(np.sqrt(total))
+    scale = clip_scale(norm, max_norm)
+    if rest is None and scale != 1.0:
+        scaled: set[int] = set()
+        for _, g in named:
+            if id(g) not in scaled:
+                g *= scale
+                scaled.add(id(g))
+    return norm
+
+
+def adam_step(params: ParamStore, state: AdamState, scale: float | None = None) -> None:
     """One Adam update in place.  Parameters without a gradient are skipped.
 
     With zero gradient the moments stay zero and the update is exactly zero,
     so parameters never touched by a loss remain bitwise unchanged.  All or
     nothing: a non-finite gradient raises before any parameter, moment or the
-    step counter changes.
+    step counter changes.  The gradients are copied into the state's
+    gradient block and `adam_update` runs over them.
 
-    Moments and parameters are updated with `out=` into two scratch arrays
-    the size of the largest gradient; the arithmetic is that of
-    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
-    p -= lr (m / bc1) / (sqrt(v / bc2) + eps), in that order.
+    With `scale`, the gradients already view the block, and
+    `clip_global_norm(..., rest)` has checked them: each is multiplied by
+    `scale` on the pass instead.
     """
     if state.lr < 0:
         raise ConfigError(f"learning rate must be >= 0, got {state.lr}")
-    grads = [(name, p, p.grad) for name, p in params.items() if p.grad is not None]
-    for name, _, g in grads:
-        if not np.isfinite(g).all():
-            raise TrainingDiverged(f"non-finite gradient in parameter {name!r}")
+    state.check_packed(params)
+    names = [name for name, p in params.items() if p.grad is not None]
+    if scale is None:
+        for name in names:
+            if not np.isfinite(params[name].grad).all():
+                raise TrainingDiverged(f"non-finite gradient in parameter {name!r}")
+        for name in names:
+            state.g[name][...] = params[name].grad
     state.t += 1
-    if not grads:
-        return
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
-    size = max(np.size(g) for _, _, g in grads)
-    scratch = np.empty(size), np.empty(size)
-    for name, p, g in grads:
-        m = state.m[name]
-        v = state.v[name]
-        # views, so 0-d parameters get 0-d arrays (never numpy scalars) for out=
-        a, b = (buf[:m.size].reshape(m.shape) for buf in scratch)
-        m *= state.beta1
-        m += np.multiply(g, 1.0 - state.beta1, out=a)
-        v *= state.beta2
-        np.multiply(g, g, out=a)
-        a *= 1.0 - state.beta2
-        v += a
-        if state.lr != 0.0:
-            np.divide(m, bc1, out=a)
-            a *= state.lr
-            np.divide(v, bc2, out=b)
-            np.sqrt(b, out=b)
-            b += state.eps
-            a /= b
-            p.data -= a
+    adam_update(state, names, 1.0 if scale is None else scale)
 
 
-def global_grad_norm(params: ParamStore) -> float:
-    total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float(np.add.reduce(p.grad * p.grad, axis=None))
-    return float(np.sqrt(total))
+def adam_update(state: AdamState, names: list[str], scale: float) -> None:
+    """Adam, step `state.t`, over the parameters `names` (in store order)
+    from their gradients in the block times `scale`.
 
-
-def clip_global_norm(params: ParamStore, max_norm: float) -> float:
-    """Scale all grads so their joint L2 norm is at most max_norm.
-
-    Scales in place; an array that several parameters share as their
-    gradient is scaled once.
+    Consecutive parameters form one run of the flat blocks (only zero
+    padding lies between them, and it stays zero), cut into CHUNK-value
+    slices.  Each slice does the arithmetic of
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+    p -= lr (m / bc1) / (sqrt(v / bc2) + eps), in that order, with `out=`
+    into two scratch slices.
     """
-    norm = global_grad_norm(params)
-    if norm > max_norm > 0:
-        scale = max_norm / norm
-        scaled: set[int] = set()
-        for p in params.values():
-            if p.grad is not None and id(p.grad) not in scaled:
-                p.grad *= scale
-                scaled.add(id(p.grad))
-    return norm
+    runs: list[list[int]] = []
+    for name in names:
+        lo, hi = state.spans[name]
+        if runs and 0 <= lo - runs[-1][1] < 8:
+            runs[-1][1] = hi
+        else:
+            runs.append([lo, hi])
+    b1, b2, lr = state.beta1, state.beta2, state.lr
+    bc1 = 1.0 - b1 ** state.t
+    bc2 = 1.0 - b2 ** state.t
+    scratch = np.empty(CHUNK), np.empty(CHUNK)
+    flat_p, flat_m, flat_v, flat_g = state.blocks
+    for lo, hi in runs:
+        for i in range(lo, hi, CHUNK):
+            j = min(i + CHUNK, hi)
+            g, m, v = flat_g[i:j], flat_m[i:j], flat_v[i:j]
+            a, b = scratch[0][:j - i], scratch[1][:j - i]
+            if scale != 1.0:
+                g *= scale
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, out=a)
+            v *= b2
+            np.multiply(g, g, out=a)
+            a *= 1.0 - b2
+            v += a
+            if lr != 0.0:
+                np.divide(m, bc1, out=a)
+                a *= lr
+                np.divide(v, bc2, out=b)
+                np.sqrt(b, out=b)
+                b += state.eps
+                a /= b
+                flat_p[i:j] -= a

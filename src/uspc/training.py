@@ -11,8 +11,10 @@ half (TTS and pair) and the speech half (VC).  `half_step` builds either
 one with a backward pass of its own, and each parameter's gradient is the
 sum of the halves'.  That is bitwise the gradient one backward pass over
 the joint loss gives, and it lets `train()` run the speech half in a forked
-worker while the main process runs the text half.  A step's batches are a
-function of the seed and the step alone, so the loop carries no batch order.
+worker while the main process runs the text half.  The two processes then
+split the clip and Adam update over the parameters at `AdamState.cut`.  A
+step's batches are a function of the seed and the step alone, so the loop
+carries no batch order.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from .encoders import quantize_f0_array
 from .errors import DataError, PairingError, TrainingDiverged, UspcError
 from .layers import Ctx, segment_offsets
 from .model import JointModel
-from .optim import AdamState, adam_step, clip_global_norm, shared_arrays
+from .optim import (AdamState, ParamStore, adam_step, adam_update, clip_global_norm,
+                    clip_scale, sums_of_squares)
 from .synthesis import decode_f0
 from .vq import QuantizedContent, pair_loss, vq_aux_loss
 
@@ -187,7 +190,8 @@ def seed_codebook_from_batch(model: JointModel, batch: list[UtteranceRecord],
     """
     if not model.use_vq or not batch:
         return
-    c = model.content_encoder(_mels(batch), _frames_ctx(batch, model, 0, training=False))
+    with model.store.frozen():  # no graph: only the rows are read
+        c = model.content_encoder(_mels(batch), _frames_ctx(batch, model, 0, training=False))
     model.codebook.seed_from_rows(c.data, model.rng, step)
 
 
@@ -236,25 +240,44 @@ def half_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
                 rows=[f.quantized.continuous.data for f in frags], grads=grads)
 
 
-def _serve(conn, parent_end, model: JointModel, cfg: TrainConfig,
-           pool: list[UtteranceRecord], grads: dict[str, np.ndarray]) -> None:
-    """The worker's loop: the speech `half_step` of each request (step, pool
-    indices, n_aux) until the main process closes its end of the pipe.
-    Gradients go into the shared `grads`; the reply is the `Half` naming
-    them, or the exception the step raised."""
+def _into_block(half: Half, opt: AdamState) -> Half:
+    """`half` with its gradients copied into the optimizer's gradient block,
+    which holds the speech half's gradients in either process; the half
+    then names them only."""
+    for name, g in half.grads.items():
+        opt.g[name][...] = g
+    half.grads = dict.fromkeys(half.grads)
+    return half
+
+
+def _serve(conn, parent_end, model: JointModel, opt: AdamState, cfg: TrainConfig,
+           pool: list[UtteranceRecord]) -> None:
+    """The worker's loop until the main process closes its end of the pipe.
+    Each step it gets three requests:
+      ("step", step, pool indices, n_aux): the speech `half_step`, its
+        gradients into the shared block; replies the `Half` naming them;
+      ("sums", names): `sums_of_squares` of those gradients, once the main
+        process has added the text half's;
+      ("adam", names, t, lr, scale): `adam_update` of those parameters;
+        replies None once done.
+    A request that raises replies the exception instead."""
     parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process handles interrupts
     while True:
         try:
-            step, indices, n_aux = conn.recv()
+            kind, *args = conn.recv()
         except EOFError:
             return
         try:
-            half = half_step([pool[i] for i in indices], model, cfg, step, n_aux, speech=True)
-            for name, g in half.grads.items():
-                grads[name][...] = g
-            half.grads = dict.fromkeys(half.grads)  # the reply names them only
-            reply = half
+            if kind == "step":
+                step, indices, n_aux = args
+                reply = _into_block(half_step([pool[i] for i in indices], model, cfg, step,
+                                              n_aux, speech=True), opt)
+            elif kind == "sums":
+                reply = sums_of_squares([(name, opt.g[name]) for name in args[0]])
+            else:
+                names, opt.t, opt.lr, scale = args
+                reply = adam_update(opt, names, scale)
         except Exception as exc:  # noqa: BLE001 - the main process raises it
             reply = exc
         try:
@@ -264,24 +287,24 @@ def _serve(conn, parent_end, model: JointModel, cfg: TrainConfig,
 
 
 class VcWorker:
-    """Runs the speech half of each joint step in a forked process.
+    """Runs the speech half of each joint step, and the optimizer's work on
+    the parameters from `opt.cut` on, in a forked process.
 
-    The process shares the model's parameters (`ParamStore.share` must have
-    run) and reads them only between a request and its reply, so the pipe
-    orders every write the main process makes.  It writes its gradients
-    into a second shared block laid out like the parameters.  The start
-    method is fork, named explicitly since Python 3.14 no longer defaults
-    to it: the worker inherits the model, the speech pool and both shared
-    mappings instead of receiving pickled copies.
+    The process shares the parameters, both moments and the gradient block
+    (`AdamState.for_params` packed them) and touches them only between a
+    request and its reply, so the pipe orders every write either process
+    makes.  The start method is fork, named explicitly since Python 3.14 no
+    longer defaults to it: the worker inherits the model, the optimizer
+    state and the speech pool instead of receiving pickled copies.
     """
 
-    def __init__(self, model: JointModel, cfg: TrainConfig, pool: list[UtteranceRecord]):
+    def __init__(self, model: JointModel, opt: AdamState, cfg: TrainConfig,
+                 pool: list[UtteranceRecord]):
         self._index = {id(rec): i for i, rec in enumerate(pool)}
-        self._grads = shared_arrays({name: p.data.shape for name, p in model.store.items()})
         ctx = multiprocessing.get_context("fork")
         self._conn, child_end = ctx.Pipe()
         self._proc = ctx.Process(target=_serve, daemon=True, args=(
-            child_end, self._conn, model, cfg, pool, self._grads))
+            child_end, self._conn, model, opt, cfg, pool))
         self._proc.start()
         child_end.close()
         self._pending = False
@@ -289,15 +312,17 @@ class VcWorker:
     def submit(self, batch: list[UtteranceRecord], step: int, n_aux: int) -> None:
         """Start the speech half on `batch`, which must come from the
         worker's pool."""
+        self.send("step", step, [self._index[id(rec)] for rec in batch], n_aux)
+
+    def send(self, *request) -> None:
         try:
-            self._conn.send((step, [self._index[id(rec)] for rec in batch], n_aux))
+            self._conn.send(request)
         except OSError:
             self._died()
         self._pending = True
 
-    def result(self) -> Half:
-        """The submitted step's speech half, its gradients viewing the
-        shared block until the next submit."""
+    def reply(self):
+        """The reply to the last request; an exception it raised is raised here."""
         try:
             reply = self._conn.recv()
         except EOFError:
@@ -305,7 +330,6 @@ class VcWorker:
         self._pending = False
         if isinstance(reply, BaseException):
             raise reply
-        reply.grads = {name: self._grads[name] for name in reply.grads}
         return reply
 
     def _died(self) -> None:
@@ -315,7 +339,7 @@ class VcWorker:
 
     def close(self) -> None:
         self._conn.close()
-        if self._pending:  # mid-step: nothing will read its reply
+        if self._pending:  # mid-request: nothing will read its reply
             self._proc.terminate()
         self._proc.join()
 
@@ -327,10 +351,14 @@ def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
 
     tts-only skips pair and VC; vc-only runs only the speech pipeline; novq
     runs everything with identity quantization and no codebook loss.  Each
-    parameter's gradient is the sum of the text and speech `half_step`s',
-    text half first.  With `vc_worker` the speech half runs in that process
-    meanwhile; without, inline.
+    parameter's gradient is the sum of the text and speech `half_step`s'.
+    The clip and Adam update are split at `opt.cut`: the main process does
+    the parameters before it, and the parameters from it on run through the
+    same functions in `vc_worker` meanwhile, or inline after.  Adam is
+    elementwise and the norm adds the per-parameter sums in store order, so
+    the split changes no byte.  `opt` must pack `model.store`.
     """
+    opt.check_packed(model.store)
     text = cfg.mode != "vc-only"
     # an empty batch a half needs is a DataError from its tts_step or vc_step
     speech = not text or (cfg.mode != "tts-only" and bool(unpaired))
@@ -342,8 +370,8 @@ def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
         vc_worker.submit(unpaired, step, n_aux)
     halves = [half_step(paired, model, cfg, step, n_aux)] if text else []
     if speech:
-        halves.append(vc_worker.result() if vc_worker is not None
-                      else half_step(unpaired, model, cfg, step, n_aux, speech=True))
+        halves.append(vc_worker.reply() if vc_worker is not None else _into_block(
+            half_step(unpaired, model, cfg, step, n_aux, speech=True), opt))
 
     report = LossReport(step=step, lr=opt.lr)
     for half in halves:
@@ -356,16 +384,37 @@ def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
     if not math.isfinite(report.total):
         raise TrainingDiverged(f"non-finite loss at step {step}")
 
-    # the first half's gradients are its own arrays; the second's may view
-    # the worker's shared block, which its next step overwrites
-    grads = halves[0].grads
-    for half in halves[1:]:
-        for name, g in half.grads.items():
-            grads[name] = grads[name] + g if name in grads else g.copy()
-    for name, g in grads.items():
-        model.store[name].grad = g
-    report.grad_norm = clip_global_norm(model.store, cfg.grad_clip_norm)
-    adam_step(model.store, opt)
+    # the speech half's gradients are in the block; the text half's join
+    # them in place (speech + text is the bytes of text + speech), the
+    # worker's range first so that its sums start while the rest is added
+    spoken = halves[-1].grads if speech else {}
+    written = halves[0].grads if text else {}
+    head, rest = opt.split([name for name in model.store if name in spoken or name in written])
+
+    def merge(names: list[str]) -> None:
+        for name in names:
+            if name in written and name in spoken:
+                opt.g[name] += written[name]
+            elif name in written:
+                opt.g[name][...] = written[name]
+            model.store[name].grad = opt.g[name]
+
+    merge(rest)
+    if vc_worker is not None:
+        vc_worker.send("sums", rest)
+    merge(head)
+    share = ParamStore((name, model.store[name]) for name in head)
+    report.grad_norm = clip_global_norm(share, cfg.grad_clip_norm, rest=(
+        vc_worker.reply if vc_worker is not None
+        else lambda: sums_of_squares([(name, opt.g[name]) for name in rest])))
+    scale = clip_scale(report.grad_norm, cfg.grad_clip_norm)
+    if vc_worker is not None:
+        vc_worker.send("adam", rest, opt.t + 1, opt.lr, scale)  # adam_step advances t
+    adam_step(share, opt, scale)
+    if vc_worker is not None:
+        vc_worker.reply()  # done: the bookkeeping below may write what it updated
+    else:
+        adam_update(opt, rest, scale)
 
     if model.use_vq:
         model.codebook.mark_step_usage(np.concatenate([c for half in halves for c in half.codes]))
@@ -433,8 +482,9 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
 
     When both pipelines train on a speech pool and the usable CPUs hold two
     processes' BLAS threads (`_two_processes_fit`), the speech half of
-    every step runs in a `VcWorker`, forked before anything else is set up
-    and stopped when training ends, also on an error.
+    every step and half the optimizer's work run in a `VcWorker`, forked
+    once the optimizer state has packed the parameters and before anything
+    else is set up, and stopped when training ends, also on an error.
     """
     cfg.validate()
     if not records:
@@ -444,15 +494,13 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
         raise DataError("no labeled examples for a mode that trains the text pipeline")
 
     model = JointModel(cfg.model, seed=cfg.seed, use_vq=cfg.mode != "novq")
+    opt = AdamState.for_params(model.store, lr=cfg.lr_init)
     vc_worker = None
     if cfg.mode in ("full", "novq") and unpaired and cfg.batch_unpaired > 0 \
             and _two_processes_fit():
-        model.store.share()
-        vc_worker = VcWorker(model, cfg, unpaired)
+        vc_worker = VcWorker(model, opt, cfg, unpaired)
     trace_fh = None
     try:
-        opt = AdamState.for_params(model.store, lr=cfg.lr_init)
-
         primary = paired if cfg.mode != "vc-only" else unpaired
         batch_primary = cfg.batch_paired if cfg.mode != "vc-only" else max(cfg.batch_unpaired, 1)
         steps_per_epoch = math.ceil(len(primary) / batch_primary)

@@ -271,6 +271,38 @@ def test_vc_only_step_leaves_text_parameters_bitwise(setup):
         assert np.array_equal(model.store[name].data, data), name
 
 
+def test_codebook_seeding_builds_no_graph_and_leaves_parameters_trainable(tiny_corpus,
+                                                                        monkeypatch):
+    from uspc import autodiff as ad
+    records = tiny_corpus["train"][:4]
+    cfg = small_model_config(codebook_size=8)
+    # the rows seeding reads, from a forward pass with a graph
+    graphed = JointModel(cfg, seed=0)
+    ctx = Ctx(training=False, step=0, uids=tuple(r.id for r in records),
+              offsets=np.concatenate([[0], np.cumsum([r.n_frames for r in records])]),
+              rng=graphed.rng)
+    rows = graphed.content_encoder(np.concatenate([r.mel for r in records]), ctx)
+    assert rows._backward is not None
+    graphed.codebook.seed_from_rows(rows.data, graphed.rng, 0)
+
+    closures = []
+    real_make_node = ad._make_node
+
+    def counted(data, parents, backward_fn):
+        out = real_make_node(data, parents, backward_fn)
+        closures.append(out._backward is not None)
+        return out
+
+    monkeypatch.setattr(ad, "_make_node", counted)
+    model = JointModel(cfg, seed=0)
+    before = model.codebook.entries.data.copy()
+    seed_codebook_from_batch(model, records)
+    assert closures and not any(closures)
+    assert all(p.requires_grad for p in model.store.values())
+    assert not np.array_equal(model.codebook.entries.data, before)
+    assert model.codebook.entries.data.tobytes() == graphed.codebook.entries.data.tobytes()
+
+
 def test_never_used_codebook_entries_bitwise_stable(tiny_corpus):
     # a book larger than the batches' frames, so some entries stay idle
     cfg = small_train_config(model=small_model_config(codebook_size=64))
@@ -621,7 +653,7 @@ def _state_digest(model, opt) -> str:
 
 def _run_digests(cfg, records, out):
     """sha256 of a seeded run's trace CSV, checkpoint bytes and final state,
-    plus the number of live child processes at each step."""
+    plus the number of live child processes at each step and the trace."""
     children = []
 
     def stop_when(report):
@@ -629,11 +661,11 @@ def _run_digests(cfg, records, out):
         return False
 
     out.mkdir()
-    model, opt, _ = train(cfg, records, checkpoint_path=out / "run.uspc",
-                          trace_path=out / "trace.csv", stop_when=stop_when)
+    model, opt, trace = train(cfg, records, checkpoint_path=out / "run.uspc",
+                              trace_path=out / "trace.csv", stop_when=stop_when)
     return ({part: hashlib.sha256((out / part).read_bytes()).hexdigest()
              for part in ("run.uspc", "trace.csv")} | {"state": _state_digest(model, opt)},
-            children)
+            children, trace)
 
 
 @pytest.mark.parametrize("mode", ["full", "novq"])
@@ -651,13 +683,15 @@ def test_vc_worker_steps_are_bitwise_the_inline_steps(tiny_corpus, tmp_path, mon
     monkeypatch.setattr(Codebook, "reseed_dead_entries", counted)
     cfg = small_train_config(max_steps=7, mode=mode, dead_code_steps=2)
     _cpus(monkeypatch, 2)
-    worker, children = _run_digests(cfg, tiny_corpus["train"], tmp_path / "worker")
+    worker, children, trace = _run_digests(cfg, tiny_corpus["train"], tmp_path / "worker")
     assert children == [1] * 7
     _cpus(monkeypatch, 1)
-    inline, children = _run_digests(cfg, tiny_corpus["train"], tmp_path / "inline")
+    inline, children, _ = _run_digests(cfg, tiny_corpus["train"], tmp_path / "inline")
     assert children == [0] * 7
     assert worker == inline
     assert multiprocessing.active_children() == []
+    # both processes scaled their range of the gradients
+    assert any(report.grad_norm > cfg.grad_clip_norm for report in trace)
     if mode == "full":
         assert sum(reseeded) > 0
 
@@ -757,6 +791,98 @@ def test_vc_worker_death_raises_uspc_error_naming_its_exit_code(tiny_corpus, mon
     with pytest.raises(UspcError, match="exited with code 7"):
         train(small_train_config(max_steps=5), tiny_corpus["train"])
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_nonfinite_gradient_in_the_worker_range_changes_nothing(tiny_corpus, monkeypatch, cpus):
+    # the last parameter in store order is updated by the worker (inline:
+    # by the second range); its NaN must stop the step before either range
+    # writes a parameter, a moment, t or lr
+    cfg = small_train_config(max_steps=9)
+    model = JointModel(cfg.model, seed=cfg.seed)
+    name = AdamState.for_params(model.store).split(list(model.store))[1][-1]
+    real_half_step = training_mod.half_step
+
+    def poisoned(batch, model, cfg, step, n_aux, speech=False):
+        half = real_half_step(batch, model, cfg, step, n_aux, speech)
+        if speech and step == 4:
+            half.grads[name] = half.grads[name] * np.nan
+        return half
+
+    seen = {}
+    real_joint_step = training_mod.joint_step
+
+    def spy(paired, unpaired, model, opt, cfg, step, **kw):
+        seen["model"], seen["opt"] = model, opt
+        report = real_joint_step(paired, unpaired, model, opt, cfg, step, **kw)
+        seen["after"] = _state_digest(model, opt)
+        return report
+
+    monkeypatch.setattr(training_mod, "half_step", poisoned)
+    monkeypatch.setattr(training_mod, "joint_step", spy)
+    _cpus(monkeypatch, cpus)
+    steps = []
+    with np.errstate(all="ignore"), pytest.raises(
+            TrainingDiverged, match=re.escape(f"non-finite gradient in parameter {name!r}")):
+        train(cfg, tiny_corpus["train"], stop_when=lambda report: steps.append(report.step))
+    assert steps == [0, 1, 2, 3]
+    assert _state_digest(seen["model"], seen["opt"]) == seen["after"]
+    assert multiprocessing.active_children() == []
+
+
+def test_vc_worker_death_in_the_update_raises_uspc_error_naming_its_exit_code(
+        tiny_corpus, monkeypatch):
+    main_pid = os.getpid()
+    real_adam_update = training_mod.adam_update
+
+    def dying(opt, names, scale):
+        if os.getpid() != main_pid:
+            os._exit(9)
+        return real_adam_update(opt, names, scale)
+
+    monkeypatch.setattr(training_mod, "adam_update", dying)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(UspcError, match="exited with code 9"):
+        train(small_train_config(max_steps=3), tiny_corpus["train"])
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("mode,untrained", [
+    ("tts-only", ("content_encoder.",)),
+    ("vc-only", ("text_encoder.", "duration_predictor.")),
+    ("novq", ("codebook.entries",)),
+])
+def test_parameters_without_a_gradient_keep_their_values_and_moments(tiny_corpus, monkeypatch,
+                                                                     mode, untrained):
+    # runs of the flat Adam pass stop at a parameter no loss reaches
+    _cpus(monkeypatch, 2)   # novq runs the worker
+    cfg = small_train_config(max_steps=4, mode=mode)
+    model, opt, _ = train(cfg, tiny_corpus["train"])
+    fresh = JointModel(cfg.model, seed=cfg.seed, use_vq=mode != "novq")
+    names = [name for name in model.store if name.startswith(untrained)]
+    assert names and opt.t == 4
+    for name in names:
+        assert model.store[name].data.tobytes() == fresh.store[name].data.tobytes(), name
+        assert not opt.m[name].any() and not opt.v[name].any(), name
+    trained = [name for name in model.store if not name.startswith(untrained)]
+    assert all(opt.v[name].any() for name in trained)
+
+
+def test_restored_model_reads_and_writes_the_packed_block(tiny_corpus, tmp_path):
+    cfg = small_train_config(max_steps=2)
+    model, opt, _ = train(cfg, tiny_corpus["train"], checkpoint_path=tmp_path / "a.uspc")
+    restored, opt2, _ = restore_model(load_checkpoint(tmp_path / "a.uspc"))
+    opt2.check_packed(restored.store)
+    records = tiny_corpus["train"]
+    for m, o in ((model, opt), (restored, opt2)):
+        joint_step(records[:2], records[2:4], m, o, cfg, step=2)
+    assert _state_digest(model, opt) == _state_digest(restored, opt2)
+
+    # a parameter replaced instead of written is off the block
+    name = next(iter(restored.store))
+    restored.store[name].data = restored.store[name].data.copy()
+    with pytest.raises(UspcError, match=re.escape(f"parameter {name!r} is not in the")):
+        joint_step(records[:2], records[2:4], restored, opt2, cfg, step=3)
 
 
 def test_config_text_round_trip():
