@@ -42,16 +42,18 @@ def overfit_corpus(out_dir, seed: int = 7):
 
 
 def measure(model, records, cfg):
-    """Eval-mode training-set fit: (mel MSE, duration MSE, pitch accuracy)."""
-    frag = tts_step(records, model, cfg, step=0, training=False)
-    ctx = Ctx.eval()
-    correct = total = 0
-    for rec in records:
-        q, _, _ = model.tts_content(rec.phonemes, rec.durations, ctx)
-        logits = model.pitch_predictor(q, model.speaker_encoder(rec.mel, ctx), ctx)
-        bins = quantize_f0_array(rec.f0)
-        correct += int((np.argmax(logits.data, axis=1) == bins).sum())
-        total += bins.size
+    """Eval-mode training-set fit: (mel MSE, duration MSE, pitch accuracy).
+    The parameters are frozen, so no forward pass builds a graph."""
+    with model.store.frozen():
+        frag = tts_step(records, model, cfg, step=0, training=False)
+        ctx = Ctx.eval()
+        correct = total = 0
+        for rec in records:
+            q, _, _ = model.tts_content(rec.phonemes, rec.durations, ctx)
+            logits = model.pitch_predictor(q, model.speaker_encoder(rec.mel, ctx), ctx)
+            bins = quantize_f0_array(rec.f0)
+            correct += int((np.argmax(logits.data, axis=1) == bins).sum())
+            total += bins.size
     return frag.mel.item(), frag.duration.item(), correct / total
 
 

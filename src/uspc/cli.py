@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: gen-data, train, synth-tts, convert-vc, eval, dump-embeddings.
+Subcommands: gen-data, train, synth-tts, convert-vc, eval.
 Every command is deterministic given its inputs and seed.
 """
 
@@ -16,7 +16,6 @@ from . import config as config_mod
 from .checkpoint import load_checkpoint, restore_model
 from .corpus import CorpusSpec, gen_corpus, load_corpus, manifest_name, write_matrix
 from .errors import DataError, UspcError
-from .layers import Ctx, segment_offsets
 from .metrics import eval_result_csv, evaluate
 from .training import train
 
@@ -70,11 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--split", choices=["train", "test"], default="test")
     e.add_argument("--out", required=True, help="output CSV")
 
-    d = sub.add_parser("dump-embeddings", help="speaker embeddings as CSV")
-    d.add_argument("--ckpt", required=True)
-    d.add_argument("--corpus", required=True)
-    d.add_argument("--split", choices=["train", "test"], default="train")
-    d.add_argument("--out", required=True)
     return parser
 
 
@@ -172,29 +166,12 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_dump_embeddings(args) -> int:
-    model, _, _ = restore_model(load_checkpoint(args.ckpt))
-    records = load_corpus(args.corpus, args.split)
-    ctx = Ctx(offsets=segment_offsets([rec.n_frames for rec in records]))
-    embeddings = model.speaker_encoder(np.concatenate([rec.mel for rec in records]), ctx).data
-    lines = []
-    for rec, emb in zip(records, embeddings):
-        values = ",".join(repr(float(v)) for v in emb)
-        lines.append(f"{rec.id},{rec.speaker_id},{values}")
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"wrote {len(lines)} embeddings ({model.cfg.d_model} dims) to {args.out}")
-    return 0
-
-
 _COMMANDS = {
     "gen-data": _cmd_gen_data,
     "train": _cmd_train,
     "synth-tts": _cmd_synth_tts,
     "convert-vc": _cmd_convert_vc,
     "eval": _cmd_eval,
-    "dump-embeddings": _cmd_dump_embeddings,
 }
 
 

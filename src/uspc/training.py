@@ -19,6 +19,9 @@ carries no batch order.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import itertools
 import math
 import multiprocessing
 import os
@@ -424,18 +427,30 @@ def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
     return report
 
 
-# where OpenBLAS, numpy's BLAS, reads its thread count, in its order
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+@functools.cache
+def _openblas_thread_calls():
+    """The get and set thread-count functions of numpy's OpenBLAS, found by
+    their 64-bit-interface symbols (scipy maps a 32-bit OpenBLAS beside
+    it), or None where no loaded library has them."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    for lib, prefix in itertools.product(libs, ("scipy_openblas", "openblas")):
+        get, put = (getattr(ctypes.CDLL(lib), f"{prefix}_{op}_num_threads64_", None)
+                    for op in ("get", "set"))
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
 
 
-def _two_processes_fit() -> bool:
-    """Whether the usable CPUs hold two processes' BLAS threads.  OpenBLAS
-    runs as many as the first positive value of BLAS_THREAD_VARS says, or
-    one per usable CPU when none is set; two processes of such threads on
-    too few cores spin against each other (a desk step took 2.3x as long)."""
-    cpus = len(os.sched_getaffinity(0))
-    values = [os.environ.get(var, "").strip() for var in BLAS_THREAD_VARS]
-    return 2 * next((int(v) for v in values if v.isdigit() and int(v) > 0), cpus) <= cpus
+def blas_threads(n: int | None = None) -> int | None:
+    """The thread count of numpy's OpenBLAS, after setting it to `n` if
+    given; None when that OpenBLAS is not found."""
+    calls = _openblas_thread_calls()
+    if calls is not None and n is not None:
+        calls[1](n)
+    return calls[0]() if calls is not None else None
 
 
 def _pools(records: list[UtteranceRecord], mode: str
@@ -480,11 +495,13 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
     there: one decay, one checkpoint.  The closing checkpoint is the last
     boundary's; only a run of no steps writes one after the loop.
 
-    When both pipelines train on a speech pool and the usable CPUs hold two
-    processes' BLAS threads (`_two_processes_fit`), the speech half of
-    every step and half the optimizer's work run in a `VcWorker`, forked
-    once the optimizer state has packed the parameters and before anything
-    else is set up, and stopped when training ends, also on an error.
+    When both pipelines train on a speech pool, the speech half of every
+    step and half the optimizer's work run in a `VcWorker` if the usable
+    CPUs hold two processes of per = min(OpenBLAS's count, CPUs // 2) >= 1
+    BLAS threads (more threads than CPUs spin: a desk step took 2.3x as
+    long).  Each process runs per threads, set before the fork, once the
+    optimizer state has packed the parameters.  When training ends, also on
+    an error, the worker stops and the main process gets its count back.
     """
     cfg.validate()
     if not records:
@@ -495,12 +512,14 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
 
     model = JointModel(cfg.model, seed=cfg.seed, use_vq=cfg.mode != "novq")
     opt = AdamState.for_params(model.store, lr=cfg.lr_init)
-    vc_worker = None
-    if cfg.mode in ("full", "novq") and unpaired and cfg.batch_unpaired > 0 \
-            and _two_processes_fit():
-        vc_worker = VcWorker(model, opt, cfg, unpaired)
-    trace_fh = None
+    threads = blas_threads() if cfg.mode in ("full", "novq") and unpaired \
+        and cfg.batch_unpaired > 0 else None
+    per_process = min(threads or 0, len(os.sched_getaffinity(0)) // 2)
+    vc_worker = trace_fh = None
     try:
+        if per_process:
+            blas_threads(per_process)
+            vc_worker = VcWorker(model, opt, cfg, unpaired)
         primary = paired if cfg.mode != "vc-only" else unpaired
         batch_primary = cfg.batch_paired if cfg.mode != "vc-only" else max(cfg.batch_unpaired, 1)
         steps_per_epoch = math.ceil(len(primary) / batch_primary)
@@ -558,6 +577,8 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
             trace_fh.close()
         if vc_worker is not None:
             vc_worker.close()
+        if per_process:
+            blas_threads(threads)
 
     if checkpoint_path is not None and last_checkpoint is None:
         checkpoint.save_checkpoint(checkpoint_path, model, opt, cfg, 0)

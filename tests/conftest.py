@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,14 @@ def small_train_config(**kw) -> TrainConfig:
                 model=small_model_config())
     base.update(kw)
     return TrainConfig(**base)
+
+
+@pytest.fixture(autouse=True)
+def no_process_left():
+    """Every test ends with no child process left: `train()` forks a VC
+    worker for each full or novq run on two or more usable CPUs."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture

@@ -90,7 +90,6 @@ def test_probes_leave_the_trace_of_a_worker_run_unchanged(tiny_corpus, monkeypat
     # an untraced one; the probes are installed when train() forks the VC
     # worker, so the worker runs wrapped entry points too
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     cfg = small_train_config(max_steps=5)
     children = []
 

@@ -15,7 +15,6 @@ from uspc.cli import main
 from uspc.corpus import (CorpusSpec, UtteranceRecord, gen_corpus, load_corpus,
                          read_matrix, render_frames, write_corpus, write_matrix)
 from uspc.errors import ConfigError, DataError, FormatError, IntegrityError
-from uspc.layers import Ctx
 from uspc.model import JointModel
 from uspc.optim import AdamState
 from uspc.training import train, vc_step
@@ -368,30 +367,6 @@ def test_cli_pipeline_end_to_end(tmp_path, capsys):
              rows[("diff_phoneme_within_speaker_agreement", "all")])
     assert (f"code agreement: same-phoneme cross-speaker={agree[0]:.4f} "
             f"different-phoneme within-speaker={agree[1]:.4f}") in printed
-
-    emb_csv = tmp_path / "emb.csv"
-    assert main(["dump-embeddings", "--ckpt", str(ckpt), "--corpus", str(corpus),
-                 "--out", str(emb_csv)]) == 0
-    first = emb_csv.read_text().splitlines()[0].split(",")
-    assert len(first) == 2 + 32  # id, speaker, embedding dims
-
-
-def test_dump_embeddings_rows_are_per_record_speaker_rows(trained, tiny_corpus, tmp_path):
-    path, _, _ = trained
-    out = tmp_path / "emb.csv"
-    assert main(["dump-embeddings", "--ckpt", str(path), "--corpus", str(tiny_corpus["dir"]),
-                 "--out", str(out)]) == 0
-    model, _, _ = restore_model(load_checkpoint(path))
-    records = load_corpus(tiny_corpus["dir"], "train")
-    lines = out.read_text().splitlines()
-    assert len(lines) == len(records)
-    for line, rec in zip(lines, records):
-        uid, speaker, *values = line.split(",")
-        assert (uid, speaker) == (rec.id, rec.speaker_id)
-        alone = model.speaker_encoder(rec.mel, Ctx.eval()).data
-        assert alone.shape == (1, 32) and np.abs(alone).max() > 0.0
-        np.testing.assert_allclose(np.array(values, dtype=np.float64), alone[0],
-                                   rtol=0, atol=1e-12)
 
 
 def test_cli_synth_tts_with_unseen_reference(tmp_path):

@@ -613,32 +613,88 @@ def test_train_batches_are_the_epoch_loop_batches(tiny_corpus, monkeypatch, mode
 
 
 def _cpus(monkeypatch, n):
-    """Make `train()` see n usable CPUs and one BLAS thread per process:
-    2 starts the VC worker, 1 keeps the VC half inline."""
+    """Make `train()` see n usable CPUs: with numpy's OpenBLAS found, 2
+    starts the VC worker at one BLAS thread per process, 1 keeps the VC
+    half inline."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
 
 
-@pytest.mark.parametrize("cpus,env,fits", [
-    (2, {"OPENBLAS_NUM_THREADS": "1"}, True),
-    (1, {"OPENBLAS_NUM_THREADS": "1"}, False),
-    (2, {}, False),                                  # one BLAS thread per CPU
-    (4, {}, False),
-    (4, {"OMP_NUM_THREADS": "2"}, True),
-    (4, {"OMP_NUM_THREADS": "3"}, False),
-    (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
-    (2, {"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, True),
-    (2, {"OPENBLAS_NUM_THREADS": "0"}, False),      # OpenBLAS skips a 0
-    (2, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
+@pytest.fixture
+def openblas_threads():
+    """numpy's OpenBLAS thread count, restored after the test."""
+    before = training_mod.blas_threads()
+    if before is None:
+        pytest.skip("numpy's OpenBLAS is not found")
+    yield before
+    training_mod.blas_threads(before)
+
+
+@pytest.mark.parametrize("cpus,count,per", [
+    (2, 2, 1),      # OpenBLAS's default on 2 CPUs
+    (2, 1, 1),
+    (1, 1, 0),
+    (4, 4, 2),
+    (8, 1, 1),
+    (2, None, 0),   # no OpenBLAS found
 ])
-def test_vc_worker_starts_only_where_both_processes_blas_threads_fit(monkeypatch, cpus,
-                                                                     env, fits):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    for var in training_mod.BLAS_THREAD_VARS:
+def test_vc_worker_runs_where_the_cpus_hold_two_processes_of_blas_threads(
+        tiny_corpus, monkeypatch, cpus, count, per):
+    # per = min(count, cpus // 2) threads in each process, set before the
+    # fork and taken back after; no worker and no setting when per is 0
+    state, sets = [count], []
+
+    def fake_blas_threads(n=None):
+        if n is not None and state[0] is not None:
+            state[0] = n
+            sets.append(n)
+        return state[0]
+
+    monkeypatch.setattr(training_mod, "blas_threads", fake_blas_threads)
+    _cpus(monkeypatch, cpus)
+    children = []
+    train(small_train_config(max_steps=2), tiny_corpus["train"],
+          stop_when=lambda report: children.append(len(multiprocessing.active_children())))
+    assert children == [int(per > 0)] * 2
+    assert sets == ([per, count] if per else [])
+
+
+@pytest.mark.parametrize("env", [{}, {"OPENBLAS_NUM_THREADS": "1"}],
+                         ids=["no-variable", "variable-set-after-import"])
+def test_full_run_on_two_cpus_runs_each_process_at_one_blas_thread(
+        tiny_corpus, tmp_path, monkeypatch, openblas_threads, env):
+    # OpenBLAS reads its variables once, when numpy loads it: one set later
+    # leaves it at 2 threads, and the worker must still run at 1
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
-    assert training_mod._two_processes_fit() is fits
+    training_mod.blas_threads(2)
+    _cpus(monkeypatch, 2)
+    log = tmp_path / "threads.txt"
+    real_half_step, real_tts_step = training_mod.half_step, training_mod.tts_step
+
+    def recording(batch, model, cfg, step, n_aux, speech=False):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {int(speech)} {training_mod.blas_threads()}\n")
+        return real_half_step(batch, model, cfg, step, n_aux, speech)
+
+    monkeypatch.setattr(training_mod, "half_step", recording)
+    train(small_train_config(max_steps=3), tiny_corpus["train"])
+    assert training_mod.blas_threads() == 2
+    rows = {tuple(line.split()) for line in log.read_text().splitlines()}
+    worker = {pid for pid, speech, _ in rows if speech == "1"}
+    assert rows == {(str(os.getpid()), "0", "1")} | {(pid, "1", "1") for pid in worker}
+    assert len(worker) == 1 and str(os.getpid()) not in worker
+
+    def failing(batch, model, cfg, step, training=True):
+        if step == 1:
+            raise DataError("text batch rejected")
+        return real_tts_step(batch, model, cfg, step, training)
+
+    monkeypatch.setattr(training_mod, "tts_step", failing)
+    with pytest.raises(DataError, match="text batch rejected"):
+        train(small_train_config(max_steps=3), tiny_corpus["train"])
+    assert training_mod.blas_threads() == 2
 
 
 def _state_digest(model, opt) -> str:
@@ -670,7 +726,7 @@ def _run_digests(cfg, records, out):
 
 @pytest.mark.parametrize("mode", ["full", "novq"])
 def test_vc_worker_steps_are_bitwise_the_inline_steps(tiny_corpus, tmp_path, monkeypatch,
-                                                      mode):
+                                                      openblas_threads, mode):
     # dead entries are reseeded by the main process every 2 idle steps: the
     # worker must see those writes, and Adam's, before its next step
     reseeded = []
@@ -682,6 +738,7 @@ def test_vc_worker_steps_are_bitwise_the_inline_steps(tiny_corpus, tmp_path, mon
 
     monkeypatch.setattr(Codebook, "reseed_dead_entries", counted)
     cfg = small_train_config(max_steps=7, mode=mode, dead_code_steps=2)
+    training_mod.blas_threads(1)  # both runs at the worker's count
     _cpus(monkeypatch, 2)
     worker, children, trace = _run_digests(cfg, tiny_corpus["train"], tmp_path / "worker")
     assert children == [1] * 7
