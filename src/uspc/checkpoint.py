@@ -116,9 +116,9 @@ def load_checkpoint(path) -> Checkpoint:
             # shape overflows or allocates before it is known to fit the file
             n_bytes = math.prod(dims) * 8
             left = file_size - fh.tell()
-            if n_bytes > left:
-                raise FormatError(f"{path}: truncated checkpoint: tensor {name} of shape "
-                                  f"{tuple(dims)} needs {n_bytes} bytes, {left} remain")
+            if n_bytes > left:  # a size past 4,300 digits cannot be printed
+                raise FormatError(f"{path}: truncated checkpoint: tensor {name} of rank "
+                                  f"{rank} needs more than the {left} bytes left")
             raw = _read_exact(fh, n_bytes, f"tensor {name}")
             try:
                 tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()

@@ -252,8 +252,8 @@ def _ints_to_field(values) -> str:
 def _field_to_ints(text: str, where: str) -> np.ndarray:
     try:
         return np.array([int(v) for v in text.split(",")], dtype=np.int64)
-    except ValueError:
-        raise IntegrityError(f"{where}: non-integer value in {text!r}") from None
+    except (ValueError, OverflowError):
+        raise IntegrityError(f"{where}: value that is not an int64 in {text!r}") from None
 
 
 def write_corpus(out_dir, records: list[UtteranceRecord], split: str = "train") -> None:

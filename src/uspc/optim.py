@@ -51,6 +51,7 @@ class ParamStore(dict):
 # values per slice of the flat Adam pass: its scratch and the block slices
 # it meets stay in cache (4,096 and 65,536 were slower)
 CHUNK = 16_384
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 def shared_arrays(shapes: dict[str, tuple[int, ...]]
@@ -81,9 +82,6 @@ class AdamState:
     """
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -94,7 +92,7 @@ class AdamState:
     cut: int = 0
 
     @classmethod
-    def for_params(cls, params: ParamStore, lr: float = 1e-3, **kw) -> "AdamState":
+    def for_params(cls, params: ParamStore, lr: float = 1e-3) -> "AdamState":
         """Zero moments for `params`, which move into the parameter block,
         bytes unchanged.  In-place writes (Adam, codebook seeding and
         reseeding) then reach a process forked afterwards; a parameter whose
@@ -114,14 +112,17 @@ class AdamState:
         return cls(lr=lr, m=m, v=v, g=g, p=p, blocks=(flat_p, flat_m, flat_v, flat_g),
                    cut=(list(offsets.values()) + [flat_p.size])[k],
                    spans={name: (offsets[name], offsets[name] + size)
-                          for name, size in zip(shapes, sizes)}, **kw)
+                          for name, size in zip(shapes, sizes)})
 
     def check_packed(self, params: ParamStore) -> None:
-        """Raise unless every parameter's data is still its view of the block."""
+        """Raise unless every parameter's data is still its view of the
+        block, and its gradient, if set, its view of the gradient block."""
         for name, t in params.items():
             if t.data is not self.p.get(name):
                 raise UspcError(f"parameter {name!r} is not in the optimizer's block: "
                                 "write into its data in place instead of replacing it")
+            if t.grad is not None and t.grad is not self.g[name]:
+                raise UspcError(f"gradient of parameter {name!r} is not in the optimizer's block")
 
     def split(self, names: list[str]) -> tuple[list[str], list[str]]:
         """`names` before `cut` and from it on, each in the order given."""
@@ -143,70 +144,50 @@ def sums_of_squares(grads: list[tuple[str, np.ndarray]]) -> tuple[list[float], s
 
 
 def clip_scale(norm: float, max_norm: float) -> float:
-    """The factor `clip_global_norm` scales the gradients by."""
+    """The factor `adam_step` scales the gradients by to clip their joint
+    L2 norm `norm` to at most max_norm."""
     return max_norm / norm if norm > max_norm > 0 else 1.0
 
 
-def clip_global_norm(params: ParamStore, max_norm: float, rest=None) -> float:
-    """Scale all grads so their joint L2 norm is at most max_norm; return the
-    norm before scaling.
+def clip_global_norm(params: ParamStore, rest) -> float:
+    """The joint L2 norm of the gradients of a packed store: those of
+    `params`, its first parameters with a gradient, and the others, whose
+    `sums_of_squares` `rest()` returns, taken by the process that updates
+    them.
 
     The norm adds each gradient's sum of squares in store order.  A
     gradient holding an inf or NaN raises TrainingDiverged naming the first
-    such parameter, before anything is scaled.  Scales in place; an array
-    that several parameters share as their gradient is scaled once.
-
-    With `rest`, `params` are the first parameters of a packed store with a
-    gradient, and `rest()` returns `sums_of_squares` of the others, taken
-    by the process that updates them.  Nothing is scaled then:
-    `adam_step(..., scale)` applies `clip_scale` of the norm on its pass.
+    such parameter.  Nothing is scaled here: `adam_step` multiplies each
+    gradient by `clip_scale` of the norm on its pass.
     """
-    named = [(name, p.grad) for name, p in params.items() if p.grad is not None]
-    sums, bad = sums_of_squares(named)
-    if rest is not None:
-        more, more_bad = rest()
-        sums, bad = sums + more, bad or more_bad
+    sums, bad = sums_of_squares([(name, p.grad) for name, p in params.items()
+                                 if p.grad is not None])
+    more, more_bad = rest()
+    bad = bad or more_bad
     if bad is not None:
         raise TrainingDiverged(f"non-finite gradient in parameter {bad!r}")
     total = 0.0
-    for s in sums:
+    for s in sums + more:
         total += s
-    norm = float(np.sqrt(total))
-    scale = clip_scale(norm, max_norm)
-    if rest is None and scale != 1.0:
-        scaled: set[int] = set()
-        for _, g in named:
-            if id(g) not in scaled:
-                g *= scale
-                scaled.add(id(g))
-    return norm
+    return float(np.sqrt(total))
 
 
-def adam_step(params: ParamStore, state: AdamState, scale: float | None = None) -> None:
-    """One Adam update in place.  Parameters without a gradient are skipped.
+def adam_step(params: ParamStore, state: AdamState, scale: float) -> None:
+    """One Adam update in place: the step counter advances, then
+    `adam_update` runs over the parameters with a gradient, each gradient
+    times `scale`.  Each gradient must be its view of the state's gradient
+    block, which `clip_global_norm` has checked for an inf or NaN.
 
     With zero gradient the moments stay zero and the update is exactly zero,
     so parameters never touched by a loss remain bitwise unchanged.  All or
-    nothing: a non-finite gradient raises before any parameter, moment or the
-    step counter changes.  The gradients are copied into the state's
-    gradient block and `adam_update` runs over them.
-
-    With `scale`, the gradients already view the block, and
-    `clip_global_norm(..., rest)` has checked them: each is multiplied by
-    `scale` on the pass instead.
+    nothing: a gradient outside the block raises before any parameter,
+    moment or the step counter changes.
     """
     if state.lr < 0:
         raise ConfigError(f"learning rate must be >= 0, got {state.lr}")
     state.check_packed(params)
-    names = [name for name, p in params.items() if p.grad is not None]
-    if scale is None:
-        for name in names:
-            if not np.isfinite(params[name].grad).all():
-                raise TrainingDiverged(f"non-finite gradient in parameter {name!r}")
-        for name in names:
-            state.g[name][...] = params[name].grad
     state.t += 1
-    adam_update(state, names, 1.0 if scale is None else scale)
+    adam_update(state, [name for name, p in params.items() if p.grad is not None], scale)
 
 
 def adam_update(state: AdamState, names: list[str], scale: float) -> None:
@@ -227,7 +208,7 @@ def adam_update(state: AdamState, names: list[str], scale: float) -> None:
             runs[-1][1] = hi
         else:
             runs.append([lo, hi])
-    b1, b2, lr = state.beta1, state.beta2, state.lr
+    b1, b2, lr = BETA1, BETA2, state.lr
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     scratch = np.empty(CHUNK), np.empty(CHUNK)
@@ -250,6 +231,6 @@ def adam_update(state: AdamState, names: list[str], scale: float) -> None:
                 a *= lr
                 np.divide(v, bc2, out=b)
                 np.sqrt(b, out=b)
-                b += state.eps
+                b += EPS
                 a /= b
                 flat_p[i:j] -= a

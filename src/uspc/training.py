@@ -12,8 +12,9 @@ one with a backward pass of its own, and each parameter's gradient is the
 sum of the halves'.  That is bitwise the gradient one backward pass over
 the joint loss gives, and it lets `train()` run the speech half in a forked
 worker while the main process runs the text half.  The two processes then
-split the clip and Adam update over the parameters at `AdamState.cut`.  A
-step's batches are a function of the seed and the step alone, so the loop
+split the clip and Adam update over the parameters at `AdamState.cut`.
+Without a worker the same requests are answered in process.  A step's
+batches are a function of the seed and the step alone, so the loop
 carries no batch order.
 """
 
@@ -184,8 +185,7 @@ def pair_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
                     code_agreement=agree / max(qs.n_frames, 1))
 
 
-def seed_codebook_from_batch(model: JointModel, batch: list[UtteranceRecord],
-                             step: int = 0) -> None:
+def seed_codebook_from_batch(model: JointModel, batch: list[UtteranceRecord]) -> None:
     """Data-dependent codebook init: copy encoder output rows from a batch.
 
     Falls back to the gaussian init when the batch provides fewer rows than
@@ -195,7 +195,7 @@ def seed_codebook_from_batch(model: JointModel, batch: list[UtteranceRecord],
         return
     with model.store.frozen():  # no graph: only the rows are read
         c = model.content_encoder(_mels(batch), _frames_ctx(batch, model, 0, training=False))
-    model.codebook.seed_from_rows(c.data, model.rng, step)
+    model.codebook.seed_from_rows(c.data, model.rng)
 
 
 @dataclass
@@ -243,50 +243,72 @@ def half_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
                 rows=[f.quantized.continuous.data for f in frags], grads=grads)
 
 
-def _into_block(half: Half, opt: AdamState) -> Half:
-    """`half` with its gradients copied into the optimizer's gradient block,
-    which holds the speech half's gradients in either process; the half
-    then names them only."""
-    for name, g in half.grads.items():
-        opt.g[name][...] = g
-    half.grads = dict.fromkeys(half.grads)
-    return half
+def _answer(request: tuple, model: JointModel, opt: AdamState, cfg: TrainConfig):
+    """The reply to one of the three requests a step makes of the side that
+    runs the speech half and the optimizer's work from `opt.cut` on:
+      ("step", batch, step, n_aux): the speech `half_step`, its gradients
+        copied into the optimizer's gradient block; replies the `Half`,
+        which then names them only;
+      ("sums", names): `sums_of_squares` of those gradients in the block,
+        once the text half's have joined them;
+      ("adam", names, t, lr, scale): `adam_update` of those parameters at
+        step t; replies None once done."""
+    kind, *args = request
+    if kind == "step":
+        batch, step, n_aux = args
+        half = half_step(batch, model, cfg, step, n_aux, speech=True)
+        for name, g in half.grads.items():
+            opt.g[name][...] = g
+        half.grads = dict.fromkeys(half.grads)
+        return half
+    if kind == "sums":
+        return sums_of_squares([(name, opt.g[name]) for name in args[0]])
+    names, opt.t, opt.lr, scale = args
+    return adam_update(opt, names, scale)
 
 
 def _serve(conn, parent_end, model: JointModel, opt: AdamState, cfg: TrainConfig,
            pool: list[UtteranceRecord]) -> None:
-    """The worker's loop until the main process closes its end of the pipe.
-    Each step it gets three requests:
-      ("step", step, pool indices, n_aux): the speech `half_step`, its
-        gradients into the shared block; replies the `Half` naming them;
-      ("sums", names): `sums_of_squares` of those gradients, once the main
-        process has added the text half's;
-      ("adam", names, t, lr, scale): `adam_update` of those parameters;
-        replies None once done.
-    A request that raises replies the exception instead."""
+    """The worker's loop until the main process closes its end of the pipe:
+    each request, a "step" request's pool indices turned into records, is
+    `_answer`ed, and the reply, or the exception the request raised, is
+    sent back."""
     parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process handles interrupts
     while True:
         try:
-            kind, *args = conn.recv()
+            request = conn.recv()
         except EOFError:
             return
         try:
-            if kind == "step":
-                step, indices, n_aux = args
-                reply = _into_block(half_step([pool[i] for i in indices], model, cfg, step,
-                                              n_aux, speech=True), opt)
-            elif kind == "sums":
-                reply = sums_of_squares([(name, opt.g[name]) for name in args[0]])
-            else:
-                names, opt.t, opt.lr, scale = args
-                reply = adam_update(opt, names, scale)
+            if request[0] == "step":
+                request = ("step", [pool[i] for i in request[1]], *request[2:])
+            reply = _answer(request, model, opt, cfg)
         except Exception as exc:  # noqa: BLE001 - the main process raises it
             reply = exc
         try:
             conn.send(reply)
         except BrokenPipeError:
             return
+
+
+@dataclass
+class InProcess:
+    """The side of a step that runs in the calling process when no
+    `VcWorker` does: the same requests, each `_answer`ed when its reply is
+    read.  Answering at `send` would differ: the "adam" request carries
+    `opt.t + 1`, and `adam_step` then advances `opt.t` itself."""
+
+    model: JointModel
+    opt: AdamState
+    cfg: TrainConfig
+    request: tuple = ()
+
+    def send(self, *request) -> None:
+        self.request = request
+
+    def reply(self):
+        return _answer(self.request, self.model, self.opt, self.cfg)
 
 
 class VcWorker:
@@ -312,12 +334,11 @@ class VcWorker:
         child_end.close()
         self._pending = False
 
-    def submit(self, batch: list[UtteranceRecord], step: int, n_aux: int) -> None:
-        """Start the speech half on `batch`, which must come from the
-        worker's pool."""
-        self.send("step", step, [self._index[id(rec)] for rec in batch], n_aux)
-
     def send(self, *request) -> None:
+        """Send `request`; a "step" request's batch, which must come from
+        the worker's pool, travels as indices into it."""
+        if request[0] == "step":
+            request = ("step", [self._index[id(rec)] for rec in request[1]], *request[2:])
         try:
             self._conn.send(request)
         except OSError:
@@ -356,10 +377,11 @@ def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
     runs everything with identity quantization and no codebook loss.  Each
     parameter's gradient is the sum of the text and speech `half_step`s'.
     The clip and Adam update are split at `opt.cut`: the main process does
-    the parameters before it, and the parameters from it on run through the
-    same functions in `vc_worker` meanwhile, or inline after.  Adam is
-    elementwise and the norm adds the per-parameter sums in store order, so
-    the split changes no byte.  `opt` must pack `model.store`.
+    the parameters before it.  The speech half and the parameters from the
+    cut on are requests to a side: `vc_worker`, which runs them meanwhile,
+    or else an `InProcess` one, which runs them when their replies are read.
+    Adam is elementwise and the norm adds the per-parameter sums in store
+    order, so the split changes no byte.  `opt` must pack `model.store`.
     """
     opt.check_packed(model.store)
     text = cfg.mode != "vc-only"
@@ -369,12 +391,12 @@ def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
     # the paired batch once per text-side fragment, the speech batch once
     n_aux = len(paired) * (int(text) + int(cfg.mode in ("full", "novq"))) \
         + (len(unpaired) if speech else 0)
-    if speech and vc_worker is not None:
-        vc_worker.submit(unpaired, step, n_aux)
+    side = vc_worker if vc_worker is not None else InProcess(model, opt, cfg)
+    if speech:
+        side.send("step", unpaired, step, n_aux)
     halves = [half_step(paired, model, cfg, step, n_aux)] if text else []
     if speech:
-        halves.append(vc_worker.reply() if vc_worker is not None else _into_block(
-            half_step(unpaired, model, cfg, step, n_aux, speech=True), opt))
+        halves.append(side.reply())
 
     report = LossReport(step=step, lr=opt.lr)
     for half in halves:
@@ -389,7 +411,7 @@ def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
 
     # the speech half's gradients are in the block; the text half's join
     # them in place (speech + text is the bytes of text + speech), the
-    # worker's range first so that its sums start while the rest is added
+    # side's range first so that a worker's sums start while the rest is added
     spoken = halves[-1].grads if speech else {}
     written = halves[0].grads if text else {}
     head, rest = opt.split([name for name in model.store if name in spoken or name in written])
@@ -403,21 +425,14 @@ def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
             model.store[name].grad = opt.g[name]
 
     merge(rest)
-    if vc_worker is not None:
-        vc_worker.send("sums", rest)
+    side.send("sums", rest)
     merge(head)
     share = ParamStore((name, model.store[name]) for name in head)
-    report.grad_norm = clip_global_norm(share, cfg.grad_clip_norm, rest=(
-        vc_worker.reply if vc_worker is not None
-        else lambda: sums_of_squares([(name, opt.g[name]) for name in rest])))
+    report.grad_norm = clip_global_norm(share, side.reply)
     scale = clip_scale(report.grad_norm, cfg.grad_clip_norm)
-    if vc_worker is not None:
-        vc_worker.send("adam", rest, opt.t + 1, opt.lr, scale)  # adam_step advances t
+    side.send("adam", rest, opt.t + 1, opt.lr, scale)  # adam_step advances t
     adam_step(share, opt, scale)
-    if vc_worker is not None:
-        vc_worker.reply()  # done: the bookkeeping below may write what it updated
-    else:
-        adam_update(opt, rest, scale)
+    side.reply()  # done: the bookkeeping below may write what it updated
 
     if model.use_vq:
         model.codebook.mark_step_usage(np.concatenate([c for half in halves for c in half.codes]))

@@ -56,11 +56,11 @@ class Codebook:
         self.steps_since_use += 1
         self.steps_since_use[np.unique(codes)] = 0
 
-    def seed_from_rows(self, rows: np.ndarray, rng: NamedRng, step: int = 0) -> None:
-        """Data-dependent (re)initialization from encoder output rows."""
+    def seed_from_rows(self, rows: np.ndarray, rng: NamedRng) -> None:
+        """Data-dependent initialization from encoder output rows."""
         v = self.n_entries
         if rows.shape[0] >= v:
-            pick = rng.generator("codebook/data_init", step).choice(
+            pick = rng.generator("codebook/data_init", 0).choice(
                 rows.shape[0], size=v, replace=False)
             self.entries.data[:] = rows[pick]
         # otherwise keep the gaussian init; too few rows to cover the book

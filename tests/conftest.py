@@ -6,6 +6,7 @@ import pytest
 from uspc.config import ModelConfig, TrainConfig
 from uspc.corpus import CorpusSpec, gen_corpus
 from uspc.model import JointModel
+from uspc.optim import adam_step, clip_global_norm, clip_scale, sums_of_squares
 
 
 def small_model_config(**kw) -> ModelConfig:
@@ -50,3 +51,16 @@ def tiny_corpus(tmp_path):
 def rand(shape, seed):
     return np.random.default_rng(seed).standard_normal(shape)
 
+
+def clip_and_adam(store, state, grads, max_norm=0.0):
+    """The clip and Adam update of a training step over `store`: each of
+    `grads` written into its view of the optimizer's gradient block and set
+    as that parameter's gradient, the joint norm from `clip_global_norm`,
+    then `adam_step` by `clip_scale` of it (max_norm 0: no clipping).
+    Returns the norm."""
+    for name, g in grads.items():
+        state.g[name][...] = g
+        store[name].grad = state.g[name]
+    norm = clip_global_norm(store, lambda: sums_of_squares([]))
+    adam_step(store, state, clip_scale(norm, max_norm))
+    return norm

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from uspc import autodiff as ad
 from uspc.autodiff import Tensor
-from uspc.errors import ConfigError, GraphError, ShapeError, TrainingDiverged
-from uspc.optim import AdamState, ParamStore, adam_step, clip_global_norm
+from uspc.errors import ConfigError, GraphError, ShapeError, TrainingDiverged, UspcError
+from uspc.optim import AdamState, ParamStore, adam_step
+
+from conftest import clip_and_adam
 
 
 def rand(shape, seed):
@@ -504,8 +506,7 @@ def test_adam_zero_gradient_keeps_params():
     p = store.param("w", rand((3, 3), 80))
     before = p.data.copy()
     state = AdamState.for_params(store, lr=0.01)
-    p.grad = np.zeros_like(p.data)
-    adam_step(store, state)
+    clip_and_adam(store, state, {"w": np.zeros_like(p.data)})
     np.testing.assert_array_equal(p.data, before)
     assert state.t == 1
 
@@ -514,8 +515,7 @@ def test_adam_first_step_hand_expansion():
     store = ParamStore()
     p = store.param("w", np.array(0.0))
     state = AdamState.for_params(store, lr=0.001)
-    p.grad = np.array(1.0)
-    adam_step(store, state)
+    clip_and_adam(store, state, {"w": np.array(1.0)})
     # m_hat = v_hat = 1 after bias correction; delta = -lr / (1 + eps)
     expected = -0.001 / (1.0 + 1e-8)
     assert abs(float(p.data) - expected) < 1e-15
@@ -534,10 +534,8 @@ def test_adam_two_steps_match_reference_trace():
     store = ParamStore()
     p = store.param("w", np.array(0.5))
     state = AdamState.for_params(store, lr=lr)
-    p.grad = np.array(g1)
-    adam_step(store, state)
-    p.grad = np.array(g2)
-    adam_step(store, state)
+    clip_and_adam(store, state, {"w": np.array(g1)})
+    clip_and_adam(store, state, {"w": np.array(g2)})
     assert abs(float(p.data) - theta) < 1e-14
 
 
@@ -548,57 +546,76 @@ def test_adam_lr_zero_is_identity(seed):
     p = store.param("w", rand((2, 2), seed))
     before = p.data.copy()
     state = AdamState.for_params(store, lr=0.0)
-    p.grad = rand((2, 2), seed + 1)
-    adam_step(store, state)
+    clip_and_adam(store, state, {"w": rand((2, 2), seed + 1)})
     np.testing.assert_array_equal(p.data, before)
+
+
+def _optimizer_state(store, state):
+    return state.t, {n: (p.data.copy(), state.m[n].copy(), state.v[n].copy())
+                     for n, p in store.items()}
+
+
+def _assert_same_state(store, state, before):
+    t, arrays = before
+    assert state.t == t
+    for n, p in store.items():
+        for got, want in zip((p.data, state.m[n], state.v[n]), arrays[n]):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_adam_nan_gradient_names_parameter():
     store = ParamStore()
-    p = store.param("encoder.w", np.zeros(2))
+    store.param("encoder.w", np.zeros(2))
     state = AdamState.for_params(store)
-    p.grad = np.array([np.nan, 0.0])
+    before = _optimizer_state(store, state)
     with pytest.raises(TrainingDiverged, match="encoder.w"):
-        adam_step(store, state)
+        clip_and_adam(store, state, {"encoder.w": np.array([np.nan, 0.0])})
+    _assert_same_state(store, state, before)
 
 
 def test_adam_nonfinite_gradient_changes_nothing():
     # the bad gradient sits in the second parameter, after one that would
     # update; one good step first so the moments are non-zero
     store = ParamStore()
-    a = store.param("a", rand((2, 3), 81))
-    b = store.param("b", rand((3,), 82))
+    store.param("a", rand((2, 3), 81))
+    store.param("b", rand((3,), 82))
     state = AdamState.for_params(store, lr=0.01)
-    a.grad = rand((2, 3), 83)
-    b.grad = rand((3,), 84)
-    adam_step(store, state)
-    b.grad = np.array([0.0, np.nan, 0.0])
-    before = {n: (p.data.copy(), state.m[n].copy(), state.v[n].copy())
-              for n, p in store.items()}
+    clip_and_adam(store, state, {"a": rand((2, 3), 83), "b": rand((3,), 84)})
+    before = _optimizer_state(store, state)
     with pytest.raises(TrainingDiverged, match="'b'"):
-        adam_step(store, state)
-    assert state.t == 1
-    for n, p in store.items():
-        for got, want in zip((p.data, state.m[n], state.v[n]), before[n]):
-            np.testing.assert_array_equal(got, want)
+        clip_and_adam(store, state, {"a": rand((2, 3), 85), "b": np.array([0.0, np.nan, 0.0])})
+    assert before[0] == 1
+    _assert_same_state(store, state, before)
+
+
+def test_adam_refuses_a_gradient_outside_the_block():
+    store = ParamStore()
+    p = store.param("w", np.zeros(2))
+    state = AdamState.for_params(store, lr=0.01)
+    p.grad = np.ones(2)  # a copy Adam would not read
+    with pytest.raises(UspcError, match="gradient of parameter 'w' is not in"):
+        adam_step(store, state, 1.0)
+    assert state.t == 0 and not p.data.any()
 
 
 def test_clip_global_norm():
+    # the norm comes back unclipped; Adam runs on the gradients scaled to
+    # norm 1 in the block
     store = ParamStore()
-    a = store.param("a", np.zeros(2))
-    b = store.param("b", np.zeros(2))
-    a.grad = np.array([3.0, 0.0])
-    b.grad = np.array([0.0, 4.0])
-    norm = clip_global_norm(store, 1.0)
+    store.param("a", np.zeros(2))
+    store.param("b", np.zeros(2))
+    state = AdamState.for_params(store)
+    norm = clip_and_adam(store, state, {"a": np.array([3.0, 0.0]), "b": np.array([0.0, 4.0])},
+                         max_norm=1.0)
     assert abs(norm - 5.0) < 1e-12
-    joined = np.concatenate([a.grad, b.grad])
+    joined = np.concatenate([state.g["a"], state.g["b"]])
     assert abs(np.linalg.norm(joined) - 1.0) < 1e-12
 
 
 def test_clip_noop_when_under_limit():
     store = ParamStore()
-    a = store.param("a", np.zeros(2))
-    a.grad = np.array([0.1, 0.2])
-    before = a.grad.copy()
-    clip_global_norm(store, 1.0)
-    np.testing.assert_array_equal(a.grad, before)
+    store.param("a", np.zeros(2))
+    state = AdamState.for_params(store)
+    grad = np.array([0.1, 0.2])
+    clip_and_adam(store, state, {"a": grad}, max_norm=1.0)
+    np.testing.assert_array_equal(state.g["a"], grad)

@@ -115,13 +115,16 @@ def test_manifest_integrity_error_on_tampered_line(tmp_path, tiny_corpus):
         load_corpus(tmp_path / "t", "train")
 
 
-@pytest.mark.parametrize("field", [3, 4])  # phonemes, durations
-def test_manifest_non_integer_id_is_integrity_error(tmp_path, tiny_corpus, field):
+@pytest.mark.parametrize("field,value", [  # phonemes, durations
+    pytest.param(3, "x", id="3"), pytest.param(4, "x", id="4"),
+    pytest.param(3, "99999999999999999999", id="3-past-int64"),
+    pytest.param(4, "99999999999999999999", id="4-past-int64")])
+def test_manifest_non_integer_id_is_integrity_error(tmp_path, tiny_corpus, field, value):
     write_corpus(tmp_path / "t", tiny_corpus["train"][:2])
     manifest = tmp_path / "t" / "manifest.txt"
     lines = manifest.read_text().splitlines()
     second = lines[1].split("|")
-    second[field] = "x" + second[field]
+    second[field] = value + second[field]
     manifest.write_text("\n".join([lines[0], "|".join(second)]) + "\n")
     with pytest.raises(IntegrityError, match="manifest.txt:2"):
         load_corpus(tmp_path / "t", "train")
@@ -283,7 +286,8 @@ def test_checkpoint_with_removed_pitch_bins_key_is_config_error(trained, tiny_co
 
 
 @pytest.mark.parametrize("dims", [(1 << 40,), (1 << 33, 1 << 33), (1 << 62, 4),
-                                  (0, 1 << 62)])
+                                  (0, 1 << 62),
+                                  (2 ** 64 - 1,) * 600])  # a size of 11,560 digits
 def test_checkpoint_oversized_dims_are_format_error(trained, tiny_corpus, tmp_path,
                                                     dims, capsys):
     path, _, _ = trained

@@ -17,10 +17,10 @@ from uspc.autodiff import Tensor
 from uspc.corpus import CorpusSpec, gen_corpus
 from uspc.errors import TrainingDiverged
 from uspc.layers import Ctx, Dropout, segment_offsets
-from uspc.optim import AdamState, ParamStore, adam_step, clip_global_norm
+from uspc.optim import AdamState, ParamStore
 from uspc.rng import NamedRng, _name_key
 
-from conftest import small_train_config
+from conftest import clip_and_adam, small_train_config
 
 
 def rand(shape, seed):
@@ -407,10 +407,10 @@ def test_adam_matches_reference_for_scalar_and_array_params(lr):
     state = AdamState.for_params(store, lr=lr)
     ref = {n: [v.copy(), np.zeros_like(v), np.zeros_like(v)] for n, v in init.items()}
     for t in range(1, 4):
-        for i, (name, p) in enumerate(store.items()):
-            p.grad = rand(p.data.shape, 10 * t + i)
-            ref_adam(ref[name][0], p.grad, ref[name][1], ref[name][2], t, lr)
-        adam_step(store, state)
+        grads = {name: rand(p.data.shape, 10 * t + i) for i, (name, p) in enumerate(store.items())}
+        for name, g in grads.items():
+            ref_adam(ref[name][0], g, ref[name][1], ref[name][2], t, lr)
+        clip_and_adam(store, state, grads)
     for name, p in store.items():
         assert same_bytes(p.data, ref[name][0])
         assert same_bytes(state.m[name], ref[name][1])
@@ -419,48 +419,32 @@ def test_adam_matches_reference_for_scalar_and_array_params(lr):
 
 def test_adam_nonfinite_scalar_gradient_changes_nothing():
     store = ParamStore()
-    w = store.param("w", rand((2, 2), 1))
-    s = store.param("s", np.array(0.5))
+    store.param("w", rand((2, 2), 1))
+    store.param("s", np.array(0.5))
     state = AdamState.for_params(store, lr=0.01)
-    w.grad, s.grad = rand((2, 2), 2), np.array(0.3)
-    adam_step(store, state)
-    w.grad, s.grad = rand((2, 2), 3), np.array(np.inf)
+    clip_and_adam(store, state, {"w": rand((2, 2), 2), "s": np.array(0.3)})
     before = {n: (p.data.copy(), state.m[n].copy(), state.v[n].copy())
               for n, p in store.items()}
     with pytest.raises(TrainingDiverged, match="'s'"):
-        adam_step(store, state)
+        clip_and_adam(store, state, {"w": rand((2, 2), 3), "s": np.array(np.inf)})
     assert state.t == 1
     for n, p in store.items():
         for got, want in zip((p.data, state.m[n], state.v[n]), before[n]):
             assert same_bytes(got, want)
 
 
-def test_clip_scales_a_shared_gradient_array_once():
-    store = ParamStore()
-    a = store.param("a", np.zeros(2))
-    b = store.param("b", np.zeros(2))
-    c = store.param("c", np.zeros(2))
-    shared = np.array([3.0, 0.0])
-    a.grad = b.grad = shared
-    c.grad = np.array([0.0, 4.0])
-    norm = clip_global_norm(store, 1.0)
-    scale = 1.0 / np.sqrt(34.0)
-    assert norm == np.sqrt(34.0)
-    assert same_bytes(a.grad, np.array([3.0, 0.0]) * scale)
-    assert same_bytes(b.grad, np.array([3.0, 0.0]) * scale)
-    assert same_bytes(c.grad, np.array([0.0, 4.0]) * scale)
-
-
 def test_clip_matches_reference_on_backward_gradients():
-    # gradients stored without a copy by backward, scaled in place
+    # backward's gradients, copied into the block and scaled there on
+    # Adam's pass
     store = ParamStore()
     w = store.param("w", rand((4, 3), 1))
     b = store.param("b", rand(3, 2))
+    state = AdamState.for_params(store, lr=0.01)
     x = Tensor(rand((5, 4), 3))
     ad.backward(ad.mse(ad.linear(x, w, b), Tensor(rand((5, 3), 4))))
     want = {n: p.grad.copy() for n, p in store.items()}
     total = sum(float((g * g).sum()) for g in want.values())
-    norm = clip_global_norm(store, 1e-3)
+    norm = clip_and_adam(store, state, want, max_norm=1e-3)
     assert norm == float(np.sqrt(total))
-    for n, p in store.items():
-        assert same_bytes(p.grad, want[n] * (1e-3 / norm))
+    for n in store:
+        assert same_bytes(state.g[n], want[n] * (1e-3 / norm))

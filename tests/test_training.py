@@ -283,7 +283,7 @@ def test_codebook_seeding_builds_no_graph_and_leaves_parameters_trainable(tiny_c
               rng=graphed.rng)
     rows = graphed.content_encoder(np.concatenate([r.mel for r in records]), ctx)
     assert rows._backward is not None
-    graphed.codebook.seed_from_rows(rows.data, graphed.rng, 0)
+    graphed.codebook.seed_from_rows(rows.data, graphed.rng)
 
     closures = []
     real_make_node = ad._make_node
