@@ -622,19 +622,19 @@ def mse(a: Tensor, b: Tensor, offsets: np.ndarray | None = None) -> Tensor:
     return _make_node(data, (a, b), backward_fn)
 
 
-def dropout(x: Tensor, rate: float, rngs, training: bool,
-            offsets: np.ndarray | None = None) -> Tensor:
+def dropout(x: Tensor, rate: float, rngs, offsets: np.ndarray | None = None) -> Tensor:
     """Zero elements with probability `rate`, scaling survivors by 1/(1-rate).
 
     `rngs` yields one generator per segment of `offsets`, in segment order,
     and each segment's mask is that segment's draw alone.  A segment draws
     as soon as its generator is yielded, so `rngs` may hand out a stream's
     generator again for a later segment (the same utterance twice in one
-    batch) after resetting it.
+    batch) after resetting it.  It always drops: the `Dropout` layer skips
+    it outside training.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return x
     spans = _spans(offsets, x.data.shape[0])
     mask = np.empty(x.data.shape)

@@ -145,8 +145,7 @@ def restore_model(ckpt: Checkpoint) -> tuple[JointModel, AdamState, "config_mod.
     that older checkpoints carry, are ignored.
     """
     cfg = config_mod.from_text(ckpt.config_text)
-    model = JointModel(cfg.model, seed=cfg.seed, use_vq=cfg.mode != "novq")
-    opt = AdamState.for_params(model.store, lr=cfg.lr_init)
+    model, opt = JointModel.for_run(cfg)
     shapes = {"codebook.steps_since_use": (model.codebook.n_entries,),
               "optim.t": (), "optim.lr": ()}
     for name, param in model.store.items():

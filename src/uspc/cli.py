@@ -10,13 +10,11 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import config as config_mod
 from .checkpoint import load_checkpoint, restore_model
-from .corpus import CorpusSpec, gen_corpus, load_corpus, manifest_name, write_matrix
+from .corpus import CorpusSpec, gen_corpus, load_corpus, manifest_name, parse_ids, write_matrix
 from .errors import DataError, UspcError
-from .metrics import eval_result_csv, evaluate
+from .metrics import eval_result_csv, eval_summary_rows, evaluate
 from .training import train
 
 
@@ -49,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ckpt", required=True)
     s.add_argument("--corpus", required=True,
                    help="corpus directory holding the reference utterance")
-    s.add_argument("--split", choices=["train", "test"], default="train")
     s.add_argument("--text", required=True, help="comma-separated phoneme ids")
     s.add_argument("--ref-speaker", required=True, metavar="UTT_ID",
                    help="reference utterance id supplying the voice")
@@ -58,7 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("convert-vc", help="zero-shot voice conversion")
     c.add_argument("--ckpt", required=True)
     c.add_argument("--corpus", required=True)
-    c.add_argument("--split", choices=["train", "test"], default="train")
     c.add_argument("--source", required=True, metavar="UTT_ID")
     c.add_argument("--ref-speaker", required=True, metavar="UTT_ID")
     c.add_argument("--out", required=True, help="output mel file")
@@ -118,10 +114,7 @@ def _cmd_synth_tts(args) -> int:
     model, _, _ = restore_model(load_checkpoint(args.ckpt))
     records = _load_all_splits(args.corpus)
     ref = _find_record(records, args.ref_speaker)
-    try:
-        phonemes = np.array([int(v) for v in args.text.split(",")], dtype=np.int64)
-    except ValueError:
-        raise DataError(f"--text needs comma-separated phoneme ids, got {args.text!r}") from None
+    phonemes = parse_ids(args.text, "--text")
     mel, f0, durations = model.synth_tts(phonemes, ref.mel)
     write_matrix(args.out, mel)
     print(f"synthesized {mel.shape[0]} frames from {phonemes.size} phonemes "
@@ -147,22 +140,8 @@ def _cmd_eval(args) -> int:
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(eval_result_csv(result))
-    m = result.mean_metrics
-    print(f"evaluated {len(records)} utterances: "
-          f"f0_rmse={m.f0_rmse_hz:.3f}Hz mcd={m.mcd_db:.3f}dB "
-          f"vuv={m.vuv_error_rate:.3f} corr={m.f0_corr:.3f} "
-          f"mel_mse={result.mean_mel_mse:.5f}")
-    if result.acs is not None:
-        print(f"acs: same={result.acs.s_acs:.4f} diff={result.acs.d_acs:.4f} "
-              f"ratio={result.acs.ratio:.3f}")
-    if result.vc_acs is not None:
-        print(f"vc acs: same={result.vc_acs.s_acs:.4f} diff={result.vc_acs.d_acs:.4f} "
-              f"ratio={result.vc_acs.ratio:.3f}")
-    if result.phoneme_distance is not None:
-        print(f"phoneme representation distance: {result.phoneme_distance:.4f}")
-    print(f"code agreement: same-phoneme cross-speaker="
-          f"{result.same_ph_cross_spk_agreement:.4f} "
-          f"different-phoneme within-speaker={result.diff_ph_within_spk_agreement:.4f}")
+    print(f"evaluated {len(records)} utterances; summary rows of {args.out}:")
+    print("\n".join(eval_summary_rows(result)))
     return 0
 
 

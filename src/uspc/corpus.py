@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoders import quantize_f0_array
+from .encoders import expansion_map, quantize_f0_array
 from .errors import ConfigError, DataError, IntegrityError, decode_utf8
 from .features import N_MELS, N_PITCH_BINS
 
@@ -58,6 +58,9 @@ class UtteranceRecord:
                 raise IntegrityError(f"{self.id}: labeled record missing text or durations")
             if self.phonemes.shape != self.durations.shape or self.phonemes.size == 0:
                 raise IntegrityError(f"{self.id}: phoneme/duration shapes disagree")
+            # bounded by the frame count, the int64 sum below cannot wrap
+            if np.any((self.durations < 0) | (self.durations > self.n_frames)):
+                raise IntegrityError(f"{self.id}: a duration outside [0, {self.n_frames}]")
             if int(self.durations.sum()) != self.n_frames:
                 raise IntegrityError(
                     f"{self.id}: durations sum to {int(self.durations.sum())} "
@@ -160,11 +163,11 @@ def _synth_utterance(rng: np.random.Generator, factors: SyntheticFactors,
     # unvoiced spans are whole phonemes (voiceless-consonant style): random
     # positions per utterance, never cutting through the middle of a phoneme
     n_unvoiced = int(rng.integers(1, 4))
-    frame_pos = np.repeat(np.arange(n_ph), durations)
+    frame_pos = expansion_map(durations)
     for pos in rng.choice(n_ph, size=min(n_unvoiced, n_ph), replace=False):
         f0[frame_pos == pos] = 0.0
 
-    mel = render_frames(factors, speaker_index, np.repeat(phonemes, durations), f0, rng)
+    mel = render_frames(factors, speaker_index, phonemes[frame_pos], f0, rng)
 
     return UtteranceRecord(
         id=utt_id, speaker_id=speaker_id, labeled=labeled, mel=mel, f0=f0,
@@ -249,11 +252,13 @@ def _ints_to_field(values) -> str:
     return ",".join(str(int(v)) for v in values)
 
 
-def _field_to_ints(text: str, where: str) -> np.ndarray:
+def parse_ids(text: str, source: str) -> np.ndarray:
+    """Comma-separated integers as int64; anything else raises an
+    IntegrityError naming `source`."""
     try:
         return np.array([int(v) for v in text.split(",")], dtype=np.int64)
     except (ValueError, OverflowError):
-        raise IntegrityError(f"{where}: value that is not an int64 in {text!r}") from None
+        raise IntegrityError(f"{source}: value that is not an int64 in {text!r}") from None
 
 
 def write_corpus(out_dir, records: list[UtteranceRecord], split: str = "train") -> None:
@@ -275,6 +280,15 @@ def write_corpus(out_dir, records: list[UtteranceRecord], split: str = "train") 
         fh.write("\n".join(lines) + ("\n" if lines else ""))
 
 
+def _is_file(path: Path) -> bool:
+    """Whether `path` names a regular file; a name too long for the file
+    system names none."""
+    try:
+        return path.is_file()
+    except OSError:
+        return False
+
+
 def load_corpus(corpus_dir, split: str = "train") -> list[UtteranceRecord]:
     corpus_dir = Path(corpus_dir)
     manifest = corpus_dir / manifest_name(split)
@@ -293,14 +307,14 @@ def load_corpus(corpus_dir, split: str = "train") -> list[UtteranceRecord]:
         mel_path = corpus_dir / mel_rel
         f0_path = corpus_dir / f0_rel
         for path in (mel_path, f0_path):
-            if not path.exists():
+            if not _is_file(path):
                 raise DataError(f"{uid}: missing feature file {path}")
         rec = UtteranceRecord(
             id=uid, speaker_id=speaker, labeled=labeled,
             mel=read_matrix(mel_path),
             f0=read_matrix(f0_path).reshape(-1),
-            phonemes=_field_to_ints(ph, f"{manifest}:{lineno}") if labeled else None,
-            durations=_field_to_ints(du, f"{manifest}:{lineno}") if labeled else None)
+            phonemes=parse_ids(ph, f"{manifest}:{lineno}") if labeled else None,
+            durations=parse_ids(du, f"{manifest}:{lineno}") if labeled else None)
         rec.validate()
         records.append(rec)
     if not records:

@@ -10,8 +10,7 @@ from .autodiff import Tensor
 from .config import ModelConfig
 from .errors import DataError, PairingError
 from .features import F0_MAX, F0_MIN, N_PITCH_BINS
-from .layers import (Conv1d, ConvPredictorStack, Ctx, Embedding, FFTBlock, LayerNorm,
-                     Linear, positional_encoding)
+from .layers import Conv1d, ConvPredictorStack, Ctx, Embedding, FFTStack, LayerNorm, Linear
 from .optim import ParamStore
 from .rng import NamedRng
 
@@ -20,23 +19,14 @@ class TextEncoder:
     """Phoneme embedding + positions + a stack of FFT blocks."""
 
     def __init__(self, store: ParamStore, rng: NamedRng, cfg: ModelConfig):
-        d = cfg.d_model
-        self.embed = Embedding(store, rng, "text_encoder.embed", cfg.p_vocab, d)
-        self.blocks = [
-            FFTBlock(store, rng, f"text_encoder.block{i}", d, cfg.n_heads,
-                     cfg.kernel_size, cfg.dropout)
-            for i in range(cfg.text_blocks)
-        ]
-        self.d_model = d
+        self.embed = Embedding(store, rng, "text_encoder.embed", cfg.p_vocab, cfg.d_model)
+        self.stack = FFTStack(store, rng, "text_encoder", cfg, cfg.text_blocks)
 
     def __call__(self, phoneme_ids: np.ndarray, ctx: Ctx) -> Tensor:
         ids = np.asarray(phoneme_ids, dtype=np.intp)
         if ids.size == 0:
             raise DataError("empty phoneme sequence")
-        h = ad.add(self.embed(ids), positional_encoding(ids.size, self.d_model, ctx.offsets))
-        for block in self.blocks:
-            h = block(h, ctx)
-        return h
+        return self.stack(self.embed(ids), ctx)
 
 
 class DurationPredictor:
@@ -80,22 +70,12 @@ class ContentEncoder:
     """Frame-aligned speech-content representation from log-mel input."""
 
     def __init__(self, store: ParamStore, rng: NamedRng, cfg: ModelConfig):
-        d = cfg.d_model
-        self.pre = Linear(store, rng, "content_encoder.pre", cfg.n_mels, d)
-        self.blocks = [
-            FFTBlock(store, rng, f"content_encoder.block{i}", d, cfg.n_heads,
-                     cfg.kernel_size, cfg.dropout)
-            for i in range(cfg.content_blocks)
-        ]
-        self.d_model = d
+        self.pre = Linear(store, rng, "content_encoder.pre", cfg.n_mels, cfg.d_model)
+        self.stack = FFTStack(store, rng, "content_encoder", cfg, cfg.content_blocks)
 
     def __call__(self, mel_frames: np.ndarray, ctx: Ctx) -> Tensor:
         x = mel_frames if isinstance(mel_frames, Tensor) else Tensor(mel_frames)
-        h = ad.add(self.pre(x),
-                   positional_encoding(x.data.shape[0], self.d_model, ctx.offsets))
-        for block in self.blocks:
-            h = block(h, ctx)
-        return h
+        return self.stack(self.pre(x), ctx)
 
 
 class SpeakerEncoder:

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import ModelConfig
 from .errors import DataError
 from .optim import ParamStore
 from .rng import NamedRng
@@ -45,6 +46,11 @@ def segment_offsets(lengths) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(lengths)]).astype(np.intp)
 
 
+def frames_ctx(records) -> Ctx:
+    """Eval context for the records' frames packed in order."""
+    return Ctx(offsets=segment_offsets([rec.n_frames for rec in records]))
+
+
 def _init_linear(rng: NamedRng, name: str, d_in: int, d_out: int) -> np.ndarray:
     std = np.sqrt(2.0 / (d_in + d_out))
     return rng.normal(f"init/{name}", (d_in, d_out), std)
@@ -52,10 +58,10 @@ def _init_linear(rng: NamedRng, name: str, d_in: int, d_out: int) -> np.ndarray:
 
 class Linear:
     def __init__(self, store: ParamStore, rng: NamedRng, name: str,
-                 d_in: int, d_out: int, bias: bool = True, zero_init: bool = False):
+                 d_in: int, d_out: int, zero_init: bool = False):
         w0 = np.zeros((d_in, d_out)) if zero_init else _init_linear(rng, name, d_in, d_out)
         self.w = store.param(f"{name}.w", w0)
-        self.b = store.param(f"{name}.b", np.zeros(d_out)) if bias else None
+        self.b = store.param(f"{name}.b", np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.linear(x, self.w, self.b)
@@ -76,13 +82,12 @@ class Conv1d:
 
 
 class LayerNorm:
-    def __init__(self, store: ParamStore, name: str, dim: int, eps: float = 1e-6):
+    def __init__(self, store: ParamStore, name: str, dim: int):
         self.gain = store.param(f"{name}.gain", np.ones(dim))
         self.bias = store.param(f"{name}.bias", np.zeros(dim))
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gain, self.bias, self.eps)
+        return ad.layer_norm(x, self.gain, self.bias)
 
 
 def per_row(v: Tensor, offsets: np.ndarray | None) -> Tensor:
@@ -106,14 +111,14 @@ class Dropout:
         # uid that repeats in the batch gets its stream afresh
         gens = (ctx.rng.generator(f"dropout/{self.name}/{uid}", step=ctx.step)
                 for uid in ctx.uids)
-        return ad.dropout(x, self.rate, gens, training=True, offsets=ctx.offsets)
+        return ad.dropout(x, self.rate, gens, offsets=ctx.offsets)
 
 
 class Embedding:
     def __init__(self, store: ParamStore, rng: NamedRng, name: str,
-                 n_entries: int, dim: int, std: float = 0.3):
+                 n_entries: int, dim: int):
         self.table = store.param(f"{name}.table",
-                                 rng.normal(f"init/{name}", (n_entries, dim), std))
+                                 rng.normal(f"init/{name}", (n_entries, dim), 0.3))
         self.n_entries = n_entries
 
     def __call__(self, ids: np.ndarray) -> Tensor:
@@ -184,6 +189,25 @@ class FFTBlock:
         c = self.conv2(ad.relu(self.conv1(h, ctx)), ctx)
         h2 = ad.add(h, self.drop2(c, ctx))
         return self.norm2(h2)
+
+
+class FFTStack:
+    """Positions added to the input rows, then `n_blocks` FFT blocks named
+    `{name}.block{i}`: the body of the text encoder, the content encoder
+    and the decoder."""
+
+    def __init__(self, store: ParamStore, rng: NamedRng, name: str, cfg: ModelConfig,
+                 n_blocks: int):
+        self.blocks = [FFTBlock(store, rng, f"{name}.block{i}", cfg.d_model, cfg.n_heads,
+                                cfg.kernel_size, cfg.dropout)
+                       for i in range(n_blocks)]
+        self.d_model = cfg.d_model
+
+    def __call__(self, x: Tensor, ctx: Ctx) -> Tensor:
+        h = ad.add(x, positional_encoding(x.data.shape[0], self.d_model, ctx.offsets))
+        for block in self.blocks:
+            h = block(h, ctx)
+        return h
 
 
 class ConvPredictorStack:

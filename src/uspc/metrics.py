@@ -15,11 +15,12 @@ from .corpus import UtteranceRecord
 from .encoders import expansion_map
 from .errors import ShapeError, UndefinedMetricError
 from .features import MelSpectrogram, mel_cepstra
-from .layers import Ctx, segment_offsets
+from .layers import Ctx, frames_ctx, segment_offsets
 from .model import JointModel
 from .vq import QuantizedContent
 
 MCD_CONST = 10.0 / np.log(10.0)
+CONVERSIONS_PER_SPEAKER = 4  # zero-shot conversions `vc_acs_ratio` makes per target
 
 
 @dataclass
@@ -166,10 +167,6 @@ def _packed_rows(records: list[UtteranceRecord], picks: list[int]) -> np.ndarray
     return np.concatenate([np.arange(slices[i].start, slices[i].stop) for i in picks])
 
 
-def _frames_ctx(records: list[UtteranceRecord]) -> Ctx:
-    return Ctx(offsets=segment_offsets([rec.n_frames for rec in records]))
-
-
 def phoneme_rep_distance(records: list[UtteranceRecord], text_vectors: np.ndarray,
                          speech_vectors: np.ndarray) -> float:
     """Mean over labeled utterances of phoneme_center_distance between the
@@ -186,8 +183,16 @@ def phoneme_rep_distance(records: list[UtteranceRecord], text_vectors: np.ndarra
     return float(np.mean(dists))
 
 
+def _by_speaker(records: list[UtteranceRecord]) -> dict[str, list[int]]:
+    """Each speaker's record indices, in record order."""
+    by_speaker: dict[str, list[int]] = {}
+    for i, rec in enumerate(records):
+        by_speaker.setdefault(rec.speaker_id, []).append(i)
+    return by_speaker
+
+
 def vc_acs_ratio(records: list[UtteranceRecord], model: JointModel, speakers: np.ndarray,
-                 speech: QuantizedContent, conversions_per_speaker: int = 4) -> AcsReport:
+                 speech: QuantizedContent) -> AcsReport:
     """Zero-shot conversion quality as an ACS ratio over generated speech.
 
     Each target speaker receives several conversions from other speakers'
@@ -200,22 +205,20 @@ def vc_acs_ratio(records: list[UtteranceRecord], model: JointModel, speakers: np
     records' quantized speech content, frames packed in order.  All
     conversions decode as one packed batch and are embedded as another.
     """
-    by_speaker: dict[str, list[int]] = {}
-    for i, rec in enumerate(records):
-        by_speaker.setdefault(rec.speaker_id, []).append(i)
+    by_speaker = _by_speaker(records)
     targets = sorted(by_speaker)
     if len(targets) < 2:
         raise UndefinedMetricError("need at least two speakers for conversions")
     labels, sources, refs = [], [], []
     for si, target in enumerate(targets):
         pool = [i for i, rec in enumerate(records) if rec.speaker_id != target]
-        for k in range(conversions_per_speaker):
+        for k in range(CONVERSIONS_PER_SPEAKER):
             # a different reference utterance per conversion: same-target
             # outputs share only the voice, never the exact reference input
             labels.append(target)
             refs.append(by_speaker[target][k % len(by_speaker[target])])
             sources.append(pool[(si + k * 7) % len(pool)])
-    ctx = _frames_ctx([records[i] for i in sources])
+    ctx = frames_ctx([records[i] for i in sources])
     q = speech.take(_packed_rows(records, sources))
     f0 = np.concatenate([records[i].f0 for i in sources])
     converted = model.decode_vc(q, Tensor(speakers[refs]), f0, ctx)
@@ -276,11 +279,8 @@ class EvalResult:
 def _reference_map(records: list[UtteranceRecord]) -> list[int]:
     """Deterministic reference utterance per record, as an index into
     `records`: the speaker's next one."""
-    by_speaker: dict[str, list[int]] = {}
-    for i, rec in enumerate(records):
-        by_speaker.setdefault(rec.speaker_id, []).append(i)
     ref = [0] * len(records)
-    for rows in by_speaker.values():
+    for rows in _by_speaker(records).values():
         for k, i in enumerate(rows):
             ref[i] = rows[(k + 1) % len(rows)]
     return ref
@@ -314,7 +314,7 @@ def evaluate(records: list[UtteranceRecord], model: JointModel) -> EvalResult:
         same_a, diff_a = 0.0, 0.0
 
         if records:
-            ctx = _frames_ctx(records)
+            ctx = frames_ctx(records)
             mels = np.concatenate([rec.mel for rec in records])
             speakers = model.speaker_encoder(mels, ctx).data
             speech = model.quantize(model.content_encoder(mels, ctx))
@@ -335,7 +335,7 @@ def evaluate(records: list[UtteranceRecord], model: JointModel) -> EvalResult:
                                            np.concatenate([rec.durations for rec in lab_recs]),
                                            text_ctx)
             mel_pred, f0_pred = model.decode_tts(
-                text, Tensor(speakers[[refs[i] for i in labeled]]), _frames_ctx(lab_recs))
+                text, Tensor(speakers[[refs[i] for i in labeled]]), frames_ctx(lab_recs))
             for rec, span in zip(lab_recs, _frame_slices(lab_recs)):
                 mel_mse[rec.id] = float(np.mean((mel_pred[span] - rec.mel) ** 2))
                 per_utt[rec.id] = _tts_metrics(rec, mel_pred[span], f0_pred[span])
@@ -368,32 +368,29 @@ def _tts_metrics(rec: UtteranceRecord, mel_pred: np.ndarray, f0_pred: np.ndarray
                       vuv_error_rate=vuv_error(rec.f0, f0_pred), f0_corr=corr)
 
 
-def eval_result_csv(result: EvalResult) -> str:
-    """Flat CSV: per-utterance metric rows then summary rows."""
-    lines = ["metric,utterance,value"]
-    for uid, m in sorted(result.per_utterance.items()):
-        lines.append(f"f0_rmse_hz,{uid},{m.f0_rmse_hz!r}")
-        lines.append(f"mcd_db,{uid},{m.mcd_db!r}")
-        lines.append(f"vuv_error_rate,{uid},{m.vuv_error_rate!r}")
-        lines.append(f"f0_corr,{uid},{m.f0_corr!r}")
-        lines.append(f"mel_mse,{uid},{result.mel_mse[uid]!r}")
-    lines.append(f"f0_rmse_hz,mean,{result.mean_metrics.f0_rmse_hz!r}")
-    lines.append(f"mcd_db,mean,{result.mean_metrics.mcd_db!r}")
-    lines.append(f"vuv_error_rate,mean,{result.mean_metrics.vuv_error_rate!r}")
-    lines.append(f"f0_corr,mean,{result.mean_metrics.f0_corr!r}")
-    lines.append(f"mel_mse,mean,{result.mean_mel_mse!r}")
-    if result.acs is not None:
-        lines.append(f"s_acs,all,{result.acs.s_acs!r}")
-        lines.append(f"d_acs,all,{result.acs.d_acs!r}")
-        lines.append(f"acs_ratio,all,{result.acs.ratio!r}")
-    if result.vc_acs is not None:
-        lines.append(f"vc_s_acs,all,{result.vc_acs.s_acs!r}")
-        lines.append(f"vc_d_acs,all,{result.vc_acs.d_acs!r}")
-        lines.append(f"vc_acs_ratio,all,{result.vc_acs.ratio!r}")
+def _tts_rows(who: str, m: TtsMetrics, mel_mse: float) -> list[str]:
+    return [f"{f.name},{who},{getattr(m, f.name)!r}" for f in fields(TtsMetrics)] \
+        + [f"mel_mse,{who},{mel_mse!r}"]
+
+
+def eval_summary_rows(result: EvalResult) -> list[str]:
+    """The eval CSV's rows over the whole split: `mean` and `all`."""
+    lines = _tts_rows("mean", result.mean_metrics, result.mean_mel_mse)
+    for prefix, report in (("", result.acs), ("vc_", result.vc_acs)):
+        if report is not None:
+            lines += [f"{prefix}s_acs,all,{report.s_acs!r}",
+                      f"{prefix}d_acs,all,{report.d_acs!r}",
+                      f"{prefix}acs_ratio,all,{report.ratio!r}"]
     if result.phoneme_distance is not None:
         lines.append(f"phoneme_rep_distance,mean,{result.phoneme_distance!r}")
-    lines.append(f"same_phoneme_cross_speaker_agreement,all,"
-                 f"{result.same_ph_cross_spk_agreement!r}")
-    lines.append(f"diff_phoneme_within_speaker_agreement,all,"
-                 f"{result.diff_ph_within_spk_agreement!r}")
-    return "\n".join(lines) + "\n"
+    return lines + [
+        f"same_phoneme_cross_speaker_agreement,all,{result.same_ph_cross_spk_agreement!r}",
+        f"diff_phoneme_within_speaker_agreement,all,{result.diff_ph_within_spk_agreement!r}"]
+
+
+def eval_result_csv(result: EvalResult) -> str:
+    """Flat CSV: per-utterance metric rows then the summary rows."""
+    lines = ["metric,utterance,value"]
+    for uid, m in sorted(result.per_utterance.items()):
+        lines += _tts_rows(uid, m, result.mel_mse[uid])
+    return "\n".join(lines + eval_summary_rows(result)) + "\n"

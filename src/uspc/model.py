@@ -12,12 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor
-from .config import ModelConfig
+from .config import ModelConfig, TrainConfig
 from .encoders import (ContentEncoder, DurationPredictor, ProsodyEncoder,
                        SpeakerEncoder, TextEncoder, length_regulate,
                        quantize_f0_array)
 from .layers import Ctx
-from .optim import ParamStore
+from .optim import AdamState, ParamStore
 from .rng import NamedRng
 from .synthesis import Decoder, PitchPredictor, decode_f0
 from .vq import Codebook, QuantizedContent, identity_quantize, vq_lookup
@@ -38,6 +38,13 @@ class JointModel:
         self.codebook = Codebook(self.store, self.rng, cfg.codebook_size, cfg.d_model)
         self.decoder = Decoder(self.store, self.rng, cfg)
         self.pitch_predictor = PitchPredictor(self.store, self.rng, cfg)
+
+    @classmethod
+    def for_run(cls, cfg: TrainConfig) -> tuple["JointModel", AdamState]:
+        """The model and optimizer state a training run of `cfg` starts
+        from: novq quantizes by identity, and Adam packs every parameter."""
+        model = cls(cfg.model, seed=cfg.seed, use_vq=cfg.mode != "novq")
+        return model, AdamState.for_params(model.store, lr=cfg.lr_init)
 
     # -- shared pieces ---------------------------------------------------------
 

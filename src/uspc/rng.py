@@ -55,5 +55,5 @@ class NamedRng:
         gen.bit_generator.state = state
         return gen
 
-    def normal(self, name: str, shape, std: float = 1.0, step: int = 0) -> np.ndarray:
-        return self.generator(name, step).standard_normal(shape) * std
+    def normal(self, name: str, shape, std: float = 1.0) -> np.ndarray:
+        return self.generator(name).standard_normal(shape) * std

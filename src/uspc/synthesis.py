@@ -11,7 +11,7 @@ from .config import ModelConfig
 from .encoders import bin_center_hz
 from .errors import ShapeError
 from .features import N_PITCH_BINS
-from .layers import ConvPredictorStack, Ctx, FFTBlock, Linear, per_row, positional_encoding
+from .layers import ConvPredictorStack, Ctx, FFTStack, Linear, per_row
 from .optim import ParamStore
 from .rng import NamedRng
 from .vq import QuantizedContent
@@ -23,14 +23,8 @@ class Decoder:
     content and prosody rows."""
 
     def __init__(self, store: ParamStore, rng: NamedRng, cfg: ModelConfig):
-        d = cfg.d_model
-        self.blocks = [
-            FFTBlock(store, rng, f"decoder.block{i}", d, cfg.n_heads,
-                     cfg.kernel_size, cfg.dropout)
-            for i in range(cfg.decoder_blocks)
-        ]
-        self.out = Linear(store, rng, "decoder.out", d, cfg.n_mels)
-        self.d_model = d
+        self.stack = FFTStack(store, rng, "decoder", cfg, cfg.decoder_blocks)
+        self.out = Linear(store, rng, "decoder.out", cfg.d_model, cfg.n_mels)
 
     def __call__(self, q: QuantizedContent, speaker: Tensor, prosody: Tensor,
                  ctx: Ctx) -> Tensor:
@@ -40,10 +34,7 @@ class Decoder:
             raise ShapeError(f"content and prosody lengths differ: "
                              f"{n_rows} vs {prosody.data.shape[0]}")
         h = ad.add(ad.add(q.vectors, per_row(speaker, ctx.offsets)), prosody)
-        h = ad.add(h, positional_encoding(n_rows, self.d_model, ctx.offsets))
-        for block in self.blocks:
-            h = block(h, ctx)
-        return self.out(h)
+        return self.out(self.stack(h, ctx))
 
 
 class PitchPredictor:

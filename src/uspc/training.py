@@ -39,7 +39,7 @@ from .config import TrainConfig
 from .corpus import UtteranceRecord
 from .encoders import quantize_f0_array
 from .errors import DataError, PairingError, TrainingDiverged, UspcError
-from .layers import Ctx, segment_offsets
+from .layers import Ctx, frames_ctx, segment_offsets
 from .model import JointModel
 from .optim import (AdamState, ParamStore, adam_step, adam_update, clip_global_norm,
                     clip_scale, sums_of_squares)
@@ -194,7 +194,7 @@ def seed_codebook_from_batch(model: JointModel, batch: list[UtteranceRecord]) ->
     if not model.use_vq or not batch:
         return
     with model.store.frozen():  # no graph: only the rows are read
-        c = model.content_encoder(_mels(batch), _frames_ctx(batch, model, 0, training=False))
+        c = model.content_encoder(_mels(batch), frames_ctx(batch))
     model.codebook.seed_from_rows(c.data, model.rng)
 
 
@@ -525,8 +525,7 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
     if cfg.mode != "vc-only" and not paired:
         raise DataError("no labeled examples for a mode that trains the text pipeline")
 
-    model = JointModel(cfg.model, seed=cfg.seed, use_vq=cfg.mode != "novq")
-    opt = AdamState.for_params(model.store, lr=cfg.lr_init)
+    model, opt = JointModel.for_run(cfg)
     threads = blas_threads() if cfg.mode in ("full", "novq") and unpaired \
         and cfg.batch_unpaired > 0 else None
     per_process = min(threads or 0, len(os.sched_getaffinity(0)) // 2)

@@ -28,12 +28,11 @@ class Codebook:
     steps_since_use drives dead-entry re-seeding.
     """
 
-    def __init__(self, store: ParamStore, rng: NamedRng, n_entries: int, dim: int,
-                 init_std: float = 0.1):
+    def __init__(self, store: ParamStore, rng: NamedRng, n_entries: int, dim: int):
         if n_entries < 1:
             raise ConfigError("codebook must have at least one entry")
         self.entries = store.param(
-            "codebook.entries", rng.normal("init/codebook", (n_entries, dim), init_std))
+            "codebook.entries", rng.normal("init/codebook", (n_entries, dim), 0.1))
         self.steps_since_use = np.zeros(n_entries, dtype=np.int64)
 
     @property
@@ -108,8 +107,6 @@ def vq_lookup(content: Tensor, book: Codebook) -> QuantizedContent:
     pass routes gradients straight through to `content` and contributes
     nothing to the codebook (which learns via vq_aux_loss instead).
     """
-    if book.n_entries == 0:
-        raise ConfigError("empty codebook")
     if content.data.shape[1] != book.dim:
         raise ConfigError(
             f"content dim {content.data.shape[1]} != codebook dim {book.dim}")

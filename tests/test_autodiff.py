@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from uspc import autodiff as ad
 from uspc.autodiff import Tensor
 from uspc.errors import ConfigError, GraphError, ShapeError, TrainingDiverged, UspcError
+from uspc.layers import Ctx, Dropout
 from uspc.optim import AdamState, ParamStore, adam_step
 
 from conftest import clip_and_adam
@@ -219,13 +220,13 @@ def test_mse_shape_mismatch():
 
 def test_dropout_rate_zero_identity():
     x = Tensor(rand((4, 4), 40))
-    out = ad.dropout(x, 0.0, [np.random.default_rng(0)], training=True)
+    out = ad.dropout(x, 0.0, [np.random.default_rng(0)])
     np.testing.assert_array_equal(out.data, x.data)
 
 
 def test_dropout_eval_identity():
     x = Tensor(rand((4, 4), 41))
-    out = ad.dropout(x, 0.9, None, training=False)
+    out = Dropout("drop", 0.9)(x, Ctx())
     np.testing.assert_array_equal(out.data, x.data)
 
 
@@ -233,8 +234,8 @@ def test_dropout_deterministic_given_rng_state():
     from uspc.rng import NamedRng
     rng = NamedRng(7)
     x = Tensor(np.ones((8, 8)))
-    a = ad.dropout(x, 0.5, [rng.generator("dropout/layer0", step=3)], training=True)
-    b = ad.dropout(x, 0.5, [rng.generator("dropout/layer0", step=3)], training=True)
+    a = ad.dropout(x, 0.5, [rng.generator("dropout/layer0", step=3)])
+    b = ad.dropout(x, 0.5, [rng.generator("dropout/layer0", step=3)])
     np.testing.assert_array_equal(a.data, b.data)
     # survivors are scaled by 1/(1-rate)
     surv = a.data[a.data != 0]
@@ -243,7 +244,7 @@ def test_dropout_deterministic_given_rng_state():
 
 def test_dropout_rate_one_rejected():
     with pytest.raises(ConfigError):
-        ad.dropout(Tensor(np.ones(3)), 1.0, [np.random.default_rng(0)], training=True)
+        ad.dropout(Tensor(np.ones(3)), 1.0, [np.random.default_rng(0)])
 
 
 # ---------------------------------------------------------------- backward
@@ -456,8 +457,8 @@ def test_dropout_segment_masks_are_each_streams_own_draw():
     rng = NamedRng(7)
     x = Tensor(np.ones((6, 5)))
     gens = lambda: [rng.generator(f"dropout/layer/{u}", step=3) for u in "abc"]  # noqa: E731
-    packed = ad.dropout(x, 0.5, gens(), training=True, offsets=OFFSETS).data
-    alone = [ad.dropout(Tensor(np.ones((hi - lo, 5))), 0.5, [gen], training=True).data
+    packed = ad.dropout(x, 0.5, gens(), offsets=OFFSETS).data
+    alone = [ad.dropout(Tensor(np.ones((hi - lo, 5))), 0.5, [gen]).data
              for gen, lo, hi in zip(gens(), OFFSETS[:-1], OFFSETS[1:])]
     np.testing.assert_array_equal(packed, np.concatenate(alone))
 

@@ -96,10 +96,16 @@ def test_corpus_round_trip(tiny_corpus):
 
 def test_corrupt_durations_rejected_with_id(tmp_path, tiny_corpus):
     rec = tiny_corpus["train"][0]
-    bad = dataclasses.replace(rec, durations=rec.durations.copy())
-    bad.durations[0] += 1  # sum no longer matches frames
-    with pytest.raises(IntegrityError, match=rec.id):
-        write_corpus(tmp_path / "bad", [bad])
+    d = rec.durations
+    off_by_one = d + np.eye(1, d.size, dtype=np.int64)[0]  # sum no longer matches frames
+    # both sum to the frame count: a negative duration, and two past it
+    # whose int64 sum wraps
+    negative = np.concatenate([[d[0] + d[1] + 1, -1], d[2:]])
+    wrapped = np.concatenate([[2 ** 63 - 1, 2 ** 63 - 1, d[0] + d[1] + d[2] + 2], d[3:]])
+    for durations in (off_by_one, negative, wrapped):
+        bad = dataclasses.replace(rec, durations=durations)
+        with pytest.raises(IntegrityError, match=rec.id):
+            write_corpus(tmp_path / "bad", [bad])
 
 
 def test_manifest_integrity_error_on_tampered_line(tmp_path, tiny_corpus):
@@ -362,15 +368,11 @@ def test_cli_pipeline_end_to_end(tmp_path, capsys):
                  "--split", "test", "--out", str(out_csv)]) == 0
     text = out_csv.read_text()
     assert "acs_ratio" in text and "phoneme_rep_distance" in text
-    rows = {tuple(line.split(",")[:2]): float(line.split(",")[2])
-            for line in text.splitlines()[1:]}
-    printed = capsys.readouterr().out.splitlines()
-    vc = rows[("vc_s_acs", "all")], rows[("vc_d_acs", "all")], rows[("vc_acs_ratio", "all")]
-    assert f"vc acs: same={vc[0]:.4f} diff={vc[1]:.4f} ratio={vc[2]:.3f}" in printed
-    agree = (rows[("same_phoneme_cross_speaker_agreement", "all")],
-             rows[("diff_phoneme_within_speaker_agreement", "all")])
-    assert (f"code agreement: same-phoneme cross-speaker={agree[0]:.4f} "
-            f"different-phoneme within-speaker={agree[1]:.4f}") in printed
+    # the printout is the CSV's rows over the whole split, as written
+    summary = [line for line in text.splitlines() if line.split(",")[1] in ("mean", "all")]
+    assert len(summary) == 14  # 5 TTS means, 2 x 3 ACS, phoneme distance, 2 agreements
+    assert capsys.readouterr().out.splitlines() == [
+        f"evaluated 4 utterances; summary rows of {out_csv}:"] + summary
 
 
 def test_cli_synth_tts_with_unseen_reference(tmp_path):
@@ -430,7 +432,7 @@ def test_cli_corpus_without_test_split_resolves_train_references(trained, tiny_c
                  "--out", str(tmp_path / "v.f64")]) == 0
 
 
-@pytest.mark.parametrize("text", ["1,999", "a,b"])
+@pytest.mark.parametrize("text", ["1,999", "a,b", "1,99999999999999999999"])
 def test_cli_synth_tts_bad_phoneme_ids_exit_1(trained, tiny_corpus, tmp_path, capsys, text):
     path, _, _ = trained
     assert main(["synth-tts", "--ckpt", str(path), "--corpus", str(tiny_corpus["dir"]),

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from uspc.errors import ShapeError, UndefinedMetricError
 from uspc.features import MelSpectrogram
-from uspc.metrics import (MCD_CONST, acs_ratio, f0_corr, f0_rmse, mcd,
+from uspc.metrics import (MCD_CONST, AcsReport, EvalResult, TtsMetrics, acs_ratio,
+                          eval_result_csv, f0_corr, f0_rmse, mcd,
                           phoneme_center_distance, vuv_error)
 
 from conftest import rand
@@ -297,3 +298,34 @@ def test_metric_self_identities(seed):
         assert abs(f0_corr(f0, f0.copy()) - 1.0) < 1e-12
     mel = MelSpectrogram(rng.standard_normal((6, 80)))
     assert mcd(mel, MelSpectrogram(mel.frames.copy())) == 0.0
+
+
+# ---------------------------------------------------------------- eval csv
+
+
+def test_eval_result_csv_golden():
+    """Row order and `repr` formatting of the eval CSV on a hand-built
+    result: a NaN f0 metric, no ground-truth ACS and a set VC ACS."""
+    result = EvalResult(
+        per_utterance={"u2": TtsMetrics(1.5, 2.0, 0.25, float("nan")),
+                       "u1": TtsMetrics(3.0, 4.5, 0.0, 0.75)},
+        mel_mse={"u1": 0.125, "u2": 1e-17},
+        mean_metrics=TtsMetrics(2.25, 3.25, 0.125, 0.75),
+        mean_mel_mse=float("nan"),
+        acs=None,
+        vc_acs=AcsReport(s_acs=0.5, d_acs=0.25, ratio=2.0),
+        phoneme_distance=0.1,
+        same_ph_cross_spk_agreement=1.0,
+        diff_ph_within_spk_agreement=0.0)
+    assert eval_result_csv(result) == (
+        "metric,utterance,value\n"
+        "f0_rmse_hz,u1,3.0\nmcd_db,u1,4.5\nvuv_error_rate,u1,0.0\nf0_corr,u1,0.75\n"
+        "mel_mse,u1,0.125\n"
+        "f0_rmse_hz,u2,1.5\nmcd_db,u2,2.0\nvuv_error_rate,u2,0.25\nf0_corr,u2,nan\n"
+        "mel_mse,u2,1e-17\n"
+        "f0_rmse_hz,mean,2.25\nmcd_db,mean,3.25\nvuv_error_rate,mean,0.125\n"
+        "f0_corr,mean,0.75\nmel_mse,mean,nan\n"
+        "vc_s_acs,all,0.5\nvc_d_acs,all,0.25\nvc_acs_ratio,all,2.0\n"
+        "phoneme_rep_distance,mean,0.1\n"
+        "same_phoneme_cross_speaker_agreement,all,1.0\n"
+        "diff_phoneme_within_speaker_agreement,all,0.0\n")

@@ -4,12 +4,11 @@ and the bin-to-Hz decoding round trip."""
 import numpy as np
 import pytest
 
-from uspc import autodiff as ad
 from uspc.autodiff import Tensor
 from uspc.config import ModelConfig
 from uspc.encoders import bin_center_hz, quantize_f0_array
 from uspc.errors import ShapeError
-from uspc.layers import Ctx, positional_encoding, segment_offsets
+from uspc.layers import Ctx, segment_offsets
 from uspc.model import JointModel
 from uspc.synthesis import BIN_CENTERS_HZ, decode_f0
 from uspc.vq import QuantizedContent
@@ -26,10 +25,7 @@ def quantized(model, t, seed):
 def decode_rows(model, rows, ctx=EVAL):
     """An additive decoder's stages after fusion, run on given fused rows."""
     dec = model.decoder
-    h = ad.add(Tensor(rows), positional_encoding(rows.shape[0], dec.d_model, ctx.offsets))
-    for block in dec.blocks:
-        h = block(h, ctx)
-    return dec.out(h).data
+    return dec.out(dec.stack(Tensor(rows), ctx)).data
 
 
 def test_fuse_zero_speaker_and_prosody_is_content(small_model):
