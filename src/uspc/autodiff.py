@@ -18,16 +18,20 @@ Design notes:
     drops the node's gradient and swaps its closure for one that raises
     GraphError, so interior gradients and every array a closure saved
     (normalized rows, attention probabilities, masks, differences) are
-    freed during the pass.  Each node keeps its `.data` and `_parents`.
-    Leaves have no closure: they keep their gradients, which accumulate
-    over backward calls.
+    freed during the pass.  Each consumer of the node then names a spent
+    stand-in in its place, which holds only the node's parents that take
+    gradients and the raising closure: a node's `.data`, and a constant
+    input's, is freed during the pass unless the caller holds it, and the
+    graph stays walkable through the stand-ins.  Leaves have no closure:
+    they keep their gradients, which accumulate over backward calls.
   * Everything is float64.  The model is desk-scale; precision is cheaper
     than debugging 32-bit gradient noise.
-  * Hot-path layers (linear, conv1d, layer_norm, attention, cross-entropy)
-    are fused single nodes with hand-written backward rules to keep the
-    node count per training step low.  Their kernels do the floating-point
-    operations of the plain per-segment, per-head, per-tap formulation in
-    the same order, so results do not depend on how a batch is packed.
+  * Hot-path layers (linear, conv1d, layer_norm, the dropout-residual-norm
+    tail, attention, cross-entropy) are fused single nodes with
+    hand-written backward rules to keep the node count per training step
+    low.  Their kernels do the floating-point operations of the plain
+    per-segment, per-head, per-tap formulation in the same order, so
+    results do not depend on how a batch is packed.
   * A batch is packed: its sequences are concatenated along the row axis
     and `offsets` (B+1 row bounds) marks the segments.  Row-wise ops need
     no layout; the ops that mix rows (conv1d, attention_core, dropout,
@@ -55,7 +59,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
+        self._parents: Sequence[Tensor] = ()
         self._backward: Callable[[Array], None] | None = None
         self.name = name
 
@@ -489,23 +493,71 @@ def _row_norm_grad(gx: Array, xhat: Array, inv: Array) -> Array:
     return out
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    """Per-row normalization over the last axis, then affine gain/bias."""
+def _normalize(x: Array, gain: Tensor, bias: Tensor, eps: float) -> tuple[Array, Array, Array]:
+    """layer_norm's forward over rows `x`: the output, the normalized rows
+    and the inverse deviations."""
     if eps <= 0:
         raise ConfigError(f"layer_norm eps must be > 0, got {eps}")
-    xhat, inv = _row_stats(x.data, eps)
+    xhat, inv = _row_stats(x, eps)
     xhat *= inv
     data = xhat * gain.data
     data += bias.data
+    return data, xhat, inv
+
+
+def _normalize_grads(g: Array, gain: Tensor, bias: Tensor, xhat: Array, inv: Array,
+                     rows: bool) -> Array | None:
+    """layer_norm's backward: gives gain and bias their gradients, then
+    returns the input rows' gradient when `rows` asks for it."""
+    if gain.requires_grad:
+        _own(gain, _unbroadcast(g * xhat, gain.data.shape))
+    _accumulate_unbroadcast(bias, g)
+    return _row_norm_grad(g * gain.data, xhat, inv) if rows else None
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
+    """Per-row normalization over the last axis, then affine gain/bias."""
+    data, xhat, inv = _normalize(x.data, gain, bias, eps)
 
     def backward_fn(g: Array) -> None:
-        if gain.requires_grad:
-            _own(gain, _unbroadcast(g * xhat, gain.data.shape))
-        _accumulate_unbroadcast(bias, g)
-        if x.requires_grad:
-            _own(x, _row_norm_grad(g * gain.data, xhat, inv))
+        gx = _normalize_grads(g, gain, bias, xhat, inv, x.requires_grad)
+        if gx is not None:
+            _own(x, gx)
 
     return _make_node(data, (x, gain, bias), backward_fn)
+
+
+def dropout_add_norm(x: Tensor, a: Tensor, gain: Tensor, bias: Tensor, rate: float, rngs,
+                     offsets: np.ndarray | None = None, eps: float = 1e-6) -> Tensor:
+    """layer_norm(add(x, dropout(a, rate, rngs, offsets)), gain, bias) as one
+    node: a residual tail.  It does the three nodes' arithmetic in their
+    order, draws `dropout`'s masks, and gives `x` its gradient before `a`,
+    as `add` does.  It keeps the normalized rows, their inverse deviations
+    and the 1-byte keep mask, never the dropped or summed rows."""
+    if x.data.shape != a.data.shape:
+        raise ShapeError(f"residual shapes differ: {x.data.shape} vs {a.data.shape}")
+    keep, scale = _keep_mask(a.data.shape, rate, rngs, offsets)
+    if keep is None:
+        s = x.data + a.data
+    else:
+        s = a.data * keep
+        s *= scale
+        np.add(x.data, s, out=s)
+    data, xhat, inv = _normalize(s, gain, bias, eps)
+
+    def backward_fn(g: Array) -> None:
+        gs = _normalize_grads(g, gain, bias, xhat, inv, x.requires_grad or a.requires_grad)
+        if gs is None:
+            return
+        _own(x, gs)
+        if keep is None:
+            a.accumulate_grad(gs)  # a copy: x may own gs
+        else:
+            d = gs * keep
+            d *= scale
+            _own(a, d)
+
+    return _make_node(data, (x, a, gain, bias), backward_fn)
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
@@ -632,12 +684,30 @@ def dropout(x: Tensor, rate: float, rngs, offsets: np.ndarray | None = None) -> 
     batch) after resetting it.  It always drops: the `Dropout` layer skips
     it outside training.
     """
+    keep, scale = _keep_mask(x.data.shape, rate, rngs, offsets)
+    if keep is None:
+        return x
+    data = x.data * keep
+    data *= scale
+
+    def backward_fn(g: Array) -> None:
+        d = g * keep
+        d *= scale
+        _own(x, d)
+
+    return _make_node(data, (x,), backward_fn)
+
+
+def _keep_mask(shape: tuple[int, ...], rate: float, rngs,
+               offsets: np.ndarray | None) -> tuple[Array | None, float]:
+    """`dropout`'s 1-byte keep mask and the survivors' scale: (x * keep) *
+    scale is bitwise x * (keep * scale).  No mask (None) at rate 0."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
-        return x
-    spans = _spans(offsets, x.data.shape[0])
-    mask = np.empty(x.data.shape)
+        return None, 1.0
+    spans = _spans(offsets, shape[0])
+    mask = np.empty(shape)
     streams = iter(rngs)
     for b, (lo, hi) in enumerate(spans):
         gen = next(streams, None)
@@ -648,18 +718,7 @@ def dropout(x: Tensor, rate: float, rngs, offsets: np.ndarray | None = None) -> 
     if next(streams, None) is not None:
         raise ConfigError(f"dropout needs one rng stream per segment: "
                           f"more streams than its {len(spans)} segments")
-    # a 1-byte mask: (x * keep) * scale is bitwise x * (keep * scale)
-    keep = mask >= rate
-    scale = 1.0 / (1.0 - rate)
-    data = x.data * keep
-    data *= scale
-
-    def backward_fn(g: Array) -> None:
-        d = g * keep
-        d *= scale
-        _own(x, d)
-
-    return _make_node(data, (x,), backward_fn)
+    return mask >= rate, 1.0 / (1.0 - rate)
 
 
 def straight_through(c: Tensor, quantized_values: np.ndarray) -> Tensor:
@@ -687,15 +746,29 @@ def _consumed(g: Array) -> None:
     raise GraphError("backward already ran through this node; detach() its output to reuse it")
 
 
+class _Spent:
+    """What a node's consumers name once backward has run the node's rule:
+    its parents that take gradients and the closure that raises, without
+    the node's arrays."""
+
+    __slots__ = ("_parents",)
+    _backward = staticmethod(_consumed)
+
+    def __init__(self, parents: list):
+        self._parents = parents
+
+
 def backward(loss: Tensor) -> None:
     """Reverse-topological gradient accumulation from a scalar loss.
 
     The graph is single-use: once a node's rule has run, its gradient and
-    closure (with every array the closure saved) are released, and a second
-    backward that reaches the node raises GraphError before any rule runs,
-    so no gradient changes.  Leaves keep their gradients, which accumulate;
-    call zero_grad on leaves between backward passes if accumulation is not
-    wanted.
+    closure (with every array the closure saved) are released, its
+    consumers name a `_Spent` stand-in instead of it, and it drops its
+    constant parents, so its `.data` and theirs go too unless the caller
+    holds them.  A second backward that reaches the node or its stand-in
+    raises GraphError before any rule runs, so no gradient changes.  Leaves
+    keep their gradients, which accumulate; call zero_grad on leaves
+    between backward passes if accumulation is not wanted.
     """
     if loss.data.shape not in ((), (1,)):
         raise GraphError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -717,7 +790,10 @@ def backward(loss: Tensor) -> None:
             if id(p) not in visited and p._backward is not None:
                 stack.append((p, False))
     loss.accumulate_grad(np.ones_like(loss.data))
-    for node in reversed(topo):
+    # by id of a node whose rule has not run: the parent lists naming it
+    naming: dict[int, list[list]] = {}
+    while topo:
+        node = topo.pop()
         if node._backward is None:
             continue
         if node.grad is not None:
@@ -725,6 +801,15 @@ def backward(loss: Tensor) -> None:
                            else node.grad.reshape(node.data.shape))
         node.grad = None
         node._backward = _consumed
+        # the node and its stand-in share one list, which comes to name the
+        # parents' stand-ins; constant parents leave it, as no walk needs them
+        parents = node._parents = [p for p in node._parents if p.requires_grad]
+        for p in parents:
+            if p._backward is not None:
+                naming.setdefault(id(p), []).append(parents)
+        spent = _Spent(parents)
+        for named in naming.pop(id(node), ()):
+            named[:] = [spent if p is node else p for p in named]
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:

@@ -105,13 +105,16 @@ class Dropout:
         self.rate = rate
 
     def __call__(self, x: Tensor, ctx: Ctx) -> Tensor:
-        if not ctx.training or self.rate == 0.0:
-            return x
-        # lazy: each segment draws before the next stream is asked for, so a
-        # uid that repeats in the batch gets its stream afresh
+        return ad.dropout(x, *self.streams(ctx), offsets=ctx.offsets)
+
+    def streams(self, ctx: Ctx):
+        """The rate `ctx` drops at (0.0 outside training, which draws
+        nothing) and its segments' generators.  Lazy: each segment draws
+        before the next stream is asked for, so a uid that repeats in the
+        batch gets its stream afresh."""
         gens = (ctx.rng.generator(f"dropout/{self.name}/{uid}", step=ctx.step)
                 for uid in ctx.uids)
-        return ad.dropout(x, self.rate, gens, offsets=ctx.offsets)
+        return (self.rate if ctx.training else 0.0), gens
 
 
 class Embedding:
@@ -169,9 +172,10 @@ class MultiHeadAttention:
 
 
 class FFTBlock:
-    """Self-attention + two temporal convolutions, each with residual + layer
-    norm.  A block takes no speaker input; the decoder adds the speaker rows
-    before its first block."""
+    """Self-attention + two temporal convolutions, each with a dropout,
+    residual and layer norm tail (one `ad.dropout_add_norm` node).  A block
+    takes no speaker input; the decoder adds the speaker rows before its
+    first block."""
 
     def __init__(self, store: ParamStore, rng: NamedRng, name: str, dim: int,
                  n_heads: int, kernel_size: int, dropout_rate: float):
@@ -184,11 +188,14 @@ class FFTBlock:
         self.drop2 = Dropout(f"{name}.drop2", dropout_rate)
 
     def __call__(self, x: Tensor, ctx: Ctx) -> Tensor:
-        a = self.drop1(self.attn(x, ctx), ctx)
-        h = self.norm1(ad.add(x, a))
+        h = self._tail(x, self.attn(x, ctx), self.drop1, self.norm1, ctx)
         c = self.conv2(ad.relu(self.conv1(h, ctx)), ctx)
-        h2 = ad.add(h, self.drop2(c, ctx))
-        return self.norm2(h2)
+        return self._tail(h, c, self.drop2, self.norm2, ctx)
+
+    @staticmethod
+    def _tail(x: Tensor, a: Tensor, drop: Dropout, norm: LayerNorm, ctx: Ctx) -> Tensor:
+        """norm(x + drop(a))."""
+        return ad.dropout_add_norm(x, a, norm.gain, norm.bias, *drop.streams(ctx), ctx.offsets)
 
 
 class FFTStack:

@@ -2,6 +2,7 @@
 oracles, backward passes against central finite differences."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -280,6 +281,34 @@ def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
     assert h.grad is None and loss.grad is None
     # values and graph structure stay readable after the pass
     assert h.data.shape == (3, 2) and h._parents
+
+
+def test_backward_frees_an_interior_array_the_caller_does_not_hold():
+    x = Tensor(rand((3, 4), 63), requires_grad=True)
+    w = Tensor(rand((4, 2), 64), requires_grad=True)
+    h = ad.relu(ad.linear(x, w))
+    interior = weakref.ref(h.data)
+    loss = ad.sum_all(h)
+    del h
+    ad.backward(loss)
+    # the held loss names a spent stand-in, not the relu node
+    assert interior() is None
+    assert loss._parents and loss._parents[0]._backward is ad._consumed
+    with pytest.raises(GraphError, match="detach"):
+        ad.backward(loss)
+
+
+def test_backward_keeps_the_data_of_a_held_node():
+    x = Tensor(rand((3, 4), 65), requires_grad=True)
+    w = Tensor(rand((4, 2), 66), requires_grad=True)
+    h = ad.relu(ad.linear(x, w))
+    want = h.data.copy()
+    ad.backward(ad.sum_all(h))
+    assert np.array_equal(h.data, want)
+    assert len(h._parents) == 1 and h._parents[0]._backward is ad._consumed
+    with pytest.raises(GraphError, match="detach"):
+        ad.backward(ad.sum_all(ad.mul(h, Tensor(np.ones((3, 2))))))
+    assert x.grad.shape == (3, 4) and w.grad.shape == (4, 2)
 
 
 def test_backward_on_leaf_loss_leaves_its_gradient_at_one():

@@ -12,8 +12,10 @@ from uspc.config import ModelConfig
 from uspc.encoders import (DurationPredictor, bin_center_hz, expansion_map,
                            length_regulate, quantize_f0_array)
 from uspc.errors import DataError, PairingError
-from uspc.layers import Ctx, segment_offsets
+from uspc.layers import Ctx, FFTBlock, segment_offsets
 from uspc.model import JointModel
+from uspc.optim import ParamStore
+from uspc.rng import NamedRng
 
 from conftest import rand
 
@@ -233,3 +235,27 @@ def test_prosody_rows_are_exact_table_rows(small_model):
     bins = quantize_f0_array(f0)
     for row, b in zip(out.data, bins):
         np.testing.assert_array_equal(row, table[b])
+
+
+# ---------------------------------------------------------------- FFT block
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_fft_block_builds_ten_nodes(training):
+    # q, k, v, attention, out projection, conv1, relu, conv2 and one node
+    # for each dropout-residual-norm tail, with or without dropout: the
+    # tails unfused made 14 nodes in training and 12 in eval
+    store = ParamStore()
+    block = FFTBlock(store, NamedRng(0), "b", dim=8, n_heads=2, kernel_size=3,
+                     dropout_rate=0.5)
+    offsets = segment_offsets([3, 1, 4])
+    ctx = Ctx(training=training, step=0, uids=("a", "b", "c"), offsets=offsets,
+              rng=NamedRng(0))
+    x = Tensor(rand((8, 8), 0), requires_grad=True)
+    seen, stack = set(), [block(x, ctx)]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node._backward is not None:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    assert len(seen) == 10

@@ -333,6 +333,43 @@ def test_dropout_matches_fresh_stream_per_segment(seed):
     assert same_bytes(x.grad, g * keep * scale)
 
 
+def residual_tail_graph(fused, seed, training, other_consumers):
+    """layer_norm(x + dropout(a)) over a random layout, fused or as the
+    three nodes, and its backward; with `other_consumers`, x is also the
+    input of the linear that makes a and of one more linear in the loss,
+    so x gathers three gradients in the graph's order."""
+    offsets = layout(seed)
+    t = int(offsets[-1])
+    ctx = Ctx(training=training, step=seed, uids=tuple(f"u{i}" for i in range(offsets.size - 1)),
+              offsets=offsets, rng=NamedRng(seed))
+    x = Tensor(rand((t, 6), seed), requires_grad=True)
+    w1, w2 = (Tensor(rand((6, 6), seed + i) / 3.0, requires_grad=True) for i in (1, 2))
+    a = ad.linear(x, w1) if other_consumers else Tensor(rand((t, 6), seed + 3), requires_grad=True)
+    gain = Tensor(rand(6, seed + 4), requires_grad=True)
+    bias = Tensor(rand(6, seed + 5), requires_grad=True)
+    drop = Dropout("layer", 0.4)
+    if fused:
+        out = ad.dropout_add_norm(x, a, gain, bias, *drop.streams(ctx), offsets)
+    else:
+        out = ad.layer_norm(ad.add(x, drop(a, ctx)), gain, bias)
+    loss = ad.sum_all(ad.mul(out, Tensor(rand((t, 6), seed + 6))))
+    if other_consumers:
+        loss = ad.add(loss, ad.sum_all(ad.mul(ad.linear(x, w2), Tensor(rand((t, 6), seed + 7)))))
+    ad.backward(loss)
+    leaves = [x, gain, bias] + ([w1, w2] if other_consumers else [a])
+    return out.data, [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("other_consumers", [False, True])
+def test_dropout_add_norm_matches_the_three_nodes(seed, training, other_consumers):
+    out, grads = residual_tail_graph(True, seed, training, other_consumers)
+    want, want_grads = residual_tail_graph(False, seed, training, other_consumers)
+    assert same_bytes(out, want)
+    assert all(same_bytes(g, w) for g, w in zip(grads, want_grads))
+
+
 def test_repeated_utterance_in_a_packed_batch_gets_its_own_fresh_mask(tmp_path):
     # a speech pool of 8 with 3 speech utterances per step wraps mid-batch,
     # so some packed batch holds one utterance twice
