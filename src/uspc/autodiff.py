@@ -470,6 +470,9 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     return _make_node(data, parents, backward_fn)
 
 
+_LAYER_NORM_EPS = 1e-6
+
+
 def _row_stats(x: Array, eps: float) -> tuple[Array, Array]:
     """(x - mean) and 1 / sqrt(var + eps) per row over the last axis, by
     the operations of x.mean and (xc * xc).mean: add.reduce, then / n."""
@@ -515,7 +518,7 @@ def _normalize_grads(g: Array, gain: Tensor, bias: Tensor, xhat: Array, inv: Arr
     return _row_norm_grad(g * gain.data, xhat, inv) if rows else None
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = _LAYER_NORM_EPS) -> Tensor:
     """Per-row normalization over the last axis, then affine gain/bias."""
     data, xhat, inv = _normalize(x.data, gain, bias, eps)
 
@@ -528,7 +531,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
 
 
 def dropout_add_norm(x: Tensor, a: Tensor, gain: Tensor, bias: Tensor, rate: float, rngs,
-                     offsets: np.ndarray | None = None, eps: float = 1e-6) -> Tensor:
+                     offsets: np.ndarray | None = None) -> Tensor:
     """layer_norm(add(x, dropout(a, rate, rngs, offsets)), gain, bias) as one
     node: a residual tail.  It does the three nodes' arithmetic in their
     order, draws `dropout`'s masks, and gives `x` its gradient before `a`,
@@ -543,7 +546,7 @@ def dropout_add_norm(x: Tensor, a: Tensor, gain: Tensor, bias: Tensor, rate: flo
         s = a.data * keep
         s *= scale
         np.add(x.data, s, out=s)
-    data, xhat, inv = _normalize(s, gain, bias, eps)
+    data, xhat, inv = _normalize(s, gain, bias, _LAYER_NORM_EPS)
 
     def backward_fn(g: Array) -> None:
         gs = _normalize_grads(g, gain, bias, xhat, inv, x.requires_grad or a.requires_grad)
@@ -681,8 +684,8 @@ def dropout(x: Tensor, rate: float, rngs, offsets: np.ndarray | None = None) -> 
     and each segment's mask is that segment's draw alone.  A segment draws
     as soon as its generator is yielded, so `rngs` may hand out a stream's
     generator again for a later segment (the same utterance twice in one
-    batch) after resetting it.  It always drops: the `Dropout` layer skips
-    it outside training.
+    batch) after resetting it.  Outside training the `Dropout` layer passes
+    rate 0.0, which draws nothing and returns `x` unchanged.
     """
     keep, scale = _keep_mask(x.data.shape, rate, rngs, offsets)
     if keep is None:
@@ -747,15 +750,15 @@ def _consumed(g: Array) -> None:
 
 
 class _Spent:
-    """What a node's consumers name once backward has run the node's rule:
-    its parents that take gradients and the closure that raises, without
-    the node's arrays."""
+    """What a node's consumers name once backward has run their rules: the
+    node's parents that take gradients (set when the node's rule runs) and
+    the closure that raises, without the node's arrays."""
 
     __slots__ = ("_parents",)
     _backward = staticmethod(_consumed)
 
-    def __init__(self, parents: list):
-        self._parents = parents
+    def __init__(self):
+        self._parents: list = []
 
 
 def backward(loss: Tensor) -> None:
@@ -790,8 +793,8 @@ def backward(loss: Tensor) -> None:
             if id(p) not in visited and p._backward is not None:
                 stack.append((p, False))
     loss.accumulate_grad(np.ones_like(loss.data))
-    # by id of a node whose rule has not run: the parent lists naming it
-    naming: dict[int, list[list]] = {}
+    # by id of a node whose rule has not run: the stand-in its consumers name
+    stand_in: dict[int, _Spent] = {}
     while topo:
         node = topo.pop()
         if node._backward is None:
@@ -801,15 +804,13 @@ def backward(loss: Tensor) -> None:
                            else node.grad.reshape(node.data.shape))
         node.grad = None
         node._backward = _consumed
-        # the node and its stand-in share one list, which comes to name the
-        # parents' stand-ins; constant parents leave it, as no walk needs them
-        parents = node._parents = [p for p in node._parents if p.requires_grad]
-        for p in parents:
-            if p._backward is not None:
-                naming.setdefault(id(p), []).append(parents)
-        spent = _Spent(parents)
-        for named in naming.pop(id(node), ()):
-            named[:] = [spent if p is node else p for p in named]
+        # the node and its stand-in share one list of the parents' stand-ins
+        # and leaves; constant parents leave it, as no walk needs them
+        node._parents = [stand_in.setdefault(id(p), _Spent()) if p._backward is not None
+                         else p for p in node._parents if p.requires_grad]
+        spent = stand_in.pop(id(node), None)
+        if spent is not None:
+            spent._parents = node._parents
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:

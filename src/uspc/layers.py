@@ -188,14 +188,11 @@ class FFTBlock:
         self.drop2 = Dropout(f"{name}.drop2", dropout_rate)
 
     def __call__(self, x: Tensor, ctx: Ctx) -> Tensor:
-        h = self._tail(x, self.attn(x, ctx), self.drop1, self.norm1, ctx)
+        h = ad.dropout_add_norm(x, self.attn(x, ctx), self.norm1.gain, self.norm1.bias,
+                                *self.drop1.streams(ctx), ctx.offsets)
         c = self.conv2(ad.relu(self.conv1(h, ctx)), ctx)
-        return self._tail(h, c, self.drop2, self.norm2, ctx)
-
-    @staticmethod
-    def _tail(x: Tensor, a: Tensor, drop: Dropout, norm: LayerNorm, ctx: Ctx) -> Tensor:
-        """norm(x + drop(a))."""
-        return ad.dropout_add_norm(x, a, norm.gain, norm.bias, *drop.streams(ctx), ctx.offsets)
+        return ad.dropout_add_norm(h, c, self.norm2.gain, self.norm2.bias,
+                                   *self.drop2.streams(ctx), ctx.offsets)
 
 
 class FFTStack:
