@@ -4,12 +4,14 @@ phoneme-representation distance."""
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import combinations
 
 import numpy as np
 
 from . import autodiff as ad
+from . import training
 from .autodiff import Tensor
 from .corpus import UtteranceRecord
 from .encoders import expansion_map
@@ -292,6 +294,59 @@ def _nanmean(values: list[float]) -> float:
     return float(np.nanmean(arr)) if (~np.isnan(arr)).any() else float("nan")
 
 
+def _defined(metric, *args):
+    """metric(*args), or None where it is undefined."""
+    try:
+        return metric(*args)
+    except UndefinedMetricError:
+        return None
+
+
+def _speech_side(records: list[UtteranceRecord], model: JointModel, mels: np.ndarray,
+                 ctx: Ctx, speakers: np.ndarray):
+    """The split's quantized speech content, its ACS and VC ACS reports, and
+    its code agreement rates."""
+    speech = model.quantize(model.content_encoder(mels, ctx))
+    return (speech, _defined(acs_ratio, list(zip([rec.speaker_id for rec in records], speakers))),
+            _defined(vc_acs_ratio, records, model, speakers, speech),
+            code_agreement_rates(records, speech.codes))
+
+
+def _text_side(records: list[UtteranceRecord], labeled: list[int], model: JointModel,
+               speakers: np.ndarray):
+    """The quantized text content of records[labeled], and each one's TTS
+    metrics and mel MSE, synthesized with its reference's embedding."""
+    lab_recs = [records[i] for i in labeled]
+    refs = _reference_map(records)
+    text_ctx = Ctx(offsets=segment_offsets([rec.phonemes.size for rec in lab_recs]))
+    text, _, _ = model.tts_content(np.concatenate([rec.phonemes for rec in lab_recs]),
+                                   np.concatenate([rec.durations for rec in lab_recs]),
+                                   text_ctx)
+    mel_pred, f0_pred = model.decode_tts(
+        text, Tensor(speakers[[refs[i] for i in labeled]]), frames_ctx(lab_recs))
+    per_utt, mel_mse = {}, {}
+    for rec, span in zip(lab_recs, _frame_slices(lab_recs)):
+        mel_mse[rec.id] = float(np.mean((mel_pred[span] - rec.mel) ** 2))
+        per_utt[rec.id] = _tts_metrics(rec, mel_pred[span], f0_pred[span])
+    return text, per_utt, mel_mse
+
+
+def _side_by_side(first, second) -> tuple:
+    """(first(), second()).  Where the usable CPUs hold two callers of
+    numpy's current OpenBLAS thread count (`training.blas_room`; the count
+    is never set here), second runs on a helper thread meanwhile: nearly
+    all of both is BLAS work, which runs without the GIL.  Elsewhere, and
+    where the count is unknown, they run one after the other.  The helper
+    is joined before this returns, also when either raises, and second's
+    exception reaches the caller unchanged."""
+    threads, per = training.blas_room()
+    if not 0 < per == threads:
+        return first(), second()
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = helper.submit(second)
+        return first(), pending.result()
+
+
 def evaluate(records: list[UtteranceRecord], model: JointModel) -> EvalResult:
     """Zero-shot TTS metrics over a (held-out) split.
 
@@ -301,46 +356,39 @@ def evaluate(records: list[UtteranceRecord], model: JointModel) -> EvalResult:
 
     The split is one packed batch: the speaker encoder, the content encoder
     and the TTS pipeline each run once over it, and their outputs serve
-    every metric that reads them.  Nothing backpropagates, so it runs with
-    the parameters frozen: no graph is built, and its peak memory is about
-    a sixth of a graph-building pass (7 MB against 44 MB at desk size).
+    every metric that reads them.  Once the speaker embeddings exist, the
+    speech side (content, ACS, the VC conversions, code agreement) and the
+    text side (TTS content, decoding, per-utterance metrics) share no data,
+    and `_side_by_side` runs the text side on a helper thread where the
+    CPUs have room; the phoneme distance reads both and runs after it.
+    Neither side reads the other's values or sets the BLAS thread count, so
+    the result is the same bytes either way.
+
+    Nothing backpropagates, so it runs with the parameters frozen: no graph
+    is built.  Peak memory at desk size is about 7 MB with the sides in
+    turn and 10 MB with both alive at once, against 44 MB for a
+    graph-building pass.
     """
     with model.store.frozen():
         labeled = [i for i, rec in enumerate(records) if rec.labeled]
-        lab_recs = [records[i] for i in labeled]
         per_utt: dict[str, TtsMetrics] = {}
         mel_mse: dict[str, float] = {}
         acs = vc_acs = phoneme_distance = None
-        same_a, diff_a = 0.0, 0.0
+        agreement = 0.0, 0.0
 
         if records:
             ctx = frames_ctx(records)
             mels = np.concatenate([rec.mel for rec in records])
             speakers = model.speaker_encoder(mels, ctx).data
-            speech = model.quantize(model.content_encoder(mels, ctx))
-            try:
-                acs = acs_ratio(list(zip([rec.speaker_id for rec in records], speakers)))
-            except UndefinedMetricError:
-                pass
-            try:
-                vc_acs = vc_acs_ratio(records, model, speakers, speech)
-            except UndefinedMetricError:
-                pass
-            same_a, diff_a = code_agreement_rates(records, speech.codes)
-
-        if lab_recs:
-            refs = _reference_map(records)
-            text_ctx = Ctx(offsets=segment_offsets([rec.phonemes.size for rec in lab_recs]))
-            text, _, _ = model.tts_content(np.concatenate([rec.phonemes for rec in lab_recs]),
-                                           np.concatenate([rec.durations for rec in lab_recs]),
-                                           text_ctx)
-            mel_pred, f0_pred = model.decode_tts(
-                text, Tensor(speakers[[refs[i] for i in labeled]]), frames_ctx(lab_recs))
-            for rec, span in zip(lab_recs, _frame_slices(lab_recs)):
-                mel_mse[rec.id] = float(np.mean((mel_pred[span] - rec.mel) ** 2))
-                per_utt[rec.id] = _tts_metrics(rec, mel_pred[span], f0_pred[span])
-            speech_vectors = speech.vectors.data[_packed_rows(records, labeled)]
-            phoneme_distance = phoneme_rep_distance(lab_recs, text.vectors.data, speech_vectors)
+            if labeled:
+                (speech, acs, vc_acs, agreement), (text, per_utt, mel_mse) = _side_by_side(
+                    lambda: _speech_side(records, model, mels, ctx, speakers),
+                    lambda: _text_side(records, labeled, model, speakers))
+                phoneme_distance = phoneme_rep_distance(
+                    [records[i] for i in labeled], text.vectors.data,
+                    speech.vectors.data[_packed_rows(records, labeled)])
+            else:
+                _, acs, vc_acs, agreement = _speech_side(records, model, mels, ctx, speakers)
 
         return EvalResult(
             per_utterance=per_utt,
@@ -352,8 +400,8 @@ def evaluate(records: list[UtteranceRecord], model: JointModel) -> EvalResult:
             acs=acs,
             vc_acs=vc_acs,
             phoneme_distance=phoneme_distance,
-            same_ph_cross_spk_agreement=same_a,
-            diff_ph_within_spk_agreement=diff_a)
+            same_ph_cross_spk_agreement=agreement[0],
+            diff_ph_within_spk_agreement=agreement[1])
 
 
 def _tts_metrics(rec: UtteranceRecord, mel_pred: np.ndarray, f0_pred: np.ndarray

@@ -468,6 +468,15 @@ def blas_threads(n: int | None = None) -> int | None:
     return calls[0]() if calls is not None else None
 
 
+def blas_room() -> tuple[int | None, int]:
+    """numpy's OpenBLAS thread count, and the threads each of two callers
+    side by side may run: per = min(count, usable CPUs // 2), 0 where that
+    OpenBLAS is not found.  More threads than CPUs spin (a desk step took
+    2.3x as long with a worker of two threads on two CPUs)."""
+    threads = blas_threads()
+    return threads, min(threads or 0, len(os.sched_getaffinity(0)) // 2)
+
+
 def _pools(records: list[UtteranceRecord], mode: str
            ) -> tuple[list[UtteranceRecord], list[UtteranceRecord]]:
     labeled = [r for r in records if r.labeled]
@@ -512,11 +521,10 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
 
     When both pipelines train on a speech pool, the speech half of every
     step and half the optimizer's work run in a `VcWorker` if the usable
-    CPUs hold two processes of per = min(OpenBLAS's count, CPUs // 2) >= 1
-    BLAS threads (more threads than CPUs spin: a desk step took 2.3x as
-    long).  Each process runs per threads, set before the fork, once the
-    optimizer state has packed the parameters.  When training ends, also on
-    an error, the worker stops and the main process gets its count back.
+    CPUs hold two processes of per >= 1 BLAS threads (`blas_room`).  Each
+    process runs per threads, set before the fork, once the optimizer state
+    has packed the parameters.  When training ends, also on an error, the
+    worker stops and the main process gets its count back.
     """
     cfg.validate()
     if not records:
@@ -526,9 +534,8 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
         raise DataError("no labeled examples for a mode that trains the text pipeline")
 
     model, opt = JointModel.for_run(cfg)
-    threads = blas_threads() if cfg.mode in ("full", "novq") and unpaired \
-        and cfg.batch_unpaired > 0 else None
-    per_process = min(threads or 0, len(os.sched_getaffinity(0)) // 2)
+    threads, per_process = blas_room() if cfg.mode in ("full", "novq") and unpaired \
+        and cfg.batch_unpaired > 0 else (None, 0)
     vc_worker = trace_fh = None
     try:
         if per_process:

@@ -1,4 +1,5 @@
 import multiprocessing
+import threading
 
 import numpy as np
 import pytest
@@ -46,6 +47,19 @@ def tiny_corpus(tmp_path):
     train, test, factors = gen_corpus(tmp_path / "corpus", seed=11, spec=spec)
     return {"dir": tmp_path / "corpus", "train": train, "test": test,
             "factors": factors, "spec": spec}
+
+
+def text_side_threads(model, monkeypatch):
+    """The thread of each text-side pass `evaluate()` starts on `model`."""
+    threads = []
+    real_tts_content = model.tts_content
+
+    def recording(*args):
+        threads.append(threading.current_thread())
+        return real_tts_content(*args)
+
+    monkeypatch.setattr(model, "tts_content", recording)
+    return threads
 
 
 def rand(shape, seed):

@@ -1,8 +1,11 @@
-"""The packed evaluation pass against a one-utterance-at-a-time oracle, and
-how often it runs each encoder."""
+"""The packed evaluation pass against a one-utterance-at-a-time oracle, how
+often it runs each encoder, and its two sides run side by side."""
 
 import dataclasses
 import math
+import os
+import sys
+import threading
 import warnings
 from itertools import combinations
 
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 
 from uspc import encoders, metrics
+from uspc import training as training_mod
 from uspc.corpus import CorpusSpec, gen_corpus
 from uspc.encoders import expansion_map
 from uspc.errors import UndefinedMetricError
@@ -18,7 +22,7 @@ from uspc.metrics import (acs_ratio, evaluate, f0_corr, f0_rmse, mcd,
                           phoneme_center_distance, vuv_error)
 from uspc.model import JointModel
 
-from conftest import small_model_config
+from conftest import small_model_config, text_side_threads
 
 RTOL = 1e-9
 
@@ -243,3 +247,57 @@ def test_evaluate_all_f0_undefined_is_nan_without_warning(split):
     assert math.isnan(result.mean_metrics.f0_rmse_hz)
     assert math.isnan(result.mean_metrics.f0_corr)
     assert result.mean_metrics.vuv_error_rate > 0
+
+
+# ------------------------------------------------- the two sides side by side
+
+
+def _split_on(monkeypatch, on):
+    """Make evaluate() see one BLAS thread and 2 usable CPUs, where it runs
+    the text side on a helper thread, or 1 CPU, where it runs it after the
+    speech side."""
+    monkeypatch.setattr(training_mod, "blas_threads", lambda n=None: 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2 if on else 1)))
+
+
+@pytest.mark.parametrize("subset", ["tiny-test", "with-unlabeled", "one-speaker"])
+def test_split_evaluate_is_bitwise_the_serial_one(split, tiny_corpus, subset, monkeypatch):
+    records = {"tiny-test": tiny_corpus["test"], "with-unlabeled": split,
+               "one-speaker": _subsets(split)["one-speaker"]}[subset]
+    model = perturbed_model()
+    threads = text_side_threads(model, monkeypatch)
+    csv = {}
+    # the sides share only the position-table cache: switch threads often,
+    # so that a race on it would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for on in (False, True):
+            _split_on(monkeypatch, on)
+            csv[on] = metrics.eval_result_csv(evaluate(records, model))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [t is threading.main_thread() for t in threads] == [True, False]
+    assert csv[True] == csv[False]
+    assert ("acs_ratio,all," in csv[True]) == (subset != "one-speaker")
+
+
+def test_split_evaluate_raises_the_helpers_error_and_leaves_no_thread(split, monkeypatch):
+    # durations that sum past the mel's frames: only the text side reads
+    # them into a shape, so only it raises
+    i = next(i for i, rec in enumerate(split) if rec.labeled)
+    broken = list(split)
+    broken[i] = dataclasses.replace(split[i], durations=split[i].durations + 1)
+    model = perturbed_model()
+    threads = text_side_threads(model, monkeypatch)
+    raised = {}
+    for on in (False, True):
+        _split_on(monkeypatch, on)
+        before = threading.active_count()
+        with pytest.raises(Exception) as info:
+            evaluate(broken, model)
+        raised[on] = type(info.value)
+        assert all(p.requires_grad for p in model.store.values())
+        assert threading.active_count() == before
+    assert [t is threading.main_thread() for t in threads] == [True, False]
+    assert raised[True] is raised[False]

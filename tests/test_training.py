@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import re
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -16,6 +17,7 @@ import pytest
 from uspc import autodiff as ad
 from uspc import checkpoint as checkpoint_mod
 from uspc import config as config_mod
+from uspc import metrics as metrics_mod
 from uspc import training as training_mod
 from uspc.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from uspc.corpus import CorpusSpec, gen_corpus
@@ -28,7 +30,7 @@ from uspc.vq import Codebook
 from uspc.training import (LossReport, joint_step, pair_step,
                            seed_codebook_from_batch, train, tts_step, vc_step)
 
-from conftest import small_model_config, small_train_config
+from conftest import small_model_config, small_train_config, text_side_threads
 
 SEEDED_TRACES = Path(__file__).with_name("seeded_traces.csv")
 
@@ -688,6 +690,11 @@ def openblas_threads():
     training_mod.blas_threads(before)
 
 
+# (cpus, count) rows where evaluate() runs its text side on a helper thread:
+# the CPUs hold two callers of the count it finds, which it never sets
+EVAL_SPLITS = {(2, 1), (8, 1), (4, 2)}
+
+
 @pytest.mark.parametrize("cpus,count,per", [
     (2, 2, 1),      # OpenBLAS's default on 2 CPUs
     (2, 1, 1),
@@ -695,6 +702,7 @@ def openblas_threads():
     (4, 4, 2),
     (8, 1, 1),
     (2, None, 0),   # no OpenBLAS found
+    (4, 2, 2),
 ])
 def test_vc_worker_runs_where_the_cpus_hold_two_processes_of_blas_threads(
         tiny_corpus, monkeypatch, cpus, count, per):
@@ -711,10 +719,16 @@ def test_vc_worker_runs_where_the_cpus_hold_two_processes_of_blas_threads(
     monkeypatch.setattr(training_mod, "blas_threads", fake_blas_threads)
     _cpus(monkeypatch, cpus)
     children = []
-    train(small_train_config(max_steps=2), tiny_corpus["train"],
-          stop_when=lambda report: children.append(len(multiprocessing.active_children())))
+    model, _, _ = train(
+        small_train_config(max_steps=2), tiny_corpus["train"],
+        stop_when=lambda report: children.append(len(multiprocessing.active_children())))
     assert children == [int(per > 0)] * 2
     assert sets == ([per, count] if per else [])
+
+    threads = text_side_threads(model, monkeypatch)
+    metrics_mod.evaluate(tiny_corpus["test"], model)
+    assert (threads[0] is not threading.main_thread()) == ((cpus, count) in EVAL_SPLITS)
+    assert sets == ([per, count] if per else [])  # evaluate() set nothing
 
 
 @pytest.mark.parametrize("env", [{}, {"OPENBLAS_NUM_THREADS": "1"}],
