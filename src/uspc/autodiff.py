@@ -812,30 +812,3 @@ def backward(loss: Tensor) -> None:
         if spent is not None:
             spent._parents = node._parents
 
-
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Denominator is max(|analytic|, |numeric|, 1e-8) per coordinate.  Only
-    meaningful for deterministic f with dropout disabled; graphs that contain
-    a straight-through quantization step are exempt by contract (the
-    estimator is not the true derivative there).
-    """
-    probe = Tensor(x.data.copy(), requires_grad=True)
-    out = f(probe)
-    backward(out)
-    analytic = probe.grad if probe.grad is not None else np.zeros_like(probe.data)
-
-    flat = x.data.reshape(-1).copy()
-    numeric = np.zeros_like(flat)
-    for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] += h
-        f_plus = float(f(Tensor(bumped.reshape(x.data.shape))).data)
-        bumped[i] -= 2 * h
-        f_minus = float(f(Tensor(bumped.reshape(x.data.shape))).data)
-        numeric[i] = (f_plus - f_minus) / (2 * h)
-    numeric = numeric.reshape(x.data.shape)
-
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / denom))

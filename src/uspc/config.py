@@ -50,7 +50,8 @@ class ModelConfig:
 
 @dataclass
 class TrainConfig:
-    """Optimization schedule, batch layout and loss weights."""
+    """Optimization schedule, batch layout and loss weights.  What `mode`
+    trains is read through the properties below, not by the mode's name."""
 
     seed: int = 0
     mode: str = "full"  # one of MODES
@@ -71,6 +72,21 @@ class TrainConfig:
     plateau_delta: float = 1e-4
     model: ModelConfig = field(default_factory=ModelConfig)
 
+    @property
+    def trains_text(self) -> bool:
+        """The text pipeline trains: every mode but vc-only."""
+        return self.mode != "vc-only"
+
+    @property
+    def trains_pair(self) -> bool:
+        """Both pipelines train, and the pair loss between them: full, novq."""
+        return self.mode in ("full", "novq")
+
+    @property
+    def uses_vq(self) -> bool:
+        """Content is quantized by the codebook: every mode but novq."""
+        return self.mode != "novq"
+
     def validate(self) -> None:
         for key in ("lr_init", "grad_clip_norm", "w_mel", "w_pitch", "w_duration", "w_pair",
                     "w_vq", "vq_beta", "plateau_delta"):
@@ -82,6 +98,11 @@ class TrainConfig:
             raise ConfigError(f"lr decay must be in (0, 1], got {self.lr_decay_per_epoch}")
         if self.batch_paired < 1 or self.batch_unpaired < 0:
             raise ConfigError("batch sizes must be positive (unpaired may be 0)")
+        if self.max_steps < 0:
+            raise ConfigError(f"max_steps must be >= 0, got {self.max_steps}")
+        for key in ("dead_code_steps", "plateau_epochs"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown training mode {self.mode!r}")
         self.model.validate()

@@ -43,7 +43,7 @@ class JointModel:
     def for_run(cls, cfg: TrainConfig) -> tuple["JointModel", AdamState]:
         """The model and optimizer state a training run of `cfg` starts
         from: novq quantizes by identity, and Adam packs every parameter."""
-        model = cls(cfg.model, seed=cfg.seed, use_vq=cfg.mode != "novq")
+        model = cls(cfg.model, seed=cfg.seed, use_vq=cfg.uses_vq)
         return model, AdamState.for_params(model.store, lr=cfg.lr_init)
 
     # -- shared pieces ---------------------------------------------------------

@@ -1,9 +1,12 @@
 """Parameter registry and Adam optimizer with bias correction.
 
 The optimizer state packs the parameters: they, both moments and a gradient
-block are four shared mappings of one layout.  Adam is elementwise, so it
-runs over runs of consecutive parameters as flat arrays, and any range of
-them can be updated by another process with the same bytes.
+block are four shared mappings of one layout.  The clip's norm and Adam take
+parameter names and read the gradients from the block, never a tensor's
+`.grad`, so every range of names is clipped and updated by the same calls,
+in this process or in another one.  Adam is elementwise, so it runs over
+runs of consecutive parameters as flat arrays, with the same bytes for any
+split of them.
 """
 
 from __future__ import annotations
@@ -116,13 +119,11 @@ class AdamState:
 
     def check_packed(self, params: ParamStore) -> None:
         """Raise unless every parameter's data is still its view of the
-        block, and its gradient, if set, its view of the gradient block."""
+        block."""
         for name, t in params.items():
             if t.data is not self.p.get(name):
                 raise UspcError(f"parameter {name!r} is not in the optimizer's block: "
                                 "write into its data in place instead of replacing it")
-            if t.grad is not None and t.grad is not self.g[name]:
-                raise UspcError(f"gradient of parameter {name!r} is not in the optimizer's block")
 
     def split(self, names: list[str]) -> tuple[list[str], list[str]]:
         """`names` before `cut` and from it on, each in the order given."""
@@ -130,13 +131,15 @@ class AdamState:
                 [name for name in names if self.spans[name][0] >= self.cut])
 
 
-def sums_of_squares(grads: list[tuple[str, np.ndarray]]) -> tuple[list[float], str | None]:
-    """Each named gradient's sum of squares, and the name of the first one
-    holding an inf or NaN (None if none does).  Such a value makes the sum
-    non-finite, so only those gradients are checked value by value; a sum
-    that overflowed on finite values is no error."""
+def sums_of_squares(state: AdamState, names: list[str]) -> tuple[list[float], str | None]:
+    """The sum of squares of each of the named parameters' gradients in the
+    state's block, and the name of the first one holding an inf or NaN
+    (None if none does).  Such a value makes the sum non-finite, so only
+    those gradients are checked value by value; a sum that overflowed on
+    finite values is no error."""
     sums, bad = [], None
-    for name, g in grads:
+    for name in names:
+        g = state.g[name]
         sums.append(float(np.add.reduce(g * g, axis=None)))
         if bad is None and not math.isfinite(sums[-1]) and not np.isfinite(g).all():
             bad = name
@@ -149,19 +152,18 @@ def clip_scale(norm: float, max_norm: float) -> float:
     return max_norm / norm if norm > max_norm > 0 else 1.0
 
 
-def clip_global_norm(params: ParamStore, rest) -> float:
-    """The joint L2 norm of the gradients of a packed store: those of
-    `params`, its first parameters with a gradient, and the others, whose
-    `sums_of_squares` `rest()` returns, taken by the process that updates
-    them.
+def clip_global_norm(state: AdamState, names: list[str], rest) -> float:
+    """The joint L2 norm of the gradients in the state's block of the
+    parameters `names` and of the others, whose `sums_of_squares` `rest()`
+    returns, taken by the process that updates them.
 
-    The norm adds each gradient's sum of squares in store order.  A
-    gradient holding an inf or NaN raises TrainingDiverged naming the first
-    such parameter.  Nothing is scaled here: `adam_step` multiplies each
-    gradient by `clip_scale` of the norm on its pass.
+    The norm adds each gradient's sum of squares, those of `names` first,
+    so it is store order when they precede the others.  A gradient holding
+    an inf or NaN raises TrainingDiverged naming the first such parameter.
+    Nothing is scaled here: `adam_step` multiplies each gradient by
+    `clip_scale` of the norm on its pass.
     """
-    sums, bad = sums_of_squares([(name, p.grad) for name, p in params.items()
-                                 if p.grad is not None])
+    sums, bad = sums_of_squares(state, names)
     more, more_bad = rest()
     bad = bad or more_bad
     if bad is not None:
@@ -172,27 +174,13 @@ def clip_global_norm(params: ParamStore, rest) -> float:
     return float(np.sqrt(total))
 
 
-def adam_step(params: ParamStore, state: AdamState, scale: float) -> None:
-    """One Adam update in place: the step counter advances, then
-    `adam_update` runs over the parameters with a gradient, each gradient
-    times `scale`.  Each gradient must be its view of the state's gradient
-    block, which `clip_global_norm` has checked for an inf or NaN.
-
-    With zero gradient the moments stay zero and the update is exactly zero,
-    so parameters never touched by a loss remain bitwise unchanged.  All or
-    nothing: a gradient outside the block raises before any parameter,
-    moment or the step counter changes.
-    """
-    if state.lr < 0:
-        raise ConfigError(f"learning rate must be >= 0, got {state.lr}")
-    state.check_packed(params)
-    state.t += 1
-    adam_update(state, [name for name, p in params.items() if p.grad is not None], scale)
-
-
-def adam_update(state: AdamState, names: list[str], scale: float) -> None:
-    """Adam, step `state.t`, over the parameters `names` (in store order)
-    from their gradients in the block times `scale`.
+def adam_step(state: AdamState, names: list[str], t: int, scale: float) -> None:
+    """Adam step `t` in place over the parameters `names` (in store order)
+    from their gradients in the block times `scale`; the step counter
+    becomes t.  `clip_global_norm` has checked those gradients for an inf
+    or NaN.  With zero gradient the moments stay zero and the update is
+    exactly zero, so parameters never touched by a loss remain bitwise
+    unchanged.
 
     Consecutive parameters form one run of the flat blocks (only zero
     padding lies between them, and it stays zero), cut into CHUNK-value
@@ -201,6 +189,9 @@ def adam_update(state: AdamState, names: list[str], scale: float) -> None:
     p -= lr (m / bc1) / (sqrt(v / bc2) + eps), in that order, with `out=`
     into two scratch slices.
     """
+    if state.lr < 0:
+        raise ConfigError(f"learning rate must be >= 0, got {state.lr}")
+    state.t = t
     runs: list[list[int]] = []
     for name in names:
         lo, hi = state.spans[name]
@@ -209,8 +200,8 @@ def adam_update(state: AdamState, names: list[str], scale: float) -> None:
         else:
             runs.append([lo, hi])
     b1, b2, lr = BETA1, BETA2, state.lr
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
     scratch = np.empty(CHUNK), np.empty(CHUNK)
     flat_p, flat_m, flat_v, flat_g = state.blocks
     for lo, hi in runs:

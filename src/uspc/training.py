@@ -12,10 +12,10 @@ one with a backward pass of its own, and each parameter's gradient is the
 sum of the halves'.  That is bitwise the gradient one backward pass over
 the joint loss gives, and it lets `train()` run the speech half in a forked
 worker while the main process runs the text half.  The two processes then
-split the clip and Adam update over the parameters at `AdamState.cut`.
-Without a worker the same requests are answered in process.  A step's
-batches are a function of the seed and the step alone, so the loop
-carries no batch order.
+split the clip and Adam update over the parameters at `AdamState.cut`, each
+by parameter name over the packed gradient block.  Without a worker the same
+requests are answered in process.  A step's batches are a function of the
+seed and the step alone, so the loop carries no batch order.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ from .encoders import quantize_f0_array
 from .errors import DataError, PairingError, TrainingDiverged, UspcError
 from .layers import Ctx, frames_ctx, segment_offsets
 from .model import JointModel
-from .optim import (AdamState, ParamStore, adam_step, adam_update, clip_global_norm,
-                    clip_scale, sums_of_squares)
+from .optim import AdamState, adam_step, clip_global_norm, clip_scale, sums_of_squares
 from .synthesis import decode_f0
 from .vq import QuantizedContent, pair_loss, vq_aux_loss
 
@@ -221,7 +220,7 @@ def half_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
     side = "vc" if speech else "tts"
     first = (vc_step if speech else tts_step)(batch, model, cfg, step)
     frags = [first]
-    if not speech and cfg.mode in ("full", "novq"):
+    if not speech and cfg.trains_pair:
         frags.append(pair_step(batch, model, cfg, step, first.quantized))
     rec = first.mel * cfg.w_mel + first.pitch_ce * cfg.w_pitch
     pair = frags[-1].pair if frags[-1].pair is not None else Tensor(0.0)
@@ -246,13 +245,13 @@ def half_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
 def _answer(request: tuple, model: JointModel, opt: AdamState, cfg: TrainConfig):
     """The reply to one of the three requests a step makes of the side that
     runs the speech half and the optimizer's work from `opt.cut` on:
-      ("step", batch, step, n_aux): the speech `half_step`, its gradients
-        copied into the optimizer's gradient block; replies the `Half`,
-        which then names them only;
+      ("step", batch, step, n_aux): the speech `half_step` of the records
+        `batch`, its gradients copied into the optimizer's gradient block;
+        replies the `Half`, which then names them only;
       ("sums", names): `sums_of_squares` of those gradients in the block,
         once the text half's have joined them;
-      ("adam", names, t, lr, scale): `adam_update` of those parameters at
-        step t; replies None once done."""
+      ("adam", names, t, lr, scale): `adam_step` t of those parameters at
+        learning rate lr; replies None once done."""
     kind, *args = request
     if kind == "step":
         batch, step, n_aux = args
@@ -262,17 +261,15 @@ def _answer(request: tuple, model: JointModel, opt: AdamState, cfg: TrainConfig)
         half.grads = dict.fromkeys(half.grads)
         return half
     if kind == "sums":
-        return sums_of_squares([(name, opt.g[name]) for name in args[0]])
-    names, opt.t, opt.lr, scale = args
-    return adam_update(opt, names, scale)
+        return sums_of_squares(opt, args[0])
+    names, t, opt.lr, scale = args
+    return adam_step(opt, names, t, scale)
 
 
-def _serve(conn, parent_end, model: JointModel, opt: AdamState, cfg: TrainConfig,
-           pool: list[UtteranceRecord]) -> None:
+def _serve(conn, parent_end, model: JointModel, opt: AdamState, cfg: TrainConfig) -> None:
     """The worker's loop until the main process closes its end of the pipe:
-    each request, a "step" request's pool indices turned into records, is
-    `_answer`ed, and the reply, or the exception the request raised, is
-    sent back."""
+    each request is `_answer`ed, and the reply, or the exception the
+    request raised, is sent back."""
     parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process handles interrupts
     while True:
@@ -281,8 +278,6 @@ def _serve(conn, parent_end, model: JointModel, opt: AdamState, cfg: TrainConfig
         except EOFError:
             return
         try:
-            if request[0] == "step":
-                request = ("step", [pool[i] for i in request[1]], *request[2:])
             reply = _answer(request, model, opt, cfg)
         except Exception as exc:  # noqa: BLE001 - the main process raises it
             reply = exc
@@ -296,8 +291,7 @@ def _serve(conn, parent_end, model: JointModel, opt: AdamState, cfg: TrainConfig
 class InProcess:
     """The side of a step that runs in the calling process when no
     `VcWorker` does: the same requests, each `_answer`ed when its reply is
-    read.  Answering at `send` would differ: the "adam" request carries
-    `opt.t + 1`, and `adam_step` then advances `opt.t` itself."""
+    read."""
 
     model: JointModel
     opt: AdamState
@@ -319,26 +313,21 @@ class VcWorker:
     (`AdamState.for_params` packed them) and touches them only between a
     request and its reply, so the pipe orders every write either process
     makes.  The start method is fork, named explicitly since Python 3.14 no
-    longer defaults to it: the worker inherits the model, the optimizer
-    state and the speech pool instead of receiving pickled copies.
+    longer defaults to it: the worker inherits the model and the optimizer
+    state instead of receiving pickled copies.  Requests and replies are
+    pickled, a "step" request with its speech records.
     """
 
-    def __init__(self, model: JointModel, opt: AdamState, cfg: TrainConfig,
-                 pool: list[UtteranceRecord]):
-        self._index = {id(rec): i for i, rec in enumerate(pool)}
+    def __init__(self, model: JointModel, opt: AdamState, cfg: TrainConfig):
         ctx = multiprocessing.get_context("fork")
         self._conn, child_end = ctx.Pipe()
         self._proc = ctx.Process(target=_serve, daemon=True, args=(
-            child_end, self._conn, model, opt, cfg, pool))
+            child_end, self._conn, model, opt, cfg))
         self._proc.start()
         child_end.close()
         self._pending = False
 
     def send(self, *request) -> None:
-        """Send `request`; a "step" request's batch, which must come from
-        the worker's pool, travels as indices into it."""
-        if request[0] == "step":
-            request = ("step", [self._index[id(rec)] for rec in request[1]], *request[2:])
         try:
             self._conn.send(request)
         except OSError:
@@ -380,17 +369,19 @@ def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
     the parameters before it.  The speech half and the parameters from the
     cut on are requests to a side: `vc_worker`, which runs them meanwhile,
     or else an `InProcess` one, which runs them when their replies are read.
-    Adam is elementwise and the norm adds the per-parameter sums in store
-    order, so the split changes no byte.  `opt` must pack `model.store`.
+    Both ranges make the same calls, `sums_of_squares` and `adam_step` over
+    their parameter names in the gradient block, and no parameter's `.grad`
+    is left set.  Adam is elementwise and the norm adds the per-parameter
+    sums in store order, so the split changes no byte.  `opt` must pack
+    `model.store`.
     """
     opt.check_packed(model.store)
-    text = cfg.mode != "vc-only"
+    text = cfg.trains_text
     # an empty batch a half needs is a DataError from its tts_step or vc_step
-    speech = not text or (cfg.mode != "tts-only" and bool(unpaired))
+    speech = not text or (cfg.trains_pair and bool(unpaired))
     # the aux term is the mean over every utterance that ran through the VQ:
     # the paired batch once per text-side fragment, the speech batch once
-    n_aux = len(paired) * (int(text) + int(cfg.mode in ("full", "novq"))) \
-        + (len(unpaired) if speech else 0)
+    n_aux = len(paired) * (int(text) + int(cfg.trains_pair)) + (len(unpaired) if speech else 0)
     side = vc_worker if vc_worker is not None else InProcess(model, opt, cfg)
     if speech:
         side.send("step", unpaired, step, n_aux)
@@ -422,16 +413,14 @@ def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
                 opt.g[name] += written[name]
             elif name in written:
                 opt.g[name][...] = written[name]
-            model.store[name].grad = opt.g[name]
 
     merge(rest)
     side.send("sums", rest)
     merge(head)
-    share = ParamStore((name, model.store[name]) for name in head)
-    report.grad_norm = clip_global_norm(share, side.reply)
+    report.grad_norm = clip_global_norm(opt, head, side.reply)
     scale = clip_scale(report.grad_norm, cfg.grad_clip_norm)
-    side.send("adam", rest, opt.t + 1, opt.lr, scale)  # adam_step advances t
-    adam_step(share, opt, scale)
+    side.send("adam", rest, opt.t + 1, opt.lr, scale)
+    adam_step(opt, head, opt.t + 1, scale)
     side.reply()  # done: the bookkeeping below may write what it updated
 
     if model.use_vq:
@@ -477,14 +466,11 @@ def blas_room() -> tuple[int | None, int]:
     return threads, min(threads or 0, len(os.sched_getaffinity(0)) // 2)
 
 
-def _pools(records: list[UtteranceRecord], mode: str
+def _pools(records: list[UtteranceRecord], cfg: TrainConfig
            ) -> tuple[list[UtteranceRecord], list[UtteranceRecord]]:
-    labeled = [r for r in records if r.labeled]
-    if mode == "tts-only":
-        return labeled, []
-    if mode == "vc-only":
-        return [], list(records)
-    return labeled, list(records)  # speech pool includes labeled speech too
+    """The paired pool and the speech pool, which holds labeled speech too."""
+    labeled = [r for r in records if r.labeled] if cfg.trains_text else []
+    return labeled, (list(records) if cfg.trains_pair or not cfg.trains_text else [])
 
 
 def _speech_batch(pool: list[UtteranceRecord], rng, step: int,
@@ -529,20 +515,20 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
     cfg.validate()
     if not records:
         raise DataError("corpus is empty")
-    paired, unpaired = _pools(records, cfg.mode)
-    if cfg.mode != "vc-only" and not paired:
+    paired, unpaired = _pools(records, cfg)
+    if cfg.trains_text and not paired:
         raise DataError("no labeled examples for a mode that trains the text pipeline")
 
     model, opt = JointModel.for_run(cfg)
-    threads, per_process = blas_room() if cfg.mode in ("full", "novq") and unpaired \
-        and cfg.batch_unpaired > 0 else (None, 0)
+    threads, per_process = blas_room() if cfg.trains_pair and cfg.batch_unpaired > 0 \
+        else (None, 0)
     vc_worker = trace_fh = None
     try:
         if per_process:
             blas_threads(per_process)
-            vc_worker = VcWorker(model, opt, cfg, unpaired)
-        primary = paired if cfg.mode != "vc-only" else unpaired
-        batch_primary = cfg.batch_paired if cfg.mode != "vc-only" else max(cfg.batch_unpaired, 1)
+            vc_worker = VcWorker(model, opt, cfg)
+        primary, batch_primary = (paired, cfg.batch_paired) if cfg.trains_text \
+            else (unpaired, max(cfg.batch_unpaired, 1))
         steps_per_epoch = math.ceil(len(primary) / batch_primary)
 
         seed_codebook_from_batch(
@@ -560,10 +546,10 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
             epoch, chunk = divmod(step, steps_per_epoch)
             order = model.rng.generator("data/shuffle_primary", epoch).permutation(len(primary))
             batch = [primary[i] for i in order[chunk * batch_primary:(chunk + 1) * batch_primary]]
-            if cfg.mode == "vc-only":
-                batch_p, batch_u = [], batch
-            else:
+            if cfg.trains_text:
                 batch_p, batch_u = batch, _speech_batch(unpaired, model.rng, step, cfg.batch_unpaired)
+            else:
+                batch_p, batch_u = [], batch
 
             try:
                 report = joint_step(batch_p, batch_u, model, opt, cfg, step, vc_worker=vc_worker)

@@ -7,6 +7,7 @@ import pytest
 from uspc.config import ModelConfig, TrainConfig
 from uspc.corpus import CorpusSpec, gen_corpus
 from uspc.model import JointModel
+from uspc.autodiff import Tensor, backward
 from uspc.optim import adam_step, clip_global_norm, clip_scale, sums_of_squares
 
 
@@ -66,15 +67,43 @@ def rand(shape, seed):
     return np.random.default_rng(seed).standard_normal(shape)
 
 
-def clip_and_adam(store, state, grads, max_norm=0.0):
-    """The clip and Adam update of a training step over `store`: each of
-    `grads` written into its view of the optimizer's gradient block and set
-    as that parameter's gradient, the joint norm from `clip_global_norm`,
-    then `adam_step` by `clip_scale` of it (max_norm 0: no clipping).
-    Returns the norm."""
-    for name, g in grads.items():
-        state.g[name][...] = g
-        store[name].grad = state.g[name]
-    norm = clip_global_norm(store, lambda: sums_of_squares([]))
-    adam_step(store, state, clip_scale(norm, max_norm))
+def clip_and_adam(state, grads, max_norm=0.0):
+    """The clip and Adam update of a training step over the parameters
+    `grads` names: each written into its view of the optimizer's gradient
+    block, their joint norm from `clip_global_norm`, then `adam_step`
+    t + 1 by `clip_scale` of it (max_norm 0: no clipping).  Returns the
+    norm."""
+    names = [name for name in state.spans if name in grads]  # store order
+    for name in names:
+        state.g[name][...] = grads[name]
+    norm = clip_global_norm(state, names, lambda: sums_of_squares(state, []))
+    adam_step(state, names, state.t + 1, clip_scale(norm, max_norm))
     return norm
+
+
+def grad_check(f, x, h=1e-5):
+    """Max relative error between analytic and central-difference gradients.
+
+    Denominator is max(|analytic|, |numeric|, 1e-8) per coordinate.  Only
+    meaningful for deterministic f with dropout disabled; graphs that contain
+    a straight-through quantization step are exempt by contract (the
+    estimator is not the true derivative there).
+    """
+    probe = Tensor(x.data.copy(), requires_grad=True)
+    out = f(probe)
+    backward(out)
+    analytic = probe.grad if probe.grad is not None else np.zeros_like(probe.data)
+
+    flat = x.data.reshape(-1).copy()
+    numeric = np.zeros_like(flat)
+    for i in range(flat.size):
+        bumped = flat.copy()
+        bumped[i] += h
+        f_plus = float(f(Tensor(bumped.reshape(x.data.shape))).data)
+        bumped[i] -= 2 * h
+        f_minus = float(f(Tensor(bumped.reshape(x.data.shape))).data)
+        numeric[i] = (f_plus - f_minus) / (2 * h)
+    numeric = numeric.reshape(x.data.shape)
+
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float(np.max(np.abs(analytic - numeric) / denom))

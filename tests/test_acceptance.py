@@ -18,6 +18,8 @@ from uspc.optim import ParamStore
 from uspc.rng import NamedRng
 from uspc.vq import Codebook, vq_lookup
 
+from conftest import grad_check
+
 
 def report(name: str, ok: bool, detail: str = "") -> None:
     print(f"\n[{'PASS' if ok else 'FAIL'}] {name}" + (f" :: {detail}" if detail else ""))
@@ -93,12 +95,12 @@ def test_acceptance_gradient_suite():
     worst = 0.0
     for i in range(100):
         x, f = random_case(rng, i)
-        worst = max(worst, ad.grad_check(f, x, h=1e-5))
+        worst = max(worst, grad_check(f, x, h=1e-5))
     # packed inputs draw from their own stream, so the 100 cases above keep theirs
     seg_rng = np.random.default_rng(2025)
     for i in range(25):
         x, f = random_segmented_case(seg_rng, i)
-        worst = max(worst, ad.grad_check(f, x, h=1e-5))
+        worst = max(worst, grad_check(f, x, h=1e-5))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-4 and elapsed < 60
     report("gradient suite: 100 random graphs + 25 packed ones, max rel err < 1e-4, "

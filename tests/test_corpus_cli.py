@@ -479,6 +479,10 @@ def test_cli_bad_config_value_exits_1(tmp_path, capsys):
                        ("vq_beta = nan", "vq_beta"),
                        ("grad_clip_norm = nan", "grad_clip_norm"),
                        ("plateau_delta = nan", "plateau_delta"),
+                       ("max_steps = -3", "max_steps"),
+                       ("dead_code_steps = 0", "dead_code_steps"),
+                       ("dead_code_steps = -1", "dead_code_steps"),
+                       ("plateau_epochs = 0", "plateau_epochs"),
                        ("model = x", "model")]:
         cfg_path.write_text(line + "\n")
         assert main(["train", "--corpus", str(tmp_path), "--config", str(cfg_path),

@@ -1,6 +1,7 @@
 """Loss assembly identities, mode switches, gradient-flow contracts, seed
 determinism, and checkpoint round trips on tiny corpora."""
 
+import copy
 import hashlib
 import math
 import multiprocessing
@@ -622,7 +623,7 @@ def _epoch_loop_batches(cfg, records, n_steps):
     chunks of each epoch's primary permutation, its speech batches from
     `_cursor_walk`."""
     rng = NamedRng(cfg.seed)
-    paired, unpaired = training_mod._pools(records, cfg.mode)
+    paired, unpaired = training_mod._pools(records, cfg)
     primary = paired if cfg.mode != "vc-only" else unpaired
     size = cfg.batch_paired if cfg.mode != "vc-only" else max(cfg.batch_unpaired, 1)
     speech = _cursor_walk(rng, len(unpaired), cfg.batch_unpaired if unpaired else 0, n_steps)
@@ -826,6 +827,46 @@ def test_vc_worker_steps_are_bitwise_the_inline_steps(tiny_corpus, tmp_path, mon
         assert sum(reseeded) > 0
 
 
+@pytest.mark.parametrize("worker", [False, True], ids=["inline", "worker"])
+def test_joint_step_leaves_no_parameter_gradient_set(tiny_corpus, worker):
+    # both ranges are clipped and updated by name over the gradient block
+    records = tiny_corpus["train"]
+    cfg = small_train_config()
+    model, opt = JointModel.for_run(cfg)
+    vc_worker = training_mod.VcWorker(model, opt, cfg) if worker else None
+    try:
+        joint_step(records[:2], records[2:4], model, opt, cfg, step=0, vc_worker=vc_worker)
+    finally:
+        if vc_worker is not None:
+            vc_worker.close()
+    assert opt.t == 1 and opt.v[next(iter(model.store))].any()
+    assert [name for name, p in model.store.items() if p.grad is not None] == []
+
+
+def test_vc_worker_sent_copies_of_the_speech_records_is_bitwise_the_inline_side(
+        tiny_corpus, openblas_threads):
+    # a "step" request carries its records: the worker needs no pool, and
+    # records that are not the main process's objects give the same bytes
+    records = tiny_corpus["train"]
+    cfg = small_train_config(dead_code_steps=2)
+    training_mod.blas_threads(1)  # both sides at the worker's count
+    speech = [records[2:4], records[4:6], records[1:3]]
+    runs = []
+    for worker in (True, False):
+        model, opt = JointModel.for_run(cfg)
+        seed_codebook_from_batch(model, records[:4])
+        vc_worker = training_mod.VcWorker(model, opt, cfg) if worker else None
+        try:
+            reports = [joint_step(records[:2], copy.deepcopy(batch) if worker else batch,
+                                  model, opt, cfg, step, vc_worker=vc_worker).csv_row()
+                       for step, batch in enumerate(speech)]
+        finally:
+            if vc_worker is not None:
+                vc_worker.close()
+        runs.append((reports, _state_digest(model, opt)))
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("mode", ["tts-only", "vc-only"])
 def test_single_pipeline_modes_start_no_process(tiny_corpus, monkeypatch, mode):
     _cpus(monkeypatch, 2)
@@ -963,14 +1004,14 @@ def test_nonfinite_gradient_in_the_worker_range_changes_nothing(tiny_corpus, mon
 def test_vc_worker_death_in_the_update_raises_uspc_error_naming_its_exit_code(
         tiny_corpus, monkeypatch):
     main_pid = os.getpid()
-    real_adam_update = training_mod.adam_update
+    real_adam_step = training_mod.adam_step
 
-    def dying(opt, names, scale):
+    def dying(opt, names, t, scale):
         if os.getpid() != main_pid:
             os._exit(9)
-        return real_adam_update(opt, names, scale)
+        return real_adam_step(opt, names, t, scale)
 
-    monkeypatch.setattr(training_mod, "adam_update", dying)
+    monkeypatch.setattr(training_mod, "adam_step", dying)
     _cpus(monkeypatch, 2)
     with pytest.raises(UspcError, match="exited with code 9"):
         train(small_train_config(max_steps=3), tiny_corpus["train"])
