@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 from .errors import ConfigError, decode_utf8
 from .features import N_MELS
@@ -17,35 +18,28 @@ MODES = ("full", "tts-only", "vc-only", "novq")
 class ModelConfig:
     """Architecture hyperparameters.  Defaults are the published sizes."""
 
-    p_vocab: int = 64
     d_model: int = 256
     n_heads: int = 2
     text_blocks: int = 4
     content_blocks: int = 6
     decoder_blocks: int = 6
-    kernel_size: int = 3
     dropout: float = 0.5
-    n_mels: int = N_MELS
     codebook_size: int = 256
+    n_mels: ClassVar[int] = N_MELS  # the corpus's mel bins; not a key
 
     def validate(self) -> None:
-        for key in ("p_vocab", "d_model", "n_heads"):
+        for key in ("d_model", "n_heads"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"model.{key} must be >= 1, got {getattr(self, key)}")
         for key in ("text_blocks", "content_blocks", "decoder_blocks"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"model.{key} must be >= 0, got {getattr(self, key)}")
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise ConfigError(f"model.kernel_size must be odd and >= 1, got {self.kernel_size}")
         if self.d_model % self.n_heads:
             raise ConfigError(f"d_model {self.d_model} not divisible by heads {self.n_heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.codebook_size < 1:
             raise ConfigError("codebook must have at least one entry")
-        if self.n_mels != N_MELS:
-            raise ConfigError(f"model.n_mels must be {N_MELS}, the corpus's mel bins, "
-                              f"got {self.n_mels}")
 
 
 @dataclass
@@ -55,21 +49,14 @@ class TrainConfig:
 
     seed: int = 0
     mode: str = "full"  # one of MODES
-    lr_init: float = 1e-3
     lr_decay_per_epoch: float = 0.95
     batch_paired: int = 8
     batch_unpaired: int = 8
     max_steps: int = 2000
-    grad_clip_norm: float = 1.0
-    w_mel: float = 1.0
     w_pitch: float = 0.1
-    w_duration: float = 0.1
     w_pair: float = 1.0
-    w_vq: float = 1.0
-    vq_beta: float = 0.25
     dead_code_steps: int = 500
     plateau_epochs: int = 5
-    plateau_delta: float = 1e-4
     model: ModelConfig = field(default_factory=ModelConfig)
 
     @property
@@ -88,12 +75,9 @@ class TrainConfig:
         return self.mode != "novq"
 
     def validate(self) -> None:
-        for key in ("lr_init", "grad_clip_norm", "w_mel", "w_pitch", "w_duration", "w_pair",
-                    "w_vq", "vq_beta", "plateau_delta"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
-        if self.lr_init <= 0:
-            raise ConfigError(f"lr_init must be > 0, got {self.lr_init}")
+        for key in ("w_pitch", "w_pair"):
+            if not 0.0 <= getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
         if not 0.0 < self.lr_decay_per_epoch <= 1.0:
             raise ConfigError(f"lr decay must be in (0, 1], got {self.lr_decay_per_epoch}")
         if self.batch_paired < 1 or self.batch_unpaired < 0:

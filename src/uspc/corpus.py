@@ -22,7 +22,7 @@ import numpy as np
 
 from .encoders import expansion_map, quantize_f0_array
 from .errors import ConfigError, DataError, IntegrityError, decode_utf8
-from .features import N_MELS, N_PITCH_BINS
+from .features import N_MELS, N_PHONEMES, N_PITCH_BINS
 
 
 @dataclass
@@ -106,7 +106,7 @@ class CorpusSpec:
     labeled_fraction: float = 1.0
     n_test_speakers: int = 4
     test_utts_per_speaker: int | None = None
-    p_vocab: int = 64
+    p_vocab: int = N_PHONEMES
     noise: float = 0.05
     offset_scale: float = 4.0
     base_level: float = 0.0
@@ -190,6 +190,12 @@ def gen_corpus(out_dir, seed: int, spec: CorpusSpec | None = None
         raise ConfigError("need at least 2 speakers with 2 utterances each")
     if not 0.0 <= spec.labeled_fraction <= 1.0:
         raise ConfigError(f"labeled_fraction must be in [0, 1], got {spec.labeled_fraction}")
+    if spec.n_test_speakers < 0:
+        raise ConfigError(f"n_test_speakers must be >= 0, got {spec.n_test_speakers}")
+    if spec.test_utts_per_speaker is not None and spec.test_utts_per_speaker < 1:
+        raise ConfigError(f"test_utts_per_speaker must be >= 1, got {spec.test_utts_per_speaker}")
+    if not 0.0 <= spec.noise < np.inf:
+        raise ConfigError(f"noise must be finite and >= 0, got {spec.noise}")
 
     rng = np.random.default_rng(seed)
     n_total = spec.n_speakers + spec.n_test_speakers

@@ -9,7 +9,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig
 from .errors import DataError, PairingError
-from .features import F0_MAX, F0_MIN, N_PITCH_BINS
+from .features import F0_MAX, F0_MIN, N_MELS, N_PHONEMES, N_PITCH_BINS
 from .layers import Conv1d, ConvPredictorStack, Ctx, Embedding, FFTStack, LayerNorm, Linear
 from .optim import ParamStore
 from .rng import NamedRng
@@ -19,7 +19,7 @@ class TextEncoder:
     """Phoneme embedding + positions + a stack of FFT blocks."""
 
     def __init__(self, store: ParamStore, rng: NamedRng, cfg: ModelConfig):
-        self.embed = Embedding(store, rng, "text_encoder.embed", cfg.p_vocab, cfg.d_model)
+        self.embed = Embedding(store, rng, "text_encoder.embed", N_PHONEMES, cfg.d_model)
         self.stack = FFTStack(store, rng, "text_encoder", cfg, cfg.text_blocks)
 
     def __call__(self, phoneme_ids: np.ndarray, ctx: Ctx) -> Tensor:
@@ -34,7 +34,7 @@ class DurationPredictor:
 
     def __init__(self, store: ParamStore, rng: NamedRng, cfg: ModelConfig):
         self.stack = ConvPredictorStack(store, rng, "duration_predictor",
-                                        cfg.d_model, 1, cfg.kernel_size, cfg.dropout)
+                                        cfg.d_model, 1, cfg.dropout)
 
     def __call__(self, h: Tensor, ctx: Ctx) -> Tensor:
         out = self.stack(h, ctx)  # (T_x, 1)
@@ -70,7 +70,7 @@ class ContentEncoder:
     """Frame-aligned speech-content representation from log-mel input."""
 
     def __init__(self, store: ParamStore, rng: NamedRng, cfg: ModelConfig):
-        self.pre = Linear(store, rng, "content_encoder.pre", cfg.n_mels, cfg.d_model)
+        self.pre = Linear(store, rng, "content_encoder.pre", N_MELS, cfg.d_model)
         self.stack = FFTStack(store, rng, "content_encoder", cfg, cfg.content_blocks)
 
     def __call__(self, mel_frames: np.ndarray, ctx: Ctx) -> Tensor:
@@ -88,10 +88,9 @@ class SpeakerEncoder:
 
     def __init__(self, store: ParamStore, rng: NamedRng, cfg: ModelConfig):
         d = cfg.d_model
-        self.conv1 = Conv1d(store, rng, "speaker_encoder.conv1", cfg.n_mels, d,
-                            cfg.kernel_size)
+        self.conv1 = Conv1d(store, rng, "speaker_encoder.conv1", N_MELS, d)
         self.norm1 = LayerNorm(store, "speaker_encoder.norm1", d)
-        self.conv2 = Conv1d(store, rng, "speaker_encoder.conv2", d, d, cfg.kernel_size)
+        self.conv2 = Conv1d(store, rng, "speaker_encoder.conv2", d, d)
         self.norm2 = LayerNorm(store, "speaker_encoder.norm2", d)
         # zero-init projection: the embedding starts utterance-independent and
         # grows only where reconstruction actually needs speaker identity

@@ -16,6 +16,7 @@ import scipy.fft
 from .errors import DataError
 
 N_MELS = 80
+N_PHONEMES = 64  # phoneme vocabulary of the text encoder
 
 F0_MIN = 50.0
 F0_MAX = 600.0

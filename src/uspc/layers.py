@@ -19,6 +19,8 @@ from .errors import DataError
 from .optim import ParamStore
 from .rng import NamedRng
 
+KERNEL_SIZE = 3  # taps of every temporal convolution in the model
+
 
 @dataclass
 class Ctx:
@@ -68,13 +70,12 @@ class Linear:
 
 
 class Conv1d:
-    """Temporal conv, kernel (K, Cin, Cout), zero same-padding."""
+    """Temporal conv, kernel (KERNEL_SIZE, Cin, Cout), zero same-padding."""
 
-    def __init__(self, store: ParamStore, rng: NamedRng, name: str,
-                 c_in: int, c_out: int, kernel_size: int = 3):
-        std = np.sqrt(2.0 / (kernel_size * c_in + c_out))
+    def __init__(self, store: ParamStore, rng: NamedRng, name: str, c_in: int, c_out: int):
+        std = np.sqrt(2.0 / (KERNEL_SIZE * c_in + c_out))
         self.w = store.param(f"{name}.w",
-                             rng.normal(f"init/{name}", (kernel_size, c_in, c_out), std))
+                             rng.normal(f"init/{name}", (KERNEL_SIZE, c_in, c_out), std))
         self.b = store.param(f"{name}.b", np.zeros(c_out))
 
     def __call__(self, x: Tensor, ctx: Ctx) -> Tensor:
@@ -178,10 +179,10 @@ class FFTBlock:
     first block."""
 
     def __init__(self, store: ParamStore, rng: NamedRng, name: str, dim: int,
-                 n_heads: int, kernel_size: int, dropout_rate: float):
+                 n_heads: int, dropout_rate: float):
         self.attn = MultiHeadAttention(store, rng, f"{name}.attn", dim, n_heads)
-        self.conv1 = Conv1d(store, rng, f"{name}.conv1", dim, dim, kernel_size)
-        self.conv2 = Conv1d(store, rng, f"{name}.conv2", dim, dim, kernel_size)
+        self.conv1 = Conv1d(store, rng, f"{name}.conv1", dim, dim)
+        self.conv2 = Conv1d(store, rng, f"{name}.conv2", dim, dim)
         self.norm1 = LayerNorm(store, f"{name}.norm1", dim)
         self.norm2 = LayerNorm(store, f"{name}.norm2", dim)
         self.drop1 = Dropout(f"{name}.drop1", dropout_rate)
@@ -203,8 +204,7 @@ class FFTStack:
     def __init__(self, store: ParamStore, rng: NamedRng, name: str, cfg: ModelConfig,
                  n_blocks: int):
         self.blocks = [FFTBlock(store, rng, f"{name}.block{i}", cfg.d_model, cfg.n_heads,
-                                cfg.kernel_size, cfg.dropout)
-                       for i in range(n_blocks)]
+                                cfg.dropout) for i in range(n_blocks)]
         self.d_model = cfg.d_model
 
     def __call__(self, x: Tensor, ctx: Ctx) -> Tensor:
@@ -222,10 +222,10 @@ class ConvPredictorStack:
     """
 
     def __init__(self, store: ParamStore, rng: NamedRng, name: str, dim: int,
-                 out_dim: int, kernel_size: int, dropout_rate: float):
-        self.conv1 = Conv1d(store, rng, f"{name}.conv1", dim, dim, kernel_size)
+                 out_dim: int, dropout_rate: float):
+        self.conv1 = Conv1d(store, rng, f"{name}.conv1", dim, dim)
         self.norm1 = LayerNorm(store, f"{name}.norm1", dim)
-        self.conv2 = Conv1d(store, rng, f"{name}.conv2", dim, dim, kernel_size)
+        self.conv2 = Conv1d(store, rng, f"{name}.conv2", dim, dim)
         self.norm2 = LayerNorm(store, f"{name}.norm2", dim)
         self.head = Linear(store, rng, f"{name}.head", dim, out_dim)
         self.drop1 = Dropout(f"{name}.drop1", dropout_rate)

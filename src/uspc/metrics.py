@@ -352,7 +352,8 @@ def evaluate(records: list[UtteranceRecord], model: JointModel) -> EvalResult:
 
     Durations are teacher-forced so reference and synthesis stay
     frame-synchronous; pitch is predicted, and the speaker embedding comes
-    from a different utterance of the same speaker.
+    from the speaker's next utterance (`_reference_map`), which for a
+    speaker with one utterance is that utterance itself.
 
     The split is one packed batch: the speaker encoder, the content encoder
     and the TTS pipeline each run once over it, and their outputs serve

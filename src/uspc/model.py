@@ -44,7 +44,7 @@ class JointModel:
         """The model and optimizer state a training run of `cfg` starts
         from: novq quantizes by identity, and Adam packs every parameter."""
         model = cls(cfg.model, seed=cfg.seed, use_vq=cfg.uses_vq)
-        return model, AdamState.for_params(model.store, lr=cfg.lr_init)
+        return model, AdamState.for_params(model.store)
 
     # -- shared pieces ---------------------------------------------------------
 

@@ -55,6 +55,7 @@ class ParamStore(dict):
 # it meets stay in cache (4,096 and 65,536 were slower)
 CHUNK = 16_384
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+LR = 1e-3  # the learning rate a run starts at; each epoch decays it
 
 
 def shared_arrays(shapes: dict[str, tuple[int, ...]]
@@ -84,7 +85,7 @@ class AdamState:
     nearest half the values; a VC worker updates the parameters from there.
     """
 
-    lr: float = 1e-3
+    lr: float = LR
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -95,7 +96,7 @@ class AdamState:
     cut: int = 0
 
     @classmethod
-    def for_params(cls, params: ParamStore, lr: float = 1e-3) -> "AdamState":
+    def for_params(cls, params: ParamStore) -> "AdamState":
         """Zero moments for `params`, which move into the parameter block,
         bytes unchanged.  In-place writes (Adam, codebook seeding and
         reseeding) then reach a process forked afterwards; a parameter whose
@@ -112,7 +113,7 @@ class AdamState:
         # before it are nearest one half
         before = list(itertools.accumulate(sizes, initial=0))
         k = min(range(len(before)), key=lambda k: abs(2 * before[k] - before[-1]))
-        return cls(lr=lr, m=m, v=v, g=g, p=p, blocks=(flat_p, flat_m, flat_v, flat_g),
+        return cls(m=m, v=v, g=g, p=p, blocks=(flat_p, flat_m, flat_v, flat_g),
                    cut=(list(offsets.values()) + [flat_p.size])[k],
                    spans={name: (offsets[name], offsets[name] + size)
                           for name, size in zip(shapes, sizes)})

@@ -10,7 +10,7 @@ from .autodiff import Tensor
 from .config import ModelConfig
 from .encoders import bin_center_hz
 from .errors import ShapeError
-from .features import N_PITCH_BINS
+from .features import N_MELS, N_PITCH_BINS
 from .layers import ConvPredictorStack, Ctx, FFTStack, Linear, per_row
 from .optim import ParamStore
 from .rng import NamedRng
@@ -24,7 +24,7 @@ class Decoder:
 
     def __init__(self, store: ParamStore, rng: NamedRng, cfg: ModelConfig):
         self.stack = FFTStack(store, rng, "decoder", cfg, cfg.decoder_blocks)
-        self.out = Linear(store, rng, "decoder.out", cfg.d_model, cfg.n_mels)
+        self.out = Linear(store, rng, "decoder.out", cfg.d_model, N_MELS)
 
     def __call__(self, q: QuantizedContent, speaker: Tensor, prosody: Tensor,
                  ctx: Ctx) -> Tensor:
@@ -42,7 +42,7 @@ class PitchPredictor:
 
     def __init__(self, store: ParamStore, rng: NamedRng, cfg: ModelConfig):
         self.stack = ConvPredictorStack(store, rng, "pitch_predictor", cfg.d_model,
-                                        N_PITCH_BINS, cfg.kernel_size, cfg.dropout)
+                                        N_PITCH_BINS, cfg.dropout)
 
     def __call__(self, q: QuantizedContent, speaker: Tensor, ctx: Ctx) -> Tensor:
         return self.stack(ad.add(q.vectors, per_row(speaker, ctx.offsets)), ctx)

@@ -45,6 +45,10 @@ from .optim import AdamState, adam_step, clip_global_norm, clip_scale, sums_of_s
 from .synthesis import decode_f0
 from .vq import QuantizedContent, pair_loss, vq_aux_loss
 
+W_DURATION = 0.1       # weight of the log-duration MSE; mel and VQ terms weigh 1
+GRAD_CLIP_NORM = 1.0   # the joint gradient norm is clipped to this
+PLATEAU_DELTA = 1e-4   # an epoch mean must beat the best by more to count
+
 
 @dataclass
 class LossReport:
@@ -52,10 +56,10 @@ class LossReport:
     the reported pipeline losses keep auxiliary terms separate."""
 
     step: int = 0
-    l_tts_rec: float = 0.0   # w_mel * mel MSE + w_pitch * pitch CE (paired batch)
+    l_tts_rec: float = 0.0   # mel MSE + w_pitch * pitch CE (paired batch)
     l_pair: float = 0.0      # raw quantized-content distance
     l_duration: float = 0.0  # raw log-duration MSE
-    l_vc_rec: float = 0.0    # w_mel * mel MSE + w_pitch * pitch CE (speech batch)
+    l_vc_rec: float = 0.0    # mel MSE + w_pitch * pitch CE (speech batch)
     l_vq_aux: float = 0.0    # raw codebook + commitment loss
     total: float = 0.0
     mel_tts: float = 0.0
@@ -126,7 +130,7 @@ def _reconstruct(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConf
     mel_pred = model.synthesize(q, s, p, ctx)
     logits = model.pitch_predictor(q, s, ctx)
     frag = Fragment(quantized=q, n_utts=len(batch),
-                    aux=vq_aux_loss(q, cfg.vq_beta, ctx.offsets) if model.use_vq else None,
+                    aux=vq_aux_loss(q, ctx.offsets) if model.use_vq else None,
                     mel=ad.mse(mel_pred, Tensor(mel), ctx.offsets),
                     pitch_ce=ad.softmax_cross_entropy(logits, bins, ctx.offsets))
     return frag, logits
@@ -179,7 +183,7 @@ def pair_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
     qs = model.quantize(model.content_encoder(_mels(batch), ctx))
     agree = int((text_quantized.codes == qs.codes).sum())
     return Fragment(quantized=qs, n_utts=len(batch),
-                    aux=vq_aux_loss(qs, cfg.vq_beta, ctx.offsets) if model.use_vq else None,
+                    aux=vq_aux_loss(qs, ctx.offsets) if model.use_vq else None,
                     pair=pair_loss(text_quantized, qs, ctx.offsets),
                     code_agreement=agree / max(qs.n_frames, 1))
 
@@ -213,16 +217,16 @@ def half_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
               step: int, n_aux: int, speech: bool = False) -> Half:
     """The text half of a step (`tts_step`, plus `pair_step` when both
     pipelines train) or with `speech` its speech half (`vc_step`), and a
-    backward pass from rec + pair * w_pair + duration * w_duration +
-    aux * w_vq, each fragment's aux weighted by its share n_utts / n_aux of
-    the utterances that ran through the VQ this step.  Inline and in the
-    worker the same function runs, so both give the same bytes."""
+    backward pass from rec + pair * w_pair + duration * W_DURATION + aux,
+    each fragment's aux weighted by its share n_utts / n_aux of the
+    utterances that ran through the VQ this step.  Inline and in the worker
+    the same function runs, so both give the same bytes."""
     side = "vc" if speech else "tts"
     first = (vc_step if speech else tts_step)(batch, model, cfg, step)
     frags = [first]
     if not speech and cfg.trains_pair:
         frags.append(pair_step(batch, model, cfg, step, first.quantized))
-    rec = first.mel * cfg.w_mel + first.pitch_ce * cfg.w_pitch
+    rec = first.mel + first.pitch_ce * cfg.w_pitch
     pair = frags[-1].pair if frags[-1].pair is not None else Tensor(0.0)
     duration = first.duration if first.duration is not None else Tensor(0.0)
     aux = Tensor(0.0)
@@ -231,7 +235,7 @@ def half_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
             aux = aux + f.aux * (f.n_utts / n_aux)
 
     model.store.zero_grad()
-    ad.backward(rec + pair * cfg.w_pair + duration * cfg.w_duration + aux * cfg.w_vq)
+    ad.backward(rec + pair * cfg.w_pair + duration * W_DURATION + aux)
     grads = {name: p.grad for name, p in model.store.items() if p.grad is not None}
     model.store.zero_grad()
     values = {f"l_{side}_rec": rec.item(), f"mel_{side}": first.mel.item(),
@@ -396,7 +400,7 @@ def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
     # summed in the order of the objective's terms, as one graph over the
     # joint loss would sum them
     report.total = (report.l_tts_rec + report.l_vc_rec + report.l_pair * cfg.w_pair
-                    + report.l_duration * cfg.w_duration + report.l_vq_aux * cfg.w_vq)
+                    + report.l_duration * W_DURATION + report.l_vq_aux)
     if not math.isfinite(report.total):
         raise TrainingDiverged(f"non-finite loss at step {step}")
 
@@ -418,7 +422,7 @@ def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
     side.send("sums", rest)
     merge(head)
     report.grad_norm = clip_global_norm(opt, head, side.reply)
-    scale = clip_scale(report.grad_norm, cfg.grad_clip_norm)
+    scale = clip_scale(report.grad_norm, GRAD_CLIP_NORM)
     side.send("adam", rest, opt.t + 1, opt.lr, scale)
     adam_step(opt, head, opt.t + 1, scale)
     side.reply()  # done: the bookkeeping below may write what it updated
@@ -495,7 +499,7 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
     steps to an epoch, and in a text mode on `_speech_batch` of step s.
 
     Convergence rule: stop early when the epoch's mean `LossReport.total`
-    has not improved on the best epoch's by more than plateau_delta for
+    has not improved on the best epoch's by more than PLATEAU_DELTA for
     plateau_epochs consecutive epochs.  `stop_when(report)` may end
     training once a target is met.
 
@@ -571,7 +575,7 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
                 last_checkpoint = checkpoint_path
             epoch_loss = epoch_total / (chunk + 1)
             epoch_total = 0.0
-            if epoch_loss < best_loss - cfg.plateau_delta:
+            if epoch_loss < best_loss - PLATEAU_DELTA:
                 best_loss, stale_epochs = epoch_loss, 0
             else:
                 stale_epochs += 1

@@ -19,6 +19,8 @@ from .errors import ConfigError, PairingError
 from .optim import ParamStore
 from .rng import NamedRng
 
+VQ_BETA = 0.25  # weight of the commitment term in `vq_aux_loss`
+
 
 class Codebook:
     """V embedding vectors plus idle bookkeeping.
@@ -134,16 +136,15 @@ def pair_loss(qp: QuantizedContent, qs: QuantizedContent,
     return ad.mse(qp.vectors, qs.vectors, offsets)
 
 
-def vq_aux_loss(q: QuantizedContent, beta: float = 0.25,
-                offsets: np.ndarray | None = None) -> Tensor:
+def vq_aux_loss(q: QuantizedContent, offsets: np.ndarray | None = None) -> Tensor:
     """Codebook + commitment terms; for a packed batch the mean over the
     segments of `offsets`.
 
     ||sg(c) - e||^2 moves the selected entries toward the encoder output;
-    beta * ||c - sg(e)||^2 commits the encoder to its entries.  Stop
+    VQ_BETA * ||c - sg(e)||^2 commits the encoder to its entries.  Stop
     gradients are realized by detached copies.
     """
     chosen = ad.gather_rows(q.book.entries, q.codes)   # differentiable into the book
     codebook_term = ad.mse(q.continuous.detach(), chosen, offsets)
     commit_term = ad.mse(q.continuous, chosen.detach(), offsets)
-    return ad.add(codebook_term, ad.mul(commit_term, ad.Tensor(beta)))
+    return ad.add(codebook_term, ad.mul(commit_term, ad.Tensor(VQ_BETA)))

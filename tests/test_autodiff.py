@@ -535,7 +535,8 @@ def test_adam_zero_gradient_keeps_params():
     store = ParamStore()
     p = store.param("w", rand((3, 3), 80))
     before = p.data.copy()
-    state = AdamState.for_params(store, lr=0.01)
+    state = AdamState.for_params(store)
+    state.lr = 0.01
     clip_and_adam(state, {"w": np.zeros_like(p.data)})
     np.testing.assert_array_equal(p.data, before)
     assert state.t == 1
@@ -544,7 +545,8 @@ def test_adam_zero_gradient_keeps_params():
 def test_adam_first_step_hand_expansion():
     store = ParamStore()
     p = store.param("w", np.array(0.0))
-    state = AdamState.for_params(store, lr=0.001)
+    state = AdamState.for_params(store)
+    state.lr = 0.001
     clip_and_adam(state, {"w": np.array(1.0)})
     # m_hat = v_hat = 1 after bias correction; delta = -lr / (1 + eps)
     expected = -0.001 / (1.0 + 1e-8)
@@ -563,7 +565,8 @@ def test_adam_two_steps_match_reference_trace():
 
     store = ParamStore()
     p = store.param("w", np.array(0.5))
-    state = AdamState.for_params(store, lr=lr)
+    state = AdamState.for_params(store)
+    state.lr = lr
     clip_and_adam(state, {"w": np.array(g1)})
     clip_and_adam(state, {"w": np.array(g2)})
     assert abs(float(p.data) - theta) < 1e-14
@@ -575,7 +578,8 @@ def test_adam_lr_zero_is_identity(seed):
     store = ParamStore()
     p = store.param("w", rand((2, 2), seed))
     before = p.data.copy()
-    state = AdamState.for_params(store, lr=0.0)
+    state = AdamState.for_params(store)
+    state.lr = 0.0
     clip_and_adam(state, {"w": rand((2, 2), seed + 1)})
     np.testing.assert_array_equal(p.data, before)
 
@@ -609,7 +613,8 @@ def test_adam_nonfinite_gradient_changes_nothing():
     store = ParamStore()
     store.param("a", rand((2, 3), 81))
     store.param("b", rand((3,), 82))
-    state = AdamState.for_params(store, lr=0.01)
+    state = AdamState.for_params(store)
+    state.lr = 0.01
     clip_and_adam(state, {"a": rand((2, 3), 83), "b": rand((3,), 84)})
     before = _optimizer_state(store, state)
     with pytest.raises(TrainingDiverged, match="'b'"):

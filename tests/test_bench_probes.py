@@ -33,7 +33,7 @@ def test_probes_cover_training_and_inference_layers(tiny_corpus):
     records = tiny_corpus["train"]
     cfg = small_train_config(mode="full")
     model = JointModel(cfg.model, seed=cfg.seed)
-    opt = AdamState.for_params(model.store, lr=cfg.lr_init)
+    opt = AdamState.for_params(model.store)
 
     tracer = Tracer()
     probes.instrument(tracer)
@@ -66,7 +66,7 @@ def test_backward_node_count_is_the_graph_before_the_pass(tiny_corpus, monkeypat
     records = tiny_corpus["train"]
     cfg = small_train_config(mode="full")
     model = JointModel(cfg.model, seed=cfg.seed)
-    opt = AdamState.for_params(model.store, lr=cfg.lr_init)
+    opt = AdamState.for_params(model.store)
     before = []
     original = autodiff.backward
 

@@ -15,8 +15,8 @@ from uspc.errors import UspcError
 from uspc.model import JointModel
 from uspc.optim import AdamState
 
-TINY = ModelConfig(p_vocab=8, d_model=4, n_heads=2, text_blocks=1, content_blocks=1,
-                   decoder_blocks=1, codebook_size=4)
+TINY = ModelConfig(d_model=4, n_heads=2, text_blocks=1, content_blocks=1, decoder_blocks=1,
+                   codebook_size=4)
 
 
 def _dim_offsets(raw: bytes) -> list[int]:
@@ -44,7 +44,7 @@ def saved(tmp_path_factory):
     offsets of its dimensions."""
     cfg = TrainConfig(seed=3, model=TINY)
     model = JointModel(TINY, seed=3)
-    opt = AdamState.for_params(model.store, lr=cfg.lr_init)
+    opt = AdamState.for_params(model.store)
     rng = np.random.default_rng(0)
     for name in model.store:
         opt.m[name][...] = rng.standard_normal(opt.m[name].shape)

@@ -15,11 +15,12 @@ from uspc.cli import main
 from uspc.corpus import (CorpusSpec, UtteranceRecord, gen_corpus, load_corpus,
                          read_matrix, render_frames, write_corpus, write_matrix)
 from uspc.errors import ConfigError, DataError, FormatError, IntegrityError
+from uspc.features import N_PHONEMES
 from uspc.model import JointModel
 from uspc.optim import AdamState
 from uspc.training import train, vc_step
 
-from conftest import small_model_config, small_train_config
+from conftest import small_train_config
 
 
 # ---------------------------------------------------------------- factor model
@@ -77,6 +78,14 @@ def test_gen_corpus_validates_args(tmp_path):
         gen_corpus(tmp_path / "y", seed=0, spec=CorpusSpec(labeled_fraction=1.5))
     with pytest.raises(ConfigError, match="seed"):
         gen_corpus(tmp_path / "z", seed=-1)
+    # values the generator cannot honour: fewer training speakers, the
+    # training count of test utterances, or noise that is never applied
+    for field, value in [("n_test_speakers", -1), ("test_utts_per_speaker", 0),
+                         ("test_utts_per_speaker", -1), ("noise", -0.5),
+                         ("noise", float("nan"))]:
+        with pytest.raises(ConfigError, match=field):
+            gen_corpus(tmp_path / "w", seed=0, spec=CorpusSpec(n_speakers=2, **{field: value}))
+    assert not (tmp_path / "w").exists()
 
 
 # ---------------------------------------------------------------- corpus io
@@ -277,18 +286,32 @@ def test_checkpoint_with_removed_pitch_bins_key_is_config_error(trained, tiny_co
     path, _, _ = trained
     raw = path.read_bytes()
     (n,) = struct.unpack("<I", raw[8:12])
+    anchor = b"model.codebook_size = 16\n"
+    assert raw[12:12 + n].count(anchor) == 1
     # keys older checkpoints carry; each is refused, none silently ignored
-    for key, line in [("n_pitch_bins", b"model.n_pitch_bins = 32\n"),
-                      ("fusion", b"model.fusion = additive\n"),
-                      ("checkpoint_every_epochs", b"checkpoint_every_epochs = 1\n")]:
-        text = raw[12:12 + n].replace(b"model.n_mels = 80\n", b"model.n_mels = 80\n" + line)
+    for line in [b"model.n_pitch_bins = 32", b"model.fusion = additive",
+                 b"checkpoint_every_epochs = 1", b"lr_init = 0.001", b"grad_clip_norm = 1.0",
+                 b"w_mel = 1.0", b"w_duration = 0.1", b"w_vq = 1.0", b"vq_beta = 0.25",
+                 b"plateau_delta = 0.0001", b"model.p_vocab = 64", b"model.kernel_size = 3",
+                 b"model.n_mels = 80"]:
+        key = line.split(b" = ")[0].removeprefix(b"model.").decode()
+        text = raw[12:12 + n].replace(anchor, anchor + line + b"\n")
         old = tmp_path / "old.uspc"
         old.write_bytes(raw[:8] + struct.pack("<I", len(text)) + text + raw[12 + n:])
         with pytest.raises(ConfigError, match=key):
             restore_model(load_checkpoint(old))
         assert main(["eval", "--ckpt", str(old), "--corpus", str(tiny_corpus["dir"]),
                      "--out", str(tmp_path / "e.csv")]) == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err, (line, err)
+        cfg_path = tmp_path / "old.cfg"
+        cfg_path.write_bytes(line + b"\n")
+        with pytest.raises(ConfigError, match=key):
+            config_mod.load_config(cfg_path)
+        assert main(["train", "--corpus", str(tiny_corpus["dir"]), "--config", str(cfg_path),
+                     "--out", str(tmp_path / "m.uspc")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err, (line, err)
 
 
 @pytest.mark.parametrize("dims", [(1 << 40,), (1 << 33, 1 << 33), (1 << 62, 4),
@@ -441,12 +464,16 @@ def test_cli_synth_tts_bad_phoneme_ids_exit_1(trained, tiny_corpus, tmp_path, ca
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_train_phoneme_outside_vocabulary_exits_1(tiny_corpus, tmp_path, capsys):
+def test_cli_train_phoneme_outside_vocabulary_exits_1(tmp_path, capsys):
+    # a corpus drawn from 16 phonemes more than the model's vocabulary
+    gen_corpus(tmp_path / "corpus", seed=0,
+               spec=CorpusSpec(n_speakers=2, utts_per_speaker=2, n_test_speakers=0,
+                               p_vocab=N_PHONEMES + 16, min_phonemes=8, max_phonemes=10))
     cfg_path = tmp_path / "t.cfg"
-    write_small_config(cfg_path, max_steps=1, model=small_model_config(p_vocab=8))
-    assert main(["train", "--corpus", str(tiny_corpus["dir"]), "--config", str(cfg_path),
+    write_small_config(cfg_path, max_steps=1)
+    assert main(["train", "--corpus", str(tmp_path / "corpus"), "--config", str(cfg_path),
                  "--out", str(tmp_path / "m.uspc")]) == 1
-    assert "outside vocabulary of 8" in capsys.readouterr().err
+    assert f"outside vocabulary of {N_PHONEMES}" in capsys.readouterr().err
 
 
 def test_cli_unknown_subcommand_exits_2():
@@ -467,18 +494,11 @@ def test_cli_bad_config_value_exits_1(tmp_path, capsys):
     for line, want in [("max_steps = ten", "line 1: max_steps"),
                        ("model.n_heads = 0", "model.n_heads"),
                        ("model.d_model = 0", "model.d_model"),
-                       ("model.p_vocab = 0", "model.p_vocab"),
-                       ("model.kernel_size = -1", "model.kernel_size"),
-                       ("model.kernel_size = 2", "model.kernel_size"),
                        ("model.text_blocks = -1", "model.text_blocks"),
-                       ("model.n_mels = 40", "model.n_mels"),
-                       ("lr_init = nan", "lr_init"),
-                       ("lr_init = inf", "lr_init"),
-                       ("w_mel = nan", "w_mel"),
-                       ("w_vq = -inf", "w_vq"),
-                       ("vq_beta = nan", "vq_beta"),
-                       ("grad_clip_norm = nan", "grad_clip_norm"),
-                       ("plateau_delta = nan", "plateau_delta"),
+                       ("w_pair = -1", "w_pair"),
+                       ("w_pitch = -0.5", "w_pitch"),
+                       ("w_pitch = nan", "w_pitch"),
+                       ("w_pair = inf", "w_pair"),
                        ("max_steps = -3", "max_steps"),
                        ("dead_code_steps = 0", "dead_code_steps"),
                        ("dead_code_steps = -1", "dead_code_steps"),
@@ -489,8 +509,16 @@ def test_cli_bad_config_value_exits_1(tmp_path, capsys):
                      "--out", str(tmp_path / "m.uspc")]) == 1, line
         err = capsys.readouterr().err
         assert err.startswith("error:") and want in err, (line, err)
-    assert main(["gen-data", "--seed", "-1", "--out", str(tmp_path / "c")]) == 1
-    assert capsys.readouterr().err.startswith("error: seed")
+    for flags, want in [(["--seed", "-1"], "seed"),
+                        (["--speakers", "3", "--test-speakers", "-1"], "n_test_speakers"),
+                        (["--test-utts", "0"], "test_utts_per_speaker"),
+                        (["--test-utts", "-2"], "test_utts_per_speaker"),
+                        (["--noise", "-0.5"], "noise"),
+                        (["--noise", "nan"], "noise")]:
+        assert main(["gen-data", *flags, "--out", str(tmp_path / "c")]) == 1, flags
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {want}"), (flags, err)
+    assert not (tmp_path / "c").exists()
 
 
 @pytest.mark.parametrize("target, error", [("config file", ConfigError),

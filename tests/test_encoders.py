@@ -246,8 +246,7 @@ def test_fft_block_builds_ten_nodes(training):
     # for each dropout-residual-norm tail, with or without dropout: the
     # tails unfused made 14 nodes in training and 12 in eval
     store = ParamStore()
-    block = FFTBlock(store, NamedRng(0), "b", dim=8, n_heads=2, kernel_size=3,
-                     dropout_rate=0.5)
+    block = FFTBlock(store, NamedRng(0), "b", dim=8, n_heads=2, dropout_rate=0.5)
     offsets = segment_offsets([3, 1, 4])
     ctx = Ctx(training=training, step=0, uids=("a", "b", "c"), offsets=offsets,
               rng=NamedRng(0))

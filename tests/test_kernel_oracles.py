@@ -441,7 +441,8 @@ def test_adam_matches_reference_for_scalar_and_array_params(lr):
     init = {"s": np.array(0.0), "v": rand(5, 1), "w": np.zeros((3, 4))}
     for name, value in init.items():
         store.param(name, value.copy())
-    state = AdamState.for_params(store, lr=lr)
+    state = AdamState.for_params(store)
+    state.lr = lr
     ref = {n: [v.copy(), np.zeros_like(v), np.zeros_like(v)] for n, v in init.items()}
     for t in range(1, 4):
         grads = {name: rand(p.data.shape, 10 * t + i) for i, (name, p) in enumerate(store.items())}
@@ -458,7 +459,8 @@ def test_adam_nonfinite_scalar_gradient_changes_nothing():
     store = ParamStore()
     store.param("w", rand((2, 2), 1))
     store.param("s", np.array(0.5))
-    state = AdamState.for_params(store, lr=0.01)
+    state = AdamState.for_params(store)
+    state.lr = 0.01
     clip_and_adam(state, {"w": rand((2, 2), 2), "s": np.array(0.3)})
     before = {n: (p.data.copy(), state.m[n].copy(), state.v[n].copy())
               for n, p in store.items()}
@@ -476,7 +478,8 @@ def test_clip_matches_reference_on_backward_gradients():
     store = ParamStore()
     w = store.param("w", rand((4, 3), 1))
     b = store.param("b", rand(3, 2))
-    state = AdamState.for_params(store, lr=0.01)
+    state = AdamState.for_params(store)
+    state.lr = 0.01
     x = Tensor(rand((5, 4), 3))
     ad.backward(ad.mse(ad.linear(x, w, b), Tensor(rand((5, 3), 4))))
     want = {n: p.grad.copy() for n, p in store.items()}

@@ -23,9 +23,10 @@ from uspc import training as training_mod
 from uspc.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from uspc.corpus import CorpusSpec, gen_corpus
 from uspc.errors import ConfigError, DataError, TrainingDiverged, UspcError
+from uspc.features import N_PHONEMES
 from uspc.layers import Ctx
 from uspc.model import JointModel
-from uspc.optim import AdamState
+from uspc.optim import LR, AdamState
 from uspc.rng import NamedRng
 from uspc.vq import Codebook
 from uspc.training import (LossReport, joint_step, pair_step,
@@ -45,7 +46,7 @@ def text_side_names(model):
 def setup(tiny_corpus):
     cfg = small_train_config()
     model = JointModel(cfg.model, seed=cfg.seed)
-    opt = AdamState.for_params(model.store, lr=cfg.lr_init)
+    opt = AdamState.for_params(model.store)
     return cfg, model, opt, tiny_corpus["train"]
 
 
@@ -63,15 +64,15 @@ def test_joint_total_is_sum_of_fragments(setup):
     frags = (tts, pair, vc)
     aux = (sum(f.aux.item() * f.n_utts for f in frags)
            / sum(f.n_utts for f in frags))
-    expected = (cfg.w_mel * tts.mel.item() + cfg.w_pitch * tts.pitch_ce.item()
-                + cfg.w_mel * vc.mel.item() + cfg.w_pitch * vc.pitch_ce.item()
+    expected = (tts.mel.item() + cfg.w_pitch * tts.pitch_ce.item()
+                + vc.mel.item() + cfg.w_pitch * vc.pitch_ce.item()
                 + cfg.w_pair * pair.pair.item()
-                + cfg.w_duration * tts.duration.item()
-                + cfg.w_vq * aux)
+                + training_mod.W_DURATION * tts.duration.item()
+                + aux)
 
     model2 = JointModel(cfg.model, seed=cfg.seed)
     seed_codebook_from_batch(model2, records[:4])
-    opt2 = AdamState.for_params(model2.store, lr=cfg.lr_init)
+    opt2 = AdamState.for_params(model2.store)
     report = joint_step(paired, unpaired, model2, opt2, cfg, step=0)
     assert abs(report.total - expected) < 1e-12
 
@@ -80,7 +81,7 @@ def test_report_identities_and_weighted_sum(setup):
     cfg, model, opt, records = setup
     report = joint_step(records[:2], records[2:4], model, opt, cfg, step=0)
     recon = (report.l_tts_rec + report.l_vc_rec + cfg.w_pair * report.l_pair
-             + cfg.w_duration * report.l_duration + cfg.w_vq * report.l_vq_aux)
+             + training_mod.W_DURATION * report.l_duration + report.l_vq_aux)
     assert abs(report.total - recon) < 1e-12
     for value in (report.l_tts_rec, report.l_pair, report.l_duration,
                   report.l_vc_rec, report.l_vq_aux):
@@ -91,8 +92,8 @@ def test_zero_pitch_weight_excludes_pitch_exactly(setup):
     cfg, model, opt, records = setup
     cfg.w_pitch = 0.0
     report = joint_step(records[:2], records[2:4], model, opt, cfg, step=0)
-    assert report.l_tts_rec == cfg.w_mel * report.mel_tts
-    assert report.l_vc_rec == cfg.w_mel * report.mel_vc
+    assert report.l_tts_rec == report.mel_tts
+    assert report.l_vc_rec == report.mel_vc
     assert report.pitch_ce_tts > 0.0  # still measured, just not optimized
 
 
@@ -149,7 +150,7 @@ def test_packed_segments_do_not_see_each_other(tiny_corpus):
         mel_j, ph_j = mel.copy(), phonemes.copy()
         _segment_rows(mel_j, ctx.offsets, j)[:] += 1.0
         _segment_rows(ph_j, text_ctx.offsets, j)[:] = (
-            _segment_rows(ph_j, text_ctx.offsets, j) + 1) % model.cfg.p_vocab
+            _segment_rows(ph_j, text_ctx.offsets, j) + 1) % N_PHONEMES
         frames, text, speaker = forward(mel_j, ph_j)
         for b in set(range(3)) - {j}:
             for new, old in zip(frames, base[0]):
@@ -227,7 +228,7 @@ def test_step_graph_size_does_not_grow_with_batch(tiny_corpus, monkeypatch):
     for n in (2, 4):
         cfg = small_train_config(batch_paired=n, batch_unpaired=n)
         model = JointModel(cfg.model, seed=cfg.seed)
-        opt = AdamState.for_params(model.store, lr=cfg.lr_init)
+        opt = AdamState.for_params(model.store)
         joint_step(records[:n], records[-n:], model, opt, cfg, step=0)
     # one backward pass per half, TTS + pair then VC, each the same size
     assert len(counts) == 4 and counts[:2] == counts[2:]
@@ -369,7 +370,7 @@ def test_never_used_codebook_entries_bitwise_stable(tiny_corpus):
     # a book larger than the batches' frames, so some entries stay idle
     cfg = small_train_config(model=small_model_config(codebook_size=64))
     model = JointModel(cfg.model, seed=cfg.seed)
-    opt = AdamState.for_params(model.store, lr=cfg.lr_init)
+    opt = AdamState.for_params(model.store)
     records = tiny_corpus["train"]
     seed_codebook_from_batch(model, records[:4])
     before = model.codebook.entries.data.copy()
@@ -462,9 +463,9 @@ def test_lr_decays_per_epoch(tiny_corpus):
     # 6 paired records, batch 2 -> 3 steps per epoch
     _, _, trace = train(cfg, tiny_corpus["train"])
     lrs = [r.lr for r in trace]
-    assert lrs[0] == pytest.approx(cfg.lr_init)
-    assert lrs[3] == pytest.approx(cfg.lr_init * cfg.lr_decay_per_epoch)
-    assert lrs[6] == pytest.approx(cfg.lr_init * cfg.lr_decay_per_epoch ** 2)
+    assert lrs[0] == pytest.approx(LR)
+    assert lrs[3] == pytest.approx(LR * cfg.lr_decay_per_epoch)
+    assert lrs[6] == pytest.approx(LR * cfg.lr_decay_per_epoch ** 2)
 
 
 def _count_calls(monkeypatch, module, name):
@@ -481,12 +482,13 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_plateau_stop_ends_the_run_with_the_trace_of_a_shorter_run(tiny_corpus):
+def test_plateau_stop_ends_the_run_with_the_trace_of_a_shorter_run(tiny_corpus, monkeypatch):
     # 6 paired records, batch 2 -> 3 steps per epoch and 7 boundaries in 20
-    # steps.  With plateau_delta far above any loss the first epoch's mean
+    # steps.  With PLATEAU_DELTA far above any loss the first epoch's mean
     # is the best one, so the 2nd and 3rd boundaries are stale and the run
     # stops at the 3rd, after 9 steps.
-    cfg = small_train_config(max_steps=20, plateau_epochs=2, plateau_delta=1e3)
+    monkeypatch.setattr(training_mod, "PLATEAU_DELTA", 1e3)
+    cfg = small_train_config(max_steps=20, plateau_epochs=2)
     model, opt, trace = train(cfg, tiny_corpus["train"])
     assert len(trace) == 9
 
@@ -501,7 +503,7 @@ def test_plateau_stop_ends_the_run_with_the_trace_of_a_shorter_run(tiny_corpus):
     assert (opt.t, opt.lr) == (ref_opt.t, ref_opt.lr)
 
 
-def test_plateau_rule_reads_the_epoch_mean_of_the_logged_totals(tiny_corpus):
+def test_plateau_rule_reads_the_epoch_mean_of_the_logged_totals(tiny_corpus, monkeypatch):
     # replay the rule on the epoch means (3 steps each) of a run with it off
     ref_trace = train(small_train_config(max_steps=30, plateau_epochs=10 ** 6),
                       tiny_corpus["train"])[2]
@@ -517,7 +519,8 @@ def test_plateau_rule_reads_the_epoch_mean_of_the_logged_totals(tiny_corpus):
                 break
     assert 9 < expected < 30  # the rule fires, later than an unbroken plateau would
 
-    cfg = small_train_config(max_steps=30, plateau_epochs=2, plateau_delta=0.4)
+    monkeypatch.setattr(training_mod, "PLATEAU_DELTA", 0.4)
+    cfg = small_train_config(max_steps=30, plateau_epochs=2)
     _, _, trace = train(cfg, tiny_corpus["train"])
     assert [r.csv_row() for r in trace] == [r.csv_row() for r in ref_trace[:expected]]
 
@@ -822,7 +825,7 @@ def test_vc_worker_steps_are_bitwise_the_inline_steps(tiny_corpus, tmp_path, mon
     assert worker == inline
     assert multiprocessing.active_children() == []
     # both processes scaled their range of the gradients
-    assert any(report.grad_norm > cfg.grad_clip_norm for report in trace)
+    assert any(report.grad_norm > training_mod.GRAD_CLIP_NORM for report in trace)
     if mode == "full":
         assert sum(reseeded) > 0
 

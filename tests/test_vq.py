@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uspc import autodiff as ad
+from uspc import vq as vq_mod
 from uspc.autodiff import Tensor
 from uspc.errors import ConfigError, PairingError
 from uspc.optim import ParamStore
 from uspc.rng import NamedRng
-from uspc.vq import Codebook, pair_loss, vq_aux_loss, vq_lookup
+from uspc.vq import VQ_BETA, Codebook, pair_loss, vq_aux_loss, vq_lookup
 
 from conftest import rand
 
@@ -174,14 +175,15 @@ def test_aux_loss_zero_when_rows_equal_entries():
     entries = rand((8, 4), 28)
     book = make_book(entries)
     q = _quantized_with_rows(book, entries[[1, 3, 5]].copy())
-    assert vq_aux_loss(q, beta=0.25).item() == 0.0
+    assert vq_aux_loss(q).item() == 0.0
 
 
-def test_aux_loss_beta_zero_gives_no_encoder_gradient():
+def test_aux_loss_beta_zero_gives_no_encoder_gradient(monkeypatch):
+    monkeypatch.setattr(vq_mod, "VQ_BETA", 0.0)
     book = make_book(rand((8, 4), 29))
     c = Tensor(rand((6, 4), 30), requires_grad=True)
     q = vq_lookup(c, book)
-    ad.backward(vq_aux_loss(q, beta=0.0))
+    ad.backward(vq_aux_loss(q))
     assert c.grad is None or np.allclose(c.grad, 0.0)
     assert book.entries.grad is not None
 
@@ -191,17 +193,16 @@ def test_aux_loss_matches_detached_recomputation():
     book = make_book(entries)
     rows = rand((6, 4), 32)
     q = _quantized_with_rows(book, rows)
-    beta = 0.25
     frozen_e = entries[q.codes]
-    expected = ((rows - frozen_e) ** 2).mean() * (1.0 + beta)
-    assert abs(vq_aux_loss(q, beta).item() - expected) < 1e-12
+    expected = ((rows - frozen_e) ** 2).mean() * (1.0 + VQ_BETA)
+    assert abs(vq_aux_loss(q).item() - expected) < 1e-12
 
 
 def test_aux_loss_moves_codebook_toward_encoder():
     book = make_book(rand((8, 4), 33))
     c = Tensor(rand((6, 4), 34), requires_grad=True)
     q = vq_lookup(c, book)
-    ad.backward(vq_aux_loss(q, beta=0.25))
+    ad.backward(vq_aux_loss(q))
     g = book.entries.grad
     assert g is not None
     used = np.unique(q.codes)
