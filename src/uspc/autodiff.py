@@ -24,6 +24,13 @@ Design notes:
     input's, is freed during the pass unless the caller holds it, and the
     graph stays walkable through the stand-ins.  Leaves have no closure:
     they keep their gradients, which accumulate over backward calls.
+  * A forward pass may release a node's values before backward: once every
+    consumer of the node is built and no backward rule reads them (a
+    linear or conv1d rule reads its inputs, never its output), `release`
+    swaps its `.data` for a zero-byte stand-in of the same shape that
+    reads NaN.  Nothing is recomputed.  A rule that did read a released
+    value would give a non-finite gradient, which training reports as
+    TrainingDiverged.
   * Everything is float64.  The model is desk-scale; precision is cheaper
     than debugging 32-bit gradient noise.
   * Hot-path layers (linear, conv1d, layer_norm, the dropout-residual-norm
@@ -131,6 +138,20 @@ class Tensor:
 
     def backward(self) -> None:
         backward(self)
+
+
+_RELEASED = np.full(1, np.nan)
+_RELEASED.flags.writeable = False
+
+
+def release(t: Tensor) -> None:
+    """Free the values of `t`, whose consumers are all built and whose
+    backward rules never read them: `.data` becomes a read-only view of one
+    NaN, strided to keep the shape.  A leaf that takes gradients (a
+    parameter) is refused with GraphError."""
+    if t.requires_grad and t._backward is None:
+        raise GraphError(f"release frees the values of a node an op made, not of {t!r}")
+    t.data = np.ndarray(t.data.shape, buffer=_RELEASED, strides=(0,) * t.data.ndim)
 
 
 def _as_tensor(x) -> Tensor:

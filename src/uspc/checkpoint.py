@@ -119,12 +119,14 @@ def load_checkpoint(path) -> Checkpoint:
             if n_bytes > left:  # a size past 4,300 digits cannot be printed
                 raise FormatError(f"{path}: truncated checkpoint: tensor {name} of rank "
                                   f"{rank} needs more than the {left} bytes left")
-            raw = _read_exact(fh, n_bytes, f"tensor {name}")
             try:
-                tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+                array = np.empty(dims, dtype="<f8")
             except ValueError as exc:  # an empty tensor with an oversized dimension
                 raise FormatError(f"{path}: tensor {name} has unusable shape "
                                   f"{tuple(dims)}") from exc
+            if fh.readinto(array) != n_bytes:  # straight into the tensor's own array
+                raise FormatError(f"truncated checkpoint while reading tensor {name}")
+            tensors[name] = array
         trailing = fh.read(1)
     if trailing:
         raise FormatError(f"{path}: trailing bytes after {count} tensors")

@@ -14,6 +14,7 @@ from the training speakers.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -239,11 +240,14 @@ def read_matrix(path) -> np.ndarray:
         if len(header) != 8:
             raise IntegrityError(f"{path}: truncated header")
         rows, cols = struct.unpack("<II", header)
-        payload = fh.read()
-    expected = rows * cols * 8
-    if len(payload) != expected:
-        raise IntegrityError(f"{path}: expected {expected} payload bytes, got {len(payload)}")
-    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+        expected = rows * cols * 8
+        got = os.fstat(fh.fileno()).st_size - 8
+        if got == expected:  # read straight into the array
+            array = np.empty((rows, cols), dtype="<f8")
+            got = fh.readinto(array) + len(fh.read(1))
+    if got != expected:
+        raise IntegrityError(f"{path}: expected {expected} payload bytes, got {got}")
+    return array
 
 
 def manifest_name(split: str) -> str:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import DataError
 
@@ -23,6 +22,12 @@ F0_MAX = 600.0
 N_PITCH_BINS = 32  # pitch classes: 0 unvoiced, then log-Hz bins from F0_MIN
 
 N_CEPSTRA = 13
+
+# columns 1..N_CEPSTRA of the orthonormal DCT-II matrix over the mel
+# channels: c_k = sqrt(2 / N) * sum_j x_j cos(pi k (2j + 1) / 2N)
+_CEPSTRA_BASIS = np.sqrt(2.0 / N_MELS) * np.cos(
+    np.pi * np.arange(1, N_CEPSTRA + 1)[None, :]
+    * (2 * np.arange(N_MELS)[:, None] + 1) / (2 * N_MELS))
 
 
 @dataclass
@@ -45,5 +50,4 @@ def mel_cepstra(mel: MelSpectrogram) -> np.ndarray:
     c_0 (the frame energy) is excluded, which makes the downstream cepstral
     distortion invariant to constant log-domain offsets.
     """
-    coeffs = scipy.fft.dct(mel.frames, type=2, norm="ortho", axis=1)
-    return coeffs[:, 1:N_CEPSTRA + 1]
+    return mel.frames @ _CEPSTRA_BASIS

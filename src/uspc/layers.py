@@ -189,11 +189,21 @@ class FFTBlock:
         self.drop2 = Dropout(f"{name}.drop2", dropout_rate)
 
     def __call__(self, x: Tensor, ctx: Ctx) -> Tensor:
-        h = ad.dropout_add_norm(x, self.attn(x, ctx), self.norm1.gain, self.norm1.bias,
+        # each sublayer output is released once its one consumer is built:
+        # the tails' rules read only their normalized rows and masks, and
+        # relu keeps its own mask
+        a = self.attn(x, ctx)
+        h = ad.dropout_add_norm(x, a, self.norm1.gain, self.norm1.bias,
                                 *self.drop1.streams(ctx), ctx.offsets)
-        c = self.conv2(ad.relu(self.conv1(h, ctx)), ctx)
-        return ad.dropout_add_norm(h, c, self.norm2.gain, self.norm2.bias,
-                                   *self.drop2.streams(ctx), ctx.offsets)
+        ad.release(a)
+        c1 = self.conv1(h, ctx)
+        r = ad.relu(c1)
+        ad.release(c1)
+        c2 = self.conv2(r, ctx)
+        out = ad.dropout_add_norm(h, c2, self.norm2.gain, self.norm2.bias,
+                                  *self.drop2.streams(ctx), ctx.offsets)
+        ad.release(c2)
+        return out
 
 
 class FFTStack:

@@ -438,8 +438,10 @@ def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
 @functools.cache
 def _openblas_thread_calls():
     """The get and set thread-count functions of numpy's OpenBLAS, found by
-    their 64-bit-interface symbols (scipy maps a 32-bit OpenBLAS beside
-    it), or None where no loaded library has them."""
+    their 64-bit-interface symbols, or None where no loaded library has
+    them.  The package loads no other BLAS, but a caller's process may map
+    a 32-bit-interface OpenBLAS beside numpy's (scipy's, in the tests), and
+    those symbols would name that one."""
     with open("/proc/self/maps", encoding="utf-8") as fh:
         libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
     for lib, prefix in itertools.product(libs, ("scipy_openblas", "openblas")):

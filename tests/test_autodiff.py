@@ -392,6 +392,38 @@ def test_diamond_graph_gradient():
     np.testing.assert_allclose(x.grad, 2 * x.data + 1)
 
 
+# ---------------------------------------------------------------- release
+
+
+def test_released_node_keeps_its_shape_and_reads_nan():
+    x = Tensor(rand((6, 4), 67), requires_grad=True)
+    h = ad.linear(x, Tensor(rand((4, 3), 68), requires_grad=True))
+    values = weakref.ref(h.data)
+    ad.release(h)
+    assert values() is None
+    assert h.shape == (6, 3) and h.data.strides == (0, 0)
+    assert np.isnan(h.data).all()
+    with pytest.raises(ValueError):
+        h.data[0, 0] = 1.0  # read-only
+
+
+def test_a_rule_that_reads_a_released_value_gives_a_nonfinite_gradient():
+    x = Tensor(rand((6, 4), 69), requires_grad=True)
+    h = ad.linear(x, Tensor(rand((4, 3), 70), requires_grad=True))
+    loss = ad.sum_all(ad.mul(h, h))  # mul's rule reads both inputs
+    ad.release(h)
+    ad.backward(loss)
+    assert np.isnan(x.grad).all()
+
+
+def test_release_refuses_a_parameter():
+    store = ParamStore()
+    w = store.param("w", rand((4, 3), 71))
+    with pytest.raises(GraphError):
+        ad.release(w)
+    assert np.isfinite(w.data).all()
+
+
 # ---------------------------------------------------------------- grad_check
 
 

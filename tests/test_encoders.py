@@ -240,6 +240,35 @@ def test_prosody_rows_are_exact_table_rows(small_model):
 # ---------------------------------------------------------------- FFT block
 
 
+def test_fft_block_releasing_its_sublayer_outputs_changes_no_gradient():
+    # the block's ops composed without `release`, in its order
+    def unreleased(block, x, ctx):
+        h = ad.dropout_add_norm(x, block.attn(x, ctx), block.norm1.gain, block.norm1.bias,
+                                *block.drop1.streams(ctx), ctx.offsets)
+        c = block.conv2(ad.relu(block.conv1(h, ctx)), ctx)
+        return ad.dropout_add_norm(h, c, block.norm2.gain, block.norm2.bias,
+                                   *block.drop2.streams(ctx), ctx.offsets)
+
+    offsets = segment_offsets([5, 2, 7])
+    weights = Tensor(rand((14, 16), 1))
+    grads = []
+    for forward in (FFTBlock.__call__, unreleased):
+        store = ParamStore()
+        block = FFTBlock(store, NamedRng(0), "b", dim=16, n_heads=2, dropout_rate=0.5)
+        ctx = Ctx(training=True, step=3, uids=("a", "b", "c"), offsets=offsets,
+                  rng=NamedRng(0))
+        x = Tensor(rand((14, 16), 0), requires_grad=True)
+        out = forward(block, x, ctx)
+        h, c2 = out._parents[:2]
+        sublayers = (h._parents[1], c2._parents[0]._parents[0], c2)  # attention, conv1, conv2
+        assert [np.isnan(t.data).all() for t in sublayers] == [forward is FFTBlock.__call__] * 3
+        ad.backward(ad.sum_all(ad.mul(out, weights)))
+        grads.append({"x": x.grad.tobytes(),
+                      **{name: p.grad.tobytes() for name, p in store.items()}})
+    assert len(grads[0]) == 17
+    assert grads[0] == grads[1]
+
+
 @pytest.mark.parametrize("training", [True, False])
 def test_fft_block_builds_ten_nodes(training):
     # q, k, v, attention, out projection, conv1, relu, conv2 and one node

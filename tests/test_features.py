@@ -1,8 +1,9 @@
-"""Feature tests: the mel frame shape check and cepstra against a naive DCT
-oracle."""
+"""Feature tests: the mel frame shape check, and cepstra against a naive DCT
+oracle and against scipy's DCT-II."""
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from uspc.errors import DataError
 from uspc.features import MelSpectrogram, mel_cepstra
@@ -37,10 +38,16 @@ def test_cepstra_matches_naive_dct_oracle():
     np.testing.assert_allclose(ceps[0], naive_dct_row(row)[1:14], atol=1e-10)
 
 
+@pytest.mark.parametrize("n_frames", [1, 7, 200])
+def test_cepstra_match_scipy_orthonormal_dct(n_frames):
+    frames = np.random.default_rng(n_frames).standard_normal((n_frames, 80))
+    want = scipy.fft.dct(frames, type=2, norm="ortho", axis=1)[:, 1:14]
+    np.testing.assert_allclose(mel_cepstra(MelSpectrogram(frames)), want, rtol=0, atol=1e-12)
+
+
 def test_cepstra_shape():
     mel = MelSpectrogram(np.random.default_rng(4).standard_normal((7, 80)))
     assert mel_cepstra(mel).shape == (7, 13)
-
 
 
 @pytest.mark.parametrize("shape", [(7,), (7, 79), (2, 7, 80)])
