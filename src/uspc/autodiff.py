@@ -25,12 +25,17 @@ Design notes:
     graph stays walkable through the stand-ins.  Leaves have no closure:
     they keep their gradients, which accumulate over backward calls.
   * A forward pass may release a node's values before backward: once every
-    consumer of the node is built and no backward rule reads them (a
-    linear or conv1d rule reads its inputs, never its output), `release`
-    swaps its `.data` for a zero-byte stand-in of the same shape that
-    reads NaN.  Nothing is recomputed.  A rule that did read a released
-    value would give a non-finite gradient, which training reports as
-    TrainingDiverged.
+    consumer of the node is built, `release` swaps its `.data` for a
+    zero-byte stand-in of the same shape that reads NaN.  Where the op that
+    made the node left a recipe on its closure (a layer norm's output from
+    its normalized rows, an attention mix from its probabilities and
+    values), backward remakes the values with the forward's arithmetic
+    just before the first consumer's rule runs, so a linear or conv1d rule
+    that reads its input gets the same bytes, and frees them again when it
+    reaches the node's own rule, which never reads them.  The recipe holds
+    nothing the closure does not, and goes with it.  Without a recipe no
+    rule may read the values: one that did would give a non-finite
+    gradient, which training reports as TrainingDiverged.
   * Everything is float64.  The model is desk-scale; precision is cheaper
     than debugging 32-bit gradient noise.
   * Hot-path layers (linear, conv1d, layer_norm, the dropout-residual-norm
@@ -145,10 +150,12 @@ _RELEASED.flags.writeable = False
 
 
 def release(t: Tensor) -> None:
-    """Free the values of `t`, whose consumers are all built and whose
-    backward rules never read them: `.data` becomes a read-only view of one
-    NaN, strided to keep the shape.  A leaf that takes gradients (a
-    parameter) is refused with GraphError."""
+    """Free the values of `t`, whose consumers are all built: `.data`
+    becomes a read-only view of one NaN, strided to keep the shape.  If the
+    op that made `t` left a recipe (`remake`) on its closure, backward
+    remakes the values before the first consumer's rule runs; otherwise no
+    rule may read them.  A leaf that takes gradients (a parameter) is
+    refused with GraphError."""
     if t.requires_grad and t._backward is None:
         raise GraphError(f"release frees the values of a node an op made, not of {t!r}")
     t.data = np.ndarray(t.data.shape, buffer=_RELEASED, strides=(0,) * t.data.ndim)
@@ -480,12 +487,14 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
             dk = np.empty_like(kernel.data)
             for j in range(k):
                 np.matmul(xp[j:j + span].T, gp, out=dk[j])
+            del xp  # the padded rows go before the input gradient's buffers come
             _own(kernel, dk)
         if x.requires_grad:
             dxp = np.zeros((span + 2 * pad, cin))
             product = np.empty((span, cin))
             for j in range(k):
                 dxp[j:j + span] += np.matmul(gp, kernel.data[j].T, out=product)
+            del product, gp  # only dxp is read from here on
             _own(x, _join([dxp[w + pad:w + pad + hi - lo] for lo, hi, w in windows]))
 
     return _make_node(data, parents, backward_fn)
@@ -517,6 +526,14 @@ def _row_norm_grad(gx: Array, xhat: Array, inv: Array) -> Array:
     return out
 
 
+def _affine(xhat: Array, gain: Tensor, bias: Tensor) -> Array:
+    """xhat * gain + bias: a norm's output from its normalized rows, in
+    forward and when backward remakes a released output."""
+    data = xhat * gain.data
+    data += bias.data
+    return data
+
+
 def _normalize(x: Array, gain: Tensor, bias: Tensor, eps: float) -> tuple[Array, Array, Array]:
     """layer_norm's forward over rows `x`: the output, the normalized rows
     and the inverse deviations."""
@@ -524,9 +541,7 @@ def _normalize(x: Array, gain: Tensor, bias: Tensor, eps: float) -> tuple[Array,
         raise ConfigError(f"layer_norm eps must be > 0, got {eps}")
     xhat, inv = _row_stats(x, eps)
     xhat *= inv
-    data = xhat * gain.data
-    data += bias.data
-    return data, xhat, inv
+    return _affine(xhat, gain, bias), xhat, inv
 
 
 def _normalize_grads(g: Array, gain: Tensor, bias: Tensor, xhat: Array, inv: Array,
@@ -548,6 +563,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = _LAYER_NORM_E
         if gx is not None:
             _own(x, gx)
 
+    backward_fn.remake = lambda: _affine(xhat, gain, bias)
     return _make_node(data, (x, gain, bias), backward_fn)
 
 
@@ -581,6 +597,7 @@ def dropout_add_norm(x: Tensor, a: Tensor, gain: Tensor, bias: Tensor, rate: flo
             d *= scale
             _own(a, d)
 
+    backward_fn.remake = lambda: _affine(xhat, gain, bias)
     return _make_node(data, (x, a, gain, bias), backward_fn)
 
 
@@ -604,8 +621,6 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         return a.reshape(t, n_heads, dh).transpose(1, 0, 2)
 
     qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
-    out = np.empty((t, d))
-    outh = heads(out)
     probs = []
     for lo, hi in spans:
         p = np.matmul(qh[:, lo:hi], kh[:, lo:hi].transpose(0, 2, 1))
@@ -614,7 +629,14 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         np.exp(p, out=p)
         p /= np.add.reduce(p, axis=-1, keepdims=True)
         probs.append(p)
-        np.matmul(p, vh[:, lo:hi], out=outh[:, lo:hi])
+
+    def mix() -> Array:
+        """Each segment's probabilities times its values, head by head: the
+        output in forward and when backward remakes a released one."""
+        out = np.empty((t, d))
+        for (lo, hi), p in zip(spans, probs):
+            np.matmul(p, vh[:, lo:hi], out=heads(out)[:, lo:hi])
+        return out
 
     def backward_fn(g: Array) -> None:
         gh = heads(g)
@@ -626,7 +648,15 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
             if dq is None and dk is None:
                 continue
             ds = np.matmul(g_s, vh[:, lo:hi].transpose(0, 2, 1))
-            ds -= np.add.reduce(ds * p, axis=-1, keepdims=True)
+            # head by head through one (rows, rows) buffer, which holds the
+            # product and then its row sums spread along the rows: no
+            # (H, rows, rows) product, nor numpy's buffer for a broadcast
+            # subtraction, is made.  The same values.
+            prod = np.empty(ds.shape[1:])
+            for h in range(n_heads):
+                prod[...] = np.add.reduce(np.multiply(ds[h], p[h], out=prod), axis=-1,
+                                          keepdims=True)
+                np.subtract(ds[h], prod, out=ds[h])
             ds *= p
             if dq is not None:
                 np.matmul(ds, kh[:, lo:hi], out=heads(dq)[:, lo:hi])
@@ -640,7 +670,8 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
             if grad is not None:
                 _own(x, grad)
 
-    return _make_node(out, (q, k, v), backward_fn)
+    backward_fn.remake = mix
+    return _make_node(mix(), (q, k, v), backward_fn)
 
 
 def _mean_of_segments(means: list) -> Array:
@@ -789,10 +820,13 @@ def backward(loss: Tensor) -> None:
     closure (with every array the closure saved) are released, its
     consumers name a `_Spent` stand-in instead of it, and it drops its
     constant parents, so its `.data` and theirs go too unless the caller
-    holds them.  A second backward that reaches the node or its stand-in
-    raises GraphError before any rule runs, so no gradient changes.  Leaves
-    keep their gradients, which accumulate; call zero_grad on leaves
-    between backward passes if accumulation is not wanted.
+    holds them.  Just before a node's rule runs, each released input whose
+    op left a recipe is remade (see `release`), and released again when the
+    walk reaches that input's own rule.  A second backward that reaches the
+    node or its stand-in raises GraphError before any rule runs, so no
+    gradient changes.  Leaves keep their gradients, which accumulate; call
+    zero_grad on leaves between backward passes if accumulation is not
+    wanted.
     """
     if loss.data.shape not in ((), (1,)):
         raise GraphError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -813,14 +847,23 @@ def backward(loss: Tensor) -> None:
         for p in node._parents:
             if id(p) not in visited and p._backward is not None:
                 stack.append((p, False))
+    del visited  # the walk's bookkeeping goes before any rule runs
     loss.accumulate_grad(np.ones_like(loss.data))
     # by id of a node whose rule has not run: the stand-in its consumers name
     stand_in: dict[int, _Spent] = {}
+    remade: set[int] = set()  # ids of released nodes whose values were remade
     while topo:
         node = topo.pop()
         if node._backward is None:
             continue
+        if id(node) in remade:  # its consumers' rules have run; its own never reads it
+            remade.remove(id(node))
+            release(node)
         if node.grad is not None:
+            for p in node._parents:  # remake released inputs that have a recipe
+                if p.data.base is _RELEASED and hasattr(p._backward, "remake"):
+                    p.data = p._backward.remake()
+                    remade.add(id(p))
             node._backward(node.grad if node.grad.shape == node.data.shape
                            else node.grad.reshape(node.data.shape))
         node.grad = None

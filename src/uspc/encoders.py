@@ -10,7 +10,8 @@ from .autodiff import Tensor
 from .config import ModelConfig
 from .errors import DataError, PairingError
 from .features import F0_MAX, F0_MIN, N_MELS, N_PHONEMES, N_PITCH_BINS
-from .layers import Conv1d, ConvPredictorStack, Ctx, Embedding, FFTStack, LayerNorm, Linear
+from .layers import (Conv1d, ConvPredictorStack, Ctx, Embedding, FFTStack, LayerNorm, Linear,
+                     conv_relu_norm)
 from .optim import ParamStore
 from .rng import NamedRng
 
@@ -25,7 +26,7 @@ class TextEncoder:
     def __call__(self, phoneme_ids: np.ndarray, ctx: Ctx) -> Tensor:
         ids = np.asarray(phoneme_ids, dtype=np.intp)
         if ids.size == 0:
-            raise DataError("empty phoneme sequence")
+            raise DataError("phoneme_ids: empty phoneme sequence")
         return self.stack(self.embed(ids), ctx)
 
 
@@ -98,14 +99,19 @@ class SpeakerEncoder:
 
     def frame_features(self, mel_frames: np.ndarray, ctx: Ctx) -> Tensor:
         x = mel_frames if isinstance(mel_frames, Tensor) else Tensor(mel_frames)
-        h = self.norm1(ad.relu(self.conv1(x, ctx)))
-        return self.norm2(ad.relu(self.conv2(h, ctx)))
+        h = conv_relu_norm(self.conv1, self.norm1, x, ctx)
+        out = conv_relu_norm(self.conv2, self.norm2, h, ctx)
+        ad.release(h)  # remade from its normalized rows for conv2's rule
+        return out
 
     def pool(self, frame_feats: Tensor, offsets: np.ndarray | None = None) -> Tensor:
         return self.proj(ad.segment_mean(frame_feats, offsets))
 
     def __call__(self, mel_frames: np.ndarray, ctx: Ctx) -> Tensor:
-        return self.pool(self.frame_features(mel_frames, ctx), ctx.offsets)
+        feats = self.frame_features(mel_frames, ctx)
+        out = self.pool(feats, ctx.offsets)
+        ad.release(feats)  # segment_mean's rule reads no values
+        return out
 
 
 N_LOG_BINS = N_PITCH_BINS - 2  # voiced bins split uniformly in log-Hz
@@ -119,8 +125,10 @@ def quantize_f0_array(f0_hz: np.ndarray) -> np.ndarray:
     and above, and values below 50 Hz clamp to bin 1.
     """
     f0_hz = np.asarray(f0_hz, dtype=np.float64)
+    if np.isnan(f0_hz).any():
+        raise DataError("f0_hz: NaN in contour")
     if np.any(f0_hz < 0):
-        raise DataError("negative f0 in contour")
+        raise DataError("f0_hz: negative f0 in contour")
     span = np.log(F0_MAX) - np.log(F0_MIN)
     with np.errstate(divide="ignore"):
         r = (np.log(np.maximum(f0_hz, 1e-300)) - np.log(F0_MIN)) / span

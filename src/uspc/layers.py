@@ -91,13 +91,27 @@ class LayerNorm:
         return ad.layer_norm(x, self.gain, self.bias)
 
 
-def per_row(v: Tensor, offsets: np.ndarray | None) -> Tensor:
-    """Per-segment rows (B, d) repeated onto their segments' rows.  The one
-    row of an unbatched sequence (offsets None) is returned as is and
-    broadcasts."""
+def add_per_row(x: Tensor, v: Tensor, offsets: np.ndarray | None) -> Tensor:
+    """x plus each segment's row of `v` (B, d) on that segment's rows.  The
+    one row of an unbatched sequence (offsets None) broadcasts as is; the
+    repeated rows are released once added, as add's rule reads no values."""
     if offsets is None:
-        return v
-    return ad.repeat_rows(v, np.diff(offsets))
+        return ad.add(x, v)
+    rows = ad.repeat_rows(v, np.diff(offsets))
+    out = ad.add(x, rows)
+    ad.release(rows)
+    return out
+
+
+def conv_relu_norm(conv: Conv1d, norm: LayerNorm, x: Tensor, ctx: Ctx) -> Tensor:
+    """norm(relu(conv(x))).  The conv and relu outputs are released: relu
+    keeps its own mask, and a norm's rule reads only its normalized rows."""
+    c = conv(x, ctx)
+    r = ad.relu(c)
+    ad.release(c)
+    out = norm(r)
+    ad.release(r)
+    return out
 
 
 class Dropout:
@@ -169,7 +183,9 @@ class MultiHeadAttention:
     def __call__(self, x: Tensor, ctx: Ctx) -> Tensor:
         mixed = ad.attention_core(self.wq(x), self.wk(x), self.wv(x), self.n_heads,
                                   ctx.offsets)
-        return self.wo(mixed)
+        out = self.wo(mixed)
+        ad.release(mixed)  # remade from probabilities and values for wo's rule
+        return out
 
 
 class FFTBlock:
@@ -189,9 +205,11 @@ class FFTBlock:
         self.drop2 = Dropout(f"{name}.drop2", dropout_rate)
 
     def __call__(self, x: Tensor, ctx: Ctx) -> Tensor:
-        # each sublayer output is released once its one consumer is built:
-        # the tails' rules read only their normalized rows and masks, and
-        # relu keeps its own mask
+        # each value is released once its consumers are built: the tails'
+        # rules read only their normalized rows and masks, relu keeps its
+        # own mask, and the first tail's output, which conv1's rule reads,
+        # is remade from its normalized rows in backward (so is the
+        # attention mix, inside `attn`).  The block output is the caller's.
         a = self.attn(x, ctx)
         h = ad.dropout_add_norm(x, a, self.norm1.gain, self.norm1.bias,
                                 *self.drop1.streams(ctx), ctx.offsets)
@@ -203,13 +221,16 @@ class FFTBlock:
         out = ad.dropout_add_norm(h, c2, self.norm2.gain, self.norm2.bias,
                                   *self.drop2.streams(ctx), ctx.offsets)
         ad.release(c2)
+        ad.release(h)
         return out
 
 
 class FFTStack:
     """Positions added to the input rows, then `n_blocks` FFT blocks named
     `{name}.block{i}`: the body of the text encoder, the content encoder
-    and the decoder."""
+    and the decoder.  The input rows, which nothing else may read, are
+    released once added, and so is each block output but the last once the
+    next block is built (it is remade for that block's rules)."""
 
     def __init__(self, store: ParamStore, rng: NamedRng, name: str, cfg: ModelConfig,
                  n_blocks: int):
@@ -219,8 +240,12 @@ class FFTStack:
 
     def __call__(self, x: Tensor, ctx: Ctx) -> Tensor:
         h = ad.add(x, positional_encoding(x.data.shape[0], self.d_model, ctx.offsets))
-        for block in self.blocks:
-            h = block(h, ctx)
+        ad.release(x)
+        for i, block in enumerate(self.blocks):
+            out = block(h, ctx)
+            if i:
+                ad.release(h)
+            h = out
         return h
 
 
@@ -242,6 +267,12 @@ class ConvPredictorStack:
         self.drop2 = Dropout(f"{name}.drop2", dropout_rate)
 
     def __call__(self, x: Tensor, ctx: Ctx) -> Tensor:
-        h = self.drop1(self.norm1(ad.relu(self.conv1(x, ctx))), ctx)
-        h = self.drop2(self.norm2(ad.relu(self.conv2(h, ctx))), ctx)
-        return self.head(h)
+        # a norm output is released once the next layer is built: dropout
+        # keeps only its mask, and at rate 0, where dropout returns it, it
+        # is remade from its normalized rows for the next layer's rule
+        h1 = conv_relu_norm(self.conv1, self.norm1, x, ctx)
+        h2 = conv_relu_norm(self.conv2, self.norm2, self.drop1(h1, ctx), ctx)
+        ad.release(h1)
+        out = self.head(self.drop2(h2, ctx))
+        ad.release(h2)
+        return out

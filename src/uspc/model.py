@@ -16,11 +16,29 @@ from .config import ModelConfig, TrainConfig
 from .encoders import (ContentEncoder, DurationPredictor, ProsodyEncoder,
                        SpeakerEncoder, TextEncoder, length_regulate,
                        quantize_f0_array)
+from .errors import DataError
+from .features import N_MELS
 from .layers import Ctx
 from .optim import AdamState, ParamStore
 from .rng import NamedRng
 from .synthesis import Decoder, PitchPredictor, decode_f0
 from .vq import Codebook, QuantizedContent, identity_quantize, vq_lookup
+
+
+def _mel_frames(name: str, mel) -> np.ndarray:
+    """`mel` as (frames, N_MELS) finite float64 values with at least one
+    frame; anything else is a DataError naming the argument `name`."""
+    try:
+        arr = np.asarray(mel, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DataError(f"{name}: not an array of numbers") from None
+    if arr.ndim != 2 or arr.shape[1] != N_MELS:
+        raise DataError(f"{name}: expected (frames, {N_MELS}) mel frames, got shape {arr.shape}")
+    if arr.shape[0] == 0:
+        raise DataError(f"{name}: no frames")
+    if not np.isfinite(arr).all():
+        raise DataError(f"{name}: non-finite mel values")
+    return arr
 
 
 class JointModel:
@@ -99,6 +117,7 @@ class JointModel:
         pitch always comes from the pitch predictor at inference.
         Returns (mel, f0_hz, durations_used).
         """
+        ref_mel = _mel_frames("ref_mel", ref_mel)
         ctx = Ctx.eval()
         q, durations, _ = self.tts_content(phoneme_ids, durations, ctx)
         mel, f0 = self.decode_tts(q, self.speaker_encoder(ref_mel, ctx), ctx)
@@ -108,8 +127,14 @@ class JointModel:
                    ref_mel: np.ndarray):
         """Zero-shot VC: content and prosody from the source utterance,
         speaker identity from the reference.  Returns (mel, f0_used)."""
+        source_mel = _mel_frames("source_mel", source_mel)
+        ref_mel = _mel_frames("ref_mel", ref_mel)
+        source_f0 = np.asarray(source_f0, dtype=np.float64)
+        if source_f0.shape != source_mel.shape[:1]:
+            raise DataError(f"source_f0: shape {source_f0.shape} does not give one value "
+                            f"per frame of the {source_mel.shape[0]}-frame source_mel")
         ctx = Ctx.eval()
         q = self.quantize(self.content_encoder(source_mel, ctx))
         mel = self.decode_vc(q, self.speaker_encoder(ref_mel, ctx), source_f0, ctx)
-        return mel, np.asarray(source_f0, dtype=np.float64)
+        return mel, source_f0
 

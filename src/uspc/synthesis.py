@@ -11,7 +11,7 @@ from .config import ModelConfig
 from .encoders import bin_center_hz
 from .errors import ShapeError
 from .features import N_MELS, N_PITCH_BINS
-from .layers import ConvPredictorStack, Ctx, FFTStack, Linear, per_row
+from .layers import ConvPredictorStack, Ctx, FFTStack, Linear, add_per_row
 from .optim import ParamStore
 from .rng import NamedRng
 from .vq import QuantizedContent
@@ -33,7 +33,9 @@ class Decoder:
         if n_rows != prosody.data.shape[0]:
             raise ShapeError(f"content and prosody lengths differ: "
                              f"{n_rows} vs {prosody.data.shape[0]}")
-        h = ad.add(ad.add(q.vectors, per_row(speaker, ctx.offsets)), prosody)
+        fused = add_per_row(q.vectors, speaker, ctx.offsets)
+        h = ad.add(fused, prosody)
+        ad.release(fused)  # add's rule reads no values; the stack releases h
         return self.out(self.stack(h, ctx))
 
 
@@ -45,7 +47,7 @@ class PitchPredictor:
                                         N_PITCH_BINS, cfg.dropout)
 
     def __call__(self, q: QuantizedContent, speaker: Tensor, ctx: Ctx) -> Tensor:
-        return self.stack(ad.add(q.vectors, per_row(speaker, ctx.offsets)), ctx)
+        return self.stack(add_per_row(q.vectors, speaker, ctx.offsets), ctx)
 
 
 BIN_CENTERS_HZ = np.array([bin_center_hz(k) for k in range(N_PITCH_BINS)])

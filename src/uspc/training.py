@@ -128,11 +128,13 @@ def _reconstruct(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConf
     s = model.speaker_encoder(mel, ctx)
     p = model.prosody_encoder.from_bins(bins)
     mel_pred = model.synthesize(q, s, p, ctx)
+    ad.release(p)  # the decoder's fusion add reads no values
     logits = model.pitch_predictor(q, s, ctx)
     frag = Fragment(quantized=q, n_utts=len(batch),
                     aux=vq_aux_loss(q, ctx.offsets) if model.use_vq else None,
                     mel=ad.mse(mel_pred, Tensor(mel), ctx.offsets),
                     pitch_ce=ad.softmax_cross_entropy(logits, bins, ctx.offsets))
+    ad.release(mel_pred)  # mse keeps only the differences
     return frag, logits
 
 

@@ -142,9 +142,13 @@ def vq_aux_loss(q: QuantizedContent, offsets: np.ndarray | None = None) -> Tenso
 
     ||sg(c) - e||^2 moves the selected entries toward the encoder output;
     VQ_BETA * ||c - sg(e)||^2 commits the encoder to its entries.  Stop
-    gradients are realized by detached copies.
+    gradients are realized by detached copies.  The chosen entries are
+    released once both terms are built: mse keeps only the differences.
     """
     chosen = ad.gather_rows(q.book.entries, q.codes)   # differentiable into the book
+    fixed = chosen.detach()
     codebook_term = ad.mse(q.continuous.detach(), chosen, offsets)
-    commit_term = ad.mse(q.continuous, chosen.detach(), offsets)
+    commit_term = ad.mse(q.continuous, fixed, offsets)
+    ad.release(chosen)
+    ad.release(fixed)
     return ad.add(codebook_term, ad.mul(commit_term, ad.Tensor(VQ_BETA)))

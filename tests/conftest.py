@@ -8,6 +8,7 @@ from uspc.config import ModelConfig, TrainConfig
 from uspc.corpus import CorpusSpec, gen_corpus
 from uspc.model import JointModel
 from uspc.autodiff import Tensor, backward
+from uspc import autodiff as ad
 from uspc.optim import adam_step, clip_global_norm, clip_scale, sums_of_squares
 
 
@@ -107,3 +108,45 @@ def grad_check(f, x, h=1e-5):
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns `a`'s buffer."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def held_arrays(loss: Tensor) -> list[np.ndarray]:
+    """The distinct arrays a graph holds before backward, walked from
+    `loss`: the values of every node and constant input that are not
+    released, and every array a backward closure keeps, alone or in a list
+    or tuple.  Each buffer counts once, by the array that owns it; the
+    parameters' values do not count."""
+    held: dict[int, np.ndarray] = {}
+
+    def add(a) -> None:
+        if isinstance(a, np.ndarray) and _owner(a) is not _owner(ad._RELEASED):
+            held.setdefault(id(_owner(a)), _owner(a))
+
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node.requires_grad and node._backward is None:
+            continue  # a parameter
+        add(node.data)
+        for cell in getattr(node._backward, "__closure__", None) or ():
+            value = cell.cell_contents
+            for a in value if isinstance(value, (list, tuple)) else (value,):
+                add(a)
+        stack.extend(node._parents)
+    return list(held.values())
+
+
+def held_bytes(loss: Tensor) -> int:
+    """Bytes of `held_arrays(loss)`: the activation memory a backward pass
+    from `loss` starts with."""
+    return sum(a.nbytes for a in held_arrays(loss))

@@ -424,6 +424,52 @@ def test_release_refuses_a_parameter():
     assert np.isfinite(w.data).all()
 
 
+REMADE_OPS = {
+    "layer_norm": lambda t, g, b: ad.layer_norm(t, g, b),
+    "dropout_add_norm": lambda t, g, b: ad.dropout_add_norm(
+        t, ad.mul(t, t), g, b, 0.5, (np.random.default_rng(s) for s in (1, 2)),
+        np.array([0, 2, 6])),
+    "attention_core": lambda t, g, b: ad.attention_core(
+        t, ad.mul(t, g), ad.add(t, b), 2, np.array([0, 2, 6])),
+}
+
+
+@pytest.mark.parametrize("op", sorted(REMADE_OPS))
+def test_a_released_value_with_a_recipe_is_remade_for_the_rule_that_reads_it(op):
+    # linear's rule reads its input: the released value is remade, with
+    # the forward's bytes, just before that rule runs, and released again
+    # once its own node's rule is reached
+    grads = []
+    for releasing in (True, False):
+        x = Tensor(rand((6, 4), 72), requires_grad=True)
+        gain, bias = (Tensor(rand(4, s), requires_grad=True) for s in (73, 74))
+        w = Tensor(rand((4, 3), 75), requires_grad=True)
+        h = REMADE_OPS[op](x, gain, bias)
+        values = h.data.copy()
+        loss = ad.sum_all(ad.mul(ad.linear(h, w), Tensor(rand((6, 3), 76))))
+        if releasing:
+            ad.release(h)
+        ad.backward(loss)
+        assert np.isnan(h.data).all() == releasing
+        grads.append([t.grad.tobytes() for t in (x, gain, bias, w)])
+        if not releasing:
+            assert h.data.tobytes() == values.tobytes()
+    assert grads[0] == grads[1]
+
+
+@pytest.mark.parametrize("op", sorted(REMADE_OPS))
+def test_a_recipe_holds_no_array_its_closure_does_not(op):
+    x = Tensor(rand((6, 4), 77), requires_grad=True)
+    gain, bias = (Tensor(rand(4, s), requires_grad=True) for s in (78, 79))
+    rule = REMADE_OPS[op](x, gain, bias)._backward
+
+    def captured(fn):
+        return {id(c.cell_contents) for c in fn.__closure__
+                if isinstance(c.cell_contents, (np.ndarray, list))}
+
+    assert captured(rule.remake) and captured(rule.remake) <= captured(rule)
+
+
 # ---------------------------------------------------------------- grad_check
 
 

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from uspc import autodiff as ad
 from uspc.autodiff import Tensor
 from uspc.config import ModelConfig
-from uspc.encoders import (DurationPredictor, bin_center_hz, expansion_map,
+from uspc.encoders import (DurationPredictor, SpeakerEncoder, bin_center_hz, expansion_map,
                            length_regulate, quantize_f0_array)
 from uspc.errors import DataError, PairingError
-from uspc.layers import Ctx, FFTBlock, segment_offsets
+from uspc.layers import (ConvPredictorStack, Ctx, FFTBlock, FFTStack, Linear,
+                         segment_offsets)
 from uspc.model import JointModel
 from uspc.optim import ParamStore
 from uspc.rng import NamedRng
@@ -240,33 +241,100 @@ def test_prosody_rows_are_exact_table_rows(small_model):
 # ---------------------------------------------------------------- FFT block
 
 
-def test_fft_block_releasing_its_sublayer_outputs_changes_no_gradient():
-    # the block's ops composed without `release`, in its order
-    def unreleased(block, x, ctx):
-        h = ad.dropout_add_norm(x, block.attn(x, ctx), block.norm1.gain, block.norm1.bias,
-                                *block.drop1.streams(ctx), ctx.offsets)
-        c = block.conv2(ad.relu(block.conv1(h, ctx)), ctx)
-        return ad.dropout_add_norm(h, c, block.norm2.gain, block.norm2.bias,
-                                   *block.drop2.streams(ctx), ctx.offsets)
+def _released(loss):
+    """(values released, of which a recipe remakes) in the graph of `loss`."""
+    seen, stack, counts = set(), [loss], [0, 0]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node.data.base is ad._RELEASED:
+            counts[0] += 1
+            counts[1] += hasattr(node._backward, "remake")
+        stack.extend(node._parents)
+    return tuple(counts)
 
-    offsets = segment_offsets([5, 2, 7])
-    weights = Tensor(rand((14, 16), 1))
-    grads = []
-    for forward in (FFTBlock.__call__, unreleased):
+
+def _with_and_without_release(monkeypatch, build):
+    """`build()` makes a module and its inputs afresh, runs it in training
+    and returns (loss, tensors by name).  Returns, for a run with `release`
+    and for one where it does nothing, the gradients' bytes by name and
+    the `_released` counts before backward."""
+    runs = []
+    for releasing in (True, False):
+        with monkeypatch.context() as patch:
+            if not releasing:
+                patch.setattr(ad, "release", lambda t: None)
+            loss, named = build()
+            counts = _released(loss)
+            ad.backward(loss)
+        runs.append(({name: t.grad.tobytes() for name, t in named.items()}, counts))
+    return runs
+
+
+def _training_ctx(lengths, step=3):
+    return Ctx(training=True, step=step, uids=tuple("abcdefgh"[:len(lengths)]),
+               offsets=segment_offsets(lengths), rng=NamedRng(0))
+
+
+# dropout 0.0 is the overfit config: dropout then passes a norm output on as
+# it is, so the next layer's rule reads a released value, which its recipe
+# remakes (without one the gradient would be NaN)
+def test_fft_block_releasing_its_sublayer_outputs_changes_no_gradient(monkeypatch):
+    # a stack of 2 blocks, so that a block output the next block reads is
+    # released and remade, as are each block's first tail output and
+    # attention mix; its input rows come from a projection, as in the
+    # encoders
+    def build(rate):
         store = ParamStore()
-        block = FFTBlock(store, NamedRng(0), "b", dim=16, n_heads=2, dropout_rate=0.5)
-        ctx = Ctx(training=True, step=3, uids=("a", "b", "c"), offsets=offsets,
-                  rng=NamedRng(0))
-        x = Tensor(rand((14, 16), 0), requires_grad=True)
-        out = forward(block, x, ctx)
-        h, c2 = out._parents[:2]
-        sublayers = (h._parents[1], c2._parents[0]._parents[0], c2)  # attention, conv1, conv2
-        assert [np.isnan(t.data).all() for t in sublayers] == [forward is FFTBlock.__call__] * 3
-        ad.backward(ad.sum_all(ad.mul(out, weights)))
-        grads.append({"x": x.grad.tobytes(),
-                      **{name: p.grad.tobytes() for name, p in store.items()}})
-    assert len(grads[0]) == 17
-    assert grads[0] == grads[1]
+        cfg = ModelConfig(d_model=16, n_heads=2, dropout=rate)
+        pre = Linear(store, NamedRng(0), "pre", 6, 16)
+        stack = FFTStack(store, NamedRng(0), "s", cfg, 2)
+        x = Tensor(rand((14, 6), 0), requires_grad=True)
+        out = stack(pre(x), _training_ctx([5, 2, 7]))
+        return ad.sum_all(ad.mul(out, Tensor(rand((14, 16), 1)))), {"x": x, **store}
+
+    for rate in (0.5, 0.0):
+        (released, counts), (kept, no_counts) = _with_and_without_release(
+            monkeypatch, lambda: build(rate))
+        # per block: mix, out projection, first tail, conv1, conv2; block
+        # 0's output; the stack input.  A recipe remakes the mixes, the
+        # first tails and block 0's output.
+        assert counts == (2 * 5 + 2, 2 * 2 + 1) and no_counts == (0, 0)
+        assert len(released) == 1 + 2 + 2 * 16
+        assert released == kept
+
+
+@pytest.mark.parametrize("rate", [0.5, 0.0])
+def test_conv_predictor_releasing_its_values_changes_no_gradient(monkeypatch, rate):
+    def build():
+        store = ParamStore()
+        stack = ConvPredictorStack(store, NamedRng(0), "p", 16, 3, rate)
+        x = Tensor(rand((14, 16), 2), requires_grad=True)
+        out = stack(x, _training_ctx([5, 2, 7]))
+        return ad.sum_all(ad.mul(out, Tensor(rand((14, 3), 3)))), {"x": x, **store}
+
+    (released, counts), (kept, no_counts) = _with_and_without_release(monkeypatch, build)
+    # per layer: conv, relu and norm outputs; the norms' have a recipe
+    assert counts == (6, 2) and no_counts == (0, 0)
+    assert len(released) == 1 + 10
+    assert released == kept
+
+
+def test_speaker_encoder_releasing_its_values_changes_no_gradient(monkeypatch):
+    def build():
+        store = ParamStore()
+        enc = SpeakerEncoder(store, NamedRng(0), ModelConfig(d_model=16, n_heads=2))
+        enc.proj.w.data[...] = rand((16, 16), 4)  # zero-initialized: no gradient upstream
+        emb = enc(rand((14, 80), 5), _training_ctx([5, 2, 7]))
+        return ad.sum_all(ad.mul(emb, Tensor(rand((3, 16), 6)))), dict(store)
+
+    (released, counts), (kept, no_counts) = _with_and_without_release(monkeypatch, build)
+    # per layer: conv, relu and norm outputs; the norms' have a recipe
+    assert counts == (6, 2) and no_counts == (0, 0)
+    assert len(released) == 10
+    assert released == kept
 
 
 @pytest.mark.parametrize("training", [True, False])

@@ -1,5 +1,6 @@
 """Fusion in the decoder, decoder contracts, pitch classification head,
-and the bin-to-Hz decoding round trip."""
+the bin-to-Hz decoding round trip, and the inference entry points' checks
+of their arrays."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from uspc.autodiff import Tensor
 from uspc.config import ModelConfig
 from uspc.encoders import bin_center_hz, quantize_f0_array
-from uspc.errors import ShapeError
+from uspc.errors import DataError, ShapeError
 from uspc.layers import Ctx, segment_offsets
 from uspc.model import JointModel
 from uspc.synthesis import BIN_CENTERS_HZ, decode_f0
@@ -183,3 +184,57 @@ def test_quantize_f0_array_of_decoded_matches(small_model):
     bins = np.argmax(logits, axis=1)
     redone = quantize_f0_array(hz)
     np.testing.assert_array_equal(redone, bins)
+
+
+def _mel(t, seed=0):
+    return rand((t, 80), seed)
+
+
+def _with_nan(a):
+    a = np.array(a, dtype=np.float64)
+    a.flat[a.size // 2] = np.nan
+    return a
+
+
+PHONEMES = np.array([3, 1, 4, 1, 5])
+
+MALFORMED = {
+    "f0 NaN": ("f0_hz", lambda m: quantize_f0_array([120.0, np.nan, 0.0])),
+    "tts empty phonemes": ("phoneme_ids", lambda m: m.synth_tts(np.array([], dtype=int),
+                                                               _mel(6))),
+    "tts ref no frames": ("ref_mel", lambda m: m.synth_tts(PHONEMES, _mel(0))),
+    "tts ref NaN": ("ref_mel", lambda m: m.synth_tts(PHONEMES, _with_nan(_mel(6)))),
+    "tts ref inf": ("ref_mel", lambda m: m.synth_tts(PHONEMES, np.full((6, 80), np.inf))),
+    "tts ref wrong width": ("ref_mel", lambda m: m.synth_tts(PHONEMES, rand((6, 79), 0))),
+    "tts ref one row": ("ref_mel", lambda m: m.synth_tts(PHONEMES, rand(80, 0))),
+    "tts ref text": ("ref_mel", lambda m: m.synth_tts(PHONEMES, "frames")),
+    "vc source no frames": ("source_mel", lambda m: m.convert_vc(_mel(0), np.zeros(0), _mel(6))),
+    "vc source NaN": ("source_mel", lambda m: m.convert_vc(_with_nan(_mel(5)), np.zeros(5),
+                                                           _mel(6))),
+    "vc source wrong width": ("source_mel", lambda m: m.convert_vc(rand((5, 81), 0),
+                                                                   np.zeros(5), _mel(6))),
+    "vc f0 NaN": ("f0_hz", lambda m: m.convert_vc(_mel(5), _with_nan(np.full(5, 150.0)),
+                                                  _mel(6))),
+    "vc f0 short": ("source_f0", lambda m: m.convert_vc(_mel(5), np.zeros(4), _mel(6))),
+    "vc f0 2-D": ("source_f0", lambda m: m.convert_vc(_mel(5), np.zeros((5, 1)), _mel(6))),
+    "vc ref no frames": ("ref_mel", lambda m: m.convert_vc(_mel(5), np.zeros(5), _mel(0))),
+    "vc ref NaN": ("ref_mel", lambda m: m.convert_vc(_mel(5), np.zeros(5),
+                                                     _with_nan(_mel(6)))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_inference_entry_points_refuse_malformed_arrays_naming_them(small_model, case):
+    # warnings are errors in this suite: each case must raise before numpy
+    # warns (an empty mean, a NaN cast to a bin) or returns a NaN mel
+    argument, call = MALFORMED[case]
+    with pytest.raises(DataError, match=f"^{argument}: "):
+        call(small_model)
+
+
+def test_inference_entry_points_accept_well_formed_arrays(small_model):
+    mel, f0, _ = small_model.synth_tts(PHONEMES, _mel(6), durations=np.array([1, 2, 1, 1, 2]))
+    assert mel.shape == (7, 80) and np.isfinite(mel).all() and f0.shape == (7,)
+    converted, f0_used = small_model.convert_vc(_mel(5), np.full(5, 150.0), _mel(6))
+    assert converted.shape == (5, 80) and np.isfinite(converted).all()
+    np.testing.assert_array_equal(f0_used, np.full(5, 150.0))
