@@ -643,8 +643,9 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         """Each segment's probabilities times its values, head by head: the
         output in forward and when backward remakes a released one."""
         out = np.empty((t, d))
+        outh = heads(out)
         for (lo, hi), p in zip(spans, probs):
-            np.matmul(p, vh[:, lo:hi], out=heads(out)[:, lo:hi])
+            np.matmul(p, vh[:, lo:hi], out=outh[:, lo:hi])
         return out
 
     def backward_fn(g: Array) -> None:

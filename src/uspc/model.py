@@ -133,6 +133,8 @@ class JointModel:
         if source_f0.shape != source_mel.shape[:1]:
             raise DataError(f"source_f0: shape {source_f0.shape} does not give one value "
                             f"per frame of the {source_mel.shape[0]}-frame source_mel")
+        if np.isnan(source_f0).any() or (source_f0 < 0).any():
+            raise DataError("source_f0: NaN or negative f0 in contour")
         ctx = Ctx.eval()
         q = self.quantize(self.content_encoder(source_mel, ctx))
         mel = self.decode_vc(q, self.speaker_encoder(ref_mel, ctx), source_f0, ctx)

@@ -126,7 +126,7 @@ def held_arrays(loss: Tensor) -> list[np.ndarray]:
     held: dict[int, np.ndarray] = {}
 
     def add(a) -> None:
-        if isinstance(a, np.ndarray) and _owner(a) is not _owner(ad._RELEASED):
+        if isinstance(a, np.ndarray) and _owner(a) is not ad._RELEASED:
             held.setdefault(id(_owner(a)), _owner(a))
 
     seen, stack = set(), [loss]

@@ -436,24 +436,21 @@ REMADE_OPS = {
 
 @pytest.mark.parametrize("op", sorted(REMADE_OPS))
 def test_a_released_value_with_a_recipe_is_remade_for_the_rule_that_reads_it(op):
-    # linear's rule reads its input: the released value is remade, with
-    # the forward's bytes, just before that rule runs, and released again
-    # once its own node's rule is reached
+    # linear's rule reads its input, so w's gradient is bytes-equal only if
+    # the released value is remade with the forward's bytes before that
+    # rule runs; it is released again once its own node's rule is reached
     grads = []
     for releasing in (True, False):
         x = Tensor(rand((6, 4), 72), requires_grad=True)
         gain, bias = (Tensor(rand(4, s), requires_grad=True) for s in (73, 74))
         w = Tensor(rand((4, 3), 75), requires_grad=True)
         h = REMADE_OPS[op](x, gain, bias)
-        values = h.data.copy()
         loss = ad.sum_all(ad.mul(ad.linear(h, w), Tensor(rand((6, 3), 76))))
         if releasing:
             ad.release(h)
         ad.backward(loss)
         assert np.isnan(h.data).all() == releasing
         grads.append([t.grad.tobytes() for t in (x, gain, bias, w)])
-        if not releasing:
-            assert h.data.tobytes() == values.tobytes()
     assert grads[0] == grads[1]
 
 

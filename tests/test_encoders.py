@@ -273,8 +273,8 @@ def _with_and_without_release(monkeypatch, build):
     return runs
 
 
-def _training_ctx(lengths, step=3):
-    return Ctx(training=True, step=step, uids=tuple("abcdefgh"[:len(lengths)]),
+def _training_ctx(lengths):
+    return Ctx(training=True, step=3, uids=tuple("abcdefgh"[:len(lengths)]),
                offsets=segment_offsets(lengths), rng=NamedRng(0))
 
 

@@ -213,8 +213,9 @@ MALFORMED = {
                                                            _mel(6))),
     "vc source wrong width": ("source_mel", lambda m: m.convert_vc(rand((5, 81), 0),
                                                                    np.zeros(5), _mel(6))),
-    "vc f0 NaN": ("f0_hz", lambda m: m.convert_vc(_mel(5), _with_nan(np.full(5, 150.0)),
-                                                  _mel(6))),
+    "vc f0 NaN": ("source_f0", lambda m: m.convert_vc(_mel(5), _with_nan(np.full(5, 150.0)),
+                                                      _mel(6))),
+    "vc f0 negative": ("source_f0", lambda m: m.convert_vc(_mel(5), np.full(5, -1.0), _mel(6))),
     "vc f0 short": ("source_f0", lambda m: m.convert_vc(_mel(5), np.zeros(4), _mel(6))),
     "vc f0 2-D": ("source_f0", lambda m: m.convert_vc(_mel(5), np.zeros((5, 1)), _mel(6))),
     "vc ref no frames": ("ref_mel", lambda m: m.convert_vc(_mel(5), np.zeros(5), _mel(0))),
