@@ -41,11 +41,11 @@ def overfit_corpus(out_dir, seed: int = 7):
     return [r for r in train_all if r.speaker_id == "spk000"]
 
 
-def measure(model, records, cfg):
+def measure(model, records):
     """Eval-mode training-set fit: (mel MSE, duration MSE, pitch accuracy).
     The parameters are frozen, so no forward pass builds a graph."""
     with model.store.frozen():
-        frag = tts_step(records, model, cfg, step=0, training=False)
+        frag = tts_step(records, model, step=0, training=False)
         ctx = Ctx.eval()
         correct = total = 0
         for rec in records:
@@ -69,7 +69,7 @@ def main():
 
     t0 = time.perf_counter()
     model, _, trace = train(cfg, records)
-    mel, dur, acc = measure(model, records, cfg)
+    mel, dur, acc = measure(model, records)
     print(f"after {len(trace)} steps ({time.perf_counter() - t0:.0f}s): "
           f"mel MSE {mel:.5f} (target < 0.01), duration MSE {dur:.5f} "
           f"(target < 0.01), pitch accuracy {acc:.4f} (target > 0.95)")

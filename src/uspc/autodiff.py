@@ -6,14 +6,16 @@ Design notes:
     gradient contributions.  A node gets a closure only when one of its
     inputs requires grad.  Parameters always do, so an eval-mode forward
     still builds a closure wherever a parameter enters (the decoder alone
-    builds 28 in one `synth_tts` call); it just never runs them.
+    builds 25 in one desk-size `synth_tts` call); it just never runs them.
   * Constants (tensors that do not require grad) never take a gradient:
     backward rules skip the work for such inputs, GEMMs included, and
     their `.grad` stays None.
-  * A gradient a backward rule computes afresh is owned by the tensor that
-    receives it: the first one is stored without a copy.  A gradient that
-    is (a view of) the upstream gradient is copied first.  Stored
-    gradients are never changed in place during backward.
+  * A rule hands each parent its gradient through `accumulate_grad`,
+    which reduces it to the parent's shape and stores it as given: the
+    upstream gradient itself (or a view of it) is shared, never copied.
+    Backward makes each upstream gradient read-only before its rule runs,
+    so a rule that wrote into one would raise ValueError; gradients are
+    only ever replaced by a sum.
   * A graph is single-use.  Once a node's backward rule has run, backward
     drops the node's gradient and swaps its closure for one that raises
     GraphError, so interior gradients and every array a closure saved
@@ -48,7 +50,8 @@ Design notes:
     and `offsets` (B+1 row bounds) marks the segments.  Row-wise ops need
     no layout; the ops that mix rows (conv1d, attention_core, dropout,
     segment_mean) and the losses take `offsets` and keep every segment to
-    itself.  `offsets=None` is one segment spanning all rows.
+    itself.  `offsets=None` is one segment spanning all rows; only
+    `segment_bounds` reads it, and `mse`, whose inputs may be 0-d.
 """
 
 from __future__ import annotations
@@ -81,10 +84,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
@@ -92,18 +91,13 @@ class Tensor:
         """Same values, cut off from the graph (stop-gradient)."""
         return Tensor(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def accumulate_grad(self, g: Array) -> None:
-        """Add `g` to the gradient; a constant takes none.  The first
-        gradient is stored as a copy: `g` may be a view its caller keeps."""
+        """Add `g`, reduced to this tensor's shape, to the gradient; a
+        constant takes none.  The first gradient is stored as given."""
         if not self.requires_grad:
             return
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
-        else:
-            self.grad = self.grad + g
+        g = _unbroadcast(g, self.data.shape)
+        self.grad = g if self.grad is None else self.grad + g
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
@@ -114,35 +108,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return add(self, neg(_as_tensor(other)))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other), neg(self))
-
-    def __neg__(self):
-        return neg(self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self):
-        return sum_all(self)
-
-    def mean(self):
-        return mean_all(self)
-
-    def backward(self) -> None:
-        backward(self)
 
 
 _RELEASED = np.full(1, np.nan)
@@ -197,8 +164,6 @@ def segment_bounds(offsets: np.ndarray | None, n_rows: int) -> np.ndarray:
 
 def _spans(offsets: np.ndarray | None, n_rows: int) -> list[tuple[int, int]]:
     """(first, end) rows of each segment."""
-    if offsets is None:
-        return [(0, n_rows)]
     bounds = segment_bounds(offsets, n_rows)
     return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
 
@@ -227,26 +192,6 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     return g
 
 
-def _own(t: Tensor, g: Array) -> None:
-    """accumulate_grad for a gradient computed afresh that nothing else
-    holds: the first one is stored as is."""
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = g
-    else:
-        t.grad = t.grad + g
-
-
-def _accumulate_unbroadcast(t: Tensor, g: Array) -> None:
-    """`g` reduced to `t`'s shape; owned when the reduction made it anew."""
-    r = _unbroadcast(g, t.data.shape)
-    if r is g:
-        t.accumulate_grad(g)
-    else:
-        _own(t, r)
-
-
 # -- elementwise / structural ops ---------------------------------------------
 
 
@@ -254,17 +199,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def backward_fn(g: Array) -> None:
-        _accumulate_unbroadcast(a, g)
-        _accumulate_unbroadcast(b, g)
+        a.accumulate_grad(g)
+        b.accumulate_grad(g)
 
     return _make_node(data, (a, b), backward_fn)
-
-
-def neg(a: Tensor) -> Tensor:
-    def backward_fn(g: Array) -> None:
-        _own(a, -g)
-
-    return _make_node(-a.data, (a,), backward_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -272,9 +210,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn(g: Array) -> None:
         if a.requires_grad:
-            _own(a, _unbroadcast(g * b.data, a.data.shape))
+            a.accumulate_grad(g * b.data)
         if b.requires_grad:
-            _own(b, _unbroadcast(g * a.data, b.data.shape))
+            b.accumulate_grad(g * a.data)
 
     return _make_node(data, (a, b), backward_fn)
 
@@ -283,25 +221,9 @@ def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0
 
     def backward_fn(g: Array) -> None:
-        _own(a, g * mask)
+        a.accumulate_grad(g * mask)
 
     return _make_node(a.data * mask, (a,), backward_fn)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    def backward_fn(g: Array) -> None:
-        a.accumulate_grad(np.broadcast_to(g, a.data.shape))
-
-    return _make_node(np.asarray(a.data.sum()), (a,), backward_fn)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-
-    def backward_fn(g: Array) -> None:
-        a.accumulate_grad(np.broadcast_to(g / n, a.data.shape))
-
-    return _make_node(np.asarray(a.data.mean()), (a,), backward_fn)
 
 
 def segment_mean(a: Tensor, offsets: np.ndarray | None = None) -> Tensor:
@@ -311,7 +233,7 @@ def segment_mean(a: Tensor, offsets: np.ndarray | None = None) -> Tensor:
     lengths = np.array([hi - lo for lo, hi in spans])
 
     def backward_fn(g: Array) -> None:
-        _own(a, np.repeat(g / lengths[:, None], lengths, axis=0))
+        a.accumulate_grad(np.repeat(g / lengths[:, None], lengths, axis=0))
 
     return _make_node(data, (a,), backward_fn)
 
@@ -333,7 +255,7 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     def backward_fn(g: Array) -> None:
         da = np.zeros_like(a.data)
         np.add.at(da, idx, g)
-        _own(a, da)
+        a.accumulate_grad(da)
 
     return _make_node(data, (a,), backward_fn)
 
@@ -369,25 +291,9 @@ def repeat_rows(a: Tensor, counts: np.ndarray) -> Tensor:
     data = np.repeat(a.data, counts, axis=0)
 
     def backward_fn(g: Array) -> None:
-        _own(a, run_sums(g, counts))
+        a.accumulate_grad(run_sums(g, counts))
 
     return _make_node(data, (a,), backward_fn)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul inner dims differ: {a.data.shape} x {b.data.shape}")
-    data = a.data @ b.data
-
-    def backward_fn(g: Array) -> None:
-        if a.requires_grad:
-            _own(a, g @ b.data.T)
-        if b.requires_grad:
-            _own(b, a.data.T @ g)
-
-    return _make_node(data, (a, b), backward_fn)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -400,11 +306,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     def backward_fn(g: Array) -> None:
         if b is not None and b.requires_grad:
-            _own(b, g.sum(axis=0))
+            b.accumulate_grad(g.sum(axis=0))
         if x.requires_grad:
-            _own(x, g @ w.data.T)
+            x.accumulate_grad(g @ w.data.T)
         if w.requires_grad:
-            _own(w, x.data.T @ g)
+            w.accumulate_grad(x.data.T @ g)
 
     return _make_node(data, (x, w) if b is None else (x, w, b), backward_fn)
 
@@ -478,7 +384,7 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
 
     def backward_fn(g: Array) -> None:
         if bias is not None and bias.requires_grad:
-            _own(bias, g.sum(axis=0))
+            bias.accumulate_grad(g.sum(axis=0))
         if not (kernel.requires_grad or x.requires_grad):
             return
         n_seg = bounds.size - 1
@@ -497,14 +403,14 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
             for j in range(k):
                 np.matmul(xp[j:j + span].T, gp, out=dk[j])
             del xp  # the padded rows go before the input gradient's buffers come
-            _own(kernel, dk)
+            kernel.accumulate_grad(dk)
         if x.requires_grad:
             dxp = np.zeros((span + 2 * pad, cin))
             product = np.empty((span, cin))
             for j in range(k):
                 dxp[j:j + span] += np.matmul(gp, kernel.data[j].T, out=product)
             del product, gp  # only dxp is read from here on
-            _own(x, _join([dxp[w + pad:w + pad + hi - lo] for lo, hi, w in windows]))
+            x.accumulate_grad(_join([dxp[w + pad:w + pad + hi - lo] for lo, hi, w in windows]))
 
     return _make_node(data, parents, backward_fn)
 
@@ -558,8 +464,8 @@ def _normalize_grads(g: Array, gain: Tensor, bias: Tensor, xhat: Array, inv: Arr
     """layer_norm's backward: gives gain and bias their gradients, then
     returns the input rows' gradient when `rows` asks for it."""
     if gain.requires_grad:
-        _own(gain, _unbroadcast(g * xhat, gain.data.shape))
-    _accumulate_unbroadcast(bias, g)
+        gain.accumulate_grad(g * xhat)
+    bias.accumulate_grad(g)
     return _row_norm_grad(g * gain.data, xhat, inv) if rows else None
 
 
@@ -570,7 +476,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = _LAYER_NORM_E
     def backward_fn(g: Array) -> None:
         gx = _normalize_grads(g, gain, bias, xhat, inv, x.requires_grad)
         if gx is not None:
-            _own(x, gx)
+            x.accumulate_grad(gx)
 
     backward_fn.remake = lambda: _affine(xhat, gain, bias)
     return _make_node(data, (x, gain, bias), backward_fn)
@@ -598,13 +504,13 @@ def dropout_add_norm(x: Tensor, a: Tensor, gain: Tensor, bias: Tensor, rate: flo
         gs = _normalize_grads(g, gain, bias, xhat, inv, x.requires_grad or a.requires_grad)
         if gs is None:
             return
-        _own(x, gs)
+        x.accumulate_grad(gs)
         if keep is None:
-            a.accumulate_grad(gs)  # a copy: x may own gs
+            a.accumulate_grad(gs)
         else:
             d = gs * keep
             d *= scale
-            _own(a, d)
+            a.accumulate_grad(d)
 
     backward_fn.remake = lambda: _affine(xhat, gain, bias)
     return _make_node(data, (x, a, gain, bias), backward_fn)
@@ -678,7 +584,7 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                 grad *= scale
         for x, grad in ((q, dq), (k, dk), (v, dv)):
             if grad is not None:
-                _own(x, grad)
+                x.accumulate_grad(grad)
 
     backward_fn.remake = mix
     return _make_node(mix(), (q, k, v), backward_fn)
@@ -712,7 +618,7 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray,
         p[np.arange(t), targets] -= 1.0
         g_seg = g * (1.0 / len(spans))
         scales = [g_seg / (hi - lo) for lo, hi in spans]
-        _own(logits, p * _scalars_per_row(scales, spans, 2))
+        logits.accumulate_grad(p * _scalars_per_row(scales, spans, 2))
 
     return _make_node(data, (logits,), backward_fn)
 
@@ -733,8 +639,8 @@ def mse(a: Tensor, b: Tensor, offsets: np.ndarray | None = None) -> Tensor:
         scales = [2.0 * g_seg / n for n in sizes]
         d = diff * (scales[0] if spans is None else _scalars_per_row(scales, spans, diff.ndim))
         if b.requires_grad:
-            _own(b, -d)
-        _own(a, d)
+            b.accumulate_grad(-d)
+        a.accumulate_grad(d)
 
     return _make_node(data, (a, b), backward_fn)
 
@@ -758,7 +664,7 @@ def dropout(x: Tensor, rate: float, rngs, offsets: np.ndarray | None = None) -> 
     def backward_fn(g: Array) -> None:
         d = g * keep
         d *= scale
-        _own(x, d)
+        x.accumulate_grad(d)
 
     return _make_node(data, (x,), backward_fn)
 
@@ -834,9 +740,10 @@ def backward(loss: Tensor) -> None:
     op left a recipe is remade (see `release`), and released again when the
     walk reaches that input's own rule.  A second backward that reaches the
     node or its stand-in raises GraphError before any rule runs, so no
-    gradient changes.  Leaves keep their gradients, which accumulate; call
-    zero_grad on leaves between backward passes if accumulation is not
-    wanted.
+    gradient changes.  Each node's gradient is made read-only before its
+    rule runs, which may pass it on as it is but never write into it.
+    Leaves keep their gradients, which accumulate over backward passes
+    until their `.grad` is set to None.
     """
     if loss.data.shape not in ((), (1,)):
         raise GraphError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -874,8 +781,9 @@ def backward(loss: Tensor) -> None:
                 if p.data.base is _RELEASED and hasattr(p._backward, "remake"):
                     p.data = p._backward.remake()
                     remade.add(id(p))
-            node._backward(node.grad if node.grad.shape == node.data.shape
-                           else node.grad.reshape(node.data.shape))
+            g = np.asarray(node.grad)  # a 0-d rule may have made a numpy scalar
+            g.flags.writeable = False
+            node._backward(g)
         node.grad = None
         node._backward = _consumed
         # the node and its stand-in share one list of the parents' stand-ins

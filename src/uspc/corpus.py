@@ -304,7 +304,7 @@ def load_corpus(corpus_dir, split: str = "train") -> list[UtteranceRecord]:
     manifest = corpus_dir / manifest_name(split)
     if not manifest.exists():
         raise DataError(f"manifest not found: {manifest}")
-    records = []
+    records, first_line = [], {}
     text = decode_utf8(manifest.read_bytes(), str(manifest), IntegrityError)
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line:
@@ -313,6 +313,10 @@ def load_corpus(corpus_dir, split: str = "train") -> list[UtteranceRecord]:
         if len(parts) != 7:
             raise IntegrityError(f"{manifest}:{lineno}: expected 7 fields, got {len(parts)}")
         uid, speaker, flag, ph, du, mel_rel, f0_rel = parts
+        if uid in first_line:  # records are keyed by id downstream
+            raise IntegrityError(f"{manifest}:{lineno}: utterance id {uid!r} repeats "
+                                 f"line {first_line[uid]}")
+        first_line[uid] = lineno
         labeled = flag == "1"
         mel_path = corpus_dir / mel_rel
         f0_path = corpus_dir / f0_rel

@@ -93,11 +93,8 @@ class LayerNorm:
 
 def add_per_row(x: Tensor, v: Tensor, offsets: np.ndarray | None) -> Tensor:
     """x plus each segment's row of `v` (B, d) on that segment's rows.  The
-    one row of an unbatched sequence (offsets None) broadcasts as is; the
     repeated rows are released once added, as add's rule reads no values."""
-    if offsets is None:
-        return ad.add(x, v)
-    rows = ad.repeat_rows(v, np.diff(offsets))
+    rows = ad.repeat_rows(v, np.diff(ad.segment_bounds(offsets, x.data.shape[0])))
     out = ad.add(x, rows)
     ad.release(rows)
     return out
@@ -147,26 +144,24 @@ class Embedding:
         return ad.gather_rows(self.table, ids)
 
 
-_PE_CACHE: dict[tuple[int, int], np.ndarray] = {}
+# one table per width, grown to the longest segment seen: each entry depends
+# only on its row and column, so its first n rows are bitwise the n-row table
+_PE_CACHE: dict[int, np.ndarray] = {}
 
 
 def _position_table(n_rows: int, dim: int) -> np.ndarray:
-    key = (n_rows, dim)
-    table = _PE_CACHE.get(key)
-    if table is None:
+    table = _PE_CACHE.get(dim)
+    if table is None or table.shape[0] < n_rows:
         pos = np.arange(n_rows)[:, None]
         i = np.arange(dim)[None, :]
         angle = pos / np.power(10000.0, (2 * (i // 2)) / dim)
-        table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
-        _PE_CACHE[key] = table
-    return table
+        table = _PE_CACHE[dim] = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+    return table[:n_rows]
 
 
 def positional_encoding(n_rows: int, dim: int, offsets: np.ndarray | None = None) -> Tensor:
-    """Sinusoidal position table (constant, shared across call sites).
-    Positions restart at 0 in every segment of `offsets`."""
-    if offsets is None:
-        return Tensor(_position_table(n_rows, dim))
+    """Sinusoidal position table (constant).  Positions restart at 0 in
+    every segment of `offsets`."""
     lengths = np.diff(ad.segment_bounds(offsets, n_rows)).tolist()
     return Tensor(np.concatenate([_position_table(n, dim) for n in lengths]))
 

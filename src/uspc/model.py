@@ -41,6 +41,16 @@ def _mel_frames(name: str, mel) -> np.ndarray:
     return arr
 
 
+def _whole_numbers(name: str, values) -> np.ndarray:
+    """`values` as a 1-D array of finite whole numbers; anything else is a
+    DataError naming the argument `name`, never a silent truncation."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all() \
+            or (arr != np.rint(arr)).any():
+        raise DataError(f"{name}: expected a 1-D sequence of whole numbers, got {arr.tolist()}")
+    return arr
+
+
 class JointModel:
     def __init__(self, cfg: ModelConfig, seed: int, use_vq: bool = True):
         cfg.validate()
@@ -117,6 +127,9 @@ class JointModel:
         pitch always comes from the pitch predictor at inference.
         Returns (mel, f0_hz, durations_used).
         """
+        phoneme_ids = _whole_numbers("phoneme_ids", phoneme_ids)
+        if durations is not None:
+            durations = _whole_numbers("durations", durations)
         ref_mel = _mel_frames("ref_mel", ref_mel)
         ctx = Ctx.eval()
         q, durations, _ = self.tts_content(phoneme_ids, durations, ctx)

@@ -117,8 +117,8 @@ class Fragment:
     code_agreement: float = 0.0  # pair only
 
 
-def _reconstruct(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
-                 ctx: Ctx, q: QuantizedContent) -> tuple[Fragment, Tensor]:
+def _reconstruct(batch: list[UtteranceRecord], model: JointModel, ctx: Ctx,
+                 q: QuantizedContent) -> tuple[Fragment, Tensor]:
     """The back half both pipelines share, once over the packed batch:
     speaker, teacher-forced prosody bins, decode, mel MSE, pitch CE and the
     VQ aux term.  `q` is the pipeline's own packed content, framed like
@@ -138,8 +138,8 @@ def _reconstruct(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConf
     return frag, logits
 
 
-def tts_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
-             step: int, training: bool = True) -> Fragment:
+def tts_step(batch: list[UtteranceRecord], model: JointModel, step: int,
+             training: bool = True) -> Fragment:
     """Text pipeline on paired data, teacher-forced durations and pitch bins."""
     if not batch:
         raise DataError("tts_step needs a non-empty paired batch")
@@ -156,26 +156,25 @@ def tts_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
     q, _, h = model.tts_content(np.concatenate([rec.phonemes for rec in batch]),
                                 durations, text_ctx)
     log_dur = model.duration_predictor(h, text_ctx)
-    frag, logits = _reconstruct(batch, model, cfg, _frames_ctx(batch, model, step, training), q)
+    frag, logits = _reconstruct(batch, model, _frames_ctx(batch, model, step, training), q)
     frag.duration = ad.mse(log_dur, Tensor(np.log(durations + 1.0)), text_ctx.offsets)
     f0 = np.concatenate([rec.f0 for rec in batch])
     frag.pitch_f0_mse = float(((decode_f0(logits) - f0) ** 2).sum()) / max(f0.size, 1)
     return frag
 
 
-def vc_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
-            step: int, training: bool = True) -> Fragment:
+def vc_step(batch: list[UtteranceRecord], model: JointModel, step: int,
+            training: bool = True) -> Fragment:
     """Speech-only self-reconstruction; text is never consulted."""
     if not batch:
         raise DataError("vc_step needs a non-empty speech batch")
     ctx = _frames_ctx(batch, model, step, training)
     q = model.quantize(model.content_encoder(_mels(batch), ctx))
-    return _reconstruct(batch, model, cfg, ctx, q)[0]
+    return _reconstruct(batch, model, ctx, q)[0]
 
 
-def pair_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
-              step: int, text_quantized: QuantizedContent,
-              training: bool = True) -> Fragment:
+def pair_step(batch: list[UtteranceRecord], model: JointModel, step: int,
+              text_quantized: QuantizedContent, training: bool = True) -> Fragment:
     """Domain loss between text-derived and speech-derived content of the
     same utterances.  `text_quantized` is the TTS pipeline's packed content
     of `batch` (`tts_step(batch, ...).quantized`)."""
@@ -224,10 +223,10 @@ def half_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
     utterances that ran through the VQ this step.  Inline and in the worker
     the same function runs, so both give the same bytes."""
     side = "vc" if speech else "tts"
-    first = (vc_step if speech else tts_step)(batch, model, cfg, step)
+    first = (vc_step if speech else tts_step)(batch, model, step)
     frags = [first]
     if not speech and cfg.trains_pair:
-        frags.append(pair_step(batch, model, cfg, step, first.quantized))
+        frags.append(pair_step(batch, model, step, first.quantized))
     rec = first.mel + first.pitch_ce * cfg.w_pitch
     pair = frags[-1].pair if frags[-1].pair is not None else Tensor(0.0)
     duration = first.duration if first.duration is not None else Tensor(0.0)

@@ -9,6 +9,7 @@ from uspc.corpus import CorpusSpec, gen_corpus
 from uspc.model import JointModel
 from uspc.autodiff import Tensor, backward
 from uspc import autodiff as ad
+from uspc.errors import ShapeError
 from uspc.optim import adam_step, clip_global_norm, clip_scale, sums_of_squares
 
 
@@ -62,6 +63,39 @@ def text_side_threads(model, monkeypatch):
 
     monkeypatch.setattr(model, "tts_content", recording)
     return threads
+
+
+def sum_all(a: Tensor) -> Tensor:
+    def backward_fn(g):
+        a.accumulate_grad(np.broadcast_to(g, a.data.shape))
+
+    return ad._make_node(np.asarray(a.data.sum()), (a,), backward_fn)
+
+
+def mean_all(a: Tensor) -> Tensor:
+    n = a.data.size
+
+    def backward_fn(g):
+        a.accumulate_grad(np.broadcast_to(g / n, a.data.shape))
+
+    return ad._make_node(np.asarray(a.data.mean()), (a,), backward_fn)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b as a plain node: the reference `ad.linear` is checked against."""
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError(f"matmul expects 2-D operands, got {a.data.shape} and {b.data.shape}")
+    if a.data.shape[1] != b.data.shape[0]:
+        raise ShapeError(f"matmul inner dims differ: {a.data.shape} x {b.data.shape}")
+    data = a.data @ b.data
+
+    def backward_fn(g):
+        if a.requires_grad:
+            a.accumulate_grad(g @ b.data.T)
+        if b.requires_grad:
+            b.accumulate_grad(a.data.T @ g)
+
+    return ad._make_node(data, (a, b), backward_fn)
 
 
 def rand(shape, seed):

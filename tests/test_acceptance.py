@@ -18,7 +18,7 @@ from uspc.optim import ParamStore
 from uspc.rng import NamedRng
 from uspc.vq import Codebook, vq_lookup
 
-from conftest import grad_check
+from conftest import grad_check, matmul, mean_all, sum_all
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -38,15 +38,15 @@ def random_case(rng, case_index):
     kind = case_index % 8
     if kind == 0:
         w = Tensor(rng.standard_normal((cols, int(rng.integers(1, 9)))))
-        return x, lambda t: ad.mean_all(ad.mul(ad.matmul(t, w), ad.matmul(t, w)))
+        return x, lambda t: mean_all(ad.mul(matmul(t, w), matmul(t, w)))
     if kind == 1:
         k = Tensor(rng.standard_normal((3, cols, int(rng.integers(1, 9)))))
         b = Tensor(rng.standard_normal(k.data.shape[2]))
-        return x, lambda t: ad.mean_all(ad.relu(ad.conv1d(t, k, b)))
+        return x, lambda t: mean_all(ad.relu(ad.conv1d(t, k, b)))
     if kind == 2:
         gain = Tensor(rng.standard_normal(cols))
         bias = Tensor(rng.standard_normal(cols))
-        return x, lambda t: ad.sum_all(ad.layer_norm(t, gain, bias))
+        return x, lambda t: sum_all(ad.layer_norm(t, gain, bias))
     if kind == 3:
         targets = rng.integers(0, cols, rows)
         return x, lambda t: ad.softmax_cross_entropy(t, targets)
@@ -55,14 +55,14 @@ def random_case(rng, case_index):
         return x, lambda t: ad.mse(t, other)
     if kind == 5:
         n_heads = 2 if cols % 2 == 0 else 1
-        return x, lambda t: ad.mean_all(ad.attention_core(t, t, t, n_heads))
+        return x, lambda t: mean_all(ad.attention_core(t, t, t, n_heads))
     if kind == 6:
         idx = rng.integers(0, rows, rows + 2)
-        return x, lambda t: ad.mean_all(ad.mul(ad.gather_rows(t, idx),
+        return x, lambda t: mean_all(ad.mul(ad.gather_rows(t, idx),
                                                ad.gather_rows(t, idx)))
     v = Tensor(rng.standard_normal(cols))
     w = Tensor(np.outer(v.data, v.data))
-    return x, lambda t: ad.mean_all(ad.mul(ad.linear(t, w, v), ad.linear(t, w, v)))
+    return x, lambda t: mean_all(ad.mul(ad.linear(t, w, v), ad.linear(t, w, v)))
 
 
 def random_segmented_case(rng, case_index):
@@ -75,12 +75,12 @@ def random_segmented_case(rng, case_index):
     kind = case_index % 5
     if kind == 0:
         k = Tensor(rng.standard_normal((3, cols, int(rng.integers(1, 5)))))
-        return x, lambda t: ad.mean_all(ad.relu(ad.conv1d(t, k, None, offsets)))
+        return x, lambda t: mean_all(ad.relu(ad.conv1d(t, k, None, offsets)))
     if kind == 1:
-        return x, lambda t: ad.mean_all(ad.attention_core(t, t, t, 2, offsets))
+        return x, lambda t: mean_all(ad.attention_core(t, t, t, 2, offsets))
     if kind == 2:
         v = Tensor(rng.standard_normal(cols))
-        return x, lambda t: ad.sum_all(ad.mul(ad.mul(ad.segment_mean(t, offsets), v),
+        return x, lambda t: sum_all(ad.mul(ad.mul(ad.segment_mean(t, offsets), v),
                                               ad.segment_mean(t, offsets)))
     if kind == 3:
         other = Tensor(rng.standard_normal((rows, cols)))
@@ -118,7 +118,7 @@ def test_acceptance_straight_through_exemption():
     c = Tensor(np.random.default_rng(1).standard_normal((12, 8)), requires_grad=True)
     q = vq_lookup(c, book)
     upstream = np.random.default_rng(2).standard_normal((12, 8))
-    ad.backward(ad.sum_all(ad.mul(q.vectors, Tensor(upstream))))
+    ad.backward(sum_all(ad.mul(q.vectors, Tensor(upstream))))
     pass_through = np.array_equal(c.grad, upstream)
     no_book_grad = book.entries.grad is None
     forward_exact = all(q.vectors.data[i].tobytes() == book.entries.data[k].tobytes()

@@ -23,7 +23,7 @@ from uspc.rng import NamedRng
 from uspc.synthesis import Decoder
 from uspc.vq import Codebook, vq_aux_loss, vq_lookup
 
-from conftest import held_arrays, held_bytes, rand
+from conftest import held_arrays, held_bytes, rand, sum_all
 
 LENGTHS = (5, 2, 7)
 T, D, HEADS = sum(LENGTHS), 16, 2
@@ -49,7 +49,7 @@ def test_held_arrays_counts_a_buffer_once_and_no_parameter():
     w = store.param("w", rand((4, 4), 0))
     x = Tensor(rand((6, 4), 1))
     h = ad.linear(x, w)
-    loss = ad.sum_all(ad.add(ad.reshape(h, (4, 6)), Tensor(np.ones((4, 6)))))
+    loss = sum_all(ad.add(ad.reshape(h, (4, 6)), Tensor(np.ones((4, 6)))))
     # x and h (whose reshape is a view of it), the ones, the add's output
     # and the loss; not w
     assert held_bytes(loss) == 4 * 6 * 8 * 4 + LOSS
@@ -69,7 +69,7 @@ def test_fft_stack_holds_six_row_arrays_per_block(rate):
     out = stack(rows, ctx())
     masks = 3 if rate else 1
     per_block = 6 * ROW + 2 * COL + masks * MASK + PROBS
-    assert held_bytes(ad.sum_all(out)) == 2 * per_block + 3 * ROW + OFFSETS + LOSS
+    assert held_bytes(sum_all(out)) == 2 * per_block + 3 * ROW + OFFSETS + LOSS
 
 
 @pytest.mark.parametrize("rate", [0.5, 0.0])
@@ -81,7 +81,7 @@ def test_conv_predictor_holds_its_input_and_normalized_rows(rate):
     stack = ConvPredictorStack(ParamStore(), NamedRng(0), "p", D, 1, rate)
     out = stack(Tensor(rand((T, D), 0)), ctx())
     per_layer = ROW + COL + MASK + (ROW + MASK if rate else 0)
-    assert held_bytes(ad.sum_all(out)) == ROW + 2 * per_layer + COL + OFFSETS + LOSS
+    assert held_bytes(sum_all(out)) == ROW + 2 * per_layer + COL + OFFSETS + LOSS
 
 
 def test_speaker_encoder_holds_its_mel_and_normalized_rows():
@@ -91,7 +91,7 @@ def test_speaker_encoder_holds_its_mel_and_normalized_rows():
     enc = SpeakerEncoder(ParamStore(), NamedRng(0), cfg(0.5))
     emb = enc(rand((T, N_MELS), 0), ctx())
     pooled = len(LENGTHS) * D * 8
-    assert held_bytes(ad.sum_all(emb)) == T * N_MELS * 8 + 2 * (ROW + COL + MASK) \
+    assert held_bytes(sum_all(emb)) == T * N_MELS * 8 + 2 * (ROW + COL + MASK) \
         + len(LENGTHS) * 8 + 2 * pooled + OFFSETS + LOSS
 
 
@@ -110,7 +110,7 @@ def test_decoder_holds_no_fused_row():
     prosody = Tensor(rand((T, D), 1))
     mel = decoder(q, Tensor(rand((3, D), 2)), prosody, ctx())
     stack = 2 * (6 * ROW + 2 * COL + 3 * MASK + PROBS) + 3 * ROW
-    assert held_bytes(ad.sum_all(mel)) == 2 * ROW + stack + T * N_MELS * 8 + OFFSETS + LOSS
+    assert held_bytes(sum_all(mel)) == 2 * ROW + stack + T * N_MELS * 8 + OFFSETS + LOSS
 
 
 def test_vq_aux_loss_holds_only_differences():

@@ -15,7 +15,7 @@ from uspc.errors import ConfigError, GraphError, ShapeError, TrainingDiverged
 from uspc.layers import Ctx, Dropout
 from uspc.optim import AdamState, ParamStore
 
-from conftest import clip_and_adam, grad_check
+from conftest import clip_and_adam, grad_check, matmul, mean_all, sum_all
 
 
 def rand(shape, seed):
@@ -27,32 +27,32 @@ def rand(shape, seed):
 
 def test_matmul_identity():
     b = Tensor(rand((2, 3), 0))
-    out = ad.matmul(Tensor(np.eye(2)), b)
+    out = matmul(Tensor(np.eye(2)), b)
     np.testing.assert_array_equal(out.data, b.data)
 
 
 def test_matmul_zeros():
-    out = ad.matmul(Tensor(np.zeros((2, 3))), Tensor(rand((3, 4), 1)))
+    out = matmul(Tensor(np.zeros((2, 3))), Tensor(rand((3, 4), 1)))
     np.testing.assert_array_equal(out.data, np.zeros((2, 4)))
 
 
 def test_matmul_hand_expanded():
     # dot products expanded by hand: row1 = (1*5+2*7, 1*6+2*8)
-    out = ad.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[5.0, 6.0], [7.0, 8.0]]))
+    out = matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[5.0, 6.0], [7.0, 8.0]]))
     np.testing.assert_array_equal(out.data, [[19.0, 22.0], [43.0, 50.0]])
 
 
 def test_matmul_shape_mismatch_mentions_both_shapes():
     with pytest.raises(ShapeError, match=r"2, 3.*4, 2"):
-        ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
 
 
 def test_matmul_backward_formulas():
     a = Tensor(rand((3, 4), 2), requires_grad=True)
     b = Tensor(rand((4, 2), 3), requires_grad=True)
-    out = ad.matmul(a, b)
+    out = matmul(a, b)
     g = rand((3, 2), 4)
-    loss = ad.sum_all(ad.mul(out, Tensor(g)))
+    loss = sum_all(ad.mul(out, Tensor(g)))
     ad.backward(loss)
     np.testing.assert_allclose(a.grad, g @ b.data.T, atol=1e-12)
     np.testing.assert_allclose(b.grad, a.data.T @ g, atol=1e-12)
@@ -253,7 +253,7 @@ def test_dropout_rate_one_rejected():
 
 def test_backward_sum_gives_ones():
     x = Tensor(rand((3, 2), 50), requires_grad=True)
-    ad.backward(ad.sum_all(x))
+    ad.backward(sum_all(x))
     np.testing.assert_array_equal(x.grad, np.ones((3, 2)))
 
 
@@ -265,9 +265,9 @@ def test_backward_mse_hand_derivative():
 
 def test_backward_accumulates_without_reset():
     x = Tensor(rand(4, 51), requires_grad=True)
-    ad.backward(ad.sum_all(x))
+    ad.backward(sum_all(x))
     first = x.grad.copy()
-    ad.backward(ad.sum_all(x))
+    ad.backward(sum_all(x))
     np.testing.assert_array_equal(x.grad, 2 * first)
 
 
@@ -275,7 +275,7 @@ def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
     x = Tensor(rand((3, 4), 55), requires_grad=True)
     w = Tensor(rand((4, 2), 56), requires_grad=True)
     h = ad.relu(ad.linear(x, w))
-    loss = ad.sum_all(h)
+    loss = sum_all(h)
     ad.backward(loss)
     assert x.grad.shape == (3, 4) and w.grad.shape == (4, 2)
     assert h.grad is None and loss.grad is None
@@ -288,7 +288,7 @@ def test_backward_frees_an_interior_array_the_caller_does_not_hold():
     w = Tensor(rand((4, 2), 64), requires_grad=True)
     h = ad.relu(ad.linear(x, w))
     interior = weakref.ref(h.data)
-    loss = ad.sum_all(h)
+    loss = sum_all(h)
     del h
     ad.backward(loss)
     # the held loss names a spent stand-in, not the relu node
@@ -303,11 +303,11 @@ def test_backward_keeps_the_data_of_a_held_node():
     w = Tensor(rand((4, 2), 66), requires_grad=True)
     h = ad.relu(ad.linear(x, w))
     want = h.data.copy()
-    ad.backward(ad.sum_all(h))
+    ad.backward(sum_all(h))
     assert np.array_equal(h.data, want)
     assert len(h._parents) == 1 and h._parents[0]._backward is ad._consumed
     with pytest.raises(GraphError, match="detach"):
-        ad.backward(ad.sum_all(ad.mul(h, Tensor(np.ones((3, 2))))))
+        ad.backward(sum_all(ad.mul(h, Tensor(np.ones((3, 2))))))
     assert x.grad.shape == (3, 4) and w.grad.shape == (4, 2)
 
 
@@ -320,14 +320,14 @@ def test_backward_on_leaf_loss_leaves_its_gradient_at_one():
 def test_backward_twice_through_a_consumed_graph_raises():
     x = Tensor(rand((3, 2), 57), requires_grad=True)
     shared = ad.relu(x)
-    loss = ad.sum_all(shared)
+    loss = sum_all(shared)
     ad.backward(loss)
     with pytest.raises(GraphError, match="detach"):
         ad.backward(loss)
     with pytest.raises(GraphError, match="detach"):
-        ad.backward(ad.mean_all(ad.mul(shared, shared)))
+        ad.backward(mean_all(ad.mul(shared, shared)))
     y = Tensor(rand((3, 2), 58), requires_grad=True)
-    ad.backward(ad.sum_all(ad.mul(shared.detach(), y)))
+    ad.backward(sum_all(ad.mul(shared.detach(), y)))
     np.testing.assert_array_equal(y.grad, shared.data)
 
 
@@ -336,11 +336,11 @@ def test_backward_reaching_a_consumed_node_changes_no_gradient():
     # must raise before any of them adds to a leaf gradient
     x = Tensor(rand((3,), 61), requires_grad=True)
     relu_out = ad.relu(x)
-    ad.backward(ad.sum_all(relu_out))
+    ad.backward(sum_all(relu_out))
     x_grad = x.grad.copy()
     w = Tensor(rand((3,), 62), requires_grad=True)
     with pytest.raises(GraphError, match="detach"):
-        ad.backward(ad.sum_all(ad.mul(relu_out, w)))
+        ad.backward(sum_all(ad.mul(relu_out, w)))
     assert w.grad is None
     np.testing.assert_array_equal(x.grad, x_grad)
 
@@ -356,7 +356,7 @@ def test_backward_memory_does_not_grow_with_depth():
         h = x
         for w in ws:
             h = ad.relu(ad.linear(h, w))
-        loss = ad.sum_all(h)
+        loss = sum_all(h)
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
         ad.backward(loss)
@@ -377,7 +377,7 @@ def test_backward_deterministic_bitwise():
     def run():
         x = Tensor(rand((5, 5), 53), requires_grad=True)
         w = Tensor(rand((5, 5), 54), requires_grad=True)
-        h = ad.layer_norm(ad.matmul(x, w), Tensor(np.ones(5)), Tensor(np.zeros(5)))
+        h = ad.layer_norm(matmul(x, w), Tensor(np.ones(5)), Tensor(np.zeros(5)))
         ad.backward(ad.mse(ad.relu(h), Tensor(np.zeros((5, 5)))))
         return x.grad.copy(), w.grad.copy()
 
@@ -385,10 +385,34 @@ def test_backward_deterministic_bitwise():
     assert np.array_equal(gx1, gx2) and np.array_equal(gw1, gw2)
 
 
+def test_a_rule_that_writes_into_its_upstream_gradient_raises():
+    x = Tensor(rand(3, 57), requires_grad=True)
+
+    def doubling_in_place(g):
+        g *= 2.0
+        x.accumulate_grad(g)
+
+    doubled = ad._make_node(x.data * 2.0, (x,), doubling_in_place)
+    # mul's rule hands on a fresh, writable array: backward makes it read-only
+    with pytest.raises(ValueError, match="read-only"):
+        ad.backward(sum_all(ad.mul(doubled, Tensor(rand(3, 58)))))
+    assert x.grad is None
+
+
+def test_add_hands_both_parents_its_upstream_gradient_without_a_copy():
+    a = Tensor(rand((3, 2), 59), requires_grad=True)
+    b = Tensor(rand((3, 2), 60), requires_grad=True)
+    upstream = rand((3, 2), 61)
+    ad.backward(sum_all(ad.mul(ad.add(a, b), Tensor(upstream))))
+    assert np.shares_memory(a.grad, b.grad)
+    np.testing.assert_array_equal(a.grad, upstream)
+    assert not a.grad.flags.writeable
+
+
 def test_diamond_graph_gradient():
     # y = sum(x*x + x) -> dy/dx = 2x + 1 through two paths into one add
     x = Tensor([1.5, -2.0], requires_grad=True)
-    ad.backward(ad.sum_all(ad.add(ad.mul(x, x), x)))
+    ad.backward(sum_all(ad.add(ad.mul(x, x), x)))
     np.testing.assert_allclose(x.grad, 2 * x.data + 1)
 
 
@@ -410,7 +434,7 @@ def test_released_node_keeps_its_shape_and_reads_nan():
 def test_a_rule_that_reads_a_released_value_gives_a_nonfinite_gradient():
     x = Tensor(rand((6, 4), 69), requires_grad=True)
     h = ad.linear(x, Tensor(rand((4, 3), 70), requires_grad=True))
-    loss = ad.sum_all(ad.mul(h, h))  # mul's rule reads both inputs
+    loss = sum_all(ad.mul(h, h))  # mul's rule reads both inputs
     ad.release(h)
     ad.backward(loss)
     assert np.isnan(x.grad).all()
@@ -445,7 +469,7 @@ def test_a_released_value_with_a_recipe_is_remade_for_the_rule_that_reads_it(op)
         gain, bias = (Tensor(rand(4, s), requires_grad=True) for s in (73, 74))
         w = Tensor(rand((4, 3), 75), requires_grad=True)
         h = REMADE_OPS[op](x, gain, bias)
-        loss = ad.sum_all(ad.mul(ad.linear(h, w), Tensor(rand((6, 3), 76))))
+        loss = sum_all(ad.mul(ad.linear(h, w), Tensor(rand((6, 3), 76))))
         if releasing:
             ad.release(h)
         ad.backward(loss)
@@ -472,7 +496,7 @@ def test_a_recipe_holds_no_array_its_closure_does_not(op):
 
 def test_grad_check_sum_of_squares():
     x = Tensor(rand(6, 60))
-    err = grad_check(lambda t: ad.sum_all(ad.mul(t, t)), x)
+    err = grad_check(lambda t: sum_all(ad.mul(t, t)), x)
     assert err < 1e-7
 
 
@@ -482,7 +506,7 @@ def test_grad_check_matmul_layernorm_chain():
     bias = Tensor(rand(4, 63))
 
     def f(t):
-        return ad.mean_all(ad.relu(ad.layer_norm(ad.matmul(t, w), gain, bias)))
+        return mean_all(ad.relu(ad.layer_norm(matmul(t, w), gain, bias)))
 
     err = grad_check(f, Tensor(rand((3, 4), 64)))
     assert err < 1e-4
@@ -494,9 +518,9 @@ def test_grad_check_attention_core():
     wv = Tensor(rand((6, 6), 67))
 
     def f(t):
-        out = ad.attention_core(ad.matmul(t, wq), ad.matmul(t, wk),
-                                ad.matmul(t, wv), n_heads=2)
-        return ad.mean_all(ad.mul(out, out))
+        out = ad.attention_core(matmul(t, wq), matmul(t, wk),
+                                matmul(t, wv), n_heads=2)
+        return mean_all(ad.mul(out, out))
 
     err = grad_check(f, Tensor(rand((5, 6), 68)))
     assert err < 1e-4
@@ -506,7 +530,7 @@ def test_grad_check_gather_and_pool():
     idx = np.array([0, 2, 2, 1])
 
     def f(t):
-        return ad.sum_all(ad.mul(ad.gather_rows(t, idx), ad.gather_rows(t, idx)))
+        return sum_all(ad.mul(ad.gather_rows(t, idx), ad.gather_rows(t, idx)))
 
     err = grad_check(f, Tensor(rand((3, 4), 69)))
     assert err < 1e-6
@@ -581,10 +605,10 @@ def test_grad_check_segmented_ops(op):
     targets = np.array([1, 0, 3, 3, 2, 1])
     v = Tensor(rand(4, 92))
     fns = {
-        "conv1d": lambda t: ad.mean_all(ad.relu(ad.conv1d(t, w, b, OFFSETS))),
-        "attention": lambda t: ad.mean_all(ad.mul(ad.attention_core(t, t, t, 2, OFFSETS),
+        "conv1d": lambda t: mean_all(ad.relu(ad.conv1d(t, w, b, OFFSETS))),
+        "attention": lambda t: mean_all(ad.mul(ad.attention_core(t, t, t, 2, OFFSETS),
                                                   ad.attention_core(t, t, t, 2, OFFSETS))),
-        "segment_mean": lambda t: ad.sum_all(ad.mul(ad.segment_mean(t, OFFSETS),
+        "segment_mean": lambda t: sum_all(ad.mul(ad.segment_mean(t, OFFSETS),
                                                     ad.mul(ad.segment_mean(t, OFFSETS), v))),
         "mse": lambda t: ad.mse(t, other, OFFSETS),
         "cross_entropy": lambda t: ad.softmax_cross_entropy(t, targets, OFFSETS),
@@ -599,7 +623,7 @@ def test_straight_through_excluded_from_grad_check_by_contract():
     out = ad.straight_through(c, values)
     np.testing.assert_array_equal(out.data, values)
     g = rand((4, 3), 72)
-    ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
+    ad.backward(sum_all(ad.mul(out, Tensor(g))))
     np.testing.assert_array_equal(c.grad, g)
 
 

@@ -147,6 +147,26 @@ def test_manifest_non_integer_id_is_integrity_error(tmp_path, tiny_corpus, field
                  "--out", str(tmp_path / "m.uspc")]) == 1
 
 
+def test_manifest_repeating_an_utterance_id_is_integrity_error(trained, tiny_corpus, tmp_path,
+                                                               capsys):
+    """eval keys its per-utterance rows by id, so a manifest that repeats
+    one is refused with the line and the id, before any feature is read."""
+    path, _, _ = trained
+    manifest = tiny_corpus["dir"] / "manifest_test.txt"
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join(lines + [lines[0]]) + "\n")
+    uid = lines[0].split("|")[0]
+    with pytest.raises(IntegrityError,
+                       match=f"manifest_test.txt:{len(lines) + 1}: utterance id '{uid}' "
+                             f"repeats line 1"):
+        load_corpus(tiny_corpus["dir"], "test")
+    assert main(["eval", "--ckpt", str(path), "--corpus", str(tiny_corpus["dir"]),
+                 "--out", str(tmp_path / "e.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and uid in err and "Traceback" not in err, err
+    assert not (tmp_path / "e.csv").exists()
+
+
 def test_unlabeled_record_round_trip_and_vc_usable(tmp_path, tiny_corpus):
     rec = tiny_corpus["train"][0]
     unlabeled = dataclasses.replace(rec, labeled=False, phonemes=None, durations=None)
@@ -156,7 +176,7 @@ def test_unlabeled_record_round_trip_and_vc_usable(tmp_path, tiny_corpus):
     assert not got.labeled and got.phonemes is None and got.durations is None
     cfg = small_train_config()
     model = JointModel(cfg.model, seed=0)
-    frag = vc_step([got], model, cfg, step=0, training=False)
+    frag = vc_step([got], model, step=0, training=False)
     assert frag.mel.item() > 0.0
 
 

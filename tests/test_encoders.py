@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uspc import autodiff as ad
+from uspc import layers
 from uspc.autodiff import Tensor
 from uspc.config import ModelConfig
 from uspc.encoders import (DurationPredictor, SpeakerEncoder, bin_center_hz, expansion_map,
@@ -18,7 +19,7 @@ from uspc.model import JointModel
 from uspc.optim import ParamStore
 from uspc.rng import NamedRng
 
-from conftest import rand
+from conftest import rand, sum_all
 
 
 EVAL = Ctx.eval()
@@ -35,6 +36,22 @@ def test_text_encoder_eval_deterministic(small_model):
     a = small_model.text_encoder(ids, EVAL)
     b = small_model.text_encoder(ids, EVAL)
     assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("dim", [16, 64])
+def test_one_position_table_per_width_slices_bitwise_to_each_length(dim, monkeypatch):
+    monkeypatch.setattr(layers, "_PE_CACHE", {})
+    alone = {}
+    for n in range(1, 131):  # each length's table made on its own
+        layers._PE_CACHE.clear()
+        alone[n] = layers._position_table(n, dim)
+    layers._PE_CACHE.clear()
+    for n in [*range(1, 131), *range(130, 0, -1)]:  # grown row by row, then sliced
+        assert layers._position_table(n, dim).tobytes() == alone[n].tobytes()
+    assert list(layers._PE_CACHE) == [dim] and layers._PE_CACHE[dim].shape == (130, dim)
+    packed = layers.positional_encoding(12, dim, np.array([0, 5, 5, 12]))
+    assert packed.data.tobytes() == np.concatenate([alone[5], alone[7]]).tobytes()
+    assert layers.positional_encoding(9, dim).data.tobytes() == alone[9].tobytes()
 
 
 def test_text_encoder_position_sensitivity(small_model):
@@ -92,7 +109,7 @@ def test_length_regulate_length_mismatch():
 def test_length_regulate_gradient_accumulates_per_repeat():
     h = Tensor(rand((3, 4), 3), requires_grad=True)
     out = length_regulate(h, np.array([2, 1, 3]))
-    ad.backward(ad.sum_all(out))
+    ad.backward(sum_all(out))
     np.testing.assert_allclose(h.grad, np.array([2.0, 1.0, 3.0])[:, None] * np.ones((3, 4)))
 
 
@@ -293,7 +310,7 @@ def test_fft_block_releasing_its_sublayer_outputs_changes_no_gradient(monkeypatc
         stack = FFTStack(store, NamedRng(0), "s", cfg, 2)
         x = Tensor(rand((14, 6), 0), requires_grad=True)
         out = stack(pre(x), _training_ctx([5, 2, 7]))
-        return ad.sum_all(ad.mul(out, Tensor(rand((14, 16), 1)))), {"x": x, **store}
+        return sum_all(ad.mul(out, Tensor(rand((14, 16), 1)))), {"x": x, **store}
 
     for rate in (0.5, 0.0):
         (released, counts), (kept, no_counts) = _with_and_without_release(
@@ -313,7 +330,7 @@ def test_conv_predictor_releasing_its_values_changes_no_gradient(monkeypatch, ra
         stack = ConvPredictorStack(store, NamedRng(0), "p", 16, 3, rate)
         x = Tensor(rand((14, 16), 2), requires_grad=True)
         out = stack(x, _training_ctx([5, 2, 7]))
-        return ad.sum_all(ad.mul(out, Tensor(rand((14, 3), 3)))), {"x": x, **store}
+        return sum_all(ad.mul(out, Tensor(rand((14, 3), 3)))), {"x": x, **store}
 
     (released, counts), (kept, no_counts) = _with_and_without_release(monkeypatch, build)
     # per layer: conv, relu and norm outputs; the norms' have a recipe
@@ -328,7 +345,7 @@ def test_speaker_encoder_releasing_its_values_changes_no_gradient(monkeypatch):
         enc = SpeakerEncoder(store, NamedRng(0), ModelConfig(d_model=16, n_heads=2))
         enc.proj.w.data[...] = rand((16, 16), 4)  # zero-initialized: no gradient upstream
         emb = enc(rand((14, 80), 5), _training_ctx([5, 2, 7]))
-        return ad.sum_all(ad.mul(emb, Tensor(rand((3, 16), 6)))), dict(store)
+        return sum_all(ad.mul(emb, Tensor(rand((3, 16), 6)))), dict(store)
 
     (released, counts), (kept, no_counts) = _with_and_without_release(monkeypatch, build)
     # per layer: conv, relu and norm outputs; the norms' have a recipe

@@ -20,7 +20,7 @@ from uspc.layers import Ctx, Dropout, segment_offsets
 from uspc.optim import AdamState, ParamStore
 from uspc.rng import NamedRng, _name_key
 
-from conftest import clip_and_adam, small_train_config
+from conftest import clip_and_adam, matmul, small_train_config, sum_all
 
 
 def rand(shape, seed):
@@ -47,7 +47,7 @@ def same_bytes(a, b):
 
 def grads_through(out, g):
     """Backward from `out` with upstream gradient `g` (sum(out * g))."""
-    ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
+    ad.backward(sum_all(ad.mul(out, Tensor(g))))
 
 
 # ---------------------------------------------------------------- references
@@ -250,7 +250,7 @@ def test_linear_matches_matmul_plus_bias_nodes(x_grad):
     grads_through(out, g)
     rx, rw, rb = Tensor(x0, requires_grad=x_grad), Tensor(w0, requires_grad=True), \
         Tensor(b0, requires_grad=True)
-    ref = ad.add(ad.matmul(rx, rw), rb)
+    ref = ad.add(matmul(rx, rw), rb)
     grads_through(ref, g)
     assert same_bytes(out.data, ref.data)
     assert same_bytes(w.grad, rw.grad) and same_bytes(b.grad, rb.grad)
@@ -306,7 +306,7 @@ def test_constants_take_no_gradient():
     p = Tensor(rand((3, 4), 1), requires_grad=True)
     c = Tensor(rand((3, 4), 2))
     w = Tensor(rand((4, 2), 3))
-    ad.backward(ad.sum_all(ad.matmul(ad.add(ad.reshape(p, (3, 4)), c), w)))
+    ad.backward(sum_all(matmul(ad.add(ad.reshape(p, (3, 4)), c), w)))
     assert c.grad is None and w.grad is None
     assert p.grad is not None
 
@@ -352,9 +352,9 @@ def residual_tail_graph(fused, seed, training, other_consumers):
         out = ad.dropout_add_norm(x, a, gain, bias, *drop.streams(ctx), offsets)
     else:
         out = ad.layer_norm(ad.add(x, drop(a, ctx)), gain, bias)
-    loss = ad.sum_all(ad.mul(out, Tensor(rand((t, 6), seed + 6))))
+    loss = sum_all(ad.mul(out, Tensor(rand((t, 6), seed + 6))))
     if other_consumers:
-        loss = ad.add(loss, ad.sum_all(ad.mul(ad.linear(x, w2), Tensor(rand((t, 6), seed + 7)))))
+        loss = ad.add(loss, sum_all(ad.mul(ad.linear(x, w2), Tensor(rand((t, 6), seed + 7)))))
     ad.backward(loss)
     leaves = [x, gain, bias] + ([w1, w2] if other_consumers else [a])
     return out.data, [leaf.grad for leaf in leaves]

@@ -202,6 +202,16 @@ MALFORMED = {
     "f0 NaN": ("f0_hz", lambda m: quantize_f0_array([120.0, np.nan, 0.0])),
     "tts empty phonemes": ("phoneme_ids", lambda m: m.synth_tts(np.array([], dtype=int),
                                                                _mel(6))),
+    "tts phonemes fractional": ("phoneme_ids", lambda m: m.synth_tts([1.7, 2.2], _mel(6))),
+    "tts phonemes NaN": ("phoneme_ids", lambda m: m.synth_tts([1.0, np.nan], _mel(6))),
+    "tts phonemes 2-D": ("phoneme_ids", lambda m: m.synth_tts(PHONEMES[None], _mel(6))),
+    "tts phonemes text": ("phoneme_ids", lambda m: m.synth_tts(["3", "1"], _mel(6))),
+    "tts durations fractional": ("durations", lambda m: m.synth_tts([3, 1], _mel(6),
+                                                                    durations=[1.7, 2.9])),
+    "tts durations inf": ("durations", lambda m: m.synth_tts([3, 1], _mel(6),
+                                                             durations=[1.0, np.inf])),
+    "tts durations 2-D": ("durations", lambda m: m.synth_tts([3, 1], _mel(6),
+                                                             durations=[[1, 2]])),
     "tts ref no frames": ("ref_mel", lambda m: m.synth_tts(PHONEMES, _mel(0))),
     "tts ref NaN": ("ref_mel", lambda m: m.synth_tts(PHONEMES, _with_nan(_mel(6)))),
     "tts ref inf": ("ref_mel", lambda m: m.synth_tts(PHONEMES, np.full((6, 80), np.inf))),
@@ -236,6 +246,11 @@ def test_inference_entry_points_refuse_malformed_arrays_naming_them(small_model,
 def test_inference_entry_points_accept_well_formed_arrays(small_model):
     mel, f0, _ = small_model.synth_tts(PHONEMES, _mel(6), durations=np.array([1, 2, 1, 1, 2]))
     assert mel.shape == (7, 80) and np.isfinite(mel).all() and f0.shape == (7,)
+    # whole numbers held as floats are the same ids and frame counts
+    same, _, used = small_model.synth_tts(PHONEMES.astype(float), _mel(6),
+                                          durations=[1.0, 2.0, 1.0, 1.0, 2.0])
+    np.testing.assert_array_equal(same, mel)
+    np.testing.assert_array_equal(used, [1, 2, 1, 1, 2])
     converted, f0_used = small_model.convert_vc(_mel(5), np.full(5, 150.0), _mel(6))
     assert converted.shape == (5, 80) and np.isfinite(converted).all()
     np.testing.assert_array_equal(f0_used, np.full(5, 150.0))

@@ -56,9 +56,9 @@ def test_joint_total_is_sum_of_fragments(setup):
     unpaired = records[2:4]
     seed_codebook_from_batch(model, records[:4])
 
-    tts = tts_step(paired, model, cfg, step=0)
-    pair = pair_step(paired, model, cfg, step=0, text_quantized=tts.quantized)
-    vc = vc_step(unpaired, model, cfg, step=0)
+    tts = tts_step(paired, model, step=0)
+    pair = pair_step(paired, model, step=0, text_quantized=tts.quantized)
+    vc = vc_step(unpaired, model, step=0)
     # each fragment's aux is its mean over utterances; the step's is the
     # mean over all of them
     frags = (tts, pair, vc)
@@ -99,9 +99,9 @@ def test_zero_pitch_weight_excludes_pitch_exactly(setup):
 
 def test_batch_loss_is_mean_of_singles(setup):
     cfg, model, opt, records = setup
-    both = tts_step(records[:2], model, cfg, step=0, training=False)
-    one = tts_step(records[:1], model, cfg, step=0, training=False)
-    two = tts_step(records[1:2], model, cfg, step=0, training=False)
+    both = tts_step(records[:2], model, step=0, training=False)
+    one = tts_step(records[:1], model, step=0, training=False)
+    two = tts_step(records[1:2], model, step=0, training=False)
     assert both.mel.item() == pytest.approx(
         (one.mel.item() + two.mel.item()) / 2, abs=1e-12)
     assert both.pitch_ce.item() == pytest.approx(
@@ -173,20 +173,20 @@ def _fragment_total(frag):
     return total
 
 
-def _loss_and_grads(step_fn, batch, model, cfg):
+def _loss_and_grads(step_fn, batch, model):
     model.store.zero_grad()
-    total = _fragment_total(step_fn(batch, model, cfg, step=3, training=True))
-    total.backward()
+    total = _fragment_total(step_fn(batch, model, step=3, training=True))
+    ad.backward(total)
     grads = {n: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
              for n, p in model.store.items()}
     return total.item(), grads
 
 
-def _pair_on_tts_content(batch, model, cfg, step, training):
+def _pair_on_tts_content(batch, model, step, training):
     """pair_step against the TTS pipeline's content of the same batch, so
     the pair loss reaches the text encoder too."""
-    text = tts_step(batch, model, cfg, step, training).quantized
-    return pair_step(batch, model, cfg, step, text, training)
+    text = tts_step(batch, model, step, training).quantized
+    return pair_step(batch, model, step, text, training)
 
 
 @pytest.mark.parametrize("step_fn", [tts_step, vc_step, _pair_on_tts_content],
@@ -194,9 +194,9 @@ def _pair_on_tts_content(batch, model, cfg, step, training):
 def test_training_batch_is_mean_of_singles(setup, step_fn):
     cfg, model, opt, records = setup
     seed_codebook_from_batch(model, records[:4])
-    loss_ab, grads_ab = _loss_and_grads(step_fn, records[:2], model, cfg)
-    loss_a, grads_a = _loss_and_grads(step_fn, records[:1], model, cfg)
-    loss_b, grads_b = _loss_and_grads(step_fn, records[1:2], model, cfg)
+    loss_ab, grads_ab = _loss_and_grads(step_fn, records[:2], model)
+    loss_a, grads_a = _loss_and_grads(step_fn, records[:1], model)
+    loss_b, grads_b = _loss_and_grads(step_fn, records[1:2], model)
     assert loss_ab == pytest.approx((loss_a + loss_b) / 2, abs=1e-12)
     # same dropout masks per utterance, so the gradients agree to rounding;
     # a parameter whose true gradient is 0 (attention key biases) is
@@ -240,7 +240,7 @@ def test_tts_step_requires_durations(setup):
     import dataclasses
     unlabeled = dataclasses.replace(rec, labeled=False, phonemes=None, durations=None)
     with pytest.raises(DataError, match=rec.id):
-        tts_step([unlabeled], model, cfg, step=0)
+        tts_step([unlabeled], model, step=0)
 
 
 def test_a_held_tts_fragment_does_not_pin_its_forward_pass(setup, monkeypatch):
@@ -256,7 +256,7 @@ def test_a_held_tts_fragment_does_not_pin_its_forward_pass(setup, monkeypatch):
         return out
 
     monkeypatch.setattr(ad, "_make_node", recording)
-    frag = tts_step(records[:2], model, cfg, step=0)
+    frag = tts_step(records[:2], model, step=0)
     ad.backward(frag.mel + frag.pitch_ce + frag.duration + frag.aux)
     held = [frag.mel, frag.pitch_ce, frag.duration, frag.aux,
             frag.quantized.vectors, frag.quantized.continuous]
@@ -301,7 +301,7 @@ def test_half_step_backward_peak_stays_well_below_its_gradient_bytes(tmp_path, m
 def test_vc_step_touches_no_text_parameters(setup):
     cfg, model, opt, records = setup
     from uspc import autodiff as ad
-    frag = vc_step(records[:2], model, cfg, step=0)
+    frag = vc_step(records[:2], model, step=0)
     total = frag.mel + frag.pitch_ce
     model.store.zero_grad()
     ad.backward(total)
@@ -311,16 +311,16 @@ def test_vc_step_touches_no_text_parameters(setup):
 
 def test_both_paths_share_one_codebook(setup):
     cfg, model, opt, records = setup
-    tts = tts_step(records[:2], model, cfg, step=0)
-    vc = vc_step(records[2:4], model, cfg, step=0)
+    tts = tts_step(records[:2], model, step=0)
+    vc = vc_step(records[2:4], model, step=0)
     for q in (tts.quantized, vc.quantized):
         assert q.book is model.codebook
 
 
 def test_pair_step_same_utterance_nonnegative(setup):
     cfg, model, opt, records = setup
-    tts = tts_step(records[:2], model, cfg, step=0)
-    frag = pair_step(records[:2], model, cfg, step=0, text_quantized=tts.quantized)
+    tts = tts_step(records[:2], model, step=0)
+    frag = pair_step(records[:2], model, step=0, text_quantized=tts.quantized)
     assert frag.pair.item() >= 0.0
     assert 0.0 <= frag.code_agreement <= 1.0
 
@@ -400,8 +400,8 @@ def test_novq_matches_full_when_codebook_holds_batch_rows(tiny_corpus):
     full.codebook.entries.data[rows.shape[0]:] = 1e6  # push the rest far away
 
     novq = JointModel(cfg.model, seed=cfg.seed, use_vq=False)
-    frag_full = tts_step([rec], full, cfg, step=0, training=False)
-    frag_novq = tts_step([rec], novq, cfg, step=0, training=False)
+    frag_full = tts_step([rec], full, step=0, training=False)
+    frag_novq = tts_step([rec], novq, step=0, training=False)
     assert frag_full.mel.item() == pytest.approx(frag_novq.mel.item(), abs=1e-12)
 
 
@@ -763,10 +763,10 @@ def test_full_run_on_two_cpus_runs_each_process_at_one_blas_thread(
     assert rows == {(str(os.getpid()), "0", "1")} | {(pid, "1", "1") for pid in worker}
     assert len(worker) == 1 and str(os.getpid()) not in worker
 
-    def failing(batch, model, cfg, step, training=True):
+    def failing(batch, model, step, training=True):
         if step == 1:
             raise DataError("text batch rejected")
-        return real_tts_step(batch, model, cfg, step, training)
+        return real_tts_step(batch, model, step, training)
 
     monkeypatch.setattr(training_mod, "tts_step", failing)
     with pytest.raises(DataError, match="text batch rejected"):
@@ -890,10 +890,10 @@ def test_vc_worker_is_gone_after_train_returns_stops_or_raises(tiny_corpus, monk
     # the main half fails while the worker runs its half of the same step
     real_tts_step = training_mod.tts_step
 
-    def failing(batch, model, cfg, step, training=True):
+    def failing(batch, model, step, training=True):
         if step == 2:
             raise DataError("text batch rejected")
-        return real_tts_step(batch, model, cfg, step, training)
+        return real_tts_step(batch, model, step, training)
 
     monkeypatch.setattr(training_mod, "tts_step", failing)
     with pytest.raises(DataError, match="text batch rejected"):
@@ -904,10 +904,10 @@ def test_vc_worker_is_gone_after_train_returns_stops_or_raises(tiny_corpus, monk
 def test_vc_worker_error_reaches_the_caller_as_inline(tiny_corpus, monkeypatch):
     real_vc_step = training_mod.vc_step
 
-    def failing(batch, model, cfg, step, training=True):
+    def failing(batch, model, step, training=True):
         if step == 2:
             raise DataError(f"speech batch rejected at step {step}: {batch[0].id}")
-        return real_vc_step(batch, model, cfg, step, training)
+        return real_vc_step(batch, model, step, training)
 
     monkeypatch.setattr(training_mod, "vc_step", failing)
     raised = []
@@ -924,8 +924,8 @@ def test_vc_worker_error_reaches_the_caller_as_inline(tiny_corpus, monkeypatch):
 def test_nonfinite_vc_loss_in_the_worker_changes_nothing(tiny_corpus, tmp_path, monkeypatch):
     real_vc_step = training_mod.vc_step
 
-    def poisoned(batch, model, cfg, step, training=True):
-        frag = real_vc_step(batch, model, cfg, step, training)
+    def poisoned(batch, model, step, training=True):
+        frag = real_vc_step(batch, model, step, training)
         if step == 4:
             frag.mel = frag.mel * np.inf
         return frag
@@ -955,10 +955,10 @@ def test_vc_worker_death_raises_uspc_error_naming_its_exit_code(tiny_corpus, mon
     main_pid = os.getpid()
     real_vc_step = training_mod.vc_step
 
-    def dying(batch, model, cfg, step, training=True):
+    def dying(batch, model, step, training=True):
         if step == 2 and os.getpid() != main_pid:
             os._exit(7)
-        return real_vc_step(batch, model, cfg, step, training)
+        return real_vc_step(batch, model, step, training)
 
     monkeypatch.setattr(training_mod, "vc_step", dying)
     _cpus(monkeypatch, 2)

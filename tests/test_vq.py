@@ -14,7 +14,7 @@ from uspc.optim import ParamStore
 from uspc.rng import NamedRng
 from uspc.vq import VQ_BETA, Codebook, pair_loss, vq_aux_loss, vq_lookup
 
-from conftest import rand
+from conftest import rand, sum_all
 
 
 def make_book(entries: np.ndarray) -> Codebook:
@@ -84,7 +84,7 @@ def test_ste_passes_upstream_gradient_unchanged():
     c = Tensor(rand((5, 4), 10), requires_grad=True)
     q = vq_lookup(c, book)
     g = rand((5, 4), 11)
-    ad.backward(ad.sum_all(ad.mul(q.vectors, Tensor(g))))
+    ad.backward(sum_all(ad.mul(q.vectors, Tensor(g))))
     np.testing.assert_array_equal(c.grad, g)
 
 
@@ -92,7 +92,7 @@ def test_ste_contributes_nothing_to_codebook():
     book = make_book(rand((8, 4), 12))
     c = Tensor(rand((5, 4), 13), requires_grad=True)
     q = vq_lookup(c, book)
-    ad.backward(ad.sum_all(q.vectors))
+    ad.backward(sum_all(q.vectors))
     assert book.entries.grad is None
 
 
