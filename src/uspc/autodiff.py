@@ -15,7 +15,9 @@ Design notes:
     upstream gradient itself (or a view of it) is shared, never copied.
     Backward makes each upstream gradient read-only before its rule runs,
     so a rule that wrote into one would raise ValueError; gradients are
-    only ever replaced by a sum.
+    only ever replaced by a sum, except in a parameter's `home`: an array
+    its caller owns (the optimizer's gradient block) that takes the first
+    gradient of a pass as a copy and adds later ones in place.
   * A graph is single-use.  Once a node's backward rule has run, backward
     drops the node's gradient and swaps its closure for one that raises
     GraphError, so interior gradients and every array a closure saved
@@ -68,11 +70,12 @@ Array = np.ndarray
 class Tensor:
     """Dense float64 array with optional gradient tracking."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "home", "requires_grad", "_parents", "_backward", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
+        self.home: Array | None = None  # where a parameter's gradient lands
         self.requires_grad = requires_grad
         self._parents: Sequence[Tensor] = ()
         self._backward: Callable[[Array], None] | None = None
@@ -93,11 +96,15 @@ class Tensor:
 
     def accumulate_grad(self, g: Array) -> None:
         """Add `g`, reduced to this tensor's shape, to the gradient; a
-        constant takes none.  The first gradient is stored as given."""
+        constant takes none.  The first gradient is stored as given, or
+        copied into `home` if set, which adds later ones in place."""
         if not self.requires_grad:
             return
         g = _unbroadcast(g, self.data.shape)
-        self.grad = g if self.grad is None else self.grad + g
+        if self.grad is None:  # np.positive copies
+            self.grad = g if self.home is None else np.positive(g, out=self.home)
+        else:  # in place into a home: the bytes of grad + g
+            self.grad = np.add(self.grad, g, out=self.home)
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""

@@ -125,8 +125,8 @@ def quantize_f0_array(f0_hz: np.ndarray) -> np.ndarray:
     and above, and values below 50 Hz clamp to bin 1.
     """
     f0_hz = np.asarray(f0_hz, dtype=np.float64)
-    if np.isnan(f0_hz).any():
-        raise DataError("f0_hz: NaN in contour")
+    if not np.isfinite(f0_hz).all():
+        raise DataError("f0_hz: NaN or infinite f0 in contour")
     if np.any(f0_hz < 0):
         raise DataError("f0_hz: negative f0 in contour")
     span = np.log(F0_MAX) - np.log(F0_MIN)

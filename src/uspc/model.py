@@ -130,6 +130,9 @@ class JointModel:
         phoneme_ids = _whole_numbers("phoneme_ids", phoneme_ids)
         if durations is not None:
             durations = _whole_numbers("durations", durations)
+            if durations.shape != phoneme_ids.shape or not durations.any() or durations.min() < 0:
+                raise DataError(f"durations: expected {phoneme_ids.size} frame counts, none "
+                                f"negative and not all zero, got {durations.tolist()}")
         ref_mel = _mel_frames("ref_mel", ref_mel)
         ctx = Ctx.eval()
         q, durations, _ = self.tts_content(phoneme_ids, durations, ctx)
@@ -146,8 +149,8 @@ class JointModel:
         if source_f0.shape != source_mel.shape[:1]:
             raise DataError(f"source_f0: shape {source_f0.shape} does not give one value "
                             f"per frame of the {source_mel.shape[0]}-frame source_mel")
-        if np.isnan(source_f0).any() or (source_f0 < 0).any():
-            raise DataError("source_f0: NaN or negative f0 in contour")
+        if not np.isfinite(source_f0).all() or (source_f0 < 0).any():
+            raise DataError("source_f0: NaN, infinite or negative f0 in contour")
         ctx = Ctx.eval()
         q = self.quantize(self.content_encoder(source_mel, ctx))
         mel = self.decode_vc(q, self.speaker_encoder(ref_mel, ctx), source_f0, ctx)

@@ -33,9 +33,11 @@ class ParamStore(dict):
         self[name] = t
         return t
 
-    def zero_grad(self) -> None:
-        for t in self.values():
+    def zero_grad(self, homes: dict[str, np.ndarray] | None = None) -> None:
+        """Clear every gradient and `home`, or set each home to homes[name]."""
+        for name, t in self.items():
             t.grad = None
+            t.home = None if homes is None else homes[name]
 
     @contextmanager
     def frozen(self):
@@ -158,14 +160,15 @@ def clip_global_norm(state: AdamState, names: list[str], rest) -> float:
     parameters `names` and of the others, whose `sums_of_squares` `rest()`
     returns, taken by the process that updates them.
 
-    The norm adds each gradient's sum of squares, those of `names` first,
-    so it is store order when they precede the others.  A gradient holding
+    `rest()` runs first, as its side may write any gradient until it
+    replies.  The norm adds the sums of squares of `names` first, so it is
+    store order when they precede the others.  A gradient holding
     an inf or NaN raises TrainingDiverged naming the first such parameter.
     Nothing is scaled here: `adam_step` multiplies each gradient by
     `clip_scale` of the norm on its pass.
     """
-    sums, bad = sums_of_squares(state, names)
     more, more_bad = rest()
+    sums, bad = sums_of_squares(state, names)
     bad = bad or more_bad
     if bad is not None:
         raise TrainingDiverged(f"non-finite gradient in parameter {bad!r}")

@@ -11,11 +11,12 @@ half (TTS and pair) and the speech half (VC).  `half_step` builds either
 one with a backward pass of its own, and each parameter's gradient is the
 sum of the halves'.  That is bitwise the gradient one backward pass over
 the joint loss gives, and it lets `train()` run the speech half in a forked
-worker while the main process runs the text half.  The two processes then
-split the clip and Adam update over the parameters at `AdamState.cut`, each
-by parameter name over the packed gradient block.  Without a worker the same
-requests are answered in process.  A step's batches are a function of the
-seed and the step alone, so the loop carries no batch order.
+worker while the main process runs the text half, whose backward pass
+writes into the packed gradient block that the speech half's gradients then
+join.  The two processes split the clip and Adam update over the parameters
+at `AdamState.cut`, each by parameter name over the block.  Without a worker
+the same requests are answered in process.  A step's batches are a function
+of the seed and the step alone, so the loop carries no batch order.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 import multiprocessing
 import os
 import signal
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -206,7 +207,8 @@ def seed_codebook_from_batch(model: JointModel, batch: list[UtteranceRecord]) ->
 class Half:
     """One half of a joint step after its backward pass: its `LossReport`
     values by field name, its fragments' codes and pre-quantization rows
-    for the codebook bookkeeping, and its parameter gradients by name."""
+    for the codebook bookkeeping, and its parameter gradients by name (only
+    the names once a side holds them)."""
 
     values: dict[str, float]
     codes: list[np.ndarray]
@@ -215,13 +217,15 @@ class Half:
 
 
 def half_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
-              step: int, n_aux: int, speech: bool = False) -> Half:
+              step: int, n_aux: int, speech: bool = False, homes: dict | None = None) -> Half:
     """The text half of a step (`tts_step`, plus `pair_step` when both
     pipelines train) or with `speech` its speech half (`vc_step`), and a
     backward pass from rec + pair * w_pair + duration * W_DURATION + aux,
     each fragment's aux weighted by its share n_utts / n_aux of the
-    utterances that ran through the VQ this step.  Inline and in the worker
-    the same function runs, so both give the same bytes."""
+    utterances that ran through the VQ this step.  With `homes`, the pass
+    writes each parameter's gradient into homes[name] (`AdamState.g`), with
+    the bytes it gives without.  Inline and in the worker the same function
+    runs, so both give the same bytes."""
     side = "vc" if speech else "tts"
     first = (vc_step if speech else tts_step)(batch, model, step)
     frags = [first]
@@ -235,10 +239,12 @@ def half_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
         if f.aux is not None:
             aux = aux + f.aux * (f.n_utts / n_aux)
 
-    model.store.zero_grad()
-    ad.backward(rec + pair * cfg.w_pair + duration * W_DURATION + aux)
-    grads = {name: p.grad for name, p in model.store.items() if p.grad is not None}
-    model.store.zero_grad()
+    model.store.zero_grad(homes)
+    try:
+        ad.backward(rec + pair * cfg.w_pair + duration * W_DURATION + aux)
+        grads = {name: p.grad for name, p in model.store.items() if p.grad is not None}
+    finally:
+        model.store.zero_grad()
     values = {f"l_{side}_rec": rec.item(), f"mel_{side}": first.mel.item(),
               f"pitch_ce_{side}": first.pitch_ce.item(), "l_pair": pair.item(),
               "l_duration": duration.item(), "l_vq_aux": aux.item(),
@@ -247,26 +253,34 @@ def half_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
                 rows=[f.quantized.continuous.data for f in frags], grads=grads)
 
 
-def _answer(request: tuple, model: JointModel, opt: AdamState, cfg: TrainConfig):
+def _answer(request: tuple, model: JointModel, opt: AdamState, cfg: TrainConfig, held: dict):
     """The reply to one of the three requests a step makes of the side that
     runs the speech half and the optimizer's work from `opt.cut` on:
       ("step", batch, step, n_aux): the speech `half_step` of the records
-        `batch`, its gradients copied into the optimizer's gradient block;
-        replies the `Half`, which then names them only;
-      ("sums", names): `sums_of_squares` of those gradients in the block,
-        once the text half's have joined them;
+        `batch`, its gradients kept in `held`; replies the `Half`, which
+        then names them only;
+      ("sums", names, written): `sums_of_squares` of those gradients in the
+        optimizer's gradient block, once the held ones have joined it, added
+        where the text half wrote (`written`) and copied elsewhere;
       ("adam", names, t, lr, scale): `adam_step` t of those parameters at
         learning rate lr; replies None once done."""
     kind, *args = request
     if kind == "step":
         batch, step, n_aux = args
+        held.clear()  # a step that diverged before its sums left them here
         half = half_step(batch, model, cfg, step, n_aux, speech=True)
-        for name, g in half.grads.items():
-            opt.g[name][...] = g
-        half.grads = dict.fromkeys(half.grads)
+        held.update(half.grads)
+        half.grads = dict.fromkeys(held)
         return half
     if kind == "sums":
-        return sums_of_squares(opt, args[0])
+        names, written = args
+        for name, g in held.items():  # text + speech is the bytes of speech + text
+            if name in written:
+                opt.g[name] += g
+            else:
+                opt.g[name][...] = g
+        held.clear()
+        return sums_of_squares(opt, names)
     names, t, opt.lr, scale = args
     return adam_step(opt, names, t, scale)
 
@@ -277,13 +291,14 @@ def _serve(conn, parent_end, model: JointModel, opt: AdamState, cfg: TrainConfig
     request raised, is sent back."""
     parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process handles interrupts
+    held: dict = {}
     while True:
         try:
             request = conn.recv()
         except EOFError:
             return
         try:
-            reply = _answer(request, model, opt, cfg)
+            reply = _answer(request, model, opt, cfg, held)
         except Exception as exc:  # noqa: BLE001 - the main process raises it
             reply = exc
         try:
@@ -302,12 +317,13 @@ class InProcess:
     opt: AdamState
     cfg: TrainConfig
     request: tuple = ()
+    held: dict = field(default_factory=dict)
 
     def send(self, *request) -> None:
         self.request = request
 
     def reply(self):
-        return _answer(self.request, self.model, self.opt, self.cfg)
+        return _answer(self.request, self.model, self.opt, self.cfg, self.held)
 
 
 class VcWorker:
@@ -374,11 +390,12 @@ def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
     the parameters before it.  The speech half and the parameters from the
     cut on are requests to a side: `vc_worker`, which runs them meanwhile,
     or else an `InProcess` one, which runs them when their replies are read.
-    Both ranges make the same calls, `sums_of_squares` and `adam_step` over
-    their parameter names in the gradient block, and no parameter's `.grad`
-    is left set.  Adam is elementwise and the norm adds the per-parameter
-    sums in store order, so the split changes no byte.  `opt` must pack
-    `model.store`.
+    The text half's backward writes into the gradient block; the side joins
+    the speech half's gradients to it before either range is summed.  Both
+    ranges make the same calls, `sums_of_squares` and `adam_step` over their
+    parameter names in the block, and no parameter's `.grad` or home is left
+    set.  Adam is elementwise and the norm adds the per-parameter sums in
+    store order, so the split changes no byte.  `opt` must pack `model.store`.
     """
     opt.check_packed(model.store)
     text = cfg.trains_text
@@ -390,7 +407,7 @@ def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
     side = vc_worker if vc_worker is not None else InProcess(model, opt, cfg)
     if speech:
         side.send("step", unpaired, step, n_aux)
-    halves = [half_step(paired, model, cfg, step, n_aux)] if text else []
+    halves = [half_step(paired, model, cfg, step, n_aux, homes=opt.g)] if text else []
     if speech:
         halves.append(side.reply())
 
@@ -405,23 +422,8 @@ def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
     if not math.isfinite(report.total):
         raise TrainingDiverged(f"non-finite loss at step {step}")
 
-    # the speech half's gradients are in the block; the text half's join
-    # them in place (speech + text is the bytes of text + speech), the
-    # side's range first so that a worker's sums start while the rest is added
-    spoken = halves[-1].grads if speech else {}
-    written = halves[0].grads if text else {}
-    head, rest = opt.split([name for name in model.store if name in spoken or name in written])
-
-    def merge(names: list[str]) -> None:
-        for name in names:
-            if name in written and name in spoken:
-                opt.g[name] += written[name]
-            elif name in written:
-                opt.g[name][...] = written[name]
-
-    merge(rest)
-    side.send("sums", rest)
-    merge(head)
+    head, rest = opt.split([name for name in model.store if any(name in h.grads for h in halves)])
+    side.send("sums", rest, set(halves[0].grads) if text else set())
     report.grad_norm = clip_global_norm(opt, head, side.reply)
     scale = clip_scale(report.grad_norm, GRAD_CLIP_NORM)
     side.send("adam", rest, opt.t + 1, opt.lr, scale)

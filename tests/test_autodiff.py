@@ -409,6 +409,22 @@ def test_add_hands_both_parents_its_upstream_gradient_without_a_copy():
     assert not a.grad.flags.writeable
 
 
+def test_a_gradient_home_takes_the_bytes_of_the_sum_in_place():
+    # x reaches the loss three times: the first gradient is copied over the
+    # home's old values and the later ones are added into it, with the bytes
+    # a pass without a home gives
+    data, upstream = rand((3, 2), 62), rand((3, 2), 63)
+    grads = []
+    for home in (None, np.full((3, 2), np.nan)):
+        x = Tensor(data, requires_grad=True)
+        x.home = home
+        y = ad.add(ad.mul(x, x), x)
+        ad.backward(sum_all(ad.mul(y, Tensor(upstream))))
+        assert (x.grad is home) == (home is not None)
+        grads.append(x.grad.tobytes())
+    assert grads[0] == grads[1]
+
+
 def test_diamond_graph_gradient():
     # y = sum(x*x + x) -> dy/dx = 2x + 1 through two paths into one add
     x = Tensor([1.5, -2.0], requires_grad=True)

@@ -200,6 +200,7 @@ PHONEMES = np.array([3, 1, 4, 1, 5])
 
 MALFORMED = {
     "f0 NaN": ("f0_hz", lambda m: quantize_f0_array([120.0, np.nan, 0.0])),
+    "f0 inf": ("f0_hz", lambda m: quantize_f0_array([120.0, np.inf, 0.0])),
     "tts empty phonemes": ("phoneme_ids", lambda m: m.synth_tts(np.array([], dtype=int),
                                                                _mel(6))),
     "tts phonemes fractional": ("phoneme_ids", lambda m: m.synth_tts([1.7, 2.2], _mel(6))),
@@ -212,6 +213,14 @@ MALFORMED = {
                                                              durations=[1.0, np.inf])),
     "tts durations 2-D": ("durations", lambda m: m.synth_tts([3, 1], _mel(6),
                                                              durations=[[1, 2]])),
+    "tts durations negative": ("durations", lambda m: m.synth_tts([3, 1], _mel(6),
+                                                                  durations=[-1, 3])),
+    "tts durations too many": ("durations", lambda m: m.synth_tts([3, 1], _mel(6),
+                                                                  durations=[1, 2, 3])),
+    "tts durations too few": ("durations", lambda m: m.synth_tts([3, 1], _mel(6),
+                                                                 durations=[2])),
+    "tts durations all zero": ("durations", lambda m: m.synth_tts([3, 1], _mel(6),
+                                                                  durations=[0, 0])),
     "tts ref no frames": ("ref_mel", lambda m: m.synth_tts(PHONEMES, _mel(0))),
     "tts ref NaN": ("ref_mel", lambda m: m.synth_tts(PHONEMES, _with_nan(_mel(6)))),
     "tts ref inf": ("ref_mel", lambda m: m.synth_tts(PHONEMES, np.full((6, 80), np.inf))),
@@ -226,6 +235,7 @@ MALFORMED = {
     "vc f0 NaN": ("source_f0", lambda m: m.convert_vc(_mel(5), _with_nan(np.full(5, 150.0)),
                                                       _mel(6))),
     "vc f0 negative": ("source_f0", lambda m: m.convert_vc(_mel(5), np.full(5, -1.0), _mel(6))),
+    "vc f0 inf": ("source_f0", lambda m: m.convert_vc(_mel(5), np.full(5, np.inf), _mel(6))),
     "vc f0 short": ("source_f0", lambda m: m.convert_vc(_mel(5), np.zeros(4), _mel(6))),
     "vc f0 2-D": ("source_f0", lambda m: m.convert_vc(_mel(5), np.zeros((5, 1)), _mel(6))),
     "vc ref no frames": ("ref_mel", lambda m: m.convert_vc(_mel(5), np.zeros(5), _mel(0))),

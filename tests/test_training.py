@@ -266,18 +266,16 @@ def test_a_held_tts_fragment_does_not_pin_its_forward_pass(setup, monkeypatch):
     assert alive and all(id(a) in kept for a in alive), [a.shape for a in alive]
 
 
-def test_half_step_backward_peak_stays_well_below_its_gradient_bytes(tmp_path, monkeypatch):
-    # each node's arrays are freed as backward consumes it, so the gradients
-    # the pass gathers mostly fill the room the forward pass gives up; with
-    # every node's `.data` kept to the end the peak was 0.6x the gradients.
-    # Desk model, utterances of the default length: a forward pass about
-    # twice the gradients' size
+def _text_half_backward_rise(tmp_path, monkeypatch, homed):
+    """The rise of tracemalloc's peak over the start of a desk text half's
+    backward pass, and the bytes of the gradients it gathers, with the
+    optimizer's block as their home or without."""
     spec = CorpusSpec(n_speakers=2, utts_per_speaker=2, labeled_fraction=1.0,
                       n_test_speakers=0)
     records, _, _ = gen_corpus(tmp_path / "corpus", seed=5, spec=spec)
     cfg = small_train_config(model=small_model_config(
         d_model=64, text_blocks=2, content_blocks=2, decoder_blocks=2, codebook_size=64))
-    model = JointModel(cfg.model, seed=cfg.seed)
+    model, opt = JointModel.for_run(cfg)
     rises = []
     backward = ad.backward
 
@@ -290,12 +288,56 @@ def test_half_step_backward_peak_stays_well_below_its_gradient_bytes(tmp_path, m
     monkeypatch.setattr(ad, "backward", measured)
     tracemalloc.start()
     try:
-        half = training_mod.half_step(records[:2], model, cfg, step=0, n_aux=4)
+        half = training_mod.half_step(records[:2], model, cfg, step=0, n_aux=4,
+                                      homes=opt.g if homed else None)
     finally:
         tracemalloc.stop()
-    grad_bytes = sum(g.nbytes for g in half.grads.values())
     assert len(rises) == 1
-    assert rises[0] < 0.25 * grad_bytes, rises[0] / grad_bytes
+    return rises[0], sum(g.nbytes for g in half.grads.values())
+
+
+def test_half_step_backward_peak_stays_well_below_its_gradient_bytes(tmp_path, monkeypatch):
+    # each node's arrays are freed as backward consumes it, so the gradients
+    # the pass gathers mostly fill the room the forward pass gives up; with
+    # every node's `.data` kept to the end the peak was 0.6x the gradients.
+    # Desk model, utterances of the default length: a forward pass about
+    # twice the gradients' size
+    rise, grad_bytes = _text_half_backward_rise(tmp_path, monkeypatch, homed=False)
+    assert rise < 0.25 * grad_bytes, rise / grad_bytes
+
+
+def test_half_step_backward_peak_with_the_block_as_home_stays_below_a_tenth_of_its_gradients(
+        tmp_path, monkeypatch):
+    # with the optimizer's block as their home the gradients take no fresh
+    # room: what is left is each rule's transient arrays (0.248 of the
+    # gradient bytes without a home, 0.078 with it)
+    rise, grad_bytes = _text_half_backward_rise(tmp_path, monkeypatch, homed=True)
+    assert rise < 0.1 * grad_bytes, rise / grad_bytes
+
+
+def test_half_step_with_the_block_as_home_writes_the_same_gradient_bytes_there(
+        setup, monkeypatch):
+    # the codebook takes a gradient from both fragments of a full text half:
+    # its second one is added in place into its view of the block
+    cfg, model, opt, records = setup
+    reached = []
+    accumulate = ad.Tensor.accumulate_grad
+
+    def counted(self, g):
+        reached.append(self.name)
+        accumulate(self, g)
+
+    monkeypatch.setattr(ad.Tensor, "accumulate_grad", counted)
+    fresh = training_mod.half_step(records[:2], model, cfg, step=0, n_aux=4)
+    assert reached.count("codebook.entries") >= 2
+    opt.blocks[3][...] = np.nan  # a first gradient is copied over, not added
+    homed = training_mod.half_step(records[:2], model, cfg, step=0, n_aux=4, homes=opt.g)
+    assert list(homed.grads) == list(fresh.grads) and "codebook.entries" in fresh.grads
+    for name, g in homed.grads.items():
+        assert g is opt.g[name] and np.shares_memory(g, opt.blocks[3]), name
+        assert g.tobytes() == fresh.grads[name].tobytes(), name
+    assert [name for name, p in model.store.items()
+            if p.grad is not None or p.home is not None] == []
 
 
 def test_vc_step_touches_no_text_parameters(setup):
@@ -750,10 +792,10 @@ def test_full_run_on_two_cpus_runs_each_process_at_one_blas_thread(
     log = tmp_path / "threads.txt"
     real_half_step, real_tts_step = training_mod.half_step, training_mod.tts_step
 
-    def recording(batch, model, cfg, step, n_aux, speech=False):
+    def recording(batch, model, cfg, step, n_aux, speech=False, homes=None):
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()} {int(speech)} {training_mod.blas_threads()}\n")
-        return real_half_step(batch, model, cfg, step, n_aux, speech)
+        return real_half_step(batch, model, cfg, step, n_aux, speech, homes)
 
     monkeypatch.setattr(training_mod, "half_step", recording)
     train(small_train_config(max_steps=3), tiny_corpus["train"])
@@ -831,19 +873,34 @@ def test_vc_worker_steps_are_bitwise_the_inline_steps(tiny_corpus, tmp_path, mon
 
 
 @pytest.mark.parametrize("worker", [False, True], ids=["inline", "worker"])
-def test_joint_step_leaves_no_parameter_gradient_set(tiny_corpus, worker):
-    # both ranges are clipped and updated by name over the gradient block
+def test_joint_step_leaves_no_parameter_gradient_set(tiny_corpus, monkeypatch, worker):
+    # both ranges are clipped and updated by name over the gradient block;
+    # the text half's homes go with its pass, also when a step diverges in it
     records = tiny_corpus["train"]
     cfg = small_train_config()
     model, opt = JointModel.for_run(cfg)
     vc_worker = training_mod.VcWorker(model, opt, cfg) if worker else None
+    backward = ad.backward
+
+    def diverging(loss):
+        backward(loss)
+        raise TrainingDiverged("non-finite gradient")
+
+    def gradients_or_homes_set():
+        return [name for name, p in model.store.items()
+                if p.grad is not None or p.home is not None]
+
     try:
         joint_step(records[:2], records[2:4], model, opt, cfg, step=0, vc_worker=vc_worker)
+        assert opt.t == 1 and opt.v[next(iter(model.store))].any()
+        assert gradients_or_homes_set() == []
+        monkeypatch.setattr(ad, "backward", diverging)
+        with pytest.raises(TrainingDiverged):
+            joint_step(records[:2], records[2:4], model, opt, cfg, step=1, vc_worker=vc_worker)
     finally:
         if vc_worker is not None:
             vc_worker.close()
-    assert opt.t == 1 and opt.v[next(iter(model.store))].any()
-    assert [name for name, p in model.store.items() if p.grad is not None] == []
+    assert gradients_or_homes_set() == []
 
 
 def test_vc_worker_sent_copies_of_the_speech_records_is_bitwise_the_inline_side(
@@ -977,8 +1034,8 @@ def test_nonfinite_gradient_in_the_worker_range_changes_nothing(tiny_corpus, mon
     name = AdamState.for_params(model.store).split(list(model.store))[1][-1]
     real_half_step = training_mod.half_step
 
-    def poisoned(batch, model, cfg, step, n_aux, speech=False):
-        half = real_half_step(batch, model, cfg, step, n_aux, speech)
+    def poisoned(batch, model, cfg, step, n_aux, speech=False, homes=None):
+        half = real_half_step(batch, model, cfg, step, n_aux, speech, homes)
         if speech and step == 4:
             half.grads[name] = half.grads[name] * np.nan
         return half
