@@ -18,28 +18,24 @@ Design notes:
     only ever replaced by a sum, except in a parameter's `home`: an array
     its caller owns (the optimizer's gradient block) that takes the first
     gradient of a pass as a copy and adds later ones in place.
-  * A graph is single-use.  Once a node's backward rule has run, backward
-    drops the node's gradient and swaps its closure for one that raises
-    GraphError, so interior gradients and every array a closure saved
-    (normalized rows, attention probabilities, masks, differences) are
-    freed during the pass.  Each consumer of the node then names a spent
-    stand-in in its place, which holds only the node's parents that take
-    gradients and the raising closure: a node's `.data`, and a constant
-    input's, is freed during the pass unless the caller holds it, and the
-    graph stays walkable through the stand-ins.  Leaves have no closure:
-    they keep their gradients, which accumulate over backward calls.
-  * A forward pass may release a node's values before backward: once every
-    consumer of the node is built, `release` swaps its `.data` for a
-    zero-byte stand-in of the same shape that reads NaN.  Where the op that
-    made the node left a recipe on its closure (a layer norm's output from
-    its normalized rows, an attention mix from its probabilities and
-    values), backward remakes the values with the forward's arithmetic
-    just before the first consumer's rule runs, so a linear or conv1d rule
-    that reads its input gets the same bytes, and frees them again when it
-    reaches the node's own rule, which never reads them.  The recipe holds
-    nothing the closure does not, and goes with it.  Without a recipe no
-    rule may read the values: one that did would give a non-finite
-    gradient, which training reports as TrainingDiverged.
+  * A graph is single-use, and a freed value is `.data = None`.  Once a
+    node's rule has run, backward frees its values and gradient and swaps
+    its closure, with every array it saved (normalized rows, attention
+    probabilities, masks), for one that raises GraphError, also where the
+    caller holds the node: read or `detach()` values before backward.  The
+    spent node keeps its shape and its parents that take gradients, so the
+    graph stays walkable.  Leaves have no closure: they keep their values
+    and their gradients, which accumulate over backward calls.
+  * A forward pass may free a node's values before backward: once every
+    consumer of the node is built, `release` sets its `.data` to None.
+    Where the op that made the node left a recipe on its closure (a layer
+    norm's output from its normalized rows, an attention mix from its
+    probabilities and values), backward remakes the values with the
+    forward's arithmetic just before the first consumer's rule runs, so a
+    linear or conv1d rule that reads its input gets the same bytes; they
+    go again when the walk reaches the node's own rule, like every node's.
+    The recipe holds nothing the closure does not, and goes with it.
+    Without a recipe no rule may read the values: one that did would raise.
   * Everything is float64.  The model is desk-scale; precision is cheaper
     than debugging 32-bit gradient noise.
   * Hot-path layers (linear, conv1d, layer_norm, the dropout-residual-norm
@@ -68,12 +64,14 @@ Array = np.ndarray
 
 
 class Tensor:
-    """Dense float64 array with optional gradient tracking."""
+    """Dense float64 array with optional gradient tracking; `.data` is None once freed."""
 
-    __slots__ = ("data", "grad", "home", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "shape", "grad", "home", "requires_grad", "_parents", "_backward",
+                 "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
+        self.shape: tuple[int, ...] = self.data.shape
         self.grad: Array | None = None
         self.home: Array | None = None  # where a parameter's gradient lands
         self.requires_grad = requires_grad
@@ -83,15 +81,13 @@ class Tensor:
 
     # -- basic introspection -------------------------------------------------
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
     def item(self) -> float:
         return float(self.data)
 
     def detach(self) -> "Tensor":
         """Same values, cut off from the graph (stop-gradient)."""
+        if self.data is None:
+            raise GraphError(f"{self!r} was freed: detach() it before release or backward")
         return Tensor(self.data)
 
     def accumulate_grad(self, g: Array) -> None:
@@ -100,7 +96,7 @@ class Tensor:
         copied into `home` if set, which adds later ones in place."""
         if not self.requires_grad:
             return
-        g = _unbroadcast(g, self.data.shape)
+        g = _unbroadcast(g, self.shape)
         if self.grad is None:  # np.positive copies
             self.grad = g if self.home is None else np.positive(g, out=self.home)
         else:  # in place into a home: the bytes of grad + g
@@ -119,29 +115,15 @@ class Tensor:
         return mul(self, _as_tensor(other))
 
 
-_RELEASED = np.full(1, np.nan)
-_RELEASED.flags.writeable = False
-# one read-only stand-in per shape, shared by every value released at that
-# shape: a lookup costs a tenth of making a view.  The shapes are those of
-# activations, a few per utterance length.
-_STAND_INS: dict[tuple[int, ...], Array] = {}
-
-
 def release(t: Tensor) -> None:
     """Free the values of `t`, whose consumers are all built: `.data`
-    becomes a read-only view of one NaN, strided to keep the shape.  If the
-    op that made `t` left a recipe (`remake`) on its closure, backward
-    remakes the values before the first consumer's rule runs; otherwise no
-    rule may read them.  A leaf that takes gradients (a parameter) is
-    refused with GraphError."""
+    becomes None and `.shape` stays.  If the op that made `t` left a recipe
+    (`remake`) on its closure, backward remakes the values before the first
+    consumer's rule runs; otherwise no rule may read them.  A leaf that
+    takes gradients (a parameter) is refused with GraphError."""
     if t.requires_grad and t._backward is None:
         raise GraphError(f"release frees the values of a node an op made, not of {t!r}")
-    shape = t.data.shape
-    stand_in = _STAND_INS.get(shape)
-    if stand_in is None:
-        stand_in = _STAND_INS[shape] = np.ndarray(shape, buffer=_RELEASED,
-                                                  strides=(0,) * len(shape))
-    t.data = stand_in
+    t.data = None
 
 
 def _as_tensor(x) -> Tensor:
@@ -249,7 +231,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     data = a.data.reshape(shape)
 
     def backward_fn(g: Array) -> None:
-        a.accumulate_grad(g.reshape(a.data.shape))
+        a.accumulate_grad(g.reshape(a.shape))
 
     return _make_node(data, (a,), backward_fn)
 
@@ -721,39 +703,25 @@ def straight_through(c: Tensor, quantized_values: np.ndarray) -> Tensor:
 
 
 def _consumed(g: Array) -> None:
-    raise GraphError("backward already ran through this node; detach() its output to reuse it")
-
-
-class _Spent:
-    """What a node's consumers name once backward has run their rules: the
-    node's parents that take gradients (set when the node's rule runs) and
-    the closure that raises, without the node's arrays."""
-
-    __slots__ = ("_parents",)
-    _backward = staticmethod(_consumed)
-
-    def __init__(self):
-        self._parents: list = []
+    raise GraphError("backward already ran through this node; detach() its output before backward")
 
 
 def backward(loss: Tensor) -> None:
     """Reverse-topological gradient accumulation from a scalar loss.
 
-    The graph is single-use: once a node's rule has run, its gradient and
-    closure (with every array the closure saved) are released, its
-    consumers name a `_Spent` stand-in instead of it, and it drops its
-    constant parents, so its `.data` and theirs go too unless the caller
-    holds them.  Just before a node's rule runs, each released input whose
-    op left a recipe is remade (see `release`), and released again when the
-    walk reaches that input's own rule.  A second backward that reaches the
-    node or its stand-in raises GraphError before any rule runs, so no
-    gradient changes.  Each node's gradient is made read-only before its
-    rule runs, which may pass it on as it is but never write into it.
-    Leaves keep their gradients, which accumulate over backward passes
-    until their `.grad` is set to None.
+    The graph is single-use: once a node's rule has run, its `.data` and
+    `.grad` are None, also where the caller holds it, its closure (with
+    every array it saved) raises GraphError, and it keeps only its parents
+    that take gradients.  Just before a node's rule runs, each freed input
+    whose op left a recipe is remade (see `release`), to be freed with its
+    own node.  A second backward that reaches a spent node raises before
+    any rule runs, so no gradient changes.  Each node's gradient is made
+    read-only before its rule runs, which may pass it on as it is but never
+    write into it.  Leaves keep their values and gradients, which
+    accumulate over backward passes until their `.grad` is set to None.
     """
-    if loss.data.shape not in ((), (1,)):
-        raise GraphError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+    if loss.shape not in ((), (1,)):
+        raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
     topo: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
@@ -772,32 +740,19 @@ def backward(loss: Tensor) -> None:
             if id(p) not in visited and p._backward is not None:
                 stack.append((p, False))
     del visited  # the walk's bookkeeping goes before any rule runs
-    loss.accumulate_grad(np.ones_like(loss.data))
-    # by id of a node whose rule has not run: the stand-in its consumers name
-    stand_in: dict[int, _Spent] = {}
-    remade: set[int] = set()  # ids of released nodes whose values were remade
+    loss.accumulate_grad(np.ones(loss.shape))
     while topo:
         node = topo.pop()
         if node._backward is None:
             continue
-        if id(node) in remade:  # its consumers' rules have run; its own never reads it
-            remade.remove(id(node))
-            release(node)
         if node.grad is not None:
-            for p in node._parents:  # remake released inputs that have a recipe
-                if p.data.base is _RELEASED and hasattr(p._backward, "remake"):
+            for p in node._parents:  # remake freed inputs that have a recipe
+                if p.data is None and hasattr(p._backward, "remake"):
                     p.data = p._backward.remake()
-                    remade.add(id(p))
             g = np.asarray(node.grad)  # a 0-d rule may have made a numpy scalar
             g.flags.writeable = False
             node._backward(g)
-        node.grad = None
+        node.data = node.grad = None
         node._backward = _consumed
-        # the node and its stand-in share one list of the parents' stand-ins
-        # and leaves; constant parents leave it, as no walk needs them
-        node._parents = [stand_in.setdefault(id(p), _Spent()) if p._backward is not None
-                         else p for p in node._parents if p.requires_grad]
-        spent = stand_in.pop(id(node), None)
-        if spent is not None:
-            spent._parents = node._parents
-
+        # constant parents leave the graph, as no walk needs them
+        node._parents = [p for p in node._parents if p.requires_grad]

@@ -75,6 +75,8 @@ class TrainConfig:
         return self.mode != "novq"
 
     def validate(self) -> None:
+        if not 0 <= self.seed < 2 ** 64:  # the Philox key's width
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         for key in ("w_pitch", "w_pair"):
             if not 0.0 <= getattr(self, key) < math.inf:
                 raise ConfigError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
@@ -122,6 +124,7 @@ def from_text(text: str) -> TrainConfig:
     # `model` is set field by field, as model.<key> lines
     train_fields = {f.name: f for f in fields(TrainConfig) if f.name != "model"}
     model_fields = {f.name: f for f in fields(ModelConfig)}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -130,6 +133,9 @@ def from_text(text: str) -> TrainConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = line.partition("=")
         key = key.strip()
+        if first_line.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"line {lineno}: {key} is set again, first at line "
+                              f"{first_line[key]}")
         if key.startswith("model."):
             mkey = key[len("model."):]
             if mkey not in model_fields:

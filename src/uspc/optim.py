@@ -155,19 +155,19 @@ def clip_scale(norm: float, max_norm: float) -> float:
     return max_norm / norm if norm > max_norm > 0 else 1.0
 
 
-def clip_global_norm(state: AdamState, names: list[str], rest) -> float:
+def clip_global_norm(state: AdamState, names: list[str],
+                     rest: tuple[list[float], str | None]) -> float:
     """The joint L2 norm of the gradients in the state's block of the
-    parameters `names` and of the others, whose `sums_of_squares` `rest()`
-    returns, taken by the process that updates them.
+    parameters `names` and of the others, whose `sums_of_squares` is
+    `rest`, taken by the process that updates them.
 
-    `rest()` runs first, as its side may write any gradient until it
-    replies.  The norm adds the sums of squares of `names` first, so it is
-    store order when they precede the others.  A gradient holding
-    an inf or NaN raises TrainingDiverged naming the first such parameter.
-    Nothing is scaled here: `adam_step` multiplies each gradient by
-    `clip_scale` of the norm on its pass.
+    The norm adds the sums of squares of `names` first, so it is store
+    order when they precede the others.  A gradient holding an inf or NaN
+    raises TrainingDiverged naming the first such parameter.  Nothing is
+    scaled here: `adam_step` multiplies each gradient by `clip_scale` of
+    the norm on its pass.
     """
-    more, more_bad = rest()
+    more, more_bad = rest
     sums, bad = sums_of_squares(state, names)
     bad = bad or more_bad
     if bad is not None:

@@ -205,10 +205,10 @@ def seed_codebook_from_batch(model: JointModel, batch: list[UtteranceRecord]) ->
 
 @dataclass
 class Half:
-    """One half of a joint step after its backward pass: its `LossReport`
-    values by field name, its fragments' codes and pre-quantization rows
-    for the codebook bookkeeping, and its parameter gradients by name (only
-    the names once a side holds them)."""
+    """One half of a joint step: its `LossReport` values by field name and
+    its fragments' codes and pre-quantization rows for the codebook
+    bookkeeping, read before its backward pass, and its parameter gradients
+    by name (only the names once a side holds them)."""
 
     values: dict[str, float]
     codes: list[np.ndarray]
@@ -239,18 +239,20 @@ def half_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
         if f.aux is not None:
             aux = aux + f.aux * (f.n_utts / n_aux)
 
+    # read before backward, which frees every value of the graph
+    values = {f"l_{side}_rec": rec.item(), f"mel_{side}": first.mel.item(),
+              f"pitch_ce_{side}": first.pitch_ce.item(), "l_pair": pair.item(),
+              "l_duration": duration.item(), "l_vq_aux": aux.item(),
+              "pitch_f0_mse": first.pitch_f0_mse, "code_agreement": frags[-1].code_agreement}
+    codes = [f.quantized.codes for f in frags]
+    rows = [f.quantized.continuous.data for f in frags]
     model.store.zero_grad(homes)
     try:
         ad.backward(rec + pair * cfg.w_pair + duration * W_DURATION + aux)
         grads = {name: p.grad for name, p in model.store.items() if p.grad is not None}
     finally:
         model.store.zero_grad()
-    values = {f"l_{side}_rec": rec.item(), f"mel_{side}": first.mel.item(),
-              f"pitch_ce_{side}": first.pitch_ce.item(), "l_pair": pair.item(),
-              "l_duration": duration.item(), "l_vq_aux": aux.item(),
-              "pitch_f0_mse": first.pitch_f0_mse, "code_agreement": frags[-1].code_agreement}
-    return Half(values=values, codes=[f.quantized.codes for f in frags],
-                rows=[f.quantized.continuous.data for f in frags], grads=grads)
+    return Half(values=values, codes=codes, rows=rows, grads=grads)
 
 
 def _answer(request: tuple, model: JointModel, opt: AdamState, cfg: TrainConfig, held: dict):
@@ -424,7 +426,8 @@ def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
 
     head, rest = opt.split([name for name in model.store if any(name in h.grads for h in halves)])
     side.send("sums", rest, set(halves[0].grads) if text else set())
-    report.grad_norm = clip_global_norm(opt, head, side.reply)
+    # the side may write any gradient until it replies
+    report.grad_norm = clip_global_norm(opt, head, side.reply())
     scale = clip_scale(report.grad_norm, GRAD_CLIP_NORM)
     side.send("adam", rest, opt.t + 1, opt.lr, scale)
     adam_step(opt, head, opt.t + 1, scale)

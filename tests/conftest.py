@@ -111,7 +111,7 @@ def clip_and_adam(state, grads, max_norm=0.0):
     names = [name for name in state.spans if name in grads]  # store order
     for name in names:
         state.g[name][...] = grads[name]
-    norm = clip_global_norm(state, names, lambda: sums_of_squares(state, []))
+    norm = clip_global_norm(state, names, sums_of_squares(state, []))
     adam_step(state, names, state.t + 1, clip_scale(norm, max_norm))
     return norm
 
@@ -160,7 +160,7 @@ def held_arrays(loss: Tensor) -> list[np.ndarray]:
     held: dict[int, np.ndarray] = {}
 
     def add(a) -> None:
-        if isinstance(a, np.ndarray) and _owner(a) is not ad._RELEASED:
+        if isinstance(a, np.ndarray):
             held.setdefault(id(_owner(a)), _owner(a))
 
     seen, stack = set(), [loss]

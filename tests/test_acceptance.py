@@ -118,11 +118,11 @@ def test_acceptance_straight_through_exemption():
     c = Tensor(np.random.default_rng(1).standard_normal((12, 8)), requires_grad=True)
     q = vq_lookup(c, book)
     upstream = np.random.default_rng(2).standard_normal((12, 8))
+    forward_exact = all(q.vectors.data[i].tobytes() == book.entries.data[k].tobytes()
+                        for i, k in enumerate(q.codes))
     ad.backward(sum_all(ad.mul(q.vectors, Tensor(upstream))))
     pass_through = np.array_equal(c.grad, upstream)
     no_book_grad = book.entries.grad is None
-    forward_exact = all(q.vectors.data[i].tobytes() == book.entries.data[k].tobytes()
-                        for i, k in enumerate(q.codes))
     ok = pass_through and no_book_grad and forward_exact
     report("straight-through contract: exact pass-through, no codebook grads", ok)
     assert ok

@@ -274,13 +274,17 @@ def test_backward_accumulates_without_reset():
 def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
     x = Tensor(rand((3, 4), 55), requires_grad=True)
     w = Tensor(rand((4, 2), 56), requires_grad=True)
+    x_values = x.data.copy()
     h = ad.relu(ad.linear(x, w))
     loss = sum_all(h)
     ad.backward(loss)
     assert x.grad.shape == (3, 4) and w.grad.shape == (4, 2)
+    assert np.array_equal(x.data, x_values)
+    # the held nodes' values and gradients are freed; shapes and the graph
+    # stay readable after the pass
+    assert h.data is None and loss.data is None
     assert h.grad is None and loss.grad is None
-    # values and graph structure stay readable after the pass
-    assert h.data.shape == (3, 2) and h._parents
+    assert h.shape == (3, 2) and loss.shape == () and h._parents
 
 
 def test_backward_frees_an_interior_array_the_caller_does_not_hold():
@@ -291,24 +295,39 @@ def test_backward_frees_an_interior_array_the_caller_does_not_hold():
     loss = sum_all(h)
     del h
     ad.backward(loss)
-    # the held loss names a spent stand-in, not the relu node
+    # the held loss names the spent relu node, without its values
     assert interior() is None
     assert loss._parents and loss._parents[0]._backward is ad._consumed
     with pytest.raises(GraphError, match="detach"):
         ad.backward(loss)
 
 
-def test_backward_keeps_the_data_of_a_held_node():
+def test_backward_frees_the_data_of_a_held_node():
     x = Tensor(rand((3, 4), 65), requires_grad=True)
     w = Tensor(rand((4, 2), 66), requires_grad=True)
     h = ad.relu(ad.linear(x, w))
-    want = h.data.copy()
+    kept = h.detach()  # read before backward
+    again = sum_all(ad.mul(h, Tensor(np.ones((3, 2)))))
     ad.backward(sum_all(h))
-    assert np.array_equal(h.data, want)
+    assert h.data is None and h.shape == (3, 2)
+    assert np.array_equal(kept.data, np.maximum(x.data @ w.data, 0.0))
     assert len(h._parents) == 1 and h._parents[0]._backward is ad._consumed
     with pytest.raises(GraphError, match="detach"):
-        ad.backward(sum_all(ad.mul(h, Tensor(np.ones((3, 2))))))
+        ad.backward(again)
     assert x.grad.shape == (3, 4) and w.grad.shape == (4, 2)
+
+
+@pytest.mark.parametrize("how", ["release", "backward"])
+def test_detach_of_a_freed_node_raises(how):
+    x = Tensor(rand((3, 4), 67), requires_grad=True)
+    h = ad.relu(x)
+    if how == "release":
+        ad.release(h)
+    else:
+        ad.backward(sum_all(h))
+    with pytest.raises(GraphError, match="detach"):
+        h.detach()
+    assert x.detach().data is x.data  # a leaf keeps its values
 
 
 def test_backward_on_leaf_loss_leaves_its_gradient_at_one():
@@ -321,26 +340,30 @@ def test_backward_twice_through_a_consumed_graph_raises():
     x = Tensor(rand((3, 2), 57), requires_grad=True)
     shared = ad.relu(x)
     loss = sum_all(shared)
+    second = mean_all(ad.mul(shared, shared))
+    values = shared.detach()  # cut off before backward frees the node
     ad.backward(loss)
     with pytest.raises(GraphError, match="detach"):
         ad.backward(loss)
     with pytest.raises(GraphError, match="detach"):
-        ad.backward(mean_all(ad.mul(shared, shared)))
+        ad.backward(second)
     y = Tensor(rand((3, 2), 58), requires_grad=True)
-    ad.backward(sum_all(ad.mul(shared.detach(), y)))
-    np.testing.assert_array_equal(y.grad, shared.data)
+    ad.backward(sum_all(ad.mul(values, y)))
+    np.testing.assert_array_equal(y.grad, np.maximum(x.data, 0.0))
 
 
 def test_backward_reaching_a_consumed_node_changes_no_gradient():
     # the fresh nodes' rules would run before the consumed one's; backward
-    # must raise before any of them adds to a leaf gradient
+    # must raise before any of them adds to a leaf gradient.  The second
+    # consumer is built before the first pass frees relu_out's values.
     x = Tensor(rand((3,), 61), requires_grad=True)
     relu_out = ad.relu(x)
+    w = Tensor(rand((3,), 62), requires_grad=True)
+    second = sum_all(ad.mul(relu_out, w))
     ad.backward(sum_all(relu_out))
     x_grad = x.grad.copy()
-    w = Tensor(rand((3,), 62), requires_grad=True)
     with pytest.raises(GraphError, match="detach"):
-        ad.backward(sum_all(ad.mul(relu_out, w)))
+        ad.backward(second)
     assert w.grad is None
     np.testing.assert_array_equal(x.grad, x_grad)
 
@@ -435,25 +458,23 @@ def test_diamond_graph_gradient():
 # ---------------------------------------------------------------- release
 
 
-def test_released_node_keeps_its_shape_and_reads_nan():
+def test_released_node_keeps_its_shape_and_frees_its_values():
     x = Tensor(rand((6, 4), 67), requires_grad=True)
     h = ad.linear(x, Tensor(rand((4, 3), 68), requires_grad=True))
     values = weakref.ref(h.data)
     ad.release(h)
     assert values() is None
-    assert h.shape == (6, 3) and h.data.strides == (0, 0)
-    assert np.isnan(h.data).all()
-    with pytest.raises(ValueError):
-        h.data[0, 0] = 1.0  # read-only
+    assert h.data is None and h.shape == (6, 3)
 
 
-def test_a_rule_that_reads_a_released_value_gives_a_nonfinite_gradient():
+def test_a_rule_that_reads_a_released_value_raises():
     x = Tensor(rand((6, 4), 69), requires_grad=True)
     h = ad.linear(x, Tensor(rand((4, 3), 70), requires_grad=True))
-    loss = sum_all(ad.mul(h, h))  # mul's rule reads both inputs
+    loss = sum_all(ad.mul(h, h))  # mul's rule reads both inputs, and has no recipe
     ad.release(h)
-    ad.backward(loss)
-    assert np.isnan(x.grad).all()
+    with pytest.raises(TypeError):
+        ad.backward(loss)
+    assert x.grad is None
 
 
 def test_release_refuses_a_parameter():
@@ -478,8 +499,8 @@ REMADE_OPS = {
 def test_a_released_value_with_a_recipe_is_remade_for_the_rule_that_reads_it(op):
     # linear's rule reads its input, so w's gradient is bytes-equal only if
     # the released value is remade with the forward's bytes before that
-    # rule runs; it is released again once its own node's rule is reached
-    grads = []
+    # rule runs; it is freed again once the walk reaches its own node
+    grads, remade = [], []
     for releasing in (True, False):
         x = Tensor(rand((6, 4), 72), requires_grad=True)
         gain, bias = (Tensor(rand(4, s), requires_grad=True) for s in (73, 74))
@@ -488,9 +509,18 @@ def test_a_released_value_with_a_recipe_is_remade_for_the_rule_that_reads_it(op)
         loss = sum_all(ad.mul(ad.linear(h, w), Tensor(rand((6, 3), 76))))
         if releasing:
             ad.release(h)
+            remake = h._backward.remake
+
+            def recorded():
+                values = remake()
+                remade.append(weakref.ref(values))
+                return values
+
+            h._backward.remake = recorded
         ad.backward(loss)
-        assert np.isnan(h.data).all() == releasing
+        assert h.data is None and h.shape == (6, 4)
         grads.append([t.grad.tobytes() for t in (x, gain, bias, w)])
+    assert len(remade) == 1 and remade[0]() is None
     assert grads[0] == grads[1]
 
 

@@ -510,7 +510,7 @@ def test_cli_unknown_flag_exits_2():
 
 def test_cli_bad_config_value_exits_1(tmp_path, capsys):
     cfg_path = tmp_path / "t.cfg"
-    # each line fails as a ConfigError naming its key, before any division
+    # each text fails as a ConfigError naming its key, before any division
     for line, want in [("max_steps = ten", "line 1: max_steps"),
                        ("model.n_heads = 0", "model.n_heads"),
                        ("model.d_model = 0", "model.d_model"),
@@ -523,7 +523,13 @@ def test_cli_bad_config_value_exits_1(tmp_path, capsys):
                        ("dead_code_steps = 0", "dead_code_steps"),
                        ("dead_code_steps = -1", "dead_code_steps"),
                        ("plateau_epochs = 0", "plateau_epochs"),
-                       ("model = x", "model")]:
+                       ("model = x", "model"),
+                       ("seed = -1", "seed"),
+                       ("seed = 18446744073709551616", "seed"),
+                       ("mode = full\nmode = vc-only",
+                        "line 2: mode is set again, first at line 1"),
+                       ("model.dropout = 0.1\n# d\n model.dropout=0.2",
+                        "line 3: model.dropout is set again, first at line 1")]:
         cfg_path.write_text(line + "\n")
         assert main(["train", "--corpus", str(tmp_path), "--config", str(cfg_path),
                      "--out", str(tmp_path / "m.uspc")]) == 1, line

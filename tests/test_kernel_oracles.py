@@ -41,13 +41,17 @@ def spans(offsets):
 
 
 def same_bytes(a, b):
+    """Equal shape, dtype and bytes; a freed value (None) equals nothing."""
     a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    return a.shape == b.shape and a.dtype == b.dtype != object and a.tobytes() == b.tobytes()
 
 
 def grads_through(out, g):
-    """Backward from `out` with upstream gradient `g` (sum(out * g))."""
+    """Backward from `out` with upstream gradient `g` (sum(out * g));
+    returns `out`'s values, read before backward frees them."""
+    values = out.data
     ad.backward(sum_all(ad.mul(out, Tensor(g))))
+    return values
 
 
 # ---------------------------------------------------------------- references
@@ -154,9 +158,9 @@ def test_conv1d_matches_padded_per_tap_reference(kernel_size, seed, x_grad):
     b = Tensor(rand(4, seed + 200), requires_grad=True)
     g = rand((t, 4), seed + 300)
     out = ad.conv1d(x, w, b, offsets)
-    grads_through(out, g)
+    got = grads_through(out, g)
     want, dx, dk, db = ref_conv1d(x.data, w.data, b.data, offsets, g)
-    assert same_bytes(out.data, want)
+    assert same_bytes(got, want)
     assert same_bytes(w.grad, dk) and same_bytes(b.grad, db)
     if x_grad:
         assert same_bytes(x.grad, dx)
@@ -176,9 +180,9 @@ def test_conv1d_model_width_segments_match_reference(lengths):
     b = Tensor(rand(32, 3), requires_grad=True)
     g = rand((t, 32), 4)
     out = ad.conv1d(x, w, b, offsets)
-    grads_through(out, g)
+    got = grads_through(out, g)
     want, dx, dk, db = ref_conv1d(x.data, w.data, b.data, offsets, g)
-    assert same_bytes(out.data, want) and same_bytes(x.grad, dx)
+    assert same_bytes(got, want) and same_bytes(x.grad, dx)
     assert same_bytes(w.grad, dk) and same_bytes(b.grad, db)
 
 
@@ -193,9 +197,9 @@ def test_attention_matches_per_head_reference(seed, n_heads):
     q, k, v = (Tensor(rand((t, 8), seed + i), requires_grad=True) for i in range(3))
     g = rand((t, 8), seed + 10)
     out = ad.attention_core(q, k, v, n_heads, offsets)
-    grads_through(out, g)
+    got = grads_through(out, g)
     want, dq, dk, dv = ref_attention(q.data, k.data, v.data, n_heads, offsets, g)
-    assert same_bytes(out.data, want)
+    assert same_bytes(got, want)
     assert same_bytes(q.grad, dq) and same_bytes(k.grad, dk) and same_bytes(v.grad, dv)
 
 
@@ -207,9 +211,9 @@ def test_attention_self_and_constant_inputs_match_reference():
     x = Tensor(rand((t, 6), 1), requires_grad=True)
     g = rand((t, 6), 2)
     out = ad.attention_core(x, x, x, 2, offsets)
-    grads_through(out, g)
+    got = grads_through(out, g)
     want, dq, dk, dv = ref_attention(x.data, x.data, x.data, 2, offsets, g)
-    assert same_bytes(out.data, want)
+    assert same_bytes(got, want)
     assert same_bytes(x.grad, (dq + dk) + dv)   # accumulated in q, k, v order
 
     q = Tensor(x.data, requires_grad=True)
@@ -231,9 +235,9 @@ def test_layer_norm_matches_mean_reference(seed, x_grad):
     bias = Tensor(rand(9, seed + 2), requires_grad=True)
     g = rand((7, 9), seed + 3)
     out = ad.layer_norm(x, gain, bias, 1e-6)
-    grads_through(out, g)
+    got = grads_through(out, g)
     want, dx, dgain, dbias = ref_layer_norm(x.data, gain.data, bias.data, 1e-6, g)
-    assert same_bytes(out.data, want)
+    assert same_bytes(got, want)
     assert same_bytes(gain.grad, dgain) and same_bytes(bias.grad, dbias)
     assert same_bytes(x.grad, dx) if x_grad else x.grad is None
 
@@ -247,12 +251,12 @@ def test_linear_matches_matmul_plus_bias_nodes(x_grad):
     x, w, b = Tensor(x0, requires_grad=x_grad), Tensor(w0, requires_grad=True), \
         Tensor(b0, requires_grad=True)
     out = ad.linear(x, w, b)
-    grads_through(out, g)
+    got = grads_through(out, g)
     rx, rw, rb = Tensor(x0, requires_grad=x_grad), Tensor(w0, requires_grad=True), \
         Tensor(b0, requires_grad=True)
     ref = ad.add(matmul(rx, rw), rb)
-    grads_through(ref, g)
-    assert same_bytes(out.data, ref.data)
+    want = grads_through(ref, g)
+    assert same_bytes(got, want)
     assert same_bytes(w.grad, rw.grad) and same_bytes(b.grad, rb.grad)
     assert same_bytes(x.grad, rx.grad) if x_grad else x.grad is None
 
@@ -273,10 +277,10 @@ def test_repeat_rows_backward_matches_add_at(width, seed):
     g[counts[:3].sum():counts[:4].sum()] = -0.0
     idx = np.repeat(np.arange(9), counts)
     out = ad.repeat_rows(a, counts)
-    grads_through(out, g)
+    got = grads_through(out, g)
     want = np.zeros_like(a.data)
     np.add.at(want, idx, g)
-    assert same_bytes(out.data, a.data[idx])
+    assert same_bytes(got, a.data[idx])
     assert same_bytes(a.grad, want)
 
 
@@ -324,12 +328,12 @@ def test_dropout_matches_fresh_stream_per_segment(seed):
     x = Tensor(rand((t, 6), seed), requires_grad=True)
     g = rand((t, 6), seed + 1)
     out = Dropout("layer", 0.3)(x, ctx)
-    grads_through(out, g)
+    got = grads_through(out, g)
     draws = np.concatenate([fresh_philox(seed, f"dropout/layer/{u}", seed + 3).random((hi - lo, 6))
                             for u, (lo, hi) in zip(uids, spans(offsets))])
     keep = draws >= 0.3
     scale = 1.0 / (1.0 - 0.3)
-    assert same_bytes(out.data, x.data * keep * scale)
+    assert same_bytes(got, x.data * keep * scale)
     assert same_bytes(x.grad, g * keep * scale)
 
 
@@ -355,9 +359,10 @@ def residual_tail_graph(fused, seed, training, other_consumers):
     loss = sum_all(ad.mul(out, Tensor(rand((t, 6), seed + 6))))
     if other_consumers:
         loss = ad.add(loss, sum_all(ad.mul(ad.linear(x, w2), Tensor(rand((t, 6), seed + 7)))))
+    values = out.data
     ad.backward(loss)
     leaves = [x, gain, bias] + ([w1, w2] if other_consumers else [a])
-    return out.data, [leaf.grad for leaf in leaves]
+    return values, [leaf.grad for leaf in leaves]
 
 
 @pytest.mark.parametrize("seed", range(4))
