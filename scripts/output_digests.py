@@ -7,9 +7,12 @@ For each mode (full, novq, tts-only, vc-only) it trains on one corpus, as
 `uspc gen-data --seed 3 --speakers 4 --utts 6 --labeled-frac 0.5
 --test-speakers 3 --test-utts 4` writes it, with batch 4 + 4 and
 `dead_code_steps = 3`, and digests the checkpoint, the loss trace and the
-`uspc eval` CSVs of both splits.  The full checkpoint also digests its
-`synth_tts` outputs, teacher-forced and free-running, and its `convert_vc`
-outputs over the test split, each utterance voiced by the next one.
+`uspc eval` CSVs of both splits.  `<mode>.ckpt-tensors` digests the
+checkpoint's bytes after its config text (step counter and tensors), so a
+change that edits config keys can still show that every tensor is equal.
+The full checkpoint also digests its `synth_tts` outputs, teacher-forced
+and free-running, and its `convert_vc` outputs over the test split, each
+utterance voiced by the next one.
 
 `--size desk` is d64 with 2/2/2 blocks and a 32-entry book; `published` is
 `ModelConfig()`.  The BLAS thread count is the caller's: set it with
@@ -20,6 +23,7 @@ Usage: python3 scripts/output_digests.py [--size desk|published] [--steps N] [--
 
 import argparse
 import hashlib
+import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -42,6 +46,12 @@ SIZES = {"desk": dict(d_model=64, text_blocks=2, content_blocks=2, decoder_block
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def after_config_text(raw: bytes) -> bytes:
+    """A checkpoint's bytes after its config text (see `uspc.checkpoint`)."""
+    (n,) = struct.unpack_from("<I", raw, 8)
+    return raw[12 + n:]
 
 
 def inference_digests(model, records) -> dict[str, str]:
@@ -81,6 +91,7 @@ def main():
                 paths[f"eval-{split}.csv"].write_text(
                     eval_result_csv(evaluate(records, model)), encoding="utf-8")
             digests = {name: sha256(path.read_bytes()) for name, path in paths.items()}
+            digests["ckpt-tensors"] = sha256(after_config_text(paths["ckpt"].read_bytes()))
             if mode == "full":
                 digests.update(inference_digests(model, splits["test"]))
             for name, digest in digests.items():

@@ -42,11 +42,12 @@ def overfit_corpus(out_dir, seed: int = 7):
 
 
 def measure(model, records):
-    """Eval-mode training-set fit: (mel MSE, duration MSE, pitch accuracy).
-    The parameters are frozen, so no forward pass builds a graph."""
+    """Training-set fit: (mel MSE, duration MSE, pitch accuracy).  The
+    config's dropout is 0.0, so `tts_step` draws no mask; the parameters
+    are frozen, so no forward pass builds a graph."""
     with model.store.frozen():
-        frag = tts_step(records, model, step=0, training=False)
-        ctx = Ctx.eval()
+        frag = tts_step(records, model, step=0)
+        ctx = Ctx()
         correct = total = 0
         for rec in records:
             q, _, _ = model.tts_content(rec.phonemes, rec.durations, ctx)

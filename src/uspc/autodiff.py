@@ -38,12 +38,12 @@ Design notes:
     Without a recipe no rule may read the values: one that did would raise.
   * Everything is float64.  The model is desk-scale; precision is cheaper
     than debugging 32-bit gradient noise.
-  * Hot-path layers (linear, conv1d, layer_norm, the dropout-residual-norm
-    tail, attention, cross-entropy) are fused single nodes with
-    hand-written backward rules to keep the node count per training step
-    low.  Their kernels do the floating-point operations of the plain
-    per-segment, per-head, per-tap formulation in the same order, so
-    results do not depend on how a batch is packed.
+  * Hot-path layers (linear and conv1d with their required bias,
+    layer_norm, the dropout-residual-norm tail, attention, cross-entropy)
+    are fused single nodes with hand-written backward rules to keep the
+    node count per training step low.  Their kernels do the floating-point
+    operations of the plain per-segment, per-head, per-tap formulation in
+    the same order, so results do not depend on how a batch is packed.
   * A batch is packed: its sequences are concatenated along the row axis
     and `offsets` (B+1 row bounds) marks the segments.  Row-wise ops need
     no layout; the ops that mix rows (conv1d, attention_core, dropout,
@@ -82,12 +82,12 @@ class Tensor:
     # -- basic introspection -------------------------------------------------
 
     def item(self) -> float:
-        return float(self.data)
+        return float(self.detach().data)  # GraphError once freed
 
     def detach(self) -> "Tensor":
         """Same values, cut off from the graph (stop-gradient)."""
         if self.data is None:
-            raise GraphError(f"{self!r} was freed: detach() it before release or backward")
+            raise GraphError(f"{self!r} was freed: read or detach() it before release or backward")
         return Tensor(self.data)
 
     def accumulate_grad(self, g: Array) -> None:
@@ -227,15 +227,6 @@ def segment_mean(a: Tensor, offsets: np.ndarray | None = None) -> Tensor:
     return _make_node(data, (a,), backward_fn)
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    data = a.data.reshape(shape)
-
-    def backward_fn(g: Array) -> None:
-        a.accumulate_grad(g.reshape(a.shape))
-
-    return _make_node(data, (a,), backward_fn)
-
-
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """out[i] = a[idx[i]].  Backward scatter-adds into the source rows."""
     idx = np.asarray(idx, dtype=np.intp)
@@ -285,23 +276,22 @@ def repeat_rows(a: Tensor, counts: np.ndarray) -> Tensor:
     return _make_node(data, (a,), backward_fn)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w + b as one node: (T, d_in) @ (d_in, d_out) + (d_out,)."""
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node: (T, d_in) @ (d_in, d_out) + (d_out,), the bias required."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ShapeError(f"linear shapes incompatible: x={x.data.shape} w={w.data.shape}")
     data = x.data @ w.data
-    if b is not None:
-        data += b.data
+    data += b.data
 
     def backward_fn(g: Array) -> None:
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             b.accumulate_grad(g.sum(axis=0))
         if x.requires_grad:
             x.accumulate_grad(g @ w.data.T)
         if w.requires_grad:
             w.accumulate_grad(x.data.T @ g)
 
-    return _make_node(data, (x, w) if b is None else (x, w, b), backward_fn)
+    return _make_node(data, (x, w, b), backward_fn)
 
 
 # -- fused layers --------------------------------------------------------------
@@ -335,9 +325,9 @@ def _add_shifted(acc: Array, product: Array, shift: int, crossing: Array | None)
     acc[dst:dst + n] += product[src:src + n]
 
 
-def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
+def conv1d(x: Tensor, kernel: Tensor, bias: Tensor,
            offsets: np.ndarray | None = None) -> Tensor:
-    """Temporal convolution with zero same-padding.
+    """Temporal convolution with zero same-padding, plus a (Cout,) bias.
 
     x: (T, Cin), kernel: (K, Cin, Cout) with K odd.  Output (T, Cout).  Each
     segment of `offsets` is zero-padded on its own, so no output row sees a
@@ -366,13 +356,10 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     for j in range(k):
         _add_shifted(data, np.matmul(x.data, kernel.data[j], out=product), j - pad,
                      _crossing_rows(bounds, j - pad))
-    if bias is not None:
-        data += bias.data
-
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    data += bias.data
 
     def backward_fn(g: Array) -> None:
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=0))
         if not (kernel.requires_grad or x.requires_grad):
             return
@@ -401,7 +388,7 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
             del product, gp  # only dxp is read from here on
             x.accumulate_grad(_join([dxp[w + pad:w + pad + hi - lo] for lo, hi, w in windows]))
 
-    return _make_node(data, parents, backward_fn)
+    return _make_node(data, (x, kernel, bias), backward_fn)
 
 
 _LAYER_NORM_EPS = 1e-6

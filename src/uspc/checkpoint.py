@@ -138,13 +138,12 @@ def load_checkpoint(path) -> Checkpoint:
 def restore_model(ckpt: Checkpoint) -> tuple[JointModel, AdamState, "config_mod.TrainConfig"]:
     """Rebuild model and optimizer from a loaded checkpoint.
 
-    Raises FormatError listing every expected-but-missing tensor name, or
-    naming a tensor whose shape does not fit the model, a step counter or
-    idle counter that is not a whole number >= 0, or a learning rate that
-    is not finite and >= 0.  Values are written into the views of the
-    optimizer's packed block.
-    Tensors the model does not read, such as the per-entry lookup counts
-    that older checkpoints carry, are ignored.
+    Raises FormatError listing every expected-but-missing tensor name and
+    every tensor the model does not read (a config text edited after the
+    save builds a model that reads another set), or naming a tensor whose
+    shape does not fit the model, a step counter or idle counter that is
+    not a whole number >= 0, or a learning rate that is not finite and >=
+    0.  Values are written into the views of the optimizer's packed block.
     """
     cfg = config_mod.from_text(ckpt.config_text)
     model, opt = JointModel.for_run(cfg)
@@ -155,6 +154,9 @@ def restore_model(ckpt: Checkpoint) -> tuple[JointModel, AdamState, "config_mod.
     missing = [name for name in shapes if name not in ckpt.tensors]
     if missing:
         raise FormatError("checkpoint missing tensors: " + ", ".join(sorted(missing)))
+    unread = sorted(set(ckpt.tensors) - set(shapes))
+    if unread:
+        raise FormatError("checkpoint tensors the model does not read: " + ", ".join(unread))
     for name, shape in shapes.items():
         if ckpt.tensors[name].shape != shape:
             raise FormatError(f"checkpoint tensor {name} has shape "

@@ -54,7 +54,6 @@ class TrainConfig:
     batch_unpaired: int = 8
     max_steps: int = 2000
     w_pitch: float = 0.1
-    w_pair: float = 1.0
     dead_code_steps: int = 500
     plateau_epochs: int = 5
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -77,16 +76,13 @@ class TrainConfig:
     def validate(self) -> None:
         if not 0 <= self.seed < 2 ** 64:  # the Philox key's width
             raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
-        for key in ("w_pitch", "w_pair"):
-            if not 0.0 <= getattr(self, key) < math.inf:
-                raise ConfigError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
+        if not 0.0 <= self.w_pitch < math.inf:
+            raise ConfigError(f"w_pitch must be finite and >= 0, got {self.w_pitch}")
         if not 0.0 < self.lr_decay_per_epoch <= 1.0:
             raise ConfigError(f"lr decay must be in (0, 1], got {self.lr_decay_per_epoch}")
-        if self.batch_paired < 1 or self.batch_unpaired < 0:
-            raise ConfigError("batch sizes must be positive (unpaired may be 0)")
         if self.max_steps < 0:
             raise ConfigError(f"max_steps must be >= 0, got {self.max_steps}")
-        for key in ("dead_code_steps", "plateau_epochs"):
+        for key in ("batch_paired", "batch_unpaired", "dead_code_steps", "plateau_epochs"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.mode not in MODES:

@@ -317,7 +317,11 @@ def load_corpus(corpus_dir, split: str = "train") -> list[UtteranceRecord]:
             raise IntegrityError(f"{manifest}:{lineno}: utterance id {uid!r} repeats "
                                  f"line {first_line[uid]}")
         first_line[uid] = lineno
+        if flag not in ("0", "1"):
+            raise IntegrityError(f"{manifest}:{lineno}: labeled flag must be 0 or 1, got {flag!r}")
         labeled = flag == "1"
+        if not labeled and (ph or du):  # write_corpus leaves both empty
+            raise IntegrityError(f"{manifest}:{lineno}: unlabeled line with phonemes or durations")
         mel_path = corpus_dir / mel_rel
         f0_path = corpus_dir / f0_rel
         for path in (mel_path, f0_path):

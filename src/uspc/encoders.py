@@ -31,15 +31,14 @@ class TextEncoder:
 
 
 class DurationPredictor:
-    """Predicts log(duration + 1) per phoneme from text-encoder states."""
+    """Predicts log(duration + 1) per phoneme, (T_x, 1), from text-encoder states."""
 
     def __init__(self, store: ParamStore, rng: NamedRng, cfg: ModelConfig):
         self.stack = ConvPredictorStack(store, rng, "duration_predictor",
                                         cfg.d_model, 1, cfg.dropout)
 
     def __call__(self, h: Tensor, ctx: Ctx) -> Tensor:
-        out = self.stack(h, ctx)  # (T_x, 1)
-        return ad.reshape(out, (out.data.shape[0],))
+        return self.stack(h, ctx)
 
     @staticmethod
     def to_frame_counts(log_durations: np.ndarray) -> np.ndarray:

@@ -38,10 +38,6 @@ class Ctx:
     offsets: np.ndarray | None = None
     rng: NamedRng | None = None
 
-    @classmethod
-    def eval(cls) -> "Ctx":
-        return cls(training=False)
-
 
 def segment_offsets(lengths) -> np.ndarray:
     """The B+1 row bounds of consecutive segments of the given lengths."""

@@ -102,7 +102,7 @@ class JointModel:
         h = self.text_encoder(np.asarray(phoneme_ids, dtype=np.intp), ctx)
         if durations is None:
             log_dur = self.duration_predictor(h, ctx)
-            durations = DurationPredictor.to_frame_counts(log_dur.data)
+            durations = DurationPredictor.to_frame_counts(log_dur.data[:, 0])
         q = self.quantize(length_regulate(h, durations))
         return q, np.asarray(durations, dtype=np.int64), h
 
@@ -134,7 +134,7 @@ class JointModel:
                 raise DataError(f"durations: expected {phoneme_ids.size} frame counts, none "
                                 f"negative and not all zero, got {durations.tolist()}")
         ref_mel = _mel_frames("ref_mel", ref_mel)
-        ctx = Ctx.eval()
+        ctx = Ctx()
         q, durations, _ = self.tts_content(phoneme_ids, durations, ctx)
         mel, f0 = self.decode_tts(q, self.speaker_encoder(ref_mel, ctx), ctx)
         return mel, f0, durations
@@ -151,7 +151,7 @@ class JointModel:
                             f"per frame of the {source_mel.shape[0]}-frame source_mel")
         if not np.isfinite(source_f0).all() or (source_f0 < 0).any():
             raise DataError("source_f0: NaN, infinite or negative f0 in contour")
-        ctx = Ctx.eval()
+        ctx = Ctx()
         q = self.quantize(self.content_encoder(source_mel, ctx))
         mel = self.decode_vc(q, self.speaker_encoder(ref_mel, ctx), source_f0, ctx)
         return mel, source_f0

@@ -84,17 +84,15 @@ class LossReport:
         return ",".join(out)
 
 
-def _ctx(batch: list[UtteranceRecord], lengths, model: JointModel, step: int,
-         training: bool) -> Ctx:
-    """Context for the batch packed along time, segment b holding
+def _ctx(batch: list[UtteranceRecord], lengths, model: JointModel, step: int) -> Ctx:
+    """Training context for the batch packed along time, segment b holding
     lengths[b] rows of utterance batch[b]."""
-    return Ctx(training=training, step=step, uids=tuple(rec.id for rec in batch),
+    return Ctx(training=True, step=step, uids=tuple(rec.id for rec in batch),
                offsets=segment_offsets(lengths), rng=model.rng)
 
 
-def _frames_ctx(batch: list[UtteranceRecord], model: JointModel, step: int,
-                training: bool) -> Ctx:
-    return _ctx(batch, [rec.n_frames for rec in batch], model, step, training)
+def _frames_ctx(batch: list[UtteranceRecord], model: JointModel, step: int) -> Ctx:
+    return _ctx(batch, [rec.n_frames for rec in batch], model, step)
 
 
 def _mels(batch: list[UtteranceRecord]) -> np.ndarray:
@@ -139,8 +137,7 @@ def _reconstruct(batch: list[UtteranceRecord], model: JointModel, ctx: Ctx,
     return frag, logits
 
 
-def tts_step(batch: list[UtteranceRecord], model: JointModel, step: int,
-             training: bool = True) -> Fragment:
+def tts_step(batch: list[UtteranceRecord], model: JointModel, step: int) -> Fragment:
     """Text pipeline on paired data, teacher-forced durations and pitch bins."""
     if not batch:
         raise DataError("tts_step needs a non-empty paired batch")
@@ -152,36 +149,35 @@ def tts_step(batch: list[UtteranceRecord], model: JointModel, step: int,
         if int(rec.durations.sum()) != rec.n_frames:
             raise PairingError(f"{rec.id}: durations sum to {int(rec.durations.sum())} "
                                f"but mel has {rec.n_frames} frames")
-    text_ctx = _ctx(batch, [rec.durations.size for rec in batch], model, step, training)
+    text_ctx = _ctx(batch, [rec.durations.size for rec in batch], model, step)
     durations = np.concatenate([rec.durations for rec in batch])
     q, _, h = model.tts_content(np.concatenate([rec.phonemes for rec in batch]),
                                 durations, text_ctx)
     log_dur = model.duration_predictor(h, text_ctx)
-    frag, logits = _reconstruct(batch, model, _frames_ctx(batch, model, step, training), q)
-    frag.duration = ad.mse(log_dur, Tensor(np.log(durations + 1.0)), text_ctx.offsets)
+    frag, logits = _reconstruct(batch, model, _frames_ctx(batch, model, step), q)
+    frag.duration = ad.mse(log_dur, Tensor(np.log(durations + 1.0)[:, None]), text_ctx.offsets)
     f0 = np.concatenate([rec.f0 for rec in batch])
     frag.pitch_f0_mse = float(((decode_f0(logits) - f0) ** 2).sum()) / max(f0.size, 1)
     return frag
 
 
-def vc_step(batch: list[UtteranceRecord], model: JointModel, step: int,
-            training: bool = True) -> Fragment:
+def vc_step(batch: list[UtteranceRecord], model: JointModel, step: int) -> Fragment:
     """Speech-only self-reconstruction; text is never consulted."""
     if not batch:
         raise DataError("vc_step needs a non-empty speech batch")
-    ctx = _frames_ctx(batch, model, step, training)
+    ctx = _frames_ctx(batch, model, step)
     q = model.quantize(model.content_encoder(_mels(batch), ctx))
     return _reconstruct(batch, model, ctx, q)[0]
 
 
 def pair_step(batch: list[UtteranceRecord], model: JointModel, step: int,
-              text_quantized: QuantizedContent, training: bool = True) -> Fragment:
+              text_quantized: QuantizedContent) -> Fragment:
     """Domain loss between text-derived and speech-derived content of the
     same utterances.  `text_quantized` is the TTS pipeline's packed content
     of `batch` (`tts_step(batch, ...).quantized`)."""
     if not batch:
         raise DataError("pair_step needs a non-empty paired batch")
-    ctx = _frames_ctx(batch, model, step, training)
+    ctx = _frames_ctx(batch, model, step)
     qs = model.quantize(model.content_encoder(_mels(batch), ctx))
     agree = int((text_quantized.codes == qs.codes).sum())
     return Fragment(quantized=qs, n_utts=len(batch),
@@ -220,7 +216,7 @@ def half_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
               step: int, n_aux: int, speech: bool = False, homes: dict | None = None) -> Half:
     """The text half of a step (`tts_step`, plus `pair_step` when both
     pipelines train) or with `speech` its speech half (`vc_step`), and a
-    backward pass from rec + pair * w_pair + duration * W_DURATION + aux,
+    backward pass from rec + pair + duration * W_DURATION + aux,
     each fragment's aux weighted by its share n_utts / n_aux of the
     utterances that ran through the VQ this step.  With `homes`, the pass
     writes each parameter's gradient into homes[name] (`AdamState.g`), with
@@ -248,7 +244,7 @@ def half_step(batch: list[UtteranceRecord], model: JointModel, cfg: TrainConfig,
     rows = [f.quantized.continuous.data for f in frags]
     model.store.zero_grad(homes)
     try:
-        ad.backward(rec + pair * cfg.w_pair + duration * W_DURATION + aux)
+        ad.backward(rec + pair + duration * W_DURATION + aux)
         grads = {name: p.grad for name, p in model.store.items() if p.grad is not None}
     finally:
         model.store.zero_grad()
@@ -402,7 +398,7 @@ def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
     opt.check_packed(model.store)
     text = cfg.trains_text
     # an empty batch a half needs is a DataError from its tts_step or vc_step
-    speech = not text or (cfg.trains_pair and bool(unpaired))
+    speech = not text or cfg.trains_pair
     # the aux term is the mean over every utterance that ran through the VQ:
     # the paired batch once per text-side fragment, the speech batch once
     n_aux = len(paired) * (int(text) + int(cfg.trains_pair)) + (len(unpaired) if speech else 0)
@@ -419,7 +415,7 @@ def joint_step(paired: list[UtteranceRecord], unpaired: list[UtteranceRecord],
             setattr(report, name, getattr(report, name) + value)
     # summed in the order of the objective's terms, as one graph over the
     # joint loss would sum them
-    report.total = (report.l_tts_rec + report.l_vc_rec + report.l_pair * cfg.w_pair
+    report.total = (report.l_tts_rec + report.l_vc_rec + report.l_pair
                     + report.l_duration * W_DURATION + report.l_vq_aux)
     if not math.isfinite(report.total):
         raise TrainingDiverged(f"non-finite loss at step {step}")
@@ -532,15 +528,14 @@ def train(cfg: TrainConfig, records: list[UtteranceRecord],
         raise DataError("no labeled examples for a mode that trains the text pipeline")
 
     model, opt = JointModel.for_run(cfg)
-    threads, per_process = blas_room() if cfg.trains_pair and cfg.batch_unpaired > 0 \
-        else (None, 0)
+    threads, per_process = blas_room() if cfg.trains_pair else (None, 0)
     vc_worker = trace_fh = None
     try:
         if per_process:
             blas_threads(per_process)
             vc_worker = VcWorker(model, opt, cfg)
         primary, batch_primary = (paired, cfg.batch_paired) if cfg.trains_text \
-            else (unpaired, max(cfg.batch_unpaired, 1))
+            else (unpaired, cfg.batch_unpaired)
         steps_per_epoch = math.ceil(len(primary) / batch_primary)
 
         seed_codebook_from_batch(

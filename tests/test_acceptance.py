@@ -75,7 +75,8 @@ def random_segmented_case(rng, case_index):
     kind = case_index % 5
     if kind == 0:
         k = Tensor(rng.standard_normal((3, cols, int(rng.integers(1, 5)))))
-        return x, lambda t: mean_all(ad.relu(ad.conv1d(t, k, None, offsets)))
+        b = Tensor(np.zeros(k.data.shape[2]))
+        return x, lambda t: mean_all(ad.relu(ad.conv1d(t, k, b, offsets)))
     if kind == 1:
         return x, lambda t: mean_all(ad.attention_core(t, t, t, 2, offsets))
     if kind == 2:

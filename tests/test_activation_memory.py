@@ -48,13 +48,15 @@ def test_held_arrays_counts_a_buffer_once_and_no_parameter():
     store = ParamStore()
     w = store.param("w", rand((4, 4), 0))
     x = Tensor(rand((6, 4), 1))
-    h = ad.linear(x, w)
-    loss = sum_all(ad.add(ad.reshape(h, (4, 6)), Tensor(np.ones((4, 6)))))
-    # x and h (whose reshape is a view of it), the ones, the add's output
-    # and the loss; not w
-    assert held_bytes(loss) == 4 * 6 * 8 * 4 + LOSS
-    ad.release(h)  # its reshape's view still holds the buffer
-    assert held_bytes(loss) == 4 * 6 * 8 * 4 + LOSS
+    h = ad.linear(x, w, Tensor(np.zeros(4)))
+    loss = sum_all(ad.add(h, Tensor(x.data[::-1])))
+    # x (and the add's constant, a view of it), the zero bias, h, the add's
+    # output and the loss; not w
+    assert held_bytes(loss) == 6 * 4 * 8 * 3 + 4 * 8 + LOSS
+    ad.release(x)  # the view still holds the buffer
+    assert held_bytes(loss) == 6 * 4 * 8 * 3 + 4 * 8 + LOSS
+    ad.release(h)
+    assert held_bytes(loss) == 6 * 4 * 8 * 2 + 4 * 8 + LOSS
     assert all(a is not w.data for a in held_arrays(loss))
 
 
@@ -65,7 +67,8 @@ def test_fft_stack_holds_six_row_arrays_per_block(rate):
     # masks; the probabilities.  Besides: the positions and their sum with
     # the input, which block 0 reads, and the last block's output.
     stack = FFTStack(ParamStore(), NamedRng(0), "s", cfg(rate), 2)
-    rows = ad.reshape(Tensor(rand((T, D), 0), requires_grad=True), (T, D))  # made by an op
+    leaf = Tensor(rand((T, D), 0), requires_grad=True)
+    rows = ad.straight_through(leaf, leaf.data)  # made by an op that keeps no array
     out = stack(rows, ctx())
     masks = 3 if rate else 1
     per_block = 6 * ROW + 2 * COL + masks * MASK + PROBS

@@ -81,12 +81,12 @@ def naive_conv1d(x, w, b=None):
 def test_conv1d_k1_identity_channel_map():
     x = Tensor(rand((5, 3), 5))
     w = Tensor(np.eye(3)[None, :, :])  # K=1 identity map
-    out = ad.conv1d(x, w)
+    out = ad.conv1d(x, w, Tensor(np.zeros(3)))
     np.testing.assert_allclose(out.data, x.data, atol=1e-15)
 
 
 def test_conv1d_zero_input():
-    out = ad.conv1d(Tensor(np.zeros((4, 2))), Tensor(rand((3, 2, 6), 6)))
+    out = ad.conv1d(Tensor(np.zeros((4, 2))), Tensor(rand((3, 2, 6), 6)), Tensor(np.zeros(6)))
     np.testing.assert_array_equal(out.data, np.zeros((4, 6)))
 
 
@@ -100,11 +100,11 @@ def test_conv1d_matches_naive_oracle():
 
 def test_conv1d_even_kernel_rejected():
     with pytest.raises(ConfigError):
-        ad.conv1d(Tensor(np.zeros((4, 2))), Tensor(np.zeros((2, 2, 2))))
+        ad.conv1d(Tensor(np.zeros((4, 2))), Tensor(np.zeros((2, 2, 2))), Tensor(np.zeros(2)))
 
 
 def test_conv1d_output_length_preserved():
-    out = ad.conv1d(Tensor(rand((11, 4), 10)), Tensor(rand((3, 4, 4), 11)))
+    out = ad.conv1d(Tensor(rand((11, 4), 10)), Tensor(rand((3, 4, 4), 11)), Tensor(np.zeros(4)))
     assert out.shape == (11, 4)
 
 
@@ -275,7 +275,7 @@ def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
     x = Tensor(rand((3, 4), 55), requires_grad=True)
     w = Tensor(rand((4, 2), 56), requires_grad=True)
     x_values = x.data.copy()
-    h = ad.relu(ad.linear(x, w))
+    h = ad.relu(ad.linear(x, w, Tensor(np.zeros(2))))
     loss = sum_all(h)
     ad.backward(loss)
     assert x.grad.shape == (3, 4) and w.grad.shape == (4, 2)
@@ -290,7 +290,7 @@ def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
 def test_backward_frees_an_interior_array_the_caller_does_not_hold():
     x = Tensor(rand((3, 4), 63), requires_grad=True)
     w = Tensor(rand((4, 2), 64), requires_grad=True)
-    h = ad.relu(ad.linear(x, w))
+    h = ad.relu(ad.linear(x, w, Tensor(np.zeros(2))))
     interior = weakref.ref(h.data)
     loss = sum_all(h)
     del h
@@ -305,7 +305,7 @@ def test_backward_frees_an_interior_array_the_caller_does_not_hold():
 def test_backward_frees_the_data_of_a_held_node():
     x = Tensor(rand((3, 4), 65), requires_grad=True)
     w = Tensor(rand((4, 2), 66), requires_grad=True)
-    h = ad.relu(ad.linear(x, w))
+    h = ad.relu(ad.linear(x, w, Tensor(np.zeros(2))))
     kept = h.detach()  # read before backward
     again = sum_all(ad.mul(h, Tensor(np.ones((3, 2)))))
     ad.backward(sum_all(h))
@@ -328,6 +328,18 @@ def test_detach_of_a_freed_node_raises(how):
     with pytest.raises(GraphError, match="detach"):
         h.detach()
     assert x.detach().data is x.data  # a leaf keeps its values
+
+
+@pytest.mark.parametrize("how", ["release", "backward"])
+def test_item_of_a_freed_node_raises_naming_it(how):
+    loss = sum_all(ad.relu(Tensor(rand((3, 4), 67), requires_grad=True)))
+    loss.name = "the-loss"
+    if how == "release":
+        ad.release(loss)
+    else:
+        ad.backward(loss)
+    with pytest.raises(GraphError, match=r"name='the-loss'.* was freed"):
+        loss.item()
 
 
 def test_backward_on_leaf_loss_leaves_its_gradient_at_one():
@@ -378,7 +390,7 @@ def test_backward_memory_does_not_grow_with_depth():
     try:
         h = x
         for w in ws:
-            h = ad.relu(ad.linear(h, w))
+            h = ad.relu(ad.linear(h, w, Tensor(np.zeros(64))))
         loss = sum_all(h)
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
@@ -460,7 +472,7 @@ def test_diamond_graph_gradient():
 
 def test_released_node_keeps_its_shape_and_frees_its_values():
     x = Tensor(rand((6, 4), 67), requires_grad=True)
-    h = ad.linear(x, Tensor(rand((4, 3), 68), requires_grad=True))
+    h = ad.linear(x, Tensor(rand((4, 3), 68), requires_grad=True), Tensor(np.zeros(3)))
     values = weakref.ref(h.data)
     ad.release(h)
     assert values() is None
@@ -469,7 +481,7 @@ def test_released_node_keeps_its_shape_and_frees_its_values():
 
 def test_a_rule_that_reads_a_released_value_raises():
     x = Tensor(rand((6, 4), 69), requires_grad=True)
-    h = ad.linear(x, Tensor(rand((4, 3), 70), requires_grad=True))
+    h = ad.linear(x, Tensor(rand((4, 3), 70), requires_grad=True), Tensor(np.zeros(3)))
     loss = sum_all(ad.mul(h, h))  # mul's rule reads both inputs, and has no recipe
     ad.release(h)
     with pytest.raises(TypeError):
@@ -506,7 +518,7 @@ def test_a_released_value_with_a_recipe_is_remade_for_the_rule_that_reads_it(op)
         gain, bias = (Tensor(rand(4, s), requires_grad=True) for s in (73, 74))
         w = Tensor(rand((4, 3), 75), requires_grad=True)
         h = REMADE_OPS[op](x, gain, bias)
-        loss = sum_all(ad.mul(ad.linear(h, w), Tensor(rand((6, 3), 76))))
+        loss = sum_all(ad.mul(ad.linear(h, w, Tensor(np.zeros(3))), Tensor(rand((6, 3), 76))))
         if releasing:
             ad.release(h)
             remake = h._backward.remake
@@ -639,7 +651,7 @@ def test_dropout_segment_masks_are_each_streams_own_draw():
 
 def test_segment_offsets_must_split_the_rows():
     with pytest.raises(ShapeError, match="do not split 6 rows"):
-        ad.conv1d(Tensor(rand((6, 3), 87)), Tensor(rand((3, 3, 2), 88)), None,
+        ad.conv1d(Tensor(rand((6, 3), 87)), Tensor(rand((3, 3, 2), 88)), Tensor(np.zeros(2)),
                   np.array([0, 4, 5]))
 
 

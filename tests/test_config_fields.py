@@ -48,11 +48,11 @@ def test_every_config_field_is_read_in_src():
     assert unread_fields(names, sources) == []
 
 
-def test_train_config_has_seventeen_keys():
+def test_train_config_has_sixteen_keys():
     keys = [line.partition(" = ")[0]
             for line in config_mod.to_text(TrainConfig()).splitlines()]
     assert keys == ["seed", "mode", "lr_decay_per_epoch", "batch_paired", "batch_unpaired",
-                    "max_steps", "w_pitch", "w_pair", "dead_code_steps", "plateau_epochs",
+                    "max_steps", "w_pitch", "dead_code_steps", "plateau_epochs",
                     "model.d_model", "model.n_heads", "model.text_blocks",
                     "model.content_blocks", "model.decoder_blocks", "model.dropout",
                     "model.codebook_size"]

@@ -147,6 +147,28 @@ def test_manifest_non_integer_id_is_integrity_error(tmp_path, tiny_corpus, field
                  "--out", str(tmp_path / "m.uspc")]) == 1
 
 
+@pytest.mark.parametrize("edits,want", [  # field index -> text on line 2
+    pytest.param({2: "yes"}, "labeled flag must be 0 or 1, got 'yes'", id="flag-yes"),
+    pytest.param({2: ""}, "labeled flag must be 0 or 1, got ''", id="flag-empty"),
+    pytest.param({2: " 1"}, "labeled flag must be 0 or 1, got ' 1'", id="flag-space"),
+    pytest.param({2: "0"}, "unlabeled line with phonemes", id="unlabeled-with-both"),
+    pytest.param({2: "0", 3: ""}, "unlabeled line with phonemes", id="unlabeled-with-durations"),
+    pytest.param({2: "0", 4: ""}, "unlabeled line with phonemes", id="unlabeled-with-phonemes")])
+def test_manifest_labeled_flag_is_0_or_1_and_unlabeled_fields_empty(tmp_path, tiny_corpus,
+                                                                    edits, want):
+    write_corpus(tmp_path / "t", tiny_corpus["train"][:2])
+    manifest = tmp_path / "t" / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    second = lines[1].split("|")
+    for field, value in edits.items():
+        second[field] = value
+    manifest.write_text("\n".join([lines[0], "|".join(second)]) + "\n")
+    with pytest.raises(IntegrityError, match=f"manifest.txt:2: {want}"):
+        load_corpus(tmp_path / "t", "train")
+    assert main(["train", "--corpus", str(tmp_path / "t"),
+                 "--out", str(tmp_path / "m.uspc")]) == 1
+
+
 def test_manifest_repeating_an_utterance_id_is_integrity_error(trained, tiny_corpus, tmp_path,
                                                                capsys):
     """eval keys its per-utterance rows by id, so a manifest that repeats
@@ -176,7 +198,7 @@ def test_unlabeled_record_round_trip_and_vc_usable(tmp_path, tiny_corpus):
     assert not got.labeled and got.phonemes is None and got.durations is None
     cfg = small_train_config()
     model = JointModel(cfg.model, seed=0)
-    frag = vc_step([got], model, step=0, training=False)
+    frag = vc_step([got], model, step=0)
     assert frag.mel.item() > 0.0
 
 
@@ -286,19 +308,28 @@ def test_checkpoint_wrong_shape_named(trained):
             restore_model(ckpt)
 
 
-def test_older_checkpoint_with_usage_counter_restores_the_same(trained):
-    path, _, _ = trained
-    model, opt, _ = restore_model(load_checkpoint(path))
-    old = load_checkpoint(path)
+def test_checkpoint_tensor_the_model_does_not_read_is_format_error(trained, tiny_corpus,
+                                                                   tmp_path, capsys):
+    path, model, _ = trained
+    old = load_checkpoint(path)  # an extra tensor: the lookup counts older checkpoints carried
     old.tensors["codebook.usage"] = np.arange(model.codebook.n_entries, dtype=np.float64)
-    old_model, old_opt, _ = restore_model(old)
-    for name, param in model.store.items():
-        assert old_model.store[name].data.tobytes() == param.data.tobytes(), name
-        assert old_opt.m[name].tobytes() == opt.m[name].tobytes(), name
-        assert old_opt.v[name].tobytes() == opt.v[name].tobytes(), name
-    assert (old_opt.t, old_opt.lr) == (opt.t, opt.lr) and opt.t > 0
-    np.testing.assert_array_equal(old_model.codebook.steps_since_use,
-                                  model.codebook.steps_since_use)
+    with pytest.raises(FormatError, match="does not read: codebook.usage$"):
+        restore_model(old)
+    # a config text edited after the save: one text block fewer would leave
+    # every tensor of block0 unread and restore another model
+    raw = path.read_bytes()
+    (n,) = struct.unpack("<I", raw[8:12])
+    text = raw[12:12 + n].replace(b"model.text_blocks = 1\n", b"model.text_blocks = 0\n")
+    assert len(text) == n and text != raw[12:12 + n]
+    edited = tmp_path / "edited.uspc"
+    edited.write_bytes(raw[:12] + text + raw[12 + n:])
+    with pytest.raises(FormatError) as err:
+        restore_model(load_checkpoint(edited))
+    unread = [name for name in model.store if name.startswith("text_encoder.block0.")]
+    assert unread and all(f"{name}," in f"{err.value}," for name in unread)
+    assert main(["eval", "--ckpt", str(edited), "--corpus", str(tiny_corpus["dir"]),
+                 "--out", str(tmp_path / "e.csv")]) == 1
+    assert "text_encoder.block0." in capsys.readouterr().err
 
 
 def test_checkpoint_with_removed_pitch_bins_key_is_config_error(trained, tiny_corpus,
@@ -313,7 +344,7 @@ def test_checkpoint_with_removed_pitch_bins_key_is_config_error(trained, tiny_co
                  b"checkpoint_every_epochs = 1", b"lr_init = 0.001", b"grad_clip_norm = 1.0",
                  b"w_mel = 1.0", b"w_duration = 0.1", b"w_vq = 1.0", b"vq_beta = 0.25",
                  b"plateau_delta = 0.0001", b"model.p_vocab = 64", b"model.kernel_size = 3",
-                 b"model.n_mels = 80"]:
+                 b"model.n_mels = 80", b"w_pair = 1.0"]:
         key = line.split(b" = ")[0].removeprefix(b"model.").decode()
         text = raw[12:12 + n].replace(anchor, anchor + line + b"\n")
         old = tmp_path / "old.uspc"
@@ -515,10 +546,11 @@ def test_cli_bad_config_value_exits_1(tmp_path, capsys):
                        ("model.n_heads = 0", "model.n_heads"),
                        ("model.d_model = 0", "model.d_model"),
                        ("model.text_blocks = -1", "model.text_blocks"),
-                       ("w_pair = -1", "w_pair"),
+                       ("batch_unpaired = 0", "batch_unpaired"),
+                       ("batch_paired = 0", "batch_paired"),
                        ("w_pitch = -0.5", "w_pitch"),
                        ("w_pitch = nan", "w_pitch"),
-                       ("w_pair = inf", "w_pair"),
+                       ("w_pitch = inf", "w_pitch"),
                        ("max_steps = -3", "max_steps"),
                        ("dead_code_steps = 0", "dead_code_steps"),
                        ("dead_code_steps = -1", "dead_code_steps"),

@@ -22,7 +22,7 @@ from uspc.rng import NamedRng
 from conftest import rand, sum_all
 
 
-EVAL = Ctx.eval()
+EVAL = Ctx()
 
 
 def test_text_encoder_shape_at_published_size():

@@ -56,7 +56,7 @@ def perturbed_model(use_vq=True, **cfg) -> JointModel:
 def _oracle(records, model):
     """evaluate() recomputed one utterance per call, the way it was computed
     before the split was packed."""
-    ctx = Ctx.eval()
+    ctx = Ctx()
     by_speaker = {}
     for rec in records:
         by_speaker.setdefault(rec.speaker_id, []).append(rec)

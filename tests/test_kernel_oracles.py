@@ -310,7 +310,7 @@ def test_constants_take_no_gradient():
     p = Tensor(rand((3, 4), 1), requires_grad=True)
     c = Tensor(rand((3, 4), 2))
     w = Tensor(rand((4, 2), 3))
-    ad.backward(sum_all(matmul(ad.add(ad.reshape(p, (3, 4)), c), w)))
+    ad.backward(sum_all(matmul(ad.add(ad.relu(p), c), w)))
     assert c.grad is None and w.grad is None
     assert p.grad is not None
 
@@ -348,7 +348,9 @@ def residual_tail_graph(fused, seed, training, other_consumers):
               offsets=offsets, rng=NamedRng(seed))
     x = Tensor(rand((t, 6), seed), requires_grad=True)
     w1, w2 = (Tensor(rand((6, 6), seed + i) / 3.0, requires_grad=True) for i in (1, 2))
-    a = ad.linear(x, w1) if other_consumers else Tensor(rand((t, 6), seed + 3), requires_grad=True)
+    zero = Tensor(np.zeros(6))  # a constant bias
+    a = ad.linear(x, w1, zero) if other_consumers \
+        else Tensor(rand((t, 6), seed + 3), requires_grad=True)
     gain = Tensor(rand(6, seed + 4), requires_grad=True)
     bias = Tensor(rand(6, seed + 5), requires_grad=True)
     drop = Dropout("layer", 0.4)
@@ -358,7 +360,7 @@ def residual_tail_graph(fused, seed, training, other_consumers):
         out = ad.layer_norm(ad.add(x, drop(a, ctx)), gain, bias)
     loss = sum_all(ad.mul(out, Tensor(rand((t, 6), seed + 6))))
     if other_consumers:
-        loss = ad.add(loss, sum_all(ad.mul(ad.linear(x, w2), Tensor(rand((t, 6), seed + 7)))))
+        loss = ad.add(loss, sum_all(ad.mul(ad.linear(x, w2, zero), Tensor(rand((t, 6), seed + 7)))))
     values = out.data
     ad.backward(loss)
     leaves = [x, gain, bias] + ([w1, w2] if other_consumers else [a])

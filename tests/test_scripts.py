@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from uspc.checkpoint import load_checkpoint
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -25,6 +27,12 @@ def test_output_digests_prints_one_sha256_per_output(tmp_path):
     files = [f"{mode}.{name}" for mode in ("full", "novq", "tts-only", "vc-only")
              for name in ("ckpt", "trace.csv", "eval-train.csv", "eval-test.csv")]
     inference = ["full.synth-tts-forced", "full.synth-tts-free", "full.convert-vc"]
-    assert sorted(digests) == sorted(files + inference)
+    tensors = [f"{mode}.ckpt-tensors" for mode in ("full", "novq", "tts-only", "vc-only")]
+    assert sorted(digests) == sorted(files + inference + tensors)
     for name in files:
         assert digests[name] == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    for name in tensors:  # the bytes after the config text: step counter and tensors
+        path = tmp_path / name.replace("ckpt-tensors", "ckpt")
+        raw, text = path.read_bytes(), load_checkpoint(path).config_text.encode("utf-8")
+        assert raw[12:12 + len(text)] == text
+        assert digests[name] == hashlib.sha256(raw[12 + len(text):]).hexdigest()

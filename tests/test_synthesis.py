@@ -16,7 +16,7 @@ from uspc.vq import QuantizedContent
 
 from conftest import rand
 
-EVAL = Ctx.eval()
+EVAL = Ctx()
 
 
 def quantized(model, t, seed):

@@ -66,7 +66,7 @@ def test_joint_total_is_sum_of_fragments(setup):
            / sum(f.n_utts for f in frags))
     expected = (tts.mel.item() + cfg.w_pitch * tts.pitch_ce.item()
                 + vc.mel.item() + cfg.w_pitch * vc.pitch_ce.item()
-                + cfg.w_pair * pair.pair.item()
+                + pair.pair.item()
                 + training_mod.W_DURATION * tts.duration.item()
                 + aux)
 
@@ -80,7 +80,7 @@ def test_joint_total_is_sum_of_fragments(setup):
 def test_report_identities_and_weighted_sum(setup):
     cfg, model, opt, records = setup
     report = joint_step(records[:2], records[2:4], model, opt, cfg, step=0)
-    recon = (report.l_tts_rec + report.l_vc_rec + cfg.w_pair * report.l_pair
+    recon = (report.l_tts_rec + report.l_vc_rec + report.l_pair
              + training_mod.W_DURATION * report.l_duration + report.l_vq_aux)
     assert abs(report.total - recon) < 1e-12
     for value in (report.l_tts_rec, report.l_pair, report.l_duration,
@@ -97,11 +97,12 @@ def test_zero_pitch_weight_excludes_pitch_exactly(setup):
     assert report.pitch_ce_tts > 0.0  # still measured, just not optimized
 
 
-def test_batch_loss_is_mean_of_singles(setup):
-    cfg, model, opt, records = setup
-    both = tts_step(records[:2], model, step=0, training=False)
-    one = tts_step(records[:1], model, step=0, training=False)
-    two = tts_step(records[1:2], model, step=0, training=False)
+def test_batch_loss_is_mean_of_singles(tiny_corpus):
+    records = tiny_corpus["train"]
+    model = JointModel(small_model_config(dropout=0.0), seed=0)
+    both = tts_step(records[:2], model, step=0)
+    one = tts_step(records[:1], model, step=0)
+    two = tts_step(records[1:2], model, step=0)
     assert both.mel.item() == pytest.approx(
         (one.mel.item() + two.mel.item()) / 2, abs=1e-12)
     assert both.pitch_ce.item() == pytest.approx(
@@ -175,7 +176,7 @@ def _fragment_total(frag):
 
 def _loss_and_grads(step_fn, batch, model):
     model.store.zero_grad()
-    total = _fragment_total(step_fn(batch, model, step=3, training=True))
+    total = _fragment_total(step_fn(batch, model, step=3))
     loss = total.item()  # read before backward frees it
     ad.backward(total)
     grads = {n: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
@@ -183,11 +184,11 @@ def _loss_and_grads(step_fn, batch, model):
     return loss, grads
 
 
-def _pair_on_tts_content(batch, model, step, training):
+def _pair_on_tts_content(batch, model, step):
     """pair_step against the TTS pipeline's content of the same batch, so
     the pair loss reaches the text encoder too."""
-    text = tts_step(batch, model, step, training).quantized
-    return pair_step(batch, model, step, text, training)
+    text = tts_step(batch, model, step).quantized
+    return pair_step(batch, model, step, text)
 
 
 @pytest.mark.parametrize("step_fn", [tts_step, vc_step, _pair_on_tts_content],
@@ -429,12 +430,12 @@ def test_never_used_codebook_entries_bitwise_stable(tiny_corpus):
 
 
 def test_novq_matches_full_when_codebook_holds_batch_rows(tiny_corpus):
-    cfg = small_train_config(model=small_model_config(codebook_size=256))
+    cfg = small_train_config(model=small_model_config(codebook_size=256, dropout=0.0))
     rec = tiny_corpus["train"][0]
     full = JointModel(cfg.model, seed=cfg.seed, use_vq=True)
     # plant every content row (text and speech side) into the codebook so
     # quantization becomes the identity on this example
-    ctx = Ctx.eval()
+    ctx = Ctx()
     q_text, _, _ = full.tts_content(rec.phonemes, rec.durations, ctx)
     c_s = full.content_encoder(rec.mel, ctx)
     rows = np.concatenate([q_text.continuous.data, c_s.data], axis=0)
@@ -443,8 +444,8 @@ def test_novq_matches_full_when_codebook_holds_batch_rows(tiny_corpus):
     full.codebook.entries.data[rows.shape[0]:] = 1e6  # push the rest far away
 
     novq = JointModel(cfg.model, seed=cfg.seed, use_vq=False)
-    frag_full = tts_step([rec], full, step=0, training=False)
-    frag_novq = tts_step([rec], novq, step=0, training=False)
+    frag_full = tts_step([rec], full, step=0)
+    frag_novq = tts_step([rec], novq, step=0)
     assert frag_full.mel.item() == pytest.approx(frag_novq.mel.item(), abs=1e-12)
 
 
@@ -452,7 +453,7 @@ def test_training_diverged_on_nonfinite(setup):
     cfg, model, opt, records = setup
     model.store["decoder.out.w"].data[:] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(TrainingDiverged):
-        joint_step(records[:1], [], model, opt, cfg, step=0)
+        joint_step(records[:1], records[1:2], model, opt, cfg, step=0)
 
 
 # ---------------------------------------------------------------- train loop
@@ -671,7 +672,7 @@ def _epoch_loop_batches(cfg, records, n_steps):
     rng = NamedRng(cfg.seed)
     paired, unpaired = training_mod._pools(records, cfg)
     primary = paired if cfg.mode != "vc-only" else unpaired
-    size = cfg.batch_paired if cfg.mode != "vc-only" else max(cfg.batch_unpaired, 1)
+    size = cfg.batch_paired if cfg.mode != "vc-only" else cfg.batch_unpaired
     speech = _cursor_walk(rng, len(unpaired), cfg.batch_unpaired if unpaired else 0, n_steps)
     out, epoch = [], 0
     while len(out) < n_steps:
@@ -806,10 +807,10 @@ def test_full_run_on_two_cpus_runs_each_process_at_one_blas_thread(
     assert rows == {(str(os.getpid()), "0", "1")} | {(pid, "1", "1") for pid in worker}
     assert len(worker) == 1 and str(os.getpid()) not in worker
 
-    def failing(batch, model, step, training=True):
+    def failing(batch, model, step):
         if step == 1:
             raise DataError("text batch rejected")
-        return real_tts_step(batch, model, step, training)
+        return real_tts_step(batch, model, step)
 
     monkeypatch.setattr(training_mod, "tts_step", failing)
     with pytest.raises(DataError, match="text batch rejected"):
@@ -948,10 +949,10 @@ def test_vc_worker_is_gone_after_train_returns_stops_or_raises(tiny_corpus, monk
     # the main half fails while the worker runs its half of the same step
     real_tts_step = training_mod.tts_step
 
-    def failing(batch, model, step, training=True):
+    def failing(batch, model, step):
         if step == 2:
             raise DataError("text batch rejected")
-        return real_tts_step(batch, model, step, training)
+        return real_tts_step(batch, model, step)
 
     monkeypatch.setattr(training_mod, "tts_step", failing)
     with pytest.raises(DataError, match="text batch rejected"):
@@ -962,10 +963,10 @@ def test_vc_worker_is_gone_after_train_returns_stops_or_raises(tiny_corpus, monk
 def test_vc_worker_error_reaches_the_caller_as_inline(tiny_corpus, monkeypatch):
     real_vc_step = training_mod.vc_step
 
-    def failing(batch, model, step, training=True):
+    def failing(batch, model, step):
         if step == 2:
             raise DataError(f"speech batch rejected at step {step}: {batch[0].id}")
-        return real_vc_step(batch, model, step, training)
+        return real_vc_step(batch, model, step)
 
     monkeypatch.setattr(training_mod, "vc_step", failing)
     raised = []
@@ -982,8 +983,8 @@ def test_vc_worker_error_reaches_the_caller_as_inline(tiny_corpus, monkeypatch):
 def test_nonfinite_vc_loss_in_the_worker_changes_nothing(tiny_corpus, tmp_path, monkeypatch):
     real_vc_step = training_mod.vc_step
 
-    def poisoned(batch, model, step, training=True):
-        frag = real_vc_step(batch, model, step, training)
+    def poisoned(batch, model, step):
+        frag = real_vc_step(batch, model, step)
         if step == 4:
             frag.mel = frag.mel * np.inf
         return frag
@@ -1013,10 +1014,10 @@ def test_vc_worker_death_raises_uspc_error_naming_its_exit_code(tiny_corpus, mon
     main_pid = os.getpid()
     real_vc_step = training_mod.vc_step
 
-    def dying(batch, model, step, training=True):
+    def dying(batch, model, step):
         if step == 2 and os.getpid() != main_pid:
             os._exit(7)
-        return real_vc_step(batch, model, step, training)
+        return real_vc_step(batch, model, step)
 
     monkeypatch.setattr(training_mod, "vc_step", dying)
     _cpus(monkeypatch, 2)
